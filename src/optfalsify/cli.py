@@ -109,8 +109,9 @@ def _load_config_doc(cfg: RunConfig) -> dict:
 
 
 def cmd_purify(cfg: RunConfig) -> int:
-    doc = _load_config_doc(cfg)
-    rho = serialize.object_from_json(doc, "config")
+    # The config dict is not kept: at d = 64 it holds thousands of boxed
+    # floats that would otherwise stay alive through the eigendecomposition.
+    rho = serialize.object_from_json(_load_config_doc(cfg), "config")
     if not isinstance(rho, QuantumState):
         raise SchemaError("purify expects a document with kind 'state'")
     pur = purify(rho, rank_tol=cfg.rank_tol)

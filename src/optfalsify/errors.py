@@ -20,7 +20,7 @@ class NotPSDError(OptFalsifyError, ValueError):
 
 
 class EigConvergenceError(OptFalsifyError, RuntimeError):
-    """Eigensolver failed to converge within its sweep budget."""
+    """The LAPACK eigensolver failed to converge."""
 
 
 class NumericalContaminationError(OptFalsifyError, ArithmeticError):

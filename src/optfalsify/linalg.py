@@ -1,9 +1,10 @@
 """Dense complex linear algebra core.
 
 Everything downstream (states, effects, channels, falsifiers) sits on the
-handful of primitives in this module: tensor products, partial traces, a
-self-contained Hermitian eigensolver, support/kernel projectors, and the
-row-major double-ket vectorization.
+handful of primitives in this module: tensor products, partial traces, the
+Hermitian eigendecomposition (LAPACK through numpy, with a fixed order and
+phase convention), the support cutoff and the support/kernel projectors,
+and the row-major double-ket vectorization.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .errors import (
 
 # Relative eigenvalue cutoff separating support from kernel.
 DEFAULT_RANK_TOL = 1e-10
-
-_MAX_SWEEPS = 100
-_OFFDIAG_FACTOR = 1e-14
 
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -81,89 +79,55 @@ class HermitianEig:
     vectors: np.ndarray
 
 
-def _rotate(h: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One cyclic-Jacobi step annihilating h[p, q], updating h and v in place."""
-    apq = h[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    # Phase rotation makes the off-diagonal element real, then a standard
-    # Givens rotation with the stable t = s/c root of the quadratic kills it.
-    phase = apq / mag
-    tau = (h[q, q].real - h[p, p].real) / (2.0 * mag)
-    sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    u = np.array(
-        [[c, s], [-s * np.conj(phase), c * np.conj(phase)]], dtype=complex
-    )
-    cols = h[:, (p, q)] @ u
-    h[:, p] = cols[:, 0]
-    h[:, q] = cols[:, 1]
-    rows = dagger(u) @ h[(p, q), :]
-    h[p, :] = rows[0]
-    h[q, :] = rows[1]
-    h[p, q] = 0.0
-    h[q, p] = 0.0
-    h[p, p] = h[p, p].real
-    h[q, q] = h[q, q].real
-    vcols = v[:, (p, q)] @ u
-    v[:, p] = vcols[:, 0]
-    v[:, q] = vcols[:, 1]
-
-
-def _offdiag_norm(h: np.ndarray) -> float:
-    off = h - np.diag(np.diag(h))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(m, tol: float = 1e-10) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``zheevd`` through
+    ``np.linalg.eigh``).
 
-    Deterministic: identical input bits give identical output bits.  Raises
-    NotHermitianError if max|m - m^dag| > tol and EigConvergenceError if the
-    off-diagonal mass has not dropped below 1e-14 * ||m||_F after 100 sweeps.
+    Eigenvalues come out descending; a stable sort keeps LAPACK's order
+    among equal eigenvalues, so ``np.eye`` decomposes into ``np.eye``.  Each
+    eigenvector column is multiplied by the phase that makes its first
+    component of magnitude at least half the column maximum real and
+    positive.  Identical input bits give identical output bits on a given
+    platform and BLAS.  Raises NotHermitianError if max|m - m^dag| > tol and
+    EigConvergenceError if LAPACK does not converge.
     """
     m = as_matrix(m, square=True, name="hermitian_eig input")
     if not is_hermitian(m, tol):
         raise NotHermitianError(
             f"hermitian_eig: max|m - m^dag| = {np.max(np.abs(m - dagger(m))):.3e} > {tol:.1e}"
         )
-    n = m.shape[0]
     h = (m + dagger(m)) / 2.0
-    v = np.eye(n, dtype=complex)
-    threshold = _OFFDIAG_FACTOR * float(np.linalg.norm(h))
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(h) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(h, v, p, q)
-    else:
-        converged = _offdiag_norm(h) <= threshold
-    if not converged:
-        raise EigConvergenceError(
-            f"hermitian_eig: off-diagonal norm {_offdiag_norm(h):.3e} "
-            f"above {threshold:.3e} after {_MAX_SWEEPS} sweeps"
-        )
-    values = np.diag(h).real.copy()
-    # Stable sort keeps the rotation-produced order among equal eigenvalues,
-    # so degenerate spectra still decompose deterministically.
-    order = np.argsort(-values, kind="stable")
-    return HermitianEig(values=values[order], vectors=v[:, order])
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigConvergenceError(f"hermitian_eig: {exc}") from None
+    order = np.argsort(-w, kind="stable")
+    values, vectors = w[order], v[:, order]
+    # The pivot is the first large component rather than the largest one, so
+    # near-ties in magnitude cannot flip which entry fixes the phase.
+    mags = np.abs(vectors)
+    pivot = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
+    cols = np.arange(vectors.shape[1])
+    lead = vectors[pivot, cols]
+    vectors *= np.abs(lead) / lead
+    # The product leaves a rounding-level imaginary part on the pivot.
+    vectors[pivot, cols] = np.abs(lead)
+    return HermitianEig(values=values, vectors=vectors)
+
+
+def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Which of the descending eigenvalues lie in the support: those above
+    rank_tol * lam_max, with lam_max clamped at zero."""
+    return values > rank_tol * max(float(values[0]), 0.0)
 
 
 def _psd_eigs(m, rank_tol: float, name: str) -> HermitianEig:
     """Eigendecomposition plus a PSD check at relative tolerance rank_tol."""
     eig = hermitian_eig(m)
-    lam_max = float(np.max(eig.values)) if eig.values.size else 0.0
-    lam_max = max(lam_max, 0.0)
-    if float(np.min(eig.values)) < -rank_tol * lam_max:
+    lam_max = max(float(eig.values[0]), 0.0)
+    if float(eig.values[-1]) < -rank_tol * lam_max:
         raise NotPSDError(
-            f"{name}: eigenvalue {np.min(eig.values):.3e} below -rank_tol*lam_max"
+            f"{name}: eigenvalue {eig.values[-1]:.3e} below -rank_tol*lam_max"
         )
     return eig
 
@@ -172,9 +136,7 @@ def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
     above rank_tol * lam_max.  Input must be Hermitian PSD up to tolerance."""
     eig = _psd_eigs(m, rank_tol, "support_projector")
-    lam_max = max(float(np.max(eig.values)), 0.0)
-    keep = eig.values > rank_tol * lam_max
-    cols = eig.vectors[:, keep]
+    cols = eig.vectors[:, support_mask(eig.values, rank_tol)]
     p = cols @ dagger(cols)
     return (p + dagger(p)) / 2.0
 

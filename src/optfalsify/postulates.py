@@ -149,10 +149,11 @@ def check_purification_uniqueness(
 
 
 def _support_bruteforce(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    # Independent spectral route for cross-checking the library projectors.
-    w, v = np.linalg.eigh(m)
-    lam_max = max(float(w[-1]), 0.0)
-    cols = v[:, w > rank_tol * lam_max]
+    # Independent route for cross-checking the library projectors: an SVD,
+    # not the eigendecomposition the library uses.  For a PSD matrix the
+    # singular values are the eigenvalues, so the cutoff is the same.
+    u, s, _ = np.linalg.svd(m)
+    cols = u[:, s > rank_tol * s[0]]
     return cols @ cols.conj().T
 
 

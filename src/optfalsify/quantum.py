@@ -32,9 +32,9 @@ from .linalg import (
     doubleket_to_mat,
     hermitian_eig,
     is_hermitian,
-    kernel_projector,
     mat_to_doubleket,
     partial_trace,
+    support_mask,
     support_projector,
     tensor,
 )
@@ -104,8 +104,7 @@ class QuantumState:
 
     def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         eig = hermitian_eig(self.matrix)
-        lam_max = max(float(eig.values[0]), 0.0)
-        return int(np.count_nonzero(eig.values > rank_tol * lam_max))
+        return int(np.count_nonzero(support_mask(eig.values, rank_tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +258,7 @@ def purify(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> Purificatio
     if not rho.deterministic:
         raise NotDeterministicError("only trace-one states are purified")
     eig = hermitian_eig(rho.matrix)
-    lam_max = max(float(eig.values[0]), 0.0)
-    keep = eig.values > rank_tol * lam_max
+    keep = support_mask(eig.values, rank_tol)
     lams = eig.values[keep]
     vecs = eig.vectors[:, keep]
     # psi = sum_i sqrt(lam_i) v_i (x) e_i, i.e. the double-ket of V sqrt(L).
@@ -301,8 +299,7 @@ def connecting_unitary(
         )
     rho = (rho1 + rho2 + dagger(rho1 + rho2)) / 4.0
     eig = hermitian_eig(rho)
-    lam_max = max(float(eig.values[0]), 0.0)
-    keep = eig.values > rank_tol * lam_max
+    keep = support_mask(eig.values, rank_tol)
     lams = eig.values[keep]
     vecs = eig.vectors[:, keep]
     scale = 1.0 / np.sqrt(lams)
@@ -378,8 +375,7 @@ def compress(
     V rho V^dag.  Full-rank states raise NotCompressibleError.
     """
     eig = hermitian_eig(rho.matrix)
-    lam_max = max(float(eig.values[0]), 0.0)
-    keep = eig.values > rank_tol * lam_max
+    keep = support_mask(eig.values, rank_tol)
     rank = int(np.count_nonzero(keep))
     if rank == rho.dim:
         raise NotCompressibleError(
@@ -418,8 +414,7 @@ def canonical_form(
             f"canonical_form needs a bipartite d^2 dimension, got {r.dim}"
         )
     eig = hermitian_eig(r.matrix)
-    lam_max = max(float(eig.values[0]), 0.0)
-    keep = eig.values > rank_tol * lam_max
+    keep = support_mask(eig.values, rank_tol)
     ops = []
     weights = []
     for lam, vec in zip(eig.values[keep], eig.vectors[:, keep].T):
@@ -572,6 +567,3 @@ def dilate(channel: KrausChannel) -> Dilation:
 def state_support(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return support_projector(rho.matrix, rank_tol)
 
-
-def state_kernel(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    return kernel_projector(rho.matrix, rank_tol)

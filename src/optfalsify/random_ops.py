@@ -54,15 +54,6 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     return g * (rng.uniform(0.2, 1.0) / scale)
 
 
-def random_isometry(dim_from: int, dim_to: int, rng: np.random.Generator) -> np.ndarray:
-    """dim_to x dim_from matrix with orthonormal columns."""
-    if dim_from > dim_to:
-        raise ValueError("random_isometry: dim_from must not exceed dim_to")
-    g = random_complex_matrix(dim_to, dim_from, rng)
-    q, _ = np.linalg.qr(g)
-    return q[:, :dim_from].copy()
-
-
 __all__ = [
     "random_complex_matrix",
     "random_unit_vector",
@@ -71,5 +62,4 @@ __all__ = [
     "random_projector",
     "random_kraus_tp",
     "random_contraction",
-    "random_isometry",
 ]

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -38,36 +38,46 @@ def float_literal(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj: Any) -> str:
+def _emit(obj: Any) -> Iterator[str]:
+    """Text pieces of obj's deterministic JSON, in order."""
     if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return float_literal(float(obj))
-    if isinstance(obj, dict):
-        body = ", ".join(
-            f"{json.dumps(str(k), ensure_ascii=True)}: {_emit(v)}"
-            for k, v in obj.items()
-        )
-        return "{" + body + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_emit(v) for v in list(obj)) + "]"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        yield "null"
+    elif isinstance(obj, (bool, np.bool_)):
+        yield "true" if obj else "false"
+    elif isinstance(obj, str):
+        yield json.dumps(obj, ensure_ascii=True)
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield float_literal(float(obj))
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                yield ", "
+            yield json.dumps(str(k), ensure_ascii=True) + ": "
+            yield from _emit(v)
+        yield "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _emit(v)
+        yield "]"
+    else:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def json_dumps(obj: Any) -> str:
     """Deterministic JSON text (17-significant-digit floats)."""
-    return _emit(obj)
+    return "".join(_emit(obj))
 
 
 def write_json(path: str, obj: Any) -> None:
+    """Write json_dumps(obj) and a newline, streamed piece by piece."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(json_dumps(obj))
+        fh.writelines(_emit(obj))
         fh.write("\n")
 
 

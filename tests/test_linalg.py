@@ -115,13 +115,16 @@ class TestHermitianEig:
             assert np.all(np.diff(eig.values) <= 0)
 
     def test_against_reference_solver(self, rng):
-        # Independent route: numpy's LAPACK-backed eigensolver.
+        # Independent route: the singular values of a Hermitian matrix are
+        # the magnitudes of its eigenvalues.
         for dim in (2, 3, 4, 6, 9, 16):
             m = random_hermitian(dim, rng)
             eig = linalg.hermitian_eig(m)
-            ref = np.linalg.eigvalsh(m)[::-1]
+            ref = np.linalg.svd(m, compute_uv=False)
             scale = max(np.abs(ref))
-            np.testing.assert_allclose(eig.values, ref, atol=1e-12 * scale)
+            np.testing.assert_allclose(
+                np.sort(np.abs(eig.values))[::-1], ref, atol=1e-12 * scale
+            )
             recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
             assert np.max(np.abs(recon - m)) <= 1e-10 * np.max(np.abs(m))
             orth = eig.vectors.conj().T @ eig.vectors - np.eye(dim)
@@ -134,12 +137,35 @@ class TestHermitianEig:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
+    def test_deterministic_at_d64(self, rng):
+        m = random_hermitian(64, rng)
+        first = linalg.hermitian_eig(m)
+        for _ in range(3):
+            again = linalg.hermitian_eig(m.copy())
+            assert np.array_equal(first.values, again.values)
+            assert np.array_equal(first.vectors, again.vectors)
+
+    def test_phase_convention(self, rng):
+        # In every column the first component of magnitude at least half
+        # the column maximum is real and positive.
+        mats = [random_hermitian(d, rng) for d in (2, 3, 5, 8, 16)]
+        mats += [np.eye(3), np.diag([1.0, 1.0, 0.0]), -np.eye(2)]
+        for m in mats:
+            vectors = linalg.hermitian_eig(m).vectors
+            for col in vectors.T:
+                mags = np.abs(col)
+                lead = col[np.flatnonzero(mags >= 0.5 * mags.max())[0]]
+                assert lead.imag == 0.0 and lead.real > 0.0
+
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
             linalg.hermitian_eig([[0, 1], [0, 0]])
 
     def test_convergence_budget(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(EigConvergenceError):
             linalg.hermitian_eig([[0, 1], [1, 0]])
 

@@ -75,6 +75,14 @@ class TestQuantumState:
         rho = QuantumState(random_density_matrix(4, rng, rank=2))
         assert rho.rank() == 2
 
+    def test_rank_matches_svd_count(self, rng):
+        for dim in range(2, 10):
+            for rank in range(1, dim + 1):
+                rho = QuantumState(random_density_matrix(dim, rng, rank=rank))
+                s = np.linalg.svd(rho.matrix, compute_uv=False)
+                assert rho.rank() == rank
+                assert rho.rank() == np.count_nonzero(s > 1e-10 * s[0])
+
     def test_immutable(self):
         rho = QuantumState.maximally_mixed(2)
         with pytest.raises(ValueError):

@@ -249,6 +249,26 @@ class TestFiles:
         assert text == b'{"x": 0.10000000000000001}\n'
         assert read_json(str(path)) == {"x": 0.1}
 
+    def test_write_json_matches_json_dumps(self, tmp_path):
+        doc = {
+            "nested": {"a": [1, 2.5, None], "b": {"c": True, "d": False}},
+            "array": np.array([[0.1, -2.0], [3.0, 1e-300]]),
+            "ints": np.arange(3),
+            "scalars": [np.float64(0.1), np.int64(-7), np.bool_(True)],
+            "tuple": (1, "two"),
+            "empty": [{}, []],
+        }
+        path = tmp_path / "doc.json"
+        write_json(str(path), doc)
+        assert path.read_bytes() == (json_dumps(doc) + "\n").encode("ascii")
+
+    def test_unsupported_type_rejected(self, tmp_path):
+        doc = {"x": [1, {"y": object()}]}
+        with pytest.raises(TypeError):
+            json_dumps(doc)
+        with pytest.raises(TypeError):
+            write_json(str(tmp_path / "doc.json"), doc)
+
     def test_report_doc_key_order(self):
         from optfalsify import QuantumState, falsify_campaign
 
