@@ -18,7 +18,6 @@ import numpy as np
 
 from . import serialize
 from .coins import (
-    campaign_uniforms,
     classical_baseline,
     falsify_campaign,
     sample_classical_coin,
@@ -131,14 +130,19 @@ def cmd_falsify_coin(cfg: RunConfig) -> int:
     if cfg.n_trials is not None:
         n_trials = cfg.n_trials
     seed = _resolve_seed(cfg.master_seed, config_seed)
-    report = falsify_campaign(declared, true_state, n_trials, seed)
-    _emit_doc(cfg, serialize.report_to_json(report))
+    trace = None
     if cfg.csv_path:
-        fired = campaign_uniforms(seed, n_trials) < report.theoretical_rate
-        labels = np.where(fired, "FALSIFIED", "INCONCLUSIVE")
-        serialize.write_trace_csv(
-            cfg.csv_path, labels, report.theoretical_rate, seed
-        )
+
+        def trace(rate, fired_chunks):
+            serialize.write_trace_csv(
+                cfg.csv_path, ("INCONCLUSIVE", "FALSIFIED"), rate, seed,
+                codes=fired_chunks,
+            )
+
+    report = falsify_campaign(
+        declared, true_state, n_trials, seed, rank_tol=cfg.rank_tol, trace=trace
+    )
+    _emit_doc(cfg, serialize.report_to_json(report))
     print(
         f"verdict {report.verdict}: {report.n_falsified}/{report.n_trials} "
         f"falsifying outcomes (theoretical rate {report.theoretical_rate:.6g})",
@@ -173,7 +177,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     _emit_doc(cfg, report)
     if cfg.csv_path:
         serialize.write_trace_csv(
-            cfg.csv_path, [int(k) for k in outcomes], probs[outcomes], seed
+            cfg.csv_path, range(declared.dim), probs, seed, codes=[outcomes]
         )
     print(
         f"sampled {n_trials} outcomes from the declared generator (seed {seed})",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +35,11 @@ from .quantum import Effect, QuantumState, born_probability
 # master seed, so trial i's uniform is a keyed hash of i: reproducible,
 # independent of execution order, and cheap to draw in bulk.
 
+# Campaigns draw their uniforms this many at a time into one reused buffer,
+# so their memory does not grow with n_trials.  The stream is the same at
+# any chunk size.
+_CHUNK = 1 << 16
+
 
 def seeded_stream(master_seed: int) -> np.random.Generator:
     if master_seed < 0:
@@ -46,6 +52,18 @@ def campaign_uniforms(master_seed: int, n_trials: int) -> np.ndarray:
     if n_trials < 1:
         raise OutOfRangeError("n_trials must be at least 1")
     return seeded_stream(master_seed).random(n_trials)
+
+
+def _uniform_chunks(master_seed: int, n_trials: int) -> Iterator[np.ndarray]:
+    """campaign_uniforms(master_seed, n_trials) as consecutive chunks of at
+    most _CHUNK values.  Each chunk is a view of one reused buffer and holds
+    its values only until the next chunk is drawn."""
+    gen = seeded_stream(master_seed)
+    buf = np.empty(min(n_trials, _CHUNK))
+    for start in range(0, n_trials, _CHUNK):
+        chunk = buf[: min(_CHUNK, n_trials - start)]
+        gen.random(out=chunk)
+        yield chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +215,23 @@ def falsify_campaign(
     true_state: QuantumState,
     n_trials: int,
     master_seed: int,
+    *,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    trace: Callable[[float, Iterator[np.ndarray]], None] | None = None,
 ) -> CampaignReport:
     """Repeat the declared-state falsification test on n_trials emissions of
     true_state.  One falsifying click settles the verdict (falsification is
     single-shot), but all trials run so the empirical rate can be compared
-    with the theoretical rate 1 - <psi|rho|psi>.
+    with the theoretical rate 1 - <psi|rho|psi>, which is 0.0 at or below
+    rank_tol (see falsification_probability).
 
     Trial i fires iff the i-th keyed uniform falls below the theoretical
     rate, which is exactly the single-trial Bernoulli sampling of run_test.
+    The trials run in one pass over fixed-size chunks, so memory does not
+    grow with n_trials.  When trace is given, it is called once as
+    trace(rate, fired_chunks), where fired_chunks yields each chunk's
+    boolean mask of fired trials in trial order (valid until the next is
+    drawn); the chunks it leaves unread are still counted.
     """
     if n_trials < 1:
         raise OutOfRangeError("n_trials must be at least 1")
@@ -215,9 +242,21 @@ def falsify_campaign(
         )
     if not true_state.deterministic:
         raise NotDeterministicError("campaign requires a trace-one true state")
-    rate = falsification_probability(test, true_state)
-    uniforms = campaign_uniforms(master_seed, n_trials)
-    n_falsified = int(np.count_nonzero(uniforms < rate))
+    rate = falsification_probability(test, true_state, rank_tol)
+    n_falsified = 0
+
+    def fired_chunks() -> Iterator[np.ndarray]:
+        nonlocal n_falsified
+        for u in _uniform_chunks(master_seed, n_trials):
+            fired = u < rate
+            n_falsified += int(np.count_nonzero(fired))
+            yield fired
+
+    chunks = fired_chunks()
+    if trace is not None:
+        trace(rate, chunks)
+    for _ in chunks:
+        pass
     empirical = n_falsified / n_trials
     if 0.0 < rate < 1.0:
         z = (empirical - rate) / np.sqrt(rate * (1.0 - rate) / n_trials)

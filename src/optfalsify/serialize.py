@@ -9,7 +9,6 @@ round-trips are exact and identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict
@@ -277,22 +276,37 @@ def report_to_json(report: CampaignReport) -> dict:
     }
 
 
-def write_trace_csv(path: str, outcomes, p_theoretical, seed: int) -> None:
+def write_trace_csv(
+    path: str, outcomes, p_theoretical, seed: int, codes=None
+) -> None:
     """Per-trial trace with columns trial,outcome,p_theoretical,seed.
 
-    p_theoretical may be a single probability shared by every trial or a
-    per-trial sequence aligned with outcomes.
+    A trial with outcome code c gets the row outcomes[c], p_theoretical[c],
+    seed; p_theoretical may instead be a single probability shared by every
+    code.  codes yields the trials' codes as consecutive integer (or boolean)
+    arrays, in trial order; without it, trial i has code i, one row per
+    entry of outcomes.  The row text after the trial index is formatted once
+    per code, and each array of codes is written as one string.
     """
     scalar = isinstance(p_theoretical, (int, float, np.floating, np.integer))
-    const_text = float_literal(float(p_theoretical)) if scalar else None
+    if scalar:
+        p_theoretical = [p_theoretical] * len(outcomes)
+    if codes is None:
+        codes = [np.arange(len(outcomes))]
+    tails = np.array(
+        [
+            f",{label},{float_literal(p)},{seed}\n"
+            for label, p in zip(outcomes, p_theoretical, strict=True)
+        ],
+        dtype=object,
+    )
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
-        for i, value in enumerate(outcomes):
-            p_text = (
-                const_text if scalar else float_literal(float(p_theoretical[i]))
-            )
-            writer.writerow([i, value, p_text, seed])
+        fh.write("trial,outcome,p_theoretical,seed\n")
+        start = 0
+        for chunk in codes:
+            rows = tails[np.asarray(chunk, dtype=np.intp)].tolist()
+            fh.write("".join([f"{i}{t}" for i, t in enumerate(rows, start)]))
+            start += len(rows)
 
 
 def json_loads(text: str) -> Any:

@@ -101,6 +101,29 @@ class TestFalsifyCoin:
         fired = sum("FALSIFIED" == row.split(",")[1] for row in lines[1:])
         assert fired == read_json(str(out))["n_falsified"]
 
+    def test_rank_tol_sets_zero_rate_cutoff(self, tmp_path):
+        # Declared balanced coin vs a state rotated by 1e-3: rate about 1e-6.
+        theta = np.pi / 4 + 1e-3
+        config = tmp_path / "c.json"
+        write_json(
+            str(config),
+            {
+                "declared": {"p": 0.5},
+                "true_state": state_to_json(
+                    QuantumState.pure([np.cos(theta), np.sin(theta)])
+                ),
+                "n_trials": 100,
+            },
+        )
+        rates = []
+        for tol in ("1e-10", "1e-5"):
+            out = tmp_path / f"r{tol}.json"
+            args = ["falsify-coin", "--config", str(config), "--out", str(out)]
+            assert run_cli(args + ["--rank-tol", tol]) == 0
+            rates.append(read_json(str(out))["theoretical_rate"])
+        assert rates[0] == pytest.approx(1e-6, rel=1e-3)
+        assert rates[1] == 0.0
+
     def test_report_to_stdout_without_out(self, coin_config, capsys):
         assert run_cli(["falsify-coin", "--config", coin_config]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,12 @@
+import csv
+import io
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from optfalsify import coins
 from optfalsify import (
     BaselineVerdict,
     QuantumState,
@@ -16,11 +22,13 @@ from optfalsify import (
     sample_generator,
     seeded_stream,
 )
+from optfalsify.cli import main as cli_main
 from optfalsify.errors import (
     DimensionMismatchError,
     NotDeterministicError,
     OutOfRangeError,
 )
+from optfalsify.serialize import float_literal, state_to_json, write_json
 
 SQRT_HALF = 0.7071067811865476
 
@@ -136,7 +144,31 @@ class TestFalsifyCampaign:
         report = falsify_campaign(coin, coin.state(), 10_000, 7)
         assert report.n_falsified == 0
         assert report.verdict == "NOT_FALSIFIED"
-        assert report.z_degenerate  # rate is exactly zero up to rounding
+        assert report.z_degenerate  # rate is exactly zero
+
+    def test_honest_grid_rate_exactly_zero(self):
+        # Unsnapped, 633 of these 1353 honest coins get a rate of up to
+        # 2.7e-16 from rounding in 1 - <psi|rho|psi>.
+        for p in np.linspace(0.0, 1.0, 41):
+            for phi in np.linspace(0.0, 2 * np.pi, 33):
+                coin = make_coin(p, phi)
+                report = falsify_campaign(coin, coin.state(), 100, 0)
+                assert report.theoretical_rate == 0.0, (p, phi)
+                assert report.n_falsified == 0
+                assert report.verdict == "NOT_FALSIFIED"
+                assert report.z_degenerate
+
+    def test_rate_at_rank_tol_snaps_to_zero(self):
+        # Declared balanced coin vs a state rotated by delta: rate sin^2 delta.
+        delta = 1e-3
+        rho = QuantumState.pure([np.cos(np.pi / 4 + delta), np.sin(np.pi / 4 + delta)])
+        coin = make_coin(0.5)
+        rate = falsification_probability(coin_falsification_test(coin), rho)
+        assert rate == pytest.approx(np.sin(delta) ** 2, rel=1e-6)
+        assert falsify_campaign(coin, rho, 10, 0).theoretical_rate == rate
+        snapped = falsify_campaign(coin, rho, 10, 0, rank_tol=2 * rate)
+        assert snapped.theoretical_rate == 0.0
+        assert snapped.z_degenerate
 
     def test_dishonest_source_regression(self):
         # Declared balanced coin vs maximally mixed emission: rate 1/2.
@@ -197,6 +229,79 @@ class TestFalsifyCampaign:
             falsify_campaign(
                 make_coin(0.5), QuantumState(np.diag([0.25, 0.25])), 10, 0
             )
+
+
+class TestStreamedCampaign:
+    SEED, N_TRIALS = 42, 100_000
+
+    @staticmethod
+    def _config(tmp_path, n_trials, seed):
+        path = tmp_path / "campaign.json"
+        write_json(
+            str(path),
+            {
+                "declared": {"p": 0.5, "phi": 0.0},
+                "true_state": state_to_json(QuantumState.maximally_mixed(2)),
+                "n_trials": n_trials,
+                "seed": seed,
+            },
+        )
+        return str(path)
+
+    def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
+        config = self._config(tmp_path, self.N_TRIALS, self.SEED)
+        bulk = campaign_uniforms(self.SEED, self.N_TRIALS)
+        outputs = set()
+        # 3 does not divide the trial count, so the last chunk is short.
+        for size in (1, 7, 1 << 16, 3):
+            monkeypatch.setattr(coins, "_CHUNK", size)
+            drawn = np.concatenate(
+                [u.copy() for u in coins._uniform_chunks(self.SEED, self.N_TRIALS)]
+            )
+            assert drawn.tobytes() == bulk.tobytes()
+            out, trace = tmp_path / f"r{size}.json", tmp_path / f"t{size}.csv"
+            args = ["falsify-coin", "--config", config, "--out", str(out)]
+            assert cli_main(args + ["--csv", str(trace)]) == 0
+            outputs.add((out.read_bytes(), trace.read_bytes()))
+        assert len(outputs) == 1
+        report_bytes, csv_bytes = outputs.pop()
+        report = json.loads(report_bytes)
+        assert report["n_falsified"] == 49936
+        # Reference trace in the per-row csv.writer format.
+        rate = report["theoretical_rate"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
+        for i, u in enumerate(bulk):
+            label = "FALSIFIED" if u < rate else "INCONCLUSIVE"
+            writer.writerow([i, label, float_literal(rate), self.SEED])
+        assert csv_bytes == expected.getvalue().encode("ascii")
+
+    @staticmethod
+    def _traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_campaign_memory_bounded(self):
+        coin, rho = make_coin(0.5), QuantumState.maximally_mixed(2)
+        falsify_campaign(coin, rho, 10, 0)
+        # A bulk draw of 4e6 uniforms alone holds 32 MB.
+        peak = self._traced_peak(falsify_campaign, coin, rho, 4_000_000, 0)
+        assert peak < 4 * 2**20
+
+    def test_cli_trace_memory_bounded(self, tmp_path):
+        config = self._config(tmp_path, 1_000_000, 7)
+        args = ["falsify-coin", "--config", config, "--out", str(tmp_path / "r.json"),
+                "--csv", str(tmp_path / "t.csv")]
+        cli_main(args)
+        # The row text of one 2^16-trial chunk traces at about 10 MiB; a
+        # bulk draw of 1e6 uniforms would add 8 MB on top of it.
+        peak = self._traced_peak(cli_main, args)
+        assert peak < 12 * 2**20
 
 
 class TestClassicalBaseline:
