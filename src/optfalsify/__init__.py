@@ -19,7 +19,9 @@ from .coins import (
     NaryGenerator,
     campaign_uniforms,
     classical_baseline,
+    classical_verdict,
     coin_falsification_test,
+    count_classical_coin,
     falsify_campaign,
     make_coin,
     make_nary,

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import serialize
 from .coins import (
-    classical_baseline,
+    classical_verdict,
+    count_classical_coin,
     falsify_campaign,
-    sample_classical_coin,
     sample_generator,
     seeded_stream,
 )
@@ -226,14 +226,14 @@ def cmd_check_postulates(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _outcome_list(doc: dict) -> np.ndarray:
+def _outcome_counts(doc: dict) -> tuple[int, int]:
+    """(n_zero, n_one) of the config's outcome list."""
     seq = serialize.require_key(doc, "outcomes", list, "config")
-    out = np.empty(len(seq), dtype=np.int64)
     for i, v in enumerate(seq):
         if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
             raise SchemaError(f"config: outcomes[{i}] must be 0 or 1")
-        out[i] = v
-    return out
+    n_one = sum(seq)
+    return len(seq) - n_one, n_one
 
 
 def cmd_classical_baseline(cfg: RunConfig) -> int:
@@ -242,7 +242,7 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
     seed = None
     extra = {}
     if "outcomes" in doc:
-        outcomes = _outcome_list(doc)
+        n_zero, n_one = _outcome_counts(doc)
     else:
         true_p = (
             serialize.require_key(doc, "true_p", float, "config")
@@ -254,15 +254,15 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
             n_trials = serialize.require_key(doc, "n_trials", int, "config")
         config_seed = doc.get("seed") if isinstance(doc.get("seed"), int) else None
         seed = _resolve_seed(cfg.master_seed, config_seed)
-        outcomes = sample_classical_coin(true_p, n_trials, seed)
+        n_zero, n_one = count_classical_coin(true_p, n_trials, seed)
         extra = {"true_p": float(true_p)}
-    verdict = classical_baseline(declared_p, outcomes, rank_tol=cfg.rank_tol)
+    verdict = classical_verdict(declared_p, n_zero, n_one, rank_tol=cfg.rank_tol)
     report = {
         "declared_p": float(declared_p),
         **extra,
-        "n_trials": int(outcomes.size),
-        "n_zero": int(np.count_nonzero(outcomes == 0)),
-        "n_one": int(np.count_nonzero(outcomes == 1)),
+        "n_trials": n_zero + n_one,
+        "n_zero": n_zero,
+        "n_one": n_one,
         "seed": seed,
         "verdict": verdict.value,
     }

@@ -279,7 +279,20 @@ def falsify_campaign(
 def classical_baseline(
     declared_p: float, outcomes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> BaselineVerdict:
-    """Logical falsifiability of a classical coin declaring P(outcome 0) = p.
+    """classical_verdict of a 0/1 outcome sequence."""
+    seq = np.asarray(outcomes, dtype=np.int64).reshape(-1)
+    n_zero = int(np.count_nonzero(seq == 0))
+    n_one = int(np.count_nonzero(seq == 1))
+    if n_zero + n_one != seq.size:
+        raise OutOfRangeError("classical coin outcomes must be 0 or 1")
+    return classical_verdict(declared_p, n_zero, n_one, rank_tol)
+
+
+def classical_verdict(
+    declared_p: float, n_zero: int, n_one: int, rank_tol: float = DEFAULT_RANK_TOL
+) -> BaselineVerdict:
+    """Logical falsifiability of a classical coin declaring P(outcome 0) = p,
+    given how often each outcome occurred.
 
     For p strictly inside (0, 1) both outcomes have positive probability, so
     no outcome sequence can refute the declaration.  Only the deterministic
@@ -288,13 +301,10 @@ def classical_baseline(
     """
     if not (np.isfinite(declared_p) and 0.0 <= declared_p <= 1.0):
         raise OutOfRangeError(f"declared_p={declared_p!r} outside [0, 1]")
-    seq = np.asarray(outcomes, dtype=np.int64).reshape(-1)
-    if seq.size and not np.all((seq == 0) | (seq == 1)):
-        raise OutOfRangeError("classical coin outcomes must be 0 or 1")
     if declared_p >= 1.0 - rank_tol:
-        hit = bool(np.any(seq == 1))
+        hit = n_one > 0
     elif declared_p <= rank_tol:
-        hit = bool(np.any(seq == 0))
+        hit = n_zero > 0
     else:
         return BaselineVerdict.NOT_FALSIFIABLE
     return BaselineVerdict.FALSIFIED if hit else BaselineVerdict.NOT_FALSIFIED
@@ -309,3 +319,20 @@ def sample_classical_coin(
         raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
     u = campaign_uniforms(master_seed, n_trials)
     return (u >= true_p).astype(np.int64)
+
+
+def count_classical_coin(
+    true_p: float, n_trials: int, master_seed: int
+) -> tuple[int, int]:
+    """(n_zero, n_one) of sample_classical_coin(true_p, n_trials,
+    master_seed), counted chunk by chunk, so memory does not grow with
+    n_trials."""
+    if not (np.isfinite(true_p) and 0.0 <= true_p <= 1.0):
+        raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
+    if n_trials < 1:
+        raise OutOfRangeError("n_trials must be at least 1")
+    n_one = sum(
+        int(np.count_nonzero(u >= true_p))
+        for u in _uniform_chunks(master_seed, n_trials)
+    )
+    return n_trials - n_one, n_one

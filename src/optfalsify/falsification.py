@@ -72,7 +72,7 @@ class SupportHypothesis:
     ) -> "SupportHypothesis":
         """Hypothesis that a source emits states inside Supp(declared)."""
         return cls(
-            projector=support_projector(declared.matrix, rank_tol),
+            projector=support_projector(declared.spectrum, rank_tol),
             label=label or "support of declared state",
         )
 
@@ -150,10 +150,6 @@ def support_falsification_test(
     """
     if not 0.0 < efficiency <= 1.0:
         raise OutOfRangeError(f"efficiency {efficiency!r} outside (0, 1]")
-    if hypothesis.rank >= hypothesis.dim:
-        raise UnfalsifiableHypothesisError(
-            "hypothesis subspace is the whole space; no falsifier exists"
-        )
     eye = np.eye(hypothesis.dim, dtype=complex)
     falsifier = Effect(efficiency * (eye - hypothesis.projector))
     return FalsificationTest.from_falsifier(

@@ -122,8 +122,12 @@ def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
 
 
 def _psd_eigs(m, rank_tol: float, name: str) -> HermitianEig:
-    """Eigendecomposition plus a PSD check at relative tolerance rank_tol."""
-    eig = hermitian_eig(m)
+    """Eigendecomposition plus a PSD check at relative tolerance rank_tol.
+
+    m is a Hermitian matrix, or a HermitianEig already computed, such as
+    the spectrum a validated QuantumState carries; only a matrix is
+    decomposed here."""
+    eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
     lam_max = max(float(eig.values[0]), 0.0)
     if float(eig.values[-1]) < -rank_tol * lam_max:
         raise NotPSDError(
@@ -134,7 +138,8 @@ def _psd_eigs(m, rank_tol: float, name: str) -> HermitianEig:
 
 def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
-    above rank_tol * lam_max.  Input must be Hermitian PSD up to tolerance."""
+    above rank_tol * lam_max.  Input (a matrix or its HermitianEig) must be
+    Hermitian PSD up to tolerance."""
     eig = _psd_eigs(m, rank_tol, "support_projector")
     cols = eig.vectors[:, support_mask(eig.values, rank_tol)]
     p = cols @ dagger(cols)

@@ -379,6 +379,11 @@ def check_classical_embedding(
     falsifier existence matches a nonzero kernel of the embedding."""
     worst = 0.0
     mismatches = 0
+    # The 0/1 diagonal effect of each outcome, for every dimension drawn below.
+    outcome_effects = {
+        d: [Effect(np.diag(row)) for row in np.eye(d, dtype=complex)]
+        for d in range(2, 2 + min(n_cases, 5))
+    }
     for i in range(n_cases):
         d = 2 + i % 5
         x = rng.dirichlet(np.ones(d))
@@ -387,19 +392,17 @@ def check_classical_embedding(
             x = x / x.sum()
         state = ClassicalState(x)
         embedded = embed_classical(state)
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, k] = 1.0
-            dev = abs(born_probability(embedded, Effect(e)) - state.probs[k])
+        for k, e in enumerate(outcome_effects[d]):
+            dev = abs(born_probability(embedded, e) - state.probs[k])
             worst = max(worst, float(dev))
         indicator = np.diag((state.probs > 1e-10).astype(complex))
         worst = max(
             worst,
-            float(np.max(np.abs(support_projector(embedded.matrix) - indicator))),
+            float(np.max(np.abs(support_projector(embedded.spectrum) - indicator))),
         )
         has_falsifier = classical_falsifier_exists(state) is not None
         kernel_nonzero = (
-            float(np.max(np.abs(kernel_projector(embedded.matrix)))) > 1e-10
+            float(np.max(np.abs(kernel_projector(embedded.spectrum)))) > 1e-10
         )
         if has_falsifier != kernel_nonzero:
             mismatches += 1

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    HermitianEig,
     as_matrix,
     complete_to_unitary,
     dagger,
@@ -54,7 +55,10 @@ def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
 class QuantumState:
     """Sub-normalized density matrix: Hermitian, PSD within rank_tol, trace
     in (0, 1 + 1e-10].  Negative eigenvalues within -rank_tol*lam_max are
-    treated as zero rather than rejected."""
+    treated as zero rather than rejected.
+
+    The eigendecomposition that validation computes is kept, read-only, as
+    `spectrum`; it is not a field, so repr and equality ignore it."""
 
     matrix: np.ndarray
 
@@ -73,6 +77,11 @@ class QuantumState:
         if not 0.0 < tr <= 1.0 + _TRACE_TOL:
             raise OutOfRangeError(f"state trace {tr!r} outside (0, 1]")
         _frozen_array(self, "matrix", m)
+        # m is exactly Hermitian, so hermitian_eig(self.matrix) would return
+        # these same bits.
+        eig.values.setflags(write=False)
+        eig.vectors.setflags(write=False)
+        object.__setattr__(self, "_spectrum", eig)
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
@@ -94,6 +103,11 @@ class QuantumState:
         return self.matrix.shape[0]
 
     @property
+    def spectrum(self) -> HermitianEig:
+        """hermitian_eig(self.matrix), computed once on construction."""
+        return getattr(self, "_spectrum")
+
+    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -103,8 +117,7 @@ class QuantumState:
         return abs(self.trace - 1.0) <= _TRACE_TOL
 
     def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        eig = hermitian_eig(self.matrix)
-        return int(np.count_nonzero(support_mask(eig.values, rank_tol)))
+        return int(np.count_nonzero(support_mask(self.spectrum.values, rank_tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +270,7 @@ def purify(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> Purificatio
     environment basis ordered by descending eigenvalue."""
     if not rho.deterministic:
         raise NotDeterministicError("only trace-one states are purified")
-    eig = hermitian_eig(rho.matrix)
+    eig = rho.spectrum
     keep = support_mask(eig.values, rank_tol)
     lams = eig.values[keep]
     vecs = eig.vectors[:, keep]
@@ -333,8 +346,8 @@ def perfectly_discriminable(
     state entirely in the discriminable case."""
     if rho.dim != nu.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {nu.dim}")
-    p_rho = support_projector(rho.matrix, rank_tol)
-    p_nu = support_projector(nu.matrix, rank_tol)
+    p_rho = support_projector(rho.spectrum, rank_tol)
+    p_nu = support_projector(nu.spectrum, rank_tol)
     overlap = float(np.max(np.abs(p_rho @ p_nu)))
     dim = rho.dim
     k_rho = np.eye(dim, dtype=complex) - p_rho
@@ -374,7 +387,7 @@ def compress(
     Returns V of shape (rank, dim) with V V^dag = I_rank and the state
     V rho V^dag.  Full-rank states raise NotCompressibleError.
     """
-    eig = hermitian_eig(rho.matrix)
+    eig = rho.spectrum
     keep = support_mask(eig.values, rank_tol)
     rank = int(np.count_nonzero(keep))
     if rank == rho.dim:
@@ -413,7 +426,7 @@ def canonical_form(
         raise DimensionMismatchError(
             f"canonical_form needs a bipartite d^2 dimension, got {r.dim}"
         )
-    eig = hermitian_eig(r.matrix)
+    eig = r.spectrum
     keep = support_mask(eig.values, rank_tol)
     ops = []
     weights = []
@@ -565,5 +578,5 @@ def dilate(channel: KrausChannel) -> Dilation:
 
 
 def state_support(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    return support_projector(rho.matrix, rank_tol)
+    return support_projector(rho.spectrum, rank_tol)
 

@@ -14,6 +14,7 @@ from optfalsify import (
     campaign_uniforms,
     classical_baseline,
     coin_falsification_test,
+    count_classical_coin,
     falsification_probability,
     falsify_campaign,
     make_coin,
@@ -336,3 +337,54 @@ class TestClassicalBaseline:
         np.testing.assert_array_equal(
             sample_classical_coin(0.6, 100, 21), (u >= 0.6).astype(np.int64)
         )
+
+    def test_counts_match_bulk_sample(self, monkeypatch):
+        outcomes = sample_classical_coin(0.3, 100_000, 5)
+        n_one = int(np.count_nonzero(outcomes == 1))
+        # 7 does not divide the trial count, so the last chunk is short.
+        for size in (1 << 16, 7):
+            monkeypatch.setattr(coins, "_CHUNK", size)
+            assert count_classical_coin(0.3, 100_000, 5) == (100_000 - n_one, n_one)
+
+    def test_counts_validate_like_sampler(self):
+        for args in ((1.5, 10, 0), (0.5, 0, 0)):
+            with pytest.raises(OutOfRangeError):
+                sample_classical_coin(*args)
+            with pytest.raises(OutOfRangeError):
+                count_classical_coin(*args)
+
+    @staticmethod
+    def _config(tmp_path, **doc):
+        path = tmp_path / "baseline.json"
+        write_json(str(path), doc)
+        return str(path)
+
+    def test_cli_report_matches_bulk_sample(self, tmp_path):
+        config = self._config(
+            tmp_path, declared_p=0.0, true_p=0.999, n_trials=200_003, seed=9
+        )
+        out = tmp_path / "r.json"
+        assert cli_main(["classical-baseline", "--config", config, "--out", str(out)]) == 0
+        outcomes = sample_classical_coin(0.999, 200_003, 9)
+        expected = {
+            "declared_p": 0.0,
+            "true_p": 0.999,
+            "n_trials": 200_003,
+            "n_zero": int(np.count_nonzero(outcomes == 0)),
+            "n_one": int(np.count_nonzero(outcomes == 1)),
+            "seed": 9,
+            "verdict": classical_baseline(0.0, outcomes).value,
+        }
+        doc = json.loads(out.read_bytes())
+        assert list(doc.items()) == list(expected.items())
+        assert doc["verdict"] == "FALSIFIED"
+
+    def test_cli_memory_bounded(self, tmp_path):
+        config = self._config(
+            tmp_path, declared_p=0.5, true_p=0.5, n_trials=4_000_000, seed=3
+        )
+        args = ["classical-baseline", "--config", config, "--out", str(tmp_path / "r.json")]
+        cli_main(args)
+        # A bulk draw of 4e6 uniforms alone holds 32 MB.
+        peak = TestStreamedCampaign._traced_peak(cli_main, args)
+        assert peak < 4 * 2**20

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from optfalsify import linalg, quantum
 from optfalsify import (
     CanonicalForm,
     Effect,
@@ -13,10 +16,13 @@ from optfalsify import (
     compress,
     connecting_unitary,
     dilate,
+    hermitian_eig,
+    kernel_projector,
     local_falsifier,
     mat_to_doubleket,
     perfectly_discriminable,
     purify,
+    support_projector,
     tensor,
 )
 from optfalsify.errors import (
@@ -30,6 +36,8 @@ from optfalsify.errors import (
     OutOfRangeError,
     PurificationMismatchError,
 )
+from optfalsify.falsification import SupportHypothesis
+from optfalsify.quantum import state_support
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_density_matrix,
@@ -452,3 +460,113 @@ class TestDilate:
         dil = dilate(KrausChannel((random_unitary(2, rng),)))
         with pytest.raises(OutOfRangeError):
             dil.branch(QuantumState.maximally_mixed(2), 5)
+
+
+class TestCachedSpectrum:
+    """A validated state keeps the eigendecomposition its validation made,
+    and every consumer of the state's spectrum reads it."""
+
+    @staticmethod
+    def _corpus(rng):
+        states = [QuantumState(np.eye(d, dtype=complex) / d) for d in range(1, 10)]
+        for dim in range(1, 10):
+            for rank in range(1, dim + 1):
+                states.append(QuantumState(random_density_matrix(dim, rng, rank=rank)))
+        # Hermitian only within tolerance: validation symmetrizes it first.
+        m = random_density_matrix(4, rng)
+        m[0, 1] += 1e-12
+        states.append(QuantumState(m))
+        return states
+
+    @staticmethod
+    def _count_eig_inputs(monkeypatch) -> list:
+        """Replace hermitian_eig wherever it is bound; returns the list the
+        replacement appends each input matrix to."""
+        inputs = []
+        real = linalg.hermitian_eig
+
+        def counting(m, *args, **kwargs):
+            inputs.append(np.array(m, dtype=complex))
+            return real(m, *args, **kwargs)
+
+        for module in (linalg, quantum):
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+        return inputs
+
+    def test_bit_equal_to_fresh_decomposition(self, rng):
+        for rho in self._corpus(rng):
+            fresh = hermitian_eig(rho.matrix)
+            assert rho.spectrum.values.tobytes() == fresh.values.tobytes()
+            assert rho.spectrum.vectors.tobytes() == fresh.vectors.tobytes()
+            assert rho.spectrum.values.shape == fresh.values.shape
+            assert rho.spectrum.vectors.shape == fresh.vectors.shape
+
+    def test_read_only(self, rng):
+        for rho in self._corpus(rng):
+            assert not rho.spectrum.values.flags.writeable
+            assert not rho.spectrum.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            rho.spectrum.values[0] = 2.0
+        with pytest.raises(ValueError):
+            rho.spectrum.vectors[0, 0] = 2.0
+
+    def test_not_a_field(self):
+        rho = QuantumState.maximally_mixed(2)
+        assert [f.name for f in dataclasses.fields(rho)] == ["matrix"]
+        assert "spectrum" not in repr(rho)
+
+    def test_consumers_do_not_decompose_again(self, rng, monkeypatch):
+        mixed = QuantumState(random_density_matrix(4, rng, rank=2))
+        pure = QuantumState.pure([1.0, 0.0, 0.0, 0.0])
+        other = QuantumState.pure([0.0, 1.0, 0.0, 0.0])
+        inputs = self._count_eig_inputs(monkeypatch)
+        # Each consumer paired with the decompositions of the new objects it
+        # validates: compress builds the compressed state, and
+        # perfectly_discriminable builds one falsifier effect per state.
+        calls = [
+            (lambda: mixed.rank(), 0),
+            (lambda: purify(mixed), 0),
+            (lambda: compress(mixed), 1),
+            (lambda: canonical_form(mixed), 0),
+            (lambda: state_support(mixed), 0),
+            (lambda: perfectly_discriminable(pure, other), 2),
+            (lambda: SupportHypothesis.from_state(mixed), 0),
+        ]
+        built = [s.matrix.tobytes() for s in (mixed, pure, other)]
+        for call, expected in calls:
+            inputs.clear()
+            call()
+            assert len(inputs) == expected
+            assert not any(m.tobytes() in built for m in inputs)
+
+    def test_projectors_match_matrix_route(self, rng):
+        for rho in self._corpus(rng):
+            for tol in (1e-10, 1e-3):
+                cached = support_projector(rho.spectrum, tol)
+                assert cached.tobytes() == support_projector(rho.matrix, tol).tobytes()
+                assert state_support(rho, tol).tobytes() == cached.tobytes()
+                assert (
+                    kernel_projector(rho.spectrum, tol).tobytes()
+                    == kernel_projector(rho.matrix, tol).tobytes()
+                )
+
+    def test_psd_check_at_callers_rank_tol(self):
+        # Valid at the default cutoff 1e-10, not at 1e-11.
+        rho = QuantumState(np.diag([1.0 - 5e-11, -5e-11]))
+        with pytest.raises(NotPSDError):
+            support_projector(rho.spectrum, rank_tol=1e-11)
+        with pytest.raises(NotPSDError):
+            kernel_projector(rho.spectrum, rank_tol=1e-11)
+        with pytest.raises(NotPSDError):
+            state_support(rho, rank_tol=1e-11)
+        p = support_projector(rho.spectrum, rank_tol=1e-6)
+        np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
+
+    def test_results_own_their_arrays(self, rng):
+        rho = QuantumState(random_density_matrix(4, rng, rank=2))
+        isometry = compress(rho).isometry
+        operators = canonical_form(rho).operators
+        for a in (isometry, *operators):
+            assert a.flags.writeable
+            assert not np.shares_memory(a, rho.spectrum.vectors)
+        assert not np.shares_memory(purify(rho).state_vector, rho.spectrum.vectors)
