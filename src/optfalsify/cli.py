@@ -12,22 +12,22 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import serialize
+from . import linalg, serialize
+from .classical import ClassicalState, sample_classical
 from .coins import (
     classical_verdict,
     count_classical_coin,
     falsify_campaign,
-    sample_generator,
+    generator_probs,
     seeded_stream,
 )
 from .errors import OptFalsifyError, OutOfRangeError, SchemaError
-from .linalg import DEFAULT_RANK_TOL
 from .postulates import KNOWN_FAULTS, run_postulate_checks
-from .quantum import QuantumState, born_probability, purify
+from .quantum import QuantumState, purify
 
 ENV_SEED = "OPT_FALSIFY_SEED"
 
@@ -43,7 +43,7 @@ class RunConfig:
     command: str
     config_path: str | None = None
     master_seed: int | None = None
-    rank_tol: float = DEFAULT_RANK_TOL
+    rank_tol: float = linalg.DEFAULT_RANK_TOL
     n_trials: int | None = None
     out_path: str | None = None
     csv_path: str | None = None
@@ -159,13 +159,9 @@ def cmd_sample(cfg: RunConfig) -> int:
     n_trials = cfg.n_trials
     if n_trials is None:
         n_trials = serialize.require_key(doc, "n_trials", int, "config")
-    config_seed = doc.get("seed") if isinstance(doc.get("seed"), int) else None
-    seed = _resolve_seed(cfg.master_seed, config_seed)
-    outcomes = sample_generator(declared, n_trials, seeded_stream(seed))
-    rho = declared.state()
-    probs = np.array(
-        [born_probability(rho, e) for e in declared.observation_test()]
-    )
+    seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
+    probs = generator_probs(declared)
+    outcomes = sample_classical(ClassicalState(probs), n_trials, seeded_stream(seed))
     counts = np.bincount(outcomes, minlength=declared.dim)
     report = {
         "n_trials": int(n_trials),
@@ -207,14 +203,7 @@ def cmd_check_postulates(cfg: RunConfig) -> int:
             "fault": cfg.inject_fault,
             "all_passed": all_passed,
             "results": [
-                {
-                    "name": r.name,
-                    "cases": int(r.cases),
-                    "worst": float(r.worst) if math.isfinite(r.worst) else None,
-                    "bound": float(r.bound),
-                    "passed": r.passed,
-                    "note": r.note,
-                }
+                {**asdict(r), "worst": r.worst if math.isfinite(r.worst) else None}
                 for r in results
             ],
         }
@@ -252,8 +241,7 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
         n_trials = cfg.n_trials
         if n_trials is None:
             n_trials = serialize.require_key(doc, "n_trials", int, "config")
-        config_seed = doc.get("seed") if isinstance(doc.get("seed"), int) else None
-        seed = _resolve_seed(cfg.master_seed, config_seed)
+        seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
         n_zero, n_one = count_classical_coin(true_p, n_trials, seed)
         extra = {"true_p": float(true_p)}
     verdict = classical_verdict(declared_p, n_zero, n_one, rank_tol=cfg.rank_tol)
@@ -271,12 +259,42 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "purify": cmd_purify,
-    "falsify-coin": cmd_falsify_coin,
-    "sample": cmd_sample,
-    "check-postulates": cmd_check_postulates,
-    "classical-baseline": cmd_classical_baseline,
+# Every RunConfig option: its flag and add_argument spec, in --help order.
+# The defaults live in RunConfig alone: an option left off the command line
+# is absent from the namespace, so RunConfig(**vars(ns)) fills it in.
+_OPTIONS = {
+    "config_path": ("--config", dict(required=True, metavar="PATH",
+                                     help="JSON input document")),
+    "master_seed": ("--seed", dict(type=int, metavar="N",
+                                   help=f"master seed (fallback: config, then ${ENV_SEED})")),
+    "n_trials": ("--trials", dict(type=int, metavar="N",
+                                  help="override the configured trial count")),
+    "rank_tol": ("--rank-tol", dict(type=float, metavar="X",
+                                    help="relative eigenvalue cutoff for supports")),
+    "out_path": ("--out", dict(metavar="PATH",
+                               help="write the JSON report here instead of stdout")),
+    "csv_path": ("--csv", dict(metavar="PATH", help="write a per-trial CSV trace")),
+    "dims": ("--dims", dict(type=_parse_dims, metavar="A..B",
+                            help="dimension range to exercise")),
+    "inject_fault": ("--inject-fault", dict(choices=KNOWN_FAULTS, metavar="NAME",
+                                            help="deliberately break one check (self-test)")),
+}
+
+# Subcommand name: (handler, help text, the RunConfig options it takes).
+_SUBCOMMANDS = {
+    "purify": (cmd_purify, "purify a density matrix into a minimal pure dilation",
+               {"config_path", "rank_tol", "out_path"}),
+    "falsify-coin": (cmd_falsify_coin, "run a Monte Carlo falsification campaign",
+                     {"config_path", "master_seed", "n_trials", "rank_tol",
+                      "out_path", "csv_path"}),
+    "sample": (cmd_sample, "draw outcomes from a declared generator",
+               {"config_path", "master_seed", "n_trials", "out_path", "csv_path"}),
+    "check-postulates": (cmd_check_postulates, "re-run the dual-route property suites",
+                         {"master_seed", "out_path", "dims", "inject_fault"}),
+    "classical-baseline": (cmd_classical_baseline,
+                           "judge falsifiability of a classical coin",
+                           {"config_path", "master_seed", "n_trials", "rank_tol",
+                            "out_path"}),
 }
 
 
@@ -289,70 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, config: bool, trials: bool, csv: bool,
-            dims: bool, fault: bool, seed: bool, rank_tol: bool) -> None:
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        if config:
-            sp.add_argument("--config", required=True, metavar="PATH",
-                            help="JSON input document")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None, metavar="N",
-                            help=f"master seed (fallback: config, then ${ENV_SEED})")
-        if trials:
-            sp.add_argument("--trials", type=int, default=None, metavar="N",
-                            help="override the configured trial count")
-        if rank_tol:
-            sp.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                            dest="rank_tol", metavar="X",
-                            help="relative eigenvalue cutoff for supports")
-        sp.add_argument("--out", default=None, metavar="PATH",
-                        help="write the JSON report here instead of stdout")
-        if csv:
-            sp.add_argument("--csv", default=None, metavar="PATH",
-                            help="write a per-trial CSV trace")
-        if dims:
-            sp.add_argument("--dims", type=_parse_dims, default=(2, 3, 4),
-                            metavar="A..B", help="dimension range to exercise")
-        if fault:
-            sp.add_argument("--inject-fault", default=None, dest="inject_fault",
-                            choices=KNOWN_FAULTS, metavar="NAME",
-                            help="deliberately break one check (self-test)")
-
-    add("purify", "purify a density matrix into a minimal pure dilation",
-        config=True, trials=False, csv=False, dims=False, fault=False,
-        seed=False, rank_tol=True)
-    add("falsify-coin", "run a Monte Carlo falsification campaign",
-        config=True, trials=True, csv=True, dims=False, fault=False,
-        seed=True, rank_tol=True)
-    add("sample", "draw outcomes from a declared generator",
-        config=True, trials=True, csv=True, dims=False, fault=False,
-        seed=True, rank_tol=False)
-    add("check-postulates", "re-run the dual-route property suites",
-        config=False, trials=False, csv=False, dims=True, fault=True,
-        seed=True, rank_tol=False)
-    add("classical-baseline", "judge falsifiability of a classical coin",
-        config=True, trials=True, csv=False, dims=False, fault=False,
-        seed=True, rank_tol=True)
+        for field, (flag, spec) in _OPTIONS.items():
+            if field in options:
+                sp.add_argument(flag, dest=field, default=argparse.SUPPRESS, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            config_path=getattr(ns, "config", None),
-            master_seed=getattr(ns, "seed", None),
-            rank_tol=getattr(ns, "rank_tol", DEFAULT_RANK_TOL),
-            n_trials=getattr(ns, "trials", None),
-            out_path=getattr(ns, "out", None),
-            csv_path=getattr(ns, "csv", None),
-            dims=getattr(ns, "dims", (2, 3, 4)),
-            inject_fault=getattr(ns, "inject_fault", None),
-        )
-        return _COMMANDS[ns.command](cfg)
+        return _SUBCOMMANDS[ns.command][0](RunConfig(**vars(ns)))
     except (OptFalsifyError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .classical import ClassicalState, sample_classical
 from .errors import (
     DimensionMismatchError,
     NotDeterministicError,
@@ -164,19 +165,17 @@ def make_nary(probs, phases=None) -> NaryGenerator:
     return NaryGenerator(probs=probs, phases=tuple(float(x) for x in phases))
 
 
+def generator_probs(declared: DeclaredGenerator) -> np.ndarray:
+    """Born statistics of the declared state's observation outcomes."""
+    rho = declared.state()
+    return np.array([born_probability(rho, e) for e in declared.observation_test()])
+
+
 def sample_generator(
     declared: DeclaredGenerator, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw observation outcomes from the declared state's Born statistics."""
-    if n_samples < 1:
-        raise OutOfRangeError("n_samples must be at least 1")
-    rho = declared.state()
-    probs = np.array(
-        [born_probability(rho, e) for e in declared.observation_test()]
-    )
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    return np.searchsorted(edges, rng.random(n_samples), side="right").astype(np.int64)
+    return sample_classical(ClassicalState(generator_probs(declared)), n_samples, rng)
 
 
 def coin_falsification_test(declared: DeclaredGenerator) -> FalsificationTest:

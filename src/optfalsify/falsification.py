@@ -87,7 +87,8 @@ class SupportHypothesis:
 
 @dataclass(frozen=True, eq=False)
 class FalsificationTest:
-    """Binary observation {F, F_?} with F + F_? = I.
+    """Binary observation {F, F_?}.  Only F is stored; F_? = I - F is
+    derived when read.
 
     The canonical constructors reject a zero falsifier (such a test can
     never falsify anything); deserialized external data may still carry the
@@ -95,25 +96,10 @@ class FalsificationTest:
     """
 
     falsifier: Effect
-    inconclusive: Effect
     hypothesis_label: str = ""
     allow_inconclusive: InitVar[bool] = False
 
     def __post_init__(self, allow_inconclusive: bool) -> None:
-        if self.falsifier.dim != self.inconclusive.dim:
-            raise DimensionMismatchError(
-                f"falsifier dim {self.falsifier.dim} vs "
-                f"inconclusive dim {self.inconclusive.dim}"
-            )
-        eye = np.eye(self.falsifier.dim)
-        gap = float(
-            np.max(np.abs(self.falsifier.matrix + self.inconclusive.matrix - eye))
-        )
-        if gap > 1e-10:
-            raise OutOfRangeError(
-                f"falsifier and inconclusive effects must sum to identity "
-                f"(deviation {gap:.3e})"
-            )
         if not allow_inconclusive and self.falsifier.is_zero:
             raise OutOfRangeError(
                 "zero falsifier: the test can never falsify; "
@@ -128,10 +114,8 @@ class FalsificationTest:
         *,
         allow_inconclusive: bool = False,
     ) -> "FalsificationTest":
-        eye = np.eye(falsifier.dim, dtype=complex)
         return cls(
             falsifier=falsifier,
-            inconclusive=Effect(eye - falsifier.matrix),
             hypothesis_label=hypothesis_label,
             allow_inconclusive=allow_inconclusive,
         )
@@ -139,6 +123,11 @@ class FalsificationTest:
     @property
     def dim(self) -> int:
         return self.falsifier.dim
+
+    @property
+    def inconclusive(self) -> Effect:
+        """The inconclusive effect F_? = I - F."""
+        return Effect(np.eye(self.dim, dtype=complex) - self.falsifier.matrix)
 
 
 def support_falsification_test(

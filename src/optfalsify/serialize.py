@@ -254,26 +254,21 @@ def campaign_config_from_json(doc: dict):
     n_trials = require_key(doc, "n_trials", int, "config")
     if n_trials < 1:
         raise SchemaError(f"config: n_trials must be >= 1, got {n_trials}")
-    seed = None
-    if "seed" in doc:
-        seed = require_key(doc, "seed", int, "config")
-        if seed < 0:
-            raise SchemaError("config: seed must be non-negative")
-    return declared, true_state, n_trials, seed
+    return declared, true_state, n_trials, config_seed(doc)
+
+
+def config_seed(doc: dict) -> int | None:
+    """The config's optional "seed", a non-negative integer; None if absent."""
+    if "seed" not in doc:
+        return None
+    seed = require_key(doc, "seed", int, "config")
+    if seed < 0:
+        raise SchemaError("config: seed must be non-negative")
+    return seed
 
 
 def report_to_json(report: CampaignReport) -> dict:
-    doc = asdict(report)
-    return {
-        "n_trials": int(doc["n_trials"]),
-        "n_falsified": int(doc["n_falsified"]),
-        "empirical_rate": float(doc["empirical_rate"]),
-        "theoretical_rate": float(doc["theoretical_rate"]),
-        "z_score": float(doc["z_score"]),
-        "z_degenerate": bool(doc["z_degenerate"]),
-        "seed": int(doc["seed"]),
-        "verdict": str(doc["verdict"]),
-    }
+    return asdict(report)
 
 
 def write_trace_csv(

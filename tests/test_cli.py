@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from optfalsify.cli import ENV_SEED, main
+from optfalsify.cli import ENV_SEED, RunConfig, _build_parser, main
+from optfalsify.coins import generator_probs, make_nary, sample_generator, seeded_stream
 from optfalsify.quantum import QuantumState
 from optfalsify.serialize import json_dumps, read_json, state_to_json, write_json
 
@@ -165,6 +168,7 @@ class TestSample:
         )
         doc = read_json(str(out))
         assert doc["n_trials"] == 400
+        assert doc["seed"] == 3
         assert sum(doc["counts"]) == 400
         assert doc["probs"] == [pytest.approx(0.25), pytest.approx(0.75)]
         lines = csv_path.read_text().splitlines()
@@ -172,6 +176,18 @@ class TestSample:
         # per-trial p column carries the probability of the drawn outcome
         first = lines[1].split(",")
         assert min(abs(float(first[2]) - q) for q in (0.25, 0.75)) < 1e-12
+
+    def test_report_matches_library_sampler(self, tmp_path):
+        config = tmp_path / "gen.json"
+        declared = {"probs": [0.2, 0.3, 0.5], "phases": [0.1, 0.2, 0.3]}
+        write_json(str(config), {"declared": declared, "n_trials": 5000, "seed": 11})
+        out = tmp_path / "s.json"
+        assert run_cli(["sample", "--config", str(config), "--out", str(out)]) == 0
+        doc = read_json(str(out))
+        gen = make_nary(declared["probs"], declared["phases"])
+        draws = sample_generator(gen, 5000, seeded_stream(11))
+        assert doc["counts"] == np.bincount(draws, minlength=3).tolist()
+        assert doc["probs"] == generator_probs(gen).tolist()
 
 
 class TestCheckPostulates:
@@ -191,6 +207,19 @@ class TestCheckPostulates:
         captured = capsys.readouterr()
         assert code == 1
         assert any(l.startswith("FAIL") for l in captured.out.splitlines())
+
+    def test_injected_fault_document(self, tmp_path, capsys):
+        out = tmp_path / "props.json"
+        args = ["check-postulates", "--dims", "2..2", "--inject-fault", "kraus-norm"]
+        assert run_cli([*args, "--out", str(out)]) == 1
+        capsys.readouterr()
+        results = read_json(str(out))["results"]
+        for r in results:
+            assert list(r) == ["name", "cases", "worst", "bound", "passed", "note"]
+        injected = [r for r in results if r["name"] == "injected-fault-kraus-norm"]
+        assert len(injected) == 1
+        assert injected[0]["worst"] is None
+        assert injected[0]["passed"] is False
 
 
 class TestClassicalBaseline:
@@ -219,6 +248,81 @@ class TestClassicalBaseline:
         write_json(str(config), {"declared_p": 0.5, "outcomes": [0, 2]})
         assert run_cli(["classical-baseline", "--config", str(config)]) == 2
         assert "outcomes[1]" in capsys.readouterr().err
+
+
+class TestParser:
+    FLAGS = {
+        "purify": {"--config", "--rank-tol", "--out"},
+        "falsify-coin": {"--config", "--seed", "--trials", "--rank-tol", "--out", "--csv"},
+        "sample": {"--config", "--seed", "--trials", "--out", "--csv"},
+        "check-postulates": {"--seed", "--out", "--dims", "--inject-fault"},
+        "classical-baseline": {"--config", "--seed", "--trials", "--rank-tol", "--out"},
+    }
+
+    @staticmethod
+    def _config(argv) -> RunConfig:
+        return RunConfig(**vars(_build_parser().parse_args(argv)))
+
+    def test_flags_per_subcommand(self):
+        sub = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(self.FLAGS)
+        for name, parser in sub.choices.items():
+            flags = {f for a in parser._actions for f in a.option_strings}
+            assert flags - {"-h", "--help"} == self.FLAGS[name]
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_required_flags_only_give_defaults(self, command):
+        needs_config = "--config" in self.FLAGS[command]
+        extra = ["--config", "c.json"] if needs_config else []
+        expected = RunConfig(command=command, config_path="c.json" if needs_config else None)
+        assert dataclasses.asdict(self._config([command, *extra])) == dataclasses.asdict(
+            expected
+        )
+
+    def test_each_flag_sets_its_field(self):
+        cfg = self._config(
+            ["falsify-coin", "--config", "c.json", "--seed", "5", "--trials", "9",
+             "--rank-tol", "1e-8", "--out", "o.json", "--csv", "t.csv"]
+        )
+        assert (cfg.config_path, cfg.master_seed, cfg.n_trials, cfg.rank_tol) == (
+            "c.json", 5, 9, 1e-8
+        )
+        assert (cfg.out_path, cfg.csv_path) == ("o.json", "t.csv")
+        cfg = self._config(["check-postulates", "--dims", "3..5", "--inject-fault", "kraus-norm"])
+        assert (cfg.dims, cfg.inject_fault) == ((3, 4, 5), "kraus-norm")
+
+
+class TestConfigSeed:
+    """Every subcommand that reads a config seed validates it the same way."""
+
+    CONFIGS = {
+        "falsify-coin": {
+            "declared": {"p": 0.5},
+            "true_state": state_to_json(QuantumState.maximally_mixed(2)),
+            "n_trials": 10,
+        },
+        "sample": {"declared": {"p": 0.5}, "n_trials": 10},
+        "classical-baseline": {"declared_p": 0.5, "n_trials": 10},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", ["7", 7.5, True, -1])
+    def test_malformed_seed_exits_2(self, command, seed, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        write_json(str(config), {**self.CONFIGS[command], "seed": seed})
+        assert run_cli([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_malformed_seed_exits_2_despite_flag(self, command, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        write_json(str(config), {**self.CONFIGS[command], "seed": "7"})
+        assert run_cli([command, "--config", str(config), "--seed", "3"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,19 +107,18 @@ class TestSupportFalsificationTest:
 
 
 class TestFalsificationTestType:
-    def test_pair_must_sum_to_identity(self):
-        with pytest.raises(OutOfRangeError):
-            FalsificationTest(
-                falsifier=Effect(np.diag([0.5, 0.5])),
-                inconclusive=Effect(np.diag([0.4, 0.5])),
-            )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            FalsificationTest(
-                falsifier=Effect(np.zeros((2, 2))),
-                inconclusive=Effect(np.eye(3)),
-            )
+    def test_inconclusive_is_derived(self):
+        assert [f.name for f in dataclasses.fields(FalsificationTest)] == [
+            "falsifier",
+            "hypothesis_label",
+        ]
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 5):
+            hyp = SupportHypothesis(random_projector(d, 1, rng))
+            for efficiency in (1.0, 0.37):
+                test = support_falsification_test(hyp, efficiency)
+                expected = np.eye(d, dtype=complex) - test.falsifier.matrix
+                assert test.inconclusive.matrix.tobytes() == expected.tobytes()
 
     def test_zero_falsifier_rejected_by_default(self):
         with pytest.raises(OutOfRangeError):
