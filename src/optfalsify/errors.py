@@ -48,7 +48,7 @@ class UnfalsifiableHypothesisError(OptFalsifyError, ValueError):
 
 
 class OutOfRangeError(OptFalsifyError, ValueError):
-    """Scalar parameter lies outside its admissible range."""
+    """A parameter or matrix entry lies outside its admissible range."""
 
 
 class SchemaError(OptFalsifyError, ValueError):

@@ -18,21 +18,35 @@ from .errors import (
     EigConvergenceError,
     NotHermitianError,
     NotPSDError,
+    OutOfRangeError,
 )
 
 # Relative eigenvalue cutoff separating support from kernel.
 DEFAULT_RANK_TOL = 1e-10
 
+# Largest entry modulus a matrix may carry.  The sum or product of two such
+# entries is finite, so Hermiticity checks and symmetrization cannot overflow.
+MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
+
+
+def entries_bounded(a: np.ndarray) -> bool:
+    """True when every entry of the nonempty array a is finite with modulus
+    at most MAX_ENTRY (NaN fails the comparison)."""
+    return bool(np.abs(a).max() <= MAX_ENTRY)
+
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce to a fresh complex 2-D array, validating shape and finiteness."""
+    """Coerce to a fresh complex 2-D array, validating shape and that every
+    entry is finite with modulus at most MAX_ENTRY (else OutOfRangeError)."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(
             f"{name}: expected a 2-D matrix, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name}: entries must be finite")
+    if not entries_bounded(a):
+        raise OutOfRangeError(
+            f"{name}: entries must be finite with modulus at most {MAX_ENTRY:.4e}"
+        )
     if square and a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got {a.shape}")
     return a
@@ -43,7 +57,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
+    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= tol
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,7 +82,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
         return np.einsum("ikjk->ij", t)
     if keep == "B":
         return np.einsum("kikj->ij", t)
-    raise ValueError(f"partial_trace: keep must be 'A' or 'B', got {keep!r}")
+    raise OutOfRangeError(f"partial_trace: keep must be 'A' or 'B', got {keep!r}")
 
 
 @dataclass(frozen=True)
@@ -88,15 +102,24 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEig:
     eigenvector column is multiplied by the phase that makes its first
     component of magnitude at least half the column maximum real and
     positive.  Identical input bits give identical output bits on a given
-    platform and BLAS.  Raises NotHermitianError if max|m - m^dag| > tol and
-    EigConvergenceError if LAPACK does not converge.
+    platform and BLAS.  Raises OutOfRangeError for an entry that is not
+    finite or exceeds MAX_ENTRY in modulus, NotHermitianError if
+    max|m - m^dag| > tol and EigConvergenceError if LAPACK does not
+    converge.  The input is symmetrized as (m + m^dag)/2 before it is
+    decomposed; an exactly Hermitian input is decomposed as it is, which is
+    how a QuantumState's cached spectrum equals hermitian_eig(state.matrix).
     """
     m = as_matrix(m, square=True, name="hermitian_eig input")
     if not is_hermitian(m, tol):
         raise NotHermitianError(
             f"hermitian_eig: max|m - m^dag| = {np.max(np.abs(m - dagger(m))):.3e} > {tol:.1e}"
         )
-    h = (m + dagger(m)) / 2.0
+    return _eig_core((m + dagger(m)) / 2.0)
+
+
+def _eig_core(h: np.ndarray) -> HermitianEig:
+    """hermitian_eig without its validation: h must be an exactly Hermitian
+    complex array that as_matrix has accepted."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -106,13 +129,26 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEig:
     # The pivot is the first large component rather than the largest one, so
     # near-ties in magnitude cannot flip which entry fixes the phase.
     mags = np.abs(vectors)
-    pivot = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
+    pivot = (mags >= 0.5 * mags.max(axis=0)).argmax(axis=0)
     cols = np.arange(vectors.shape[1])
     lead = vectors[pivot, cols]
-    vectors *= np.abs(lead) / lead
+    size = np.abs(lead)
+    vectors *= size / lead
     # The product leaves a rounding-level imaginary part on the pivot.
-    vectors[pivot, cols] = np.abs(lead)
+    vectors[pivot, cols] = size
     return HermitianEig(values=values, vectors=vectors)
+
+
+def _extreme_eigvals(h: np.ndarray) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of h by LAPACK without eigenvectors
+    (``np.linalg.eigvalsh``), for validations that read no more of the
+    spectrum.  h must be an exactly Hermitian complex array that as_matrix
+    has accepted.  Raises EigConvergenceError if LAPACK does not converge."""
+    try:
+        w = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigConvergenceError(f"eigvalsh: {exc}") from None
+    return float(w[0]), float(w[-1])
 
 
 def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:

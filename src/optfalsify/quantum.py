@@ -26,11 +26,15 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    MAX_ENTRY,
     HermitianEig,
+    _eig_core,
+    _extreme_eigvals,
     as_matrix,
     complete_to_unitary,
     dagger,
     doubleket_to_mat,
+    entries_bounded,
     hermitian_eig,
     is_hermitian,
     mat_to_doubleket,
@@ -67,7 +71,7 @@ class QuantumState:
         if not is_hermitian(m, _HERM_TOL):
             raise NotHermitianError("state matrix is not Hermitian within 1e-10")
         m = (m + dagger(m)) / 2.0
-        eig = hermitian_eig(m)
+        eig = _eig_core(m)
         lam_max = max(float(eig.values[0]), 0.0)
         if float(eig.values[-1]) < -DEFAULT_RANK_TOL * lam_max:
             raise NotPSDError(
@@ -122,7 +126,10 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Measurement element: Hermitian with spectrum in [0, 1] within 1e-10."""
+    """Measurement element: Hermitian with spectrum in [0, 1] within 1e-10.
+
+    Validation reads only the lowest and highest eigenvalue, by
+    ``np.linalg.eigvalsh``; no eigenvectors are computed or kept."""
 
     matrix: np.ndarray
 
@@ -131,15 +138,11 @@ class Effect:
         if not is_hermitian(m, _HERM_TOL):
             raise NotHermitianError("effect matrix is not Hermitian within 1e-10")
         m = (m + dagger(m)) / 2.0
-        eig = hermitian_eig(m)
-        if float(eig.values[-1]) < -_SPECTRUM_TOL:
-            raise NotPSDError(
-                f"effect has eigenvalue {eig.values[-1]:.3e} below zero"
-            )
-        if float(eig.values[0]) > 1.0 + _SPECTRUM_TOL:
-            raise OutOfRangeError(
-                f"effect has eigenvalue {eig.values[0]:.3e} above one"
-            )
+        lowest, highest = _extreme_eigvals(m)
+        if lowest < -_SPECTRUM_TOL:
+            raise NotPSDError(f"effect has eigenvalue {lowest:.3e} below zero")
+        if highest > 1.0 + _SPECTRUM_TOL:
+            raise OutOfRangeError(f"effect has eigenvalue {highest:.3e} above one")
         _frozen_array(self, "matrix", m)
 
     @classmethod
@@ -180,12 +183,25 @@ class KrausChannel:
                 raise DimensionMismatchError(
                     f"Kraus operators disagree in shape: {a.shape} vs {shape}"
                 )
-        gram = sum(dagger(a) @ a for a in ops)
-        eig = hermitian_eig(gram)
-        if float(eig.values[0]) > 1.0 + _SPECTRUM_TOL:
+        # Entries within MAX_ENTRY can still overflow the products; such a
+        # gram is rejected below, so the warnings would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = sum(dagger(a) @ a for a in ops)
+        if not entries_bounded(gram):
+            raise OutOfRangeError(
+                "channel is not trace-nonincreasing: sum A^dag A has an entry "
+                f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
+            )
+        if not is_hermitian(gram, _HERM_TOL):
+            raise NotHermitianError(
+                f"channel gram: max|m - m^dag| = "
+                f"{np.max(np.abs(gram - dagger(gram))):.3e} > {_HERM_TOL:.1e}"
+            )
+        _, top = _extreme_eigvals((gram + dagger(gram)) / 2.0)
+        if top > 1.0 + _SPECTRUM_TOL:
             raise OutOfRangeError(
                 "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
-                f"(top eigenvalue {eig.values[0]:.6f})"
+                f"(top eigenvalue {top:.6f})"
             )
         for a in ops:
             a.setflags(write=False)

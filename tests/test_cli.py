@@ -363,6 +363,31 @@ class TestErrorPaths:
         capsys.readouterr()
 
 
+class TestOutOfRangeEntries:
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "state.json"
+        config.write_text(
+            '{"kind": "state", "rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}'
+        )
+        assert run_cli(["purify", "--config", str(config)]) == 2
+        assert "config: re[0] is an integer beyond float range" in capsys.readouterr().err
+
+    def test_huge_entries_exit_2_without_warnings(self, tmp_path):
+        config = tmp_path / "state.json"
+        write_json(
+            str(config),
+            {"kind": "state", "rows": 2, "cols": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "optfalsify", "purify", "--config", str(config)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: state matrix: entries must be finite")
+        assert "Warning" not in proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         config = tmp_path / "c.json"

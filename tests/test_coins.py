@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optfalsify import coins, linalg, quantum
+from optfalsify import coins
 from optfalsify import (
     BaselineVerdict,
     QuantumState,
@@ -216,20 +216,14 @@ class TestFalsifyCampaign:
         pm = falsification_probability(test, mid)
         assert abs(pm - (pa + pb) / 2) <= 1e-12
 
-    def test_one_decomposition_per_campaign(self, monkeypatch):
-        # Only the falsifier F is validated; the inconclusive I - F is not built.
+    def test_one_decomposition_per_campaign(self, lapack_calls):
+        # Only the falsifier F is validated, by its extreme eigenvalues; the
+        # inconclusive I - F is not built.
         true_state = QuantumState.maximally_mixed(2)
-        calls = []
-        real = linalg.hermitian_eig
-
-        def counting(m, *args, **kwargs):
-            calls.append(m)
-            return real(m, *args, **kwargs)
-
-        for module in (linalg, quantum):
-            monkeypatch.setattr(module, "hermitian_eig", counting)
+        lapack_calls["eigh"].clear()
         falsify_campaign(make_coin(0.5), true_state, 100, 0)
-        assert len(calls) == 1
+        assert len(lapack_calls["eigh"]) == 0
+        assert len(lapack_calls["eigvalsh"]) == 1
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):

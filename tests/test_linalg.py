@@ -7,6 +7,7 @@ from optfalsify.errors import (
     EigConvergenceError,
     NotHermitianError,
     NotPSDError,
+    OutOfRangeError,
 )
 
 from conftest import random_hermitian
@@ -78,6 +79,34 @@ class TestPartialTrace:
 
     def test_bad_keep(self):
         with pytest.raises(ValueError):
+            linalg.partial_trace(np.eye(4), 2, 2, keep="C")
+
+
+@pytest.mark.filterwarnings("error")
+class TestEntryBound:
+    AT = linalg.MAX_ENTRY
+    BEYOND = float(np.nextafter(linalg.MAX_ENTRY, np.inf))
+
+    def test_inside_bound_accepted(self):
+        m = linalg.as_matrix([[0.0, self.AT], [-1j * self.AT, 1.0]])
+        assert m[0, 1] == self.AT and m[1, 0] == -1j * self.AT
+        # Symmetrization and decomposition at the bound stay finite.
+        eig = linalg.hermitian_eig([[0.0, self.AT], [self.AT, 0.0]])
+        np.testing.assert_allclose(eig.values, [self.AT, -self.AT], rtol=1e-15)
+
+    def test_beyond_bound_or_non_finite_rejected(self):
+        bad = (self.BEYOND, -self.BEYOND, 1j * self.BEYOND, complex(self.AT, self.AT),
+               np.nan, np.inf, complex(0.0, np.nan))
+        for entry in bad:
+            with pytest.raises(OutOfRangeError, match="entries must be finite"):
+                linalg.as_matrix([[1.0, entry]])
+            with pytest.raises(OutOfRangeError, match="entries must be finite"):
+                linalg.hermitian_eig([[1.0, entry], [np.conj(entry), 1.0]])
+
+    def test_typed_errors_are_value_errors(self):
+        with pytest.raises(ValueError):
+            linalg.as_matrix([[np.nan]])
+        with pytest.raises(OutOfRangeError):
             linalg.partial_trace(np.eye(4), 2, 2, keep="C")
 
 

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from optfalsify import linalg, quantum
 from optfalsify import (
     CanonicalForm,
     Effect,
@@ -27,6 +26,7 @@ from optfalsify import (
 )
 from optfalsify.errors import (
     DimensionMismatchError,
+    EigConvergenceError,
     NotCompressibleError,
     NotDeterministicError,
     NotHermitianError,
@@ -37,6 +37,7 @@ from optfalsify.errors import (
     PurificationMismatchError,
 )
 from optfalsify.falsification import SupportHypothesis
+from optfalsify.linalg import MAX_ENTRY
 from optfalsify.quantum import state_support
 from optfalsify.random_ops import (
     random_complex_matrix,
@@ -130,6 +131,59 @@ class TestKrausChannel:
     def test_empty(self):
         with pytest.raises(DimensionMismatchError):
             KrausChannel(())
+
+
+class TestExtremeEigenvalueValidation:
+    """Effect and KrausChannel read their extreme eigenvalues by eigvalsh."""
+
+    def test_gram_cutoff_both_sides(self, rng):
+        u = random_unitary(3, rng)
+        for top, valid in ((1.0 + 0.5e-10, True), (1.0 + 2e-10, False)):
+            for kraus in (
+                (np.sqrt(top) * u,),
+                (np.sqrt(top / 2) * u, np.sqrt(top / 2) * np.eye(3)),
+            ):
+                if valid:
+                    assert KrausChannel(kraus).n_kraus == len(kraus)
+                else:
+                    with pytest.raises(OutOfRangeError, match="exceeds identity"):
+                        KrausChannel(kraus)
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(EigConvergenceError):
+            Effect(np.diag([0.5, 0.0]))
+        with pytest.raises(EigConvergenceError):
+            KrausChannel((np.eye(2),))
+
+
+@pytest.mark.filterwarnings("error")
+class TestEntryBound:
+    """Entries up to MAX_ENTRY in modulus reach the ordinary checks without
+    a floating-point warning; the constructors reject entries beyond it."""
+
+    AT = MAX_ENTRY
+    BEYOND = float(np.nextafter(MAX_ENTRY, np.inf))
+
+    @pytest.mark.parametrize("cls", [QuantumState, Effect])
+    def test_state_and_effect(self, cls):
+        with pytest.raises(NotPSDError):
+            cls([[0.5, self.AT], [self.AT, 0.5]])
+        with pytest.raises(OutOfRangeError, match="entries must be finite"):
+            cls([[0.5, self.BEYOND], [self.BEYOND, 0.5]])
+
+    def test_channel(self):
+        # Within the bound the gram overflows or exceeds it: not a contraction.
+        for entry in (self.AT, 1e100):
+            with pytest.raises(OutOfRangeError, match="sum A\\^dag A has an entry"):
+                KrausChannel((np.full((2, 2), entry),))
+        with pytest.raises(OutOfRangeError, match="exceeds identity"):
+            KrausChannel((np.full((2, 2), 1e70),))
+        with pytest.raises(OutOfRangeError, match="entries must be finite"):
+            KrausChannel((np.full((2, 2), self.BEYOND),))
 
 
 class TestBornProbability:
@@ -478,21 +532,6 @@ class TestCachedSpectrum:
         states.append(QuantumState(m))
         return states
 
-    @staticmethod
-    def _count_eig_inputs(monkeypatch) -> list:
-        """Replace hermitian_eig wherever it is bound; returns the list the
-        replacement appends each input matrix to."""
-        inputs = []
-        real = linalg.hermitian_eig
-
-        def counting(m, *args, **kwargs):
-            inputs.append(np.array(m, dtype=complex))
-            return real(m, *args, **kwargs)
-
-        for module in (linalg, quantum):
-            monkeypatch.setattr(module, "hermitian_eig", counting)
-        return inputs
-
     def test_bit_equal_to_fresh_decomposition(self, rng):
         for rho in self._corpus(rng):
             fresh = hermitian_eig(rho.matrix)
@@ -515,28 +554,30 @@ class TestCachedSpectrum:
         assert [f.name for f in dataclasses.fields(rho)] == ["matrix"]
         assert "spectrum" not in repr(rho)
 
-    def test_consumers_do_not_decompose_again(self, rng, monkeypatch):
+    def test_consumers_do_not_decompose_again(self, rng, lapack_calls):
         mixed = QuantumState(random_density_matrix(4, rng, rank=2))
         pure = QuantumState.pure([1.0, 0.0, 0.0, 0.0])
         other = QuantumState.pure([0.0, 1.0, 0.0, 0.0])
-        inputs = self._count_eig_inputs(monkeypatch)
-        # Each consumer paired with the decompositions of the new objects it
-        # validates: compress builds the compressed state, and
-        # perfectly_discriminable builds one falsifier effect per state.
+        # Each consumer paired with the LAPACK calls (eigh, eigvalsh) that
+        # validate the new objects it builds: compress decomposes the
+        # compressed state, and perfectly_discriminable reads the extreme
+        # eigenvalues of one falsifier effect per state.
         calls = [
-            (lambda: mixed.rank(), 0),
-            (lambda: purify(mixed), 0),
-            (lambda: compress(mixed), 1),
-            (lambda: canonical_form(mixed), 0),
-            (lambda: state_support(mixed), 0),
-            (lambda: perfectly_discriminable(pure, other), 2),
-            (lambda: SupportHypothesis.from_state(mixed), 0),
+            (lambda: mixed.rank(), (0, 0)),
+            (lambda: purify(mixed), (0, 0)),
+            (lambda: compress(mixed), (1, 0)),
+            (lambda: canonical_form(mixed), (0, 0)),
+            (lambda: state_support(mixed), (0, 0)),
+            (lambda: perfectly_discriminable(pure, other), (0, 2)),
+            (lambda: SupportHypothesis.from_state(mixed), (0, 0)),
         ]
         built = [s.matrix.tobytes() for s in (mixed, pure, other)]
         for call, expected in calls:
-            inputs.clear()
+            for seen in lapack_calls.values():
+                seen.clear()
             call()
-            assert len(inputs) == expected
+            assert (len(lapack_calls["eigh"]), len(lapack_calls["eigvalsh"])) == expected
+            inputs = lapack_calls["eigh"] + lapack_calls["eigvalsh"]
             assert not any(m.tobytes() in built for m in inputs)
 
     def test_projectors_match_matrix_route(self, rng):

@@ -100,6 +100,15 @@ class TestMatrixLiteral:
             json_dumps(doc)
 
 
+    def test_integer_beyond_float_range_rejected(self):
+        doc = matrix_to_json(np.eye(2))
+        doc["re"][0] = 10**400
+        with pytest.raises(SchemaError, match="beyond float range"):
+            matrix_from_json(doc)
+        with pytest.raises(SchemaError, match="beyond float range"):
+            declared_from_json({"p": 10**400})
+
+
 class TestTypedObjects:
     def test_state_round_trip(self, rng):
         rho = QuantumState(random_density_matrix(3, rng))
