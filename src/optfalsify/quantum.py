@@ -194,8 +194,8 @@ class KrausChannel:
             )
         if not is_hermitian(gram, _HERM_TOL):
             raise NotHermitianError(
-                f"channel gram: max|m - m^dag| = "
-                f"{np.max(np.abs(gram - dagger(gram))):.3e} > {_HERM_TOL:.1e}"
+                "channel gram sum A^dag A is not Hermitian: max|G - G^dag| = "
+                f"{np.abs(gram - dagger(gram)).max():.3e} > {_HERM_TOL:.1e}"
             )
         _, top = _extreme_eigvals((gram + dagger(gram)) / 2.0)
         if top > 1.0 + _SPECTRUM_TOL:

@@ -80,14 +80,6 @@ def write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
-def _to_float(value: int | float, label: str) -> float:
-    """float(value); a JSON integer beyond float range raises SchemaError."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{label} is an integer beyond float range") from None
-
-
 def require_key(doc: dict, key: str, kind: type, where: str) -> Any:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(doc).__name__}")
@@ -95,7 +87,12 @@ def require_key(doc: dict, key: str, kind: type, where: str) -> Any:
         raise SchemaError(f"{where}: missing key {key!r}")
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = _to_float(value, f"{where}: key {key!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SchemaError(
+                f"{where}: key {key!r} is an integer beyond float range"
+            ) from None
     if kind is int and isinstance(value, bool):
         raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     if not isinstance(value, kind):
@@ -114,7 +111,12 @@ def number_list(doc: dict, key: str, length: int, where: str) -> np.ndarray:
     for i, v in enumerate(seq):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{where}: {key}[{i}] is not a number")
-        x = _to_float(v, f"{where}: {key}[{i}]")
+        try:
+            x = float(v)
+        except OverflowError:
+            raise SchemaError(
+                f"{where}: {key}[{i}] is an integer beyond float range"
+            ) from None
         if not math.isfinite(x):
             raise SchemaError(f"{where}: {key}[{i}] is not finite")
         out[i] = x
