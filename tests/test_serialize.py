@@ -99,7 +99,6 @@ class TestMatrixLiteral:
         with pytest.raises(ValueError):
             json_dumps(doc)
 
-
     def test_integer_beyond_float_range_rejected(self):
         doc = matrix_to_json(np.eye(2))
         doc["re"][0] = 10**400
