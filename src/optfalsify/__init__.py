@@ -10,23 +10,18 @@ from .classical import (
     deterministic_effect,
     embed_classical,
     permutation_map,
-    sample_classical,
 )
 from .coins import (
     BaselineVerdict,
     CampaignReport,
-    CoinSetup,
     NaryGenerator,
-    campaign_uniforms,
-    classical_baseline,
     classical_verdict,
     coin_falsification_test,
     count_classical_coin,
+    count_generator,
     falsify_campaign,
     make_coin,
     make_nary,
-    sample_classical_coin,
-    sample_generator,
     seeded_stream,
 )
 from .errors import (
@@ -49,7 +44,6 @@ from .falsification import (
     SupportHypothesis,
     TestOutcome,
     falsification_probability,
-    is_inconclusive_test,
     run_test,
     support_falsification_test,
 )

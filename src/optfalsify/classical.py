@@ -35,7 +35,7 @@ class ClassicalState:
         if x.size < 1:
             raise DimensionMismatchError("classical state needs at least one outcome")
         if not np.all(np.isfinite(x)):
-            raise ValueError("classical state entries must be finite")
+            raise OutOfRangeError("classical state entries must be finite")
         if float(np.min(x)) < -_TOL:
             raise OutOfRangeError(
                 f"classical state has negative entry {float(np.min(x)):.3e}"
@@ -70,7 +70,7 @@ class MarkovMap:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionMismatchError(f"Markov map must be 2-D, got {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("Markov map entries must be finite")
+            raise OutOfRangeError("Markov map entries must be finite")
         if float(np.min(m)) < -_TOL:
             raise OutOfRangeError("Markov map has a negative entry")
         m = np.maximum(m, 0.0)
@@ -151,15 +151,3 @@ def classical_falsifier_exists(
     idx = tuple(int(i) for i in np.nonzero(x.probs <= rank_tol)[0])
     return idx if idx else None
 
-
-def sample_classical(
-    x: ClassicalState, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw outcome indices from a normalized distribution."""
-    if n_samples < 1:
-        raise OutOfRangeError("n_samples must be at least 1")
-    if not x.deterministic:
-        raise NotDeterministicError("sampling requires a normalized distribution")
-    edges = np.cumsum(x.probs)
-    edges[-1] = 1.0
-    return np.searchsorted(edges, rng.random(n_samples), side="right").astype(np.int64)

@@ -14,20 +14,16 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import linalg, serialize
-from .classical import ClassicalState, sample_classical
 from .coins import (
     classical_verdict,
     count_classical_coin,
+    count_generator,
     falsify_campaign,
-    generator_probs,
-    seeded_stream,
 )
 from .errors import OptFalsifyError, OutOfRangeError, SchemaError
 from .postulates import KNOWN_FAULTS, run_postulate_checks
-from .quantum import QuantumState, purify
+from .quantum import purify
 
 ENV_SEED = "OPT_FALSIFY_SEED"
 
@@ -111,8 +107,6 @@ def cmd_purify(cfg: RunConfig) -> int:
     # The config dict is not kept: at d = 64 it holds thousands of boxed
     # floats that would otherwise stay alive through the eigendecomposition.
     rho = serialize.object_from_json(_load_config_doc(cfg), "config")
-    if not isinstance(rho, QuantumState):
-        raise SchemaError("purify expects a document with kind 'state'")
     pur = purify(rho, rank_tol=cfg.rank_tol)
     _emit_doc(cfg, serialize.purification_to_json(pur))
     print(
@@ -160,9 +154,15 @@ def cmd_sample(cfg: RunConfig) -> int:
     if n_trials is None:
         n_trials = serialize.require_key(doc, "n_trials", int, "config")
     seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
-    probs = generator_probs(declared)
-    outcomes = sample_classical(ClassicalState(probs), n_trials, seeded_stream(seed))
-    counts = np.bincount(outcomes, minlength=declared.dim)
+    trace = None
+    if cfg.csv_path:
+
+        def trace(probs, code_chunks):
+            serialize.write_trace_csv(
+                cfg.csv_path, range(len(probs)), probs, seed, codes=code_chunks
+            )
+
+    probs, counts = count_generator(declared, n_trials, seed, trace=trace)
     report = {
         "n_trials": int(n_trials),
         "seed": int(seed),
@@ -171,10 +171,6 @@ def cmd_sample(cfg: RunConfig) -> int:
         "frequencies": [float(c / n_trials) for c in counts],
     }
     _emit_doc(cfg, report)
-    if cfg.csv_path:
-        serialize.write_trace_csv(
-            cfg.csv_path, range(declared.dim), probs, seed, codes=[outcomes]
-        )
     print(
         f"sampled {n_trials} outcomes from the declared generator (seed {seed})",
         file=sys.stderr,
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return _SUBCOMMANDS[ns.command][0](RunConfig(**vars(ns)))
-    except (OptFalsifyError, ValueError, KeyError, OSError) as exc:
+    except (OptFalsifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

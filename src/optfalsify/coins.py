@@ -17,7 +17,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .classical import ClassicalState, sample_classical
 from .errors import (
     DimensionMismatchError,
     NotDeterministicError,
@@ -48,17 +47,11 @@ def seeded_stream(master_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
 
 
-def campaign_uniforms(master_seed: int, n_trials: int) -> np.ndarray:
-    """Per-trial uniforms u_0 .. u_{n-1}; u_i depends only on (seed, i)."""
-    if n_trials < 1:
-        raise OutOfRangeError("n_trials must be at least 1")
-    return seeded_stream(master_seed).random(n_trials)
-
-
 def _uniform_chunks(master_seed: int, n_trials: int) -> Iterator[np.ndarray]:
-    """campaign_uniforms(master_seed, n_trials) as consecutive chunks of at
-    most _CHUNK values.  Each chunk is a view of one reused buffer and holds
-    its values only until the next chunk is drawn."""
+    """seeded_stream(master_seed).random(n_trials) as consecutive chunks of
+    at most _CHUNK values: the only reader of the keyed stream.  Each chunk
+    is a view of one reused buffer and holds its values only until the next
+    chunk is drawn."""
     gen = seeded_stream(master_seed)
     buf = np.empty(min(n_trials, _CHUNK))
     for start in range(0, n_trials, _CHUNK):
@@ -67,41 +60,19 @@ def _uniform_chunks(master_seed: int, n_trials: int) -> Iterator[np.ndarray]:
         yield chunk
 
 
-@dataclass(frozen=True, eq=False)
-class CoinSetup:
-    """Biased quantum coin: sqrt(p)|0> + sqrt(1-p) e^{i phi} |1>."""
-
-    p: float
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise OutOfRangeError(f"coin bias p={self.p!r} outside [0, 1]")
-        if not np.isfinite(self.phi):
-            raise OutOfRangeError("coin phase must be finite")
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def state_vector(self) -> np.ndarray:
-        return np.array(
-            [np.sqrt(self.p), np.sqrt(1.0 - self.p) * np.exp(1j * self.phi)],
-            dtype=complex,
-        )
-
-    def state(self) -> QuantumState:
-        return QuantumState.pure(self.state_vector)
-
-    def observation_test(self) -> tuple[Effect, ...]:
-        """Canonical-basis readout whose outcome statistics are (p, 1-p)."""
-        return _canonical_observation(self.dim)
+def _drain(chunks: Iterator[np.ndarray], trace: Callable | None, head) -> None:
+    """Run a one-pass stream of chunks: hand it to trace(head, chunks) when
+    trace is given, then draw the chunks that trace left unread."""
+    if trace is not None:
+        trace(head, chunks)
+    for _ in chunks:
+        pass
 
 
 @dataclass(frozen=True, eq=False)
 class NaryGenerator:
-    """N-outcome generator: sum_n sqrt(p_n) e^{i phi_n} |n>."""
+    """N-outcome generator: sum_n sqrt(p_n) e^{i phi_n} |n>.  The biased
+    coin sqrt(p)|0> + sqrt(1-p) e^{i phi}|1> is the case N = 2 (make_coin)."""
 
     probs: tuple[float, ...]
     phases: tuple[float, ...]
@@ -142,9 +113,6 @@ class NaryGenerator:
         return _canonical_observation(self.dim)
 
 
-DeclaredGenerator = CoinSetup | NaryGenerator
-
-
 def _canonical_observation(dim: int) -> tuple[Effect, ...]:
     effects = []
     for k in range(dim):
@@ -154,8 +122,13 @@ def _canonical_observation(dim: int) -> tuple[Effect, ...]:
     return tuple(effects)
 
 
-def make_coin(p: float, phi: float = 0.0) -> CoinSetup:
-    return CoinSetup(p=float(p), phi=float(phi))
+def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
+    p, phi = float(p), float(phi)
+    if not (np.isfinite(p) and 0.0 <= p <= 1.0):
+        raise OutOfRangeError(f"coin bias p={p!r} outside [0, 1]")
+    if not np.isfinite(phi):
+        raise OutOfRangeError("coin phase must be finite")
+    return NaryGenerator((p, 1.0 - p), (0.0, phi))
 
 
 def make_nary(probs, phases=None) -> NaryGenerator:
@@ -165,20 +138,48 @@ def make_nary(probs, phases=None) -> NaryGenerator:
     return NaryGenerator(probs=probs, phases=tuple(float(x) for x in phases))
 
 
-def generator_probs(declared: DeclaredGenerator) -> np.ndarray:
+def generator_probs(declared: NaryGenerator) -> np.ndarray:
     """Born statistics of the declared state's observation outcomes."""
     rho = declared.state()
     return np.array([born_probability(rho, e) for e in declared.observation_test()])
 
 
-def sample_generator(
-    declared: DeclaredGenerator, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw observation outcomes from the declared state's Born statistics."""
-    return sample_classical(ClassicalState(generator_probs(declared)), n_samples, rng)
+def count_generator(
+    declared: NaryGenerator,
+    n_trials: int,
+    master_seed: int,
+    *,
+    trace: Callable[[np.ndarray, Iterator[np.ndarray]], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, counts): generator_probs(declared) and how often each outcome
+    occurs in n_trials draws from them.
+
+    Trial i's outcome is the first whose cumulative probability exceeds the
+    i-th keyed uniform.  The trials run in one pass over fixed-size chunks,
+    so memory does not grow with n_trials.  When trace is given, it is
+    called once as trace(probs, code_chunks), where code_chunks yields each
+    chunk's outcome indices in trial order (valid until the next is drawn);
+    the chunks it leaves unread are still counted.
+    """
+    if n_trials < 1:
+        raise OutOfRangeError("n_trials must be at least 1")
+    probs = generator_probs(declared)
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0
+    counts = np.zeros(declared.dim, dtype=np.int64)
+
+    def code_chunks() -> Iterator[np.ndarray]:
+        nonlocal counts
+        for u in _uniform_chunks(master_seed, n_trials):
+            codes = np.searchsorted(edges, u, side="right")
+            counts += np.bincount(codes, minlength=declared.dim)
+            yield codes
+
+    _drain(code_chunks(), trace, probs)
+    return probs, counts
 
 
-def coin_falsification_test(declared: DeclaredGenerator) -> FalsificationTest:
+def coin_falsification_test(declared: NaryGenerator) -> FalsificationTest:
     """Most efficient test of "the source emits the declared state":
     falsifier = identity minus the declared pure-state projector."""
     psi = declared.state_vector
@@ -210,7 +211,7 @@ class CampaignReport:
 
 
 def falsify_campaign(
-    declared: DeclaredGenerator,
+    declared: NaryGenerator,
     true_state: QuantumState,
     n_trials: int,
     master_seed: int,
@@ -251,11 +252,7 @@ def falsify_campaign(
             n_falsified += int(np.count_nonzero(fired))
             yield fired
 
-    chunks = fired_chunks()
-    if trace is not None:
-        trace(rate, chunks)
-    for _ in chunks:
-        pass
+    _drain(fired_chunks(), trace, rate)
     empirical = n_falsified / n_trials
     if 0.0 < rate < 1.0:
         z = (empirical - rate) / np.sqrt(rate * (1.0 - rate) / n_trials)
@@ -273,18 +270,6 @@ def falsify_campaign(
         seed=master_seed,
         verdict="FALSIFIED" if n_falsified >= 1 else "NOT_FALSIFIED",
     )
-
-
-def classical_baseline(
-    declared_p: float, outcomes, rank_tol: float = DEFAULT_RANK_TOL
-) -> BaselineVerdict:
-    """classical_verdict of a 0/1 outcome sequence."""
-    seq = np.asarray(outcomes, dtype=np.int64).reshape(-1)
-    n_zero = int(np.count_nonzero(seq == 0))
-    n_one = int(np.count_nonzero(seq == 1))
-    if n_zero + n_one != seq.size:
-        raise OutOfRangeError("classical coin outcomes must be 0 or 1")
-    return classical_verdict(declared_p, n_zero, n_one, rank_tol)
 
 
 def classical_verdict(
@@ -309,23 +294,13 @@ def classical_verdict(
     return BaselineVerdict.FALSIFIED if hit else BaselineVerdict.NOT_FALSIFIED
 
 
-def sample_classical_coin(
-    true_p: float, n_trials: int, master_seed: int
-) -> np.ndarray:
-    """Outcome sequence of a classical coin with P(outcome 0) = true_p,
-    drawn from the same keyed per-trial uniforms as quantum campaigns."""
-    if not (np.isfinite(true_p) and 0.0 <= true_p <= 1.0):
-        raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
-    u = campaign_uniforms(master_seed, n_trials)
-    return (u >= true_p).astype(np.int64)
-
-
 def count_classical_coin(
     true_p: float, n_trials: int, master_seed: int
 ) -> tuple[int, int]:
-    """(n_zero, n_one) of sample_classical_coin(true_p, n_trials,
-    master_seed), counted chunk by chunk, so memory does not grow with
-    n_trials."""
+    """(n_zero, n_one) of n_trials tosses of a classical coin with
+    P(outcome 0) = true_p: trial i gives outcome 1 iff the i-th keyed
+    uniform is at least true_p.  The tosses are counted chunk by chunk, so
+    memory does not grow with n_trials."""
     if not (np.isfinite(true_p) and 0.0 <= true_p <= 1.0):
         raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
     if n_trials < 1:

@@ -8,7 +8,7 @@ projector onto the orthogonal complement of K.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,37 +88,15 @@ class SupportHypothesis:
 @dataclass(frozen=True, eq=False)
 class FalsificationTest:
     """Binary observation {F, F_?}.  Only F is stored; F_? = I - F is
-    derived when read.
-
-    The canonical constructors reject a zero falsifier (such a test can
-    never falsify anything); deserialized external data may still carry the
-    degenerate F = 0 object, flagged through is_inconclusive_test.
-    """
+    derived when read.  A zero falsifier is rejected: such a test can never
+    falsify anything."""
 
     falsifier: Effect
     hypothesis_label: str = ""
-    allow_inconclusive: InitVar[bool] = False
 
-    def __post_init__(self, allow_inconclusive: bool) -> None:
-        if not allow_inconclusive and self.falsifier.is_zero:
-            raise OutOfRangeError(
-                "zero falsifier: the test can never falsify; "
-                "deserialize with allow_inconclusive to represent it"
-            )
-
-    @classmethod
-    def from_falsifier(
-        cls,
-        falsifier: Effect,
-        hypothesis_label: str = "",
-        *,
-        allow_inconclusive: bool = False,
-    ) -> "FalsificationTest":
-        return cls(
-            falsifier=falsifier,
-            hypothesis_label=hypothesis_label,
-            allow_inconclusive=allow_inconclusive,
-        )
+    def __post_init__(self) -> None:
+        if self.falsifier.is_zero:
+            raise OutOfRangeError("zero falsifier: the test can never falsify")
 
     @property
     def dim(self) -> int:
@@ -141,9 +119,7 @@ def support_falsification_test(
         raise OutOfRangeError(f"efficiency {efficiency!r} outside (0, 1]")
     eye = np.eye(hypothesis.dim, dtype=complex)
     falsifier = Effect(efficiency * (eye - hypothesis.projector))
-    return FalsificationTest.from_falsifier(
-        falsifier, hypothesis_label=hypothesis.label
-    )
+    return FalsificationTest(falsifier, hypothesis_label=hypothesis.label)
 
 
 def falsification_probability(
@@ -172,9 +148,3 @@ def run_test(
         return TestOutcome.FALSIFIED
     return TestOutcome.INCONCLUSIVE
 
-
-def is_inconclusive_test(
-    test: FalsificationTest, rank_tol: float = DEFAULT_RANK_TOL
-) -> bool:
-    """True for the degenerate F = 0 object that can never falsify."""
-    return float(np.max(np.abs(test.falsifier.matrix))) <= rank_tol

@@ -35,18 +35,27 @@ def entries_bounded(a: np.ndarray) -> bool:
     return bool(np.abs(a).max() <= MAX_ENTRY)
 
 
+def unbounded_entries(name: str) -> OutOfRangeError:
+    """The error for an input `name` with an entry that is not finite or
+    exceeds MAX_ENTRY in modulus."""
+    return OutOfRangeError(
+        f"{name}: entries must be finite with modulus at most {MAX_ENTRY:.4e}"
+    )
+
+
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh complex 2-D array, validating shape and that every
     entry is finite with modulus at most MAX_ENTRY (else OutOfRangeError)."""
-    a = np.array(m, dtype=complex)
+    try:
+        a = np.array(m, dtype=complex)
+    except OverflowError:  # a Python integer beyond float range
+        raise unbounded_entries(name) from None
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(
             f"{name}: expected a 2-D matrix, got shape {a.shape}"
         )
     if not entries_bounded(a):
-        raise OutOfRangeError(
-            f"{name}: entries must be finite with modulus at most {MAX_ENTRY:.4e}"
-        )
+        raise unbounded_entries(name)
     if square and a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got {a.shape}")
     return a

@@ -42,6 +42,7 @@ from .linalg import (
     support_mask,
     support_projector,
     tensor,
+    unbounded_entries,
 )
 
 _HERM_TOL = 1e-10
@@ -53,6 +54,24 @@ _ORTHOGONALITY_TOL = 1e-8
 def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
     value.setflags(write=False)
     object.__setattr__(obj, field_name, value)
+
+
+def _unit_vector(vector, name: str) -> np.ndarray:
+    """vector / its 2-norm, flattened; OutOfRangeError for a zero vector, an
+    entry that as_matrix would reject, or a norm that overflows."""
+    try:
+        v = np.asarray(vector, dtype=complex).reshape(-1)
+    except OverflowError:  # a Python integer beyond float range
+        raise unbounded_entries(name) from None
+    if v.size and not entries_bounded(v):
+        raise unbounded_entries(name)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        raise OutOfRangeError(f"{name} must be nonzero")
+    if not np.isfinite(nrm):
+        raise OutOfRangeError(f"{name} has a norm beyond float range")
+    return v / nrm
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +108,7 @@ class QuantumState:
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise OutOfRangeError("pure state vector must be nonzero")
-        v = v / nrm
+        v = _unit_vector(vector, "pure state vector")
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -151,11 +166,7 @@ class Effect:
 
     @classmethod
     def projector_onto(cls, vector) -> "Effect":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise OutOfRangeError("projector vector must be nonzero")
-        v = v / nrm
+        v = _unit_vector(vector, "projector vector")
         return cls(np.outer(v, v.conj()))
 
     @property

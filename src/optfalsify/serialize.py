@@ -2,7 +2,7 @@
 
 Matrix literal: {"rows": r, "cols": c, "re": [...], "im": [...]} with
 row-major entry lists.  Typed objects extend the literal with a "kind"
-discriminator; channels carry a "kraus" list of plain literals instead.
+discriminator: "state" is read and written, "purification" only written.
 Floats are always emitted with 17 significant digits so that emit/parse
 round-trips are exact and identical runs produce byte-identical files.
 """
@@ -16,24 +16,15 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .classical import ClassicalState, MarkovMap
-from .coins import (
-    CampaignReport,
-    CoinSetup,
-    DeclaredGenerator,
-    NaryGenerator,
-    make_coin,
-    make_nary,
-)
-from .errors import SchemaError
-from .falsification import FalsificationTest
-from .quantum import Effect, KrausChannel, Purification, QuantumState
+from .coins import CampaignReport, NaryGenerator, make_coin, make_nary
+from .errors import OutOfRangeError, SchemaError
+from .quantum import Purification, QuantumState
 
 
 def float_literal(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("non-finite float cannot be serialized")
+        raise OutOfRangeError("non-finite float cannot be serialized")
     return format(x, ".17g")
 
 
@@ -151,35 +142,6 @@ def state_to_json(rho: QuantumState) -> dict:
     return {"kind": "state", **matrix_to_json(rho.matrix)}
 
 
-def effect_to_json(e: Effect) -> dict:
-    return {"kind": "effect", **matrix_to_json(e.matrix)}
-
-
-def channel_to_json(ch: KrausChannel) -> dict:
-    return {"kind": "channel", "kraus": [matrix_to_json(a) for a in ch.kraus]}
-
-
-def cstate_to_json(x: ClassicalState) -> dict:
-    return {"kind": "cstate", "probs": [float(v) for v in x.probs]}
-
-
-def markov_to_json(m: MarkovMap) -> dict:
-    return {
-        "kind": "markov",
-        "rows": int(m.dim_out),
-        "cols": int(m.dim_in),
-        "entries": [float(v) for v in m.matrix.reshape(-1)],
-    }
-
-
-def ftest_to_json(t: FalsificationTest) -> dict:
-    return {
-        "kind": "ftest",
-        "hypothesis": t.hypothesis_label,
-        "F": matrix_to_json(t.falsifier.matrix),
-    }
-
-
 def purification_to_json(p: Purification) -> dict:
     return {
         "kind": "purification",
@@ -189,45 +151,16 @@ def purification_to_json(p: Purification) -> dict:
     }
 
 
-def object_from_json(doc: dict, where: str = "object"):
-    """Dispatch a kind-discriminated document to its validated type."""
+def object_from_json(doc: dict, where: str = "object") -> QuantumState:
+    """The validated object of a kind-discriminated document; "state" is the
+    one kind read."""
     kind = require_key(doc, "kind", str, where)
-    if kind == "state":
-        return QuantumState(matrix_from_json(doc, where))
-    if kind == "effect":
-        return Effect(matrix_from_json(doc, where))
-    if kind == "channel":
-        kraus_docs = require_key(doc, "kraus", list, where)
-        if not kraus_docs:
-            raise SchemaError(f"{where}: channel needs a nonempty kraus list")
-        return KrausChannel(
-            tuple(
-                matrix_from_json(k, f"{where}.kraus[{i}]")
-                for i, k in enumerate(kraus_docs)
-            )
-        )
-    if kind == "cstate":
-        probs = require_key(doc, "probs", list, where)
-        return ClassicalState(number_list(doc, "probs", len(probs), where))
-    if kind == "markov":
-        rows = require_key(doc, "rows", int, where)
-        cols = require_key(doc, "cols", int, where)
-        if rows < 1 or cols < 1:
-            raise SchemaError(f"{where}: rows/cols must be positive")
-        entries = number_list(doc, "entries", rows * cols, where)
-        return MarkovMap(entries.reshape(rows, cols))
-    if kind == "ftest":
-        label = require_key(doc, "hypothesis", str, where)
-        f = matrix_from_json(require_key(doc, "F", dict, where), f"{where}.F")
-        falsifier = Effect(f)
-        # External data may carry the degenerate F = 0 inconclusive test.
-        return FalsificationTest.from_falsifier(
-            falsifier, hypothesis_label=label, allow_inconclusive=True
-        )
-    raise SchemaError(f"{where}: unknown kind {kind!r}")
+    if kind != "state":
+        raise SchemaError(f"{where}: unknown kind {kind!r}")
+    return QuantumState(matrix_from_json(doc, where))
 
 
-def declared_from_json(doc: dict, where: str = "declared") -> DeclaredGenerator:
+def declared_from_json(doc: dict, where: str = "declared") -> NaryGenerator:
     """Coin document {p, phi} or N-ary document {probs, phases}."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
@@ -244,24 +177,12 @@ def declared_from_json(doc: dict, where: str = "declared") -> DeclaredGenerator:
     raise SchemaError(f"{where}: need either p/phi or probs/phases")
 
 
-def declared_to_json(declared: DeclaredGenerator) -> dict:
-    if isinstance(declared, CoinSetup):
-        return {"p": float(declared.p), "phi": float(declared.phi)}
-    if isinstance(declared, NaryGenerator):
-        return {
-            "probs": [float(v) for v in declared.probs],
-            "phases": [float(v) for v in declared.phases],
-        }
-    raise TypeError(f"not a declared generator: {type(declared).__name__}")
-
-
 def campaign_config_from_json(doc: dict):
     """Returns (declared, true_state, n_trials, seed-or-None)."""
     declared = declared_from_json(require_key(doc, "declared", dict, "config"))
-    true_doc = require_key(doc, "true_state", dict, "config")
-    if require_key(true_doc, "kind", str, "config.true_state") != "state":
-        raise SchemaError("config.true_state: kind must be 'state'")
-    true_state = object_from_json(true_doc, "config.true_state")
+    true_state = object_from_json(
+        require_key(doc, "true_state", dict, "config"), "config.true_state"
+    )
     n_trials = require_key(doc, "n_trials", int, "config")
     if n_trials < 1:
         raise SchemaError(f"config: n_trials must be >= 1, got {n_trials}")
@@ -318,10 +239,16 @@ def write_trace_csv(
 def json_loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed text, an integer literal beyond Python's digit limit, or
+        # nesting deeper than the recursion limit.
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json_loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    return json_loads(text)

@@ -26,7 +26,7 @@ from optfalsify import (
     tensor,
 )
 from optfalsify.cli import main as cli_main
-from optfalsify.coins import BaselineVerdict, classical_baseline, sample_classical_coin
+from optfalsify.coins import BaselineVerdict, classical_verdict, count_classical_coin
 from optfalsify.quantum import KrausChannel, dilate, local_falsifier
 from optfalsify.random_ops import (
     random_complex_matrix,
@@ -86,8 +86,7 @@ def test_criterion_03_quantum_classical_contrast():
     min_rate = float("inf")
     for i in range(1, 10):
         p = i / 10
-        outcomes = sample_classical_coin(p, 500, 1000 + i)
-        verdict = classical_baseline(p, outcomes)
+        verdict = classical_verdict(p, *count_classical_coin(p, 500, 1000 + i))
         all_unfalsifiable &= verdict is BaselineVerdict.NOT_FALSIFIABLE
         coin = make_coin(p)
         perturbed = QuantumState.pure(rot @ coin.state_vector)

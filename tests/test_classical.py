@@ -10,7 +10,6 @@ from optfalsify import (
     deterministic_effect,
     embed_classical,
     permutation_map,
-    sample_classical,
 )
 from optfalsify.errors import (
     DimensionMismatchError,
@@ -143,30 +142,3 @@ class TestClassicalFalsifier:
         with pytest.raises(NotDeterministicError):
             classical_falsifier_exists(ClassicalState([0.25, 0.25]))
 
-
-class TestSampling:
-    def test_frequencies(self):
-        rng = np.random.default_rng(7)
-        probs = np.array([0.2, 0.5, 0.3])
-        n = 200_000
-        draws = sample_classical(ClassicalState(probs), n, rng)
-        counts = np.bincount(draws, minlength=3) / n
-        # 4 sigma on each cell
-        for k in range(3):
-            sigma = np.sqrt(probs[k] * (1 - probs[k]) / n)
-            assert abs(counts[k] - probs[k]) <= 4 * sigma
-
-    def test_deterministic_given_seed(self):
-        a = sample_classical(ClassicalState([0.4, 0.6]), 50, np.random.default_rng(3))
-        b = sample_classical(ClassicalState([0.4, 0.6]), 50, np.random.default_rng(3))
-        assert np.array_equal(a, b)
-
-    def test_point_mass_constant(self):
-        draws = sample_classical(
-            ClassicalState([0.0, 1.0]), 100, np.random.default_rng(0)
-        )
-        assert np.all(draws == 1)
-
-    def test_requires_normalized(self):
-        with pytest.raises(NotDeterministicError):
-            sample_classical(ClassicalState([0.4, 0.4]), 5, np.random.default_rng(0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from optfalsify.cli import ENV_SEED, RunConfig, _build_parser, main
-from optfalsify.coins import generator_probs, make_nary, sample_generator, seeded_stream
+from optfalsify.coins import generator_probs, make_nary, seeded_stream
 from optfalsify.quantum import QuantumState
 from optfalsify.serialize import json_dumps, read_json, state_to_json, write_json
 
@@ -177,6 +177,15 @@ class TestSample:
         first = lines[1].split(",")
         assert min(abs(float(first[2]) - q) for q in (0.25, 0.75)) < 1e-12
 
+    def test_unwritable_csv_exits_before_report(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        write_json(str(config), {"declared": {"p": 0.5}, "n_trials": 10})
+        csv_path = tmp_path / "missing" / "s.csv"
+        assert run_cli(["sample", "--config", str(config), "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_report_matches_library_sampler(self, tmp_path):
         config = tmp_path / "gen.json"
         declared = {"probs": [0.2, 0.3, 0.5], "phases": [0.1, 0.2, 0.3]}
@@ -184,10 +193,12 @@ class TestSample:
         out = tmp_path / "s.json"
         assert run_cli(["sample", "--config", str(config), "--out", str(out)]) == 0
         doc = read_json(str(out))
-        gen = make_nary(declared["probs"], declared["phases"])
-        draws = sample_generator(gen, 5000, seeded_stream(11))
+        probs = generator_probs(make_nary(declared["probs"], declared["phases"]))
+        edges = np.cumsum(probs)
+        edges[-1] = 1.0
+        draws = np.searchsorted(edges, seeded_stream(11).random(5000), side="right")
         assert doc["counts"] == np.bincount(draws, minlength=3).tolist()
-        assert doc["probs"] == generator_probs(gen).tolist()
+        assert doc["probs"] == probs.tolist()
 
 
 class TestCheckPostulates:

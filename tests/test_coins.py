@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -11,16 +12,14 @@ from optfalsify import (
     BaselineVerdict,
     QuantumState,
     born_probability,
-    campaign_uniforms,
-    classical_baseline,
+    classical_verdict,
     coin_falsification_test,
     count_classical_coin,
+    count_generator,
     falsification_probability,
     falsify_campaign,
     make_coin,
     make_nary,
-    sample_classical_coin,
-    sample_generator,
     seeded_stream,
 )
 from optfalsify.cli import main as cli_main
@@ -84,8 +83,7 @@ class TestNaryGenerator:
     def test_sampling_frequencies(self):
         gen = make_nary([0.1, 0.2, 0.3, 0.4])
         n = 100_000
-        draws = sample_generator(gen, n, seeded_stream(5))
-        counts = np.bincount(draws, minlength=4) / n
+        counts = count_generator(gen, n, 5)[1] / n
         for k, p in enumerate(gen.probs):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts[k] - p) <= 4 * sigma
@@ -125,18 +123,25 @@ class TestCampaignStream:
         with pytest.raises(OutOfRangeError):
             seeded_stream(-1)
 
-    def test_prefix_property(self):
+    @staticmethod
+    def _drawn(seed, n_trials):
+        return np.concatenate([u.copy() for u in coins._uniform_chunks(seed, n_trials)])
+
+    def test_prefix_property(self, monkeypatch):
         # Trial i's uniform depends only on (seed, i), not on n_trials.
-        short = campaign_uniforms(99, 5)
-        long = campaign_uniforms(99, 10)
+        monkeypatch.setattr(coins, "_CHUNK", 3)
+        short, long = self._drawn(99, 5), self._drawn(99, 10)
         assert np.array_equal(short, long[:5])
+        assert long.tobytes() == seeded_stream(99).random(10).tobytes()
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(campaign_uniforms(0, 8), campaign_uniforms(1, 8))
+        assert not np.array_equal(self._drawn(0, 8), self._drawn(1, 8))
 
     def test_needs_trials(self):
         with pytest.raises(OutOfRangeError):
-            campaign_uniforms(0, 0)
+            count_classical_coin(0.5, 0, 0)
+        with pytest.raises(OutOfRangeError):
+            count_generator(make_coin(0.5), 0, 0)
 
 
 class TestFalsifyCampaign:
@@ -260,7 +265,7 @@ class TestStreamedCampaign:
 
     def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
         config = self._config(tmp_path, self.N_TRIALS, self.SEED)
-        bulk = campaign_uniforms(self.SEED, self.N_TRIALS)
+        bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
         outputs = set()
         # 3 does not divide the trial count, so the last chunk is short.
         for size in (1, 7, 1 << 16, 3):
@@ -314,51 +319,109 @@ class TestStreamedCampaign:
         assert peak < 12 * 2**20
 
 
+
+class TestStreamedSample:
+    SEED, N_TRIALS = 3, 20_003
+    DECLARED = {"probs": [0.2, 0.3, 0.5], "phases": [0.1, 0.2, 0.3]}
+
+    def _config(self, tmp_path, n_trials):
+        path = tmp_path / "sample.json"
+        write_json(
+            str(path), {"declared": self.DECLARED, "n_trials": n_trials, "seed": self.SEED}
+        )
+        return str(path)
+
+    def test_point_mass_constant(self):
+        assert count_generator(make_nary([0.0, 1.0]), 100, 0)[1].tolist() == [0, 100]
+        assert count_generator(make_coin(1.0), 100, 0)[1].tolist() == [100, 0]
+
+    def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
+        config = self._config(tmp_path, self.N_TRIALS)
+        outputs = set()
+        # Neither 7 nor 3 divides the trial count, so the last chunk is short.
+        for size in (1, 7, 3, 1 << 16):
+            monkeypatch.setattr(coins, "_CHUNK", size)
+            out, trace = tmp_path / f"r{size}.json", tmp_path / f"t{size}.csv"
+            args = ["sample", "--config", config, "--out", str(out), "--csv", str(trace)]
+            assert cli_main(args) == 0
+            outputs.add((out.read_bytes(), trace.read_bytes()))
+        assert len(outputs) == 1
+        report_bytes, csv_bytes = outputs.pop()
+        # Reference: inverse-CDF codes of the bulk keyed stream.
+        gen = make_nary(self.DECLARED["probs"], self.DECLARED["phases"])
+        probs = np.array([born_probability(gen.state(), e) for e in gen.observation_test()])
+        edges = np.cumsum(probs)
+        edges[-1] = 1.0
+        bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
+        codes = np.searchsorted(edges, bulk, side="right")
+        report = json.loads(report_bytes)
+        assert report["counts"] == np.bincount(codes, minlength=3).tolist()
+        assert report["probs"] == probs.tolist()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
+        for i, c in enumerate(codes):
+            writer.writerow([i, c, float_literal(probs[c]), self.SEED])
+        assert csv_bytes == expected.getvalue().encode("ascii")
+
+    def _args(self, tmp_path, n_trials):
+        config = self._config(tmp_path, n_trials)
+        return ["sample", "--config", config, "--out", str(tmp_path / "r.json")]
+
+    def test_memory_bounded(self, tmp_path):
+        args = self._args(tmp_path, 4_000_000)
+        cli_main(args)
+        # A bulk draw of 4e6 uniforms alone holds 32 MB.
+        assert TestStreamedCampaign._traced_peak(cli_main, args) < 4 * 2**20
+
+    def test_cli_trace_memory_bounded(self, tmp_path):
+        args = self._args(tmp_path, 1_000_000) + ["--csv", os.devnull]
+        cli_main(args)
+        # The row text of one 2^16-trial chunk traces at about 10 MiB; a
+        # bulk draw of 1e6 uniforms and their codes would add 16 MB to it.
+        assert TestStreamedCampaign._traced_peak(cli_main, args) < 12 * 2**20
+
 class TestClassicalBaseline:
+    @staticmethod
+    def _tosses(true_p, n_trials, seed):
+        """Reference (n_zero, n_one): outcome 1 iff the keyed uniform >= true_p."""
+        n_one = int(np.count_nonzero(seeded_stream(seed).random(n_trials) >= true_p))
+        return n_trials - n_one, n_one
+
     def test_interior_bias_not_falsifiable(self):
-        outcomes = [0, 1, 1, 0, 1]
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            assert classical_baseline(p, outcomes) is BaselineVerdict.NOT_FALSIFIABLE
+            assert classical_verdict(p, 2, 3) is BaselineVerdict.NOT_FALSIFIABLE
 
     def test_endpoint_falsified(self):
-        assert classical_baseline(1.0, [0, 0, 1]) is BaselineVerdict.FALSIFIED
-        assert classical_baseline(0.0, [1, 1, 0]) is BaselineVerdict.FALSIFIED
+        assert classical_verdict(1.0, 2, 1) is BaselineVerdict.FALSIFIED
+        assert classical_verdict(0.0, 1, 2) is BaselineVerdict.FALSIFIED
 
     def test_endpoint_survives_consistent_data(self):
-        assert classical_baseline(1.0, [0, 0, 0]) is BaselineVerdict.NOT_FALSIFIED
-        assert classical_baseline(0.0, [1, 1]) is BaselineVerdict.NOT_FALSIFIED
+        assert classical_verdict(1.0, 3, 0) is BaselineVerdict.NOT_FALSIFIED
+        assert classical_verdict(0.0, 0, 2) is BaselineVerdict.NOT_FALSIFIED
 
     def test_bad_bias(self):
         with pytest.raises(OutOfRangeError):
-            classical_baseline(1.5, [0])
-
-    def test_bad_outcomes(self):
-        with pytest.raises(OutOfRangeError):
-            classical_baseline(0.5, [0, 2])
+            classical_verdict(1.5, 1, 0)
 
     def test_sampler_matches_bias(self):
-        outcomes = sample_classical_coin(0.8, 50_000, 13)
-        # mean outcome is P(outcome 1) = 1 - true_p
-        assert abs(outcomes.mean() - 0.2) <= 4 * np.sqrt(0.2 * 0.8 / 50_000)
+        n_zero, n_one = count_classical_coin(0.8, 50_000, 13)
+        # the frequency of outcome 1 estimates 1 - true_p
+        assert abs(n_one / 50_000 - 0.2) <= 4 * np.sqrt(0.2 * 0.8 / 50_000)
+        assert n_zero + n_one == 50_000
 
     def test_sampler_shares_campaign_stream(self):
-        u = campaign_uniforms(21, 100)
-        np.testing.assert_array_equal(
-            sample_classical_coin(0.6, 100, 21), (u >= 0.6).astype(np.int64)
-        )
+        assert count_classical_coin(0.6, 100, 21) == self._tosses(0.6, 100, 21)
 
     def test_counts_match_bulk_sample(self, monkeypatch):
-        outcomes = sample_classical_coin(0.3, 100_000, 5)
-        n_one = int(np.count_nonzero(outcomes == 1))
+        expected = self._tosses(0.3, 100_000, 5)
         # 7 does not divide the trial count, so the last chunk is short.
         for size in (1 << 16, 7):
             monkeypatch.setattr(coins, "_CHUNK", size)
-            assert count_classical_coin(0.3, 100_000, 5) == (100_000 - n_one, n_one)
+            assert count_classical_coin(0.3, 100_000, 5) == expected
 
     def test_counts_validate_like_sampler(self):
         for args in ((1.5, 10, 0), (0.5, 0, 0)):
-            with pytest.raises(OutOfRangeError):
-                sample_classical_coin(*args)
             with pytest.raises(OutOfRangeError):
                 count_classical_coin(*args)
 
@@ -374,15 +437,15 @@ class TestClassicalBaseline:
         )
         out = tmp_path / "r.json"
         assert cli_main(["classical-baseline", "--config", config, "--out", str(out)]) == 0
-        outcomes = sample_classical_coin(0.999, 200_003, 9)
+        n_zero, n_one = self._tosses(0.999, 200_003, 9)
         expected = {
             "declared_p": 0.0,
             "true_p": 0.999,
             "n_trials": 200_003,
-            "n_zero": int(np.count_nonzero(outcomes == 0)),
-            "n_one": int(np.count_nonzero(outcomes == 1)),
+            "n_zero": n_zero,
+            "n_one": n_one,
             "seed": 9,
-            "verdict": classical_baseline(0.0, outcomes).value,
+            "verdict": classical_verdict(0.0, n_zero, n_one).value,
         }
         doc = json.loads(out.read_bytes())
         assert list(doc.items()) == list(expected.items())

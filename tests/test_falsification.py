@@ -10,7 +10,6 @@ from optfalsify import (
     QuantumState,
     SupportHypothesis,
     falsification_probability,
-    is_inconclusive_test,
     run_test,
     support_falsification_test,
 )
@@ -121,24 +120,17 @@ class TestFalsificationTestType:
                 assert test.inconclusive.matrix.tobytes() == expected.tobytes()
 
     def test_zero_falsifier_rejected_by_default(self):
-        with pytest.raises(OutOfRangeError):
-            FalsificationTest.from_falsifier(Effect(np.zeros((2, 2))))
-
-    def test_zero_falsifier_allowed_when_flagged(self):
-        test = FalsificationTest.from_falsifier(
-            Effect(np.zeros((2, 2))), allow_inconclusive=True
-        )
-        assert is_inconclusive_test(test)
+        with pytest.raises(OutOfRangeError, match="zero falsifier"):
+            FalsificationTest(Effect(np.zeros((2, 2))))
 
     def test_near_zero_counts_as_inconclusive(self):
-        test = FalsificationTest.from_falsifier(
-            Effect(np.eye(2) * 1e-14), allow_inconclusive=True
-        )
-        assert is_inconclusive_test(test)
+        with pytest.raises(OutOfRangeError, match="zero falsifier"):
+            FalsificationTest(Effect(np.eye(2) * 1e-14))
 
     def test_genuine_test_not_inconclusive(self):
-        test = support_falsification_test(SupportHypothesis(np.diag([1.0, 0.0])))
-        assert not is_inconclusive_test(test)
+        test = FalsificationTest(Effect(np.diag([0.0, 1.0])), "basis-zero support")
+        assert not test.falsifier.is_zero
+        assert test.hypothesis_label == "basis-zero support"
 
 
 class TestRunTest:

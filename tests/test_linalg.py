@@ -107,6 +107,10 @@ class TestEntryBound:
             with pytest.raises(OutOfRangeError, match="entries must be finite"):
                 linalg.hermitian_eig([[1.0, entry], [np.conj(entry), 1.0]])
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(OutOfRangeError, match="entries must be finite"):
+            linalg.as_matrix([[10**400]])
+
 
 class TestHermitianEig:
     def test_pauli_x_by_hand(self):

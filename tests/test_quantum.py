@@ -185,6 +185,21 @@ class TestEntryBound:
         with pytest.raises(OutOfRangeError, match="entries must be finite"):
             KrausChannel((np.full((2, 2), self.BEYOND),))
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [(QuantumState.pure, "pure state vector"), (Effect.projector_onto, "projector vector")],
+    )
+    def test_normalized_vector(self, build, name):
+        # Inside the bound the norm may still overflow; beyond it, or for an
+        # integer beyond float range, the entries are rejected first.
+        for vector in ([self.AT, self.AT], [1e200, 0.0], [self.BEYOND], [10**400, 0], [np.nan]):
+            with pytest.raises(OutOfRangeError, match=name):
+                build(vector)
+        with pytest.raises(OutOfRangeError, match=f"{name} must be nonzero"):
+            build([0.0, 0.0])
+        m = build([1e150, 1e150j]).matrix
+        np.testing.assert_allclose(m, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
 
 class TestBornProbability:
     def test_basis_readout(self):
