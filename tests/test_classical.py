@@ -16,6 +16,7 @@ from optfalsify.errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
+from optfalsify.coins import count_generator, make_nary
 from optfalsify.quantum import Effect, born_probability, state_support
 
 
@@ -142,3 +143,21 @@ class TestClassicalFalsifier:
         with pytest.raises(NotDeterministicError):
             classical_falsifier_exists(ClassicalState([0.25, 0.25]))
 
+
+class TestSampling:
+    """A classical distribution is sampled as the zero-phase generator with
+    its weights."""
+
+    def test_frequencies(self):
+        probs = ClassicalState([0.2, 0.5, 0.3]).probs
+        n = 200_000
+        counts = count_generator(make_nary(probs), n, 7)[1]
+        assert counts.sum() == n
+        # 4 sigma on each cell
+        for k in range(3):
+            sigma = np.sqrt(probs[k] * (1 - probs[k]) / n)
+            assert abs(counts[k] / n - probs[k]) <= 4 * sigma
+
+    def test_requires_normalized(self):
+        with pytest.raises(OutOfRangeError):
+            count_generator(make_nary(ClassicalState([0.4, 0.4]).probs), 5, 0)

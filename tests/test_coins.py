@@ -404,6 +404,13 @@ class TestClassicalBaseline:
         with pytest.raises(OutOfRangeError):
             classical_verdict(1.5, 1, 0)
 
+    def test_bad_outcomes(self, tmp_path, capsys):
+        # Only the integers 0 and 1 are outcomes: not 2, -1, 0.5 or true.
+        for bad in (2, -1, 0.5, True):
+            config = self._config(tmp_path, declared_p=0.5, outcomes=[0, 1, bad])
+            assert cli_main(["classical-baseline", "--config", config]) == 2
+            assert "outcomes[2] must be 0 or 1" in capsys.readouterr().err
+
     def test_sampler_matches_bias(self):
         n_zero, n_one = count_classical_coin(0.8, 50_000, 13)
         # the frequency of outcome 1 estimates 1 - true_p
