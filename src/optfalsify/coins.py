@@ -11,9 +11,11 @@ positive probability unless p is 0 or 1.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -29,44 +31,133 @@ from .falsification import (
     support_falsification_test,
 )
 from .linalg import DEFAULT_RANK_TOL
-from .quantum import Effect, QuantumState, born_probability
+from .quantum import QuantumState
 
-# Campaign trials consume variates of a counter-based stream keyed by the
-# master seed, so trial i's uniform is a keyed hash of i: reproducible,
-# independent of execution order, and cheap to draw in bulk.
+# Campaign trials consume variates of Philox, a counter-based stream keyed by
+# the master seed: trial i's uniform is a keyed hash of i, so any stretch of
+# trials can be read on its own, bit for bit, by positioning a fresh stream
+# at its first trial.  Untraced counts split the trials into contiguous
+# stripes, one per CPU this process may run on (_cpus), and count each
+# stripe on its own thread; the counts are exact integers, so their sum does
+# not depend on the split.  A trace sees the trials in one ordered pass.
 
-# Campaigns draw their uniforms this many at a time into one reused buffer,
-# so their memory does not grow with n_trials.  The stream is the same at
-# any chunk size.
+# Campaigns draw their uniforms this many at a time into reused buffers
+# (split evenly between the stripes), so their memory does not grow with
+# n_trials.  The stream is the same at any chunk size.
 _CHUNK = 1 << 16
 
 
-def seeded_stream(master_seed: int) -> np.random.Generator:
+def _philox(master_seed: int) -> np.random.Philox:
     if master_seed < 0:
         raise OutOfRangeError("seed must be a non-negative integer")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
+    return np.random.Philox(np.random.SeedSequence(master_seed))
 
 
-def _uniform_chunks(master_seed: int, n_trials: int) -> Iterator[np.ndarray]:
-    """seeded_stream(master_seed).random(n_trials) as consecutive chunks of
-    at most _CHUNK values: the only reader of the keyed stream.  Each chunk
-    is a view of one reused buffer and holds its values only until the next
-    chunk is drawn."""
-    gen = seeded_stream(master_seed)
-    buf = np.empty(min(n_trials, _CHUNK))
-    for start in range(0, n_trials, _CHUNK):
-        chunk = buf[: min(_CHUNK, n_trials - start)]
+def seeded_stream(master_seed: int) -> np.random.Generator:
+    return np.random.Generator(_philox(master_seed))
+
+
+def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
+    """seeded_stream(master_seed).random(stop)[start:] as consecutive chunks
+    of at most size values.  Each chunk is a view of one reused buffer and
+    holds its values only until the next chunk is drawn."""
+    bits = _philox(master_seed)
+    # Each Philox counter step yields four 64-bit draws, one per uniform.
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    gen = np.random.Generator(bits)
+    buf = np.empty(min(stop - start, size))
+    for lo in range(start, stop, size):
+        chunk = buf[: min(size, stop - lo)]
         gen.random(out=chunk)
         yield chunk
 
 
-def _drain(chunks: Iterator[np.ndarray], trace: Callable | None, head) -> None:
-    """Run a one-pass stream of chunks: hand it to trace(head, chunks) when
-    trace is given, then draw the chunks that trace left unread."""
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _tally(
+    master_seed: int,
+    n_trials: int,
+    label: Callable[[np.ndarray], np.ndarray],
+    count: Callable[[np.ndarray], Any],
+    trace: Callable[[Any, Iterator[np.ndarray]], None] | None = None,
+    head: Any = None,
+) -> Any:
+    """Sum of count(label(u)) over the chunks u of the first n_trials keyed
+    uniforms, where label maps uniforms to per-trial outcomes and count
+    maps outcomes to an exact integer total.
+
+    When trace is given, it is called once as trace(head, label_chunks) in
+    one ordered pass, where label_chunks yields each chunk's outcomes in
+    trial order (valid until the next is drawn); the chunks it leaves
+    unread are still counted.  Otherwise contiguous stripes of the trials
+    are counted on min(_cpus(), chunks) threads, the caller's among them,
+    with buffers of _CHUNK values in all.  An exception in any stripe stops
+    the others at their next chunk and reaches the caller; every thread is
+    joined before _tally returns or raises.
+    """
     if trace is not None:
+        total = 0
+
+        def label_chunks() -> Iterator[np.ndarray]:
+            nonlocal total
+            for u in _stripe(master_seed, 0, n_trials, _CHUNK):
+                outcomes = label(u)
+                total = total + count(outcomes)
+                yield outcomes
+
+        chunks = label_chunks()
         trace(head, chunks)
-    for _ in chunks:
-        pass
+        for _ in chunks:
+            pass
+        return total
+
+    workers = min(_cpus(), -(-n_trials // _CHUNK))
+    size = max(1, _CHUNK // workers)
+    bounds = [n_trials * k // workers for k in range(workers + 1)]
+    totals: list[Any] = [0] * workers
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def run(k: int) -> None:
+        total = 0
+        for u in _stripe(master_seed, bounds[k], bounds[k + 1], size):
+            if stop.is_set():
+                return
+            total = total + count(label(u))
+        totals[k] = total
+
+    def work(k: int) -> None:
+        try:
+            run(k)
+        except BaseException as exc:  # raised again by the caller's thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,), name=f"stripe-{k}")
+            thread.start()
+            threads.append(thread)
+        run(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        # Reached with live workers only on an error, including an
+        # interrupt while joining above: stop them at their next chunk.
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +200,6 @@ class NaryGenerator:
     def state(self) -> QuantumState:
         return QuantumState.pure(self.state_vector)
 
-    def observation_test(self) -> tuple[Effect, ...]:
-        return _canonical_observation(self.dim)
-
-
-def _canonical_observation(dim: int) -> tuple[Effect, ...]:
-    effects = []
-    for k in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[k, k] = 1.0
-        effects.append(Effect(m))
-    return tuple(effects)
-
 
 def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
     p, phi = float(p), float(phi)
@@ -139,9 +218,9 @@ def make_nary(probs, phases=None) -> NaryGenerator:
 
 
 def generator_probs(declared: NaryGenerator) -> np.ndarray:
-    """Born statistics of the declared state's observation outcomes."""
-    rho = declared.state()
-    return np.array([born_probability(rho, e) for e in declared.observation_test()])
+    """Born statistics of the declared state's canonical-basis outcomes:
+    Tr(rho |k><k|) = rho[k, k], clamped to [0, 1]."""
+    return np.clip(declared.state().matrix.diagonal().real, 0.0, 1.0)
 
 
 def count_generator(
@@ -155,27 +234,25 @@ def count_generator(
     occurs in n_trials draws from them.
 
     Trial i's outcome is the first whose cumulative probability exceeds the
-    i-th keyed uniform.  The trials run in one pass over fixed-size chunks,
-    so memory does not grow with n_trials.  When trace is given, it is
-    called once as trace(probs, code_chunks), where code_chunks yields each
-    chunk's outcome indices in trial order (valid until the next is drawn);
-    the chunks it leaves unread are still counted.
+    i-th keyed uniform.  The trials are counted in fixed-size chunks (see
+    _tally), so memory does not grow with n_trials.  When trace is given,
+    it is called once as trace(probs, code_chunks), where code_chunks yields
+    each chunk's outcome indices in trial order (valid until the next is
+    drawn); the chunks it leaves unread are still counted.
     """
     if n_trials < 1:
         raise OutOfRangeError("n_trials must be at least 1")
     probs = generator_probs(declared)
     edges = np.cumsum(probs)
     edges[-1] = 1.0
-    counts = np.zeros(declared.dim, dtype=np.int64)
-
-    def code_chunks() -> Iterator[np.ndarray]:
-        nonlocal counts
-        for u in _uniform_chunks(master_seed, n_trials):
-            codes = np.searchsorted(edges, u, side="right")
-            counts += np.bincount(codes, minlength=declared.dim)
-            yield codes
-
-    _drain(code_chunks(), trace, probs)
+    counts = _tally(
+        master_seed,
+        n_trials,
+        lambda u: np.searchsorted(edges, u, side="right"),
+        lambda codes: np.bincount(codes, minlength=declared.dim),
+        trace,
+        probs,
+    )
     return probs, counts
 
 
@@ -227,8 +304,8 @@ def falsify_campaign(
 
     Trial i fires iff the i-th keyed uniform falls below the theoretical
     rate, which is exactly the single-trial Bernoulli sampling of run_test.
-    The trials run in one pass over fixed-size chunks, so memory does not
-    grow with n_trials.  When trace is given, it is called once as
+    The trials are counted in fixed-size chunks (see _tally), so memory
+    does not grow with n_trials.  When trace is given, it is called once as
     trace(rate, fired_chunks), where fired_chunks yields each chunk's
     boolean mask of fired trials in trial order (valid until the next is
     drawn); the chunks it leaves unread are still counted.
@@ -243,16 +320,9 @@ def falsify_campaign(
     if not true_state.deterministic:
         raise NotDeterministicError("campaign requires a trace-one true state")
     rate = falsification_probability(test, true_state, rank_tol)
-    n_falsified = 0
-
-    def fired_chunks() -> Iterator[np.ndarray]:
-        nonlocal n_falsified
-        for u in _uniform_chunks(master_seed, n_trials):
-            fired = u < rate
-            n_falsified += int(np.count_nonzero(fired))
-            yield fired
-
-    _drain(fired_chunks(), trace, rate)
+    n_falsified = int(
+        _tally(master_seed, n_trials, lambda u: u < rate, np.count_nonzero, trace, rate)
+    )
     empirical = n_falsified / n_trials
     if 0.0 < rate < 1.0:
         z = (empirical - rate) / np.sqrt(rate * (1.0 - rate) / n_trials)
@@ -299,14 +369,11 @@ def count_classical_coin(
 ) -> tuple[int, int]:
     """(n_zero, n_one) of n_trials tosses of a classical coin with
     P(outcome 0) = true_p: trial i gives outcome 1 iff the i-th keyed
-    uniform is at least true_p.  The tosses are counted chunk by chunk, so
-    memory does not grow with n_trials."""
+    uniform is at least true_p.  The tosses are counted in fixed-size chunks
+    (see _tally), so memory does not grow with n_trials."""
     if not (np.isfinite(true_p) and 0.0 <= true_p <= 1.0):
         raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
     if n_trials < 1:
         raise OutOfRangeError("n_trials must be at least 1")
-    n_one = sum(
-        int(np.count_nonzero(u >= true_p))
-        for u in _uniform_chunks(master_seed, n_trials)
-    )
+    n_one = int(_tally(master_seed, n_trials, lambda u: u >= true_p, np.count_nonzero))
     return n_trials - n_one, n_one

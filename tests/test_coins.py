@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,6 @@ from optfalsify import coins
 from optfalsify import (
     BaselineVerdict,
     QuantumState,
-    born_probability,
     classical_verdict,
     coin_falsification_test,
     count_classical_coin,
@@ -23,6 +25,7 @@ from optfalsify import (
     seeded_stream,
 )
 from optfalsify.cli import main as cli_main
+from optfalsify.coins import generator_probs
 from optfalsify.errors import (
     DimensionMismatchError,
     NotDeterministicError,
@@ -31,6 +34,41 @@ from optfalsify.errors import (
 from optfalsify.serialize import float_literal, state_to_json, write_json
 
 SQRT_HALF = 0.7071067811865476
+
+# Worker counts and chunk sizes the counts must not depend on.  5 workers is
+# more than the machine's CPUs; 3 and 7 do not divide the trial counts.
+WORKERS = (1, 2, 3, 5)
+CHUNKS = (1, 3, 7, 1 << 16)
+
+
+def cli_outputs(tmp_path, tag, *args):
+    """(report, trace) bytes of the CLI run args --csv, after checking that
+    the run without --csv writes the same report."""
+    plain, out, trace = (tmp_path / f"{name}{tag}" for name in ("p", "r", "t"))
+    assert cli_main([*args, "--out", str(plain)]) == 0
+    assert cli_main([*args, "--out", str(out), "--csv", str(trace)]) == 0
+    assert plain.read_bytes() == out.read_bytes()
+    return out.read_bytes(), trace.read_bytes()
+
+
+def splits(monkeypatch):
+    """Yield each (workers, chunk size) pair with coins forced to it; the
+    worker count is still capped at the number of chunks."""
+    for workers in WORKERS:
+        for size in CHUNKS:
+            monkeypatch.setattr(coins, "_cpus", lambda workers=workers: workers)
+            monkeypatch.setattr(coins, "_CHUNK", size)
+            yield workers, size
+
+
+def born_reference(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho E_k) for the canonical projectors E_k = diag(e_k), clamped to
+    [0, 1] like born_probability."""
+    dim = rho.shape[0]
+    return np.array(
+        [min(1.0, max(0.0, np.trace(rho @ np.diag(np.eye(dim)[k])).real))
+         for k in range(dim)]
+    )
 
 
 class TestCoinSetup:
@@ -45,10 +83,17 @@ class TestCoinSetup:
 
     def test_observation_statistics(self):
         coin = make_coin(0.3, 1.2)
-        rho = coin.state()
-        e0, e1 = coin.observation_test()
-        assert born_probability(rho, e0) == pytest.approx(0.3, abs=1e-12)
-        assert born_probability(rho, e1) == pytest.approx(0.7, abs=1e-12)
+        probs = generator_probs(coin)
+        assert probs[0] == pytest.approx(0.3, abs=1e-12)
+        assert probs[1] == pytest.approx(0.7, abs=1e-12)
+        # Bit-equal to the Born rule read through the canonical projectors.
+        gens = [make_coin(p, phi) for p in np.linspace(0, 1, 11) for phi in (0.0, 0.7, 3.0)]
+        rng = np.random.default_rng(8)
+        for dim in (3, 5, 16, 64):
+            gens.append(make_nary(rng.dirichlet(np.ones(dim)), rng.uniform(0, 7, dim)))
+        for gen in gens:
+            ref = born_reference(gen.state().matrix)
+            assert generator_probs(gen).tobytes() == ref.tobytes()
 
     def test_bias_range(self):
         for bad in (-0.1, 1.1, float("nan")):
@@ -125,7 +170,8 @@ class TestCampaignStream:
 
     @staticmethod
     def _drawn(seed, n_trials):
-        return np.concatenate([u.copy() for u in coins._uniform_chunks(seed, n_trials)])
+        chunks = coins._stripe(seed, 0, n_trials, coins._CHUNK)
+        return np.concatenate([u.copy() for u in chunks])
 
     def test_prefix_property(self, monkeypatch):
         # Trial i's uniform depends only on (seed, i), not on n_trials.
@@ -133,6 +179,18 @@ class TestCampaignStream:
         short, long = self._drawn(99, 5), self._drawn(99, 10)
         assert np.array_equal(short, long[:5])
         assert long.tobytes() == seeded_stream(99).random(10).tobytes()
+
+    def test_positioned_reads_match_bulk(self):
+        # Philox yields four draws per counter step; offsets 0..67 cover
+        # every phase of it, and stripe ends that are not multiples of 4.
+        bulk = seeded_stream(31).random(80)
+        for start in range(68):
+            for stop in (start, start + 1, start + 6, 80):
+                for size in (1, 3, 64):
+                    chunks = [u.copy() for u in coins._stripe(31, start, stop, size)]
+                    assert all(0 < len(u) <= size for u in chunks)
+                    drawn = np.concatenate(chunks) if chunks else np.empty(0)
+                    assert drawn.tobytes() == bulk[start:stop].tobytes()
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(self._drawn(0, 8), self._drawn(1, 8))
@@ -267,17 +325,11 @@ class TestStreamedCampaign:
         config = self._config(tmp_path, self.N_TRIALS, self.SEED)
         bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
         outputs = set()
-        # 3 does not divide the trial count, so the last chunk is short.
-        for size in (1, 7, 1 << 16, 3):
-            monkeypatch.setattr(coins, "_CHUNK", size)
-            drawn = np.concatenate(
-                [u.copy() for u in coins._uniform_chunks(self.SEED, self.N_TRIALS)]
-            )
-            assert drawn.tobytes() == bulk.tobytes()
-            out, trace = tmp_path / f"r{size}.json", tmp_path / f"t{size}.csv"
-            args = ["falsify-coin", "--config", config, "--out", str(out)]
-            assert cli_main(args + ["--csv", str(trace)]) == 0
-            outputs.add((out.read_bytes(), trace.read_bytes()))
+        for workers, size in splits(monkeypatch):
+            chunks = coins._stripe(self.SEED, 0, self.N_TRIALS, size)
+            assert np.concatenate([u.copy() for u in chunks]).tobytes() == bulk.tobytes()
+            tag = f"{workers}_{size}"
+            outputs.add(cli_outputs(tmp_path, tag, "falsify-coin", "--config", config))
         assert len(outputs) == 1
         report_bytes, csv_bytes = outputs.pop()
         report = json.loads(report_bytes)
@@ -301,11 +353,21 @@ class TestStreamedCampaign:
         finally:
             tracemalloc.stop()
 
-    def test_campaign_memory_bounded(self):
-        coin, rho = make_coin(0.5), QuantumState.maximally_mixed(2)
-        falsify_campaign(coin, rho, 10, 0)
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda n: falsify_campaign(make_coin(0.5), QuantumState.maximally_mixed(2), n, 0),
+            lambda n: count_generator(make_nary([0.2, 0.3, 0.5]), n, 0),
+            lambda n: count_classical_coin(0.5, n, 0),
+        ],
+        ids=["falsify_campaign", "count_generator", "count_classical_coin"],
+    )
+    def test_campaign_memory_bounded(self, count, monkeypatch):
+        # More workers than CPUs share the one _CHUNK-sized buffer budget.
+        monkeypatch.setattr(coins, "_cpus", lambda: 5)
+        count(10)
         # A bulk draw of 4e6 uniforms alone holds 32 MB.
-        peak = self._traced_peak(falsify_campaign, coin, rho, 4_000_000, 0)
+        peak = self._traced_peak(count, 4_000_000)
         assert peak < 4 * 2**20
 
     def test_cli_trace_memory_bounded(self, tmp_path):
@@ -338,18 +400,13 @@ class TestStreamedSample:
     def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
         config = self._config(tmp_path, self.N_TRIALS)
         outputs = set()
-        # Neither 7 nor 3 divides the trial count, so the last chunk is short.
-        for size in (1, 7, 3, 1 << 16):
-            monkeypatch.setattr(coins, "_CHUNK", size)
-            out, trace = tmp_path / f"r{size}.json", tmp_path / f"t{size}.csv"
-            args = ["sample", "--config", config, "--out", str(out), "--csv", str(trace)]
-            assert cli_main(args) == 0
-            outputs.add((out.read_bytes(), trace.read_bytes()))
+        for workers, size in splits(monkeypatch):
+            outputs.add(cli_outputs(tmp_path, f"{workers}_{size}", "sample", "--config", config))
         assert len(outputs) == 1
         report_bytes, csv_bytes = outputs.pop()
         # Reference: inverse-CDF codes of the bulk keyed stream.
         gen = make_nary(self.DECLARED["probs"], self.DECLARED["phases"])
-        probs = np.array([born_probability(gen.state(), e) for e in gen.observation_test()])
+        probs = born_reference(gen.state().matrix)
         edges = np.cumsum(probs)
         edges[-1] = 1.0
         bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
@@ -380,6 +437,101 @@ class TestStreamedSample:
         # The row text of one 2^16-trial chunk traces at about 10 MiB; a
         # bulk draw of 1e6 uniforms and their codes would add 16 MB to it.
         assert TestStreamedCampaign._traced_peak(cli_main, args) < 12 * 2**20
+
+    def test_many_outcomes_memory_bounded(self, tmp_path):
+        config = tmp_path / "wide.json"
+        write_json(str(config), {"declared": {"probs": [1 / 256] * 256}, "n_trials": 1000})
+        args = ["sample", "--config", str(config), "--out", str(tmp_path / "r.json")]
+        cli_main(args)
+        # The declared 256 x 256 state and its validation trace at about
+        # 5 MiB; one dense 256 x 256 projector per outcome would hold 256 MiB.
+        assert TestStreamedCampaign._traced_peak(cli_main, args) < 8 * 2**20
+
+
+class TestStripedCount:
+    """Untraced counts run contiguous stripes of the keyed stream on
+    threads (coins._tally)."""
+
+    def test_stress_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(coins, "_cpus", lambda: 5)
+        monkeypatch.setattr(coins, "_CHUNK", 7)
+        n, seed = 20_003, 17
+        bulk = seeded_stream(seed).random(n)
+        gen = make_nary([0.2, 0.3, 0.5])
+        edges = np.cumsum(generator_probs(gen))
+        edges[-1] = 1.0
+        codes = np.bincount(np.searchsorted(edges, bulk, side="right"), minlength=3)
+        n_one = int(np.count_nonzero(bulk >= 0.4))
+        n_fired = int(np.count_nonzero(bulk < 0.5))
+        coin, rho = make_coin(0.5), QuantumState.maximally_mixed(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rounds, deadline = 0, time.monotonic() + 2.0
+            while rounds == 0 or time.monotonic() < deadline:
+                assert count_generator(gen, n, seed)[1].tolist() == codes.tolist()
+                assert count_classical_coin(0.4, n, seed) == (n - n_one, n_one)
+                assert falsify_campaign(coin, rho, n, seed).n_falsified == n_fired
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(coins, "_cpus", lambda: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(coins.threading, "Thread", no_thread)
+        assert count_classical_coin(0.5, 200_000, 1) == TestClassicalBaseline._tosses(
+            0.5, 200_000, 1
+        )
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(coins, "_cpus", lambda: 3)
+        monkeypatch.setattr(coins, "_CHUNK", 3)
+        caller, error = threading.get_ident(), ValueError("stripe failed")
+
+        def label(u):
+            if threading.get_ident() != caller:
+                raise error
+            return u < 0.5
+
+        before = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            coins._tally(0, 300, label, np.count_nonzero)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_caller_error_stops_workers(self, monkeypatch, error):
+        # Three stripes of 1000 one-trial chunks; a worker's full stripe
+        # would take at least a second.
+        monkeypatch.setattr(coins, "_cpus", lambda: 3)
+        monkeypatch.setattr(coins, "_CHUNK", 3)
+        caller = threading.get_ident()
+        counted: dict[int, int] = {}  # chunks per worker thread
+        both_counting = threading.Event()
+
+        def label(u):
+            me = threading.get_ident()
+            if me == caller:
+                if not both_counting.wait(timeout=10):
+                    raise AssertionError("workers never counted a chunk")
+                raise error
+            counted[me] = counted.get(me, 0) + 1
+            if len(counted) == 2:
+                both_counting.set()
+            time.sleep(1e-3)
+            return u < 0.5
+
+        before = threading.active_count()
+        with pytest.raises(error):
+            coins._tally(0, 3000, label, np.count_nonzero)
+        assert threading.active_count() == before
+        assert len(counted) == 2
+        assert all(chunks < 100 for chunks in counted.values()), counted
+
 
 class TestClassicalBaseline:
     @staticmethod
@@ -420,12 +572,19 @@ class TestClassicalBaseline:
     def test_sampler_shares_campaign_stream(self):
         assert count_classical_coin(0.6, 100, 21) == self._tosses(0.6, 100, 21)
 
-    def test_counts_match_bulk_sample(self, monkeypatch):
+    def test_counts_match_bulk_sample(self, tmp_path, monkeypatch):
         expected = self._tosses(0.3, 100_000, 5)
-        # 7 does not divide the trial count, so the last chunk is short.
-        for size in (1 << 16, 7):
-            monkeypatch.setattr(coins, "_CHUNK", size)
-            assert count_classical_coin(0.3, 100_000, 5) == expected
+        config = self._config(
+            tmp_path, declared_p=0.3, true_p=0.3, n_trials=100_000, seed=5
+        )
+        reports = set()
+        for workers, size in splits(monkeypatch):
+            out = tmp_path / f"r{workers}_{size}.json"
+            assert cli_main(["classical-baseline", "--config", config, "--out", str(out)]) == 0
+            reports.add(out.read_bytes())
+        assert len(reports) == 1
+        doc = json.loads(reports.pop())
+        assert (doc["n_zero"], doc["n_one"]) == expected
 
     def test_counts_validate_like_sampler(self):
         for args in ((1.5, 10, 0), (0.5, 0, 0)):
