@@ -18,10 +18,8 @@ from .errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, SPECTRUM_TOL, TRACE_TOL
 from .quantum import QuantumState
-
-_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,13 +34,13 @@ class ClassicalState:
             raise DimensionMismatchError("classical state needs at least one outcome")
         if not np.all(np.isfinite(x)):
             raise OutOfRangeError("classical state entries must be finite")
-        if float(np.min(x)) < -_TOL:
+        if float(np.min(x)) < -SPECTRUM_TOL:
             raise OutOfRangeError(
                 f"classical state has negative entry {float(np.min(x)):.3e}"
             )
         x = np.maximum(x, 0.0)
         total = float(np.sum(x))
-        if not 0.0 < total <= 1.0 + _TOL:
+        if not 0.0 < total <= 1.0 + TRACE_TOL:
             raise OutOfRangeError(f"classical state total {total!r} outside (0, 1]")
         x.setflags(write=False)
         object.__setattr__(self, "probs", x)
@@ -53,7 +51,7 @@ class ClassicalState:
 
     @property
     def deterministic(self) -> bool:
-        return abs(float(np.sum(self.probs)) - 1.0) <= _TOL
+        return abs(float(np.sum(self.probs)) - 1.0) <= TRACE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +69,11 @@ class MarkovMap:
             raise DimensionMismatchError(f"Markov map must be 2-D, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise OutOfRangeError("Markov map entries must be finite")
-        if float(np.min(m)) < -_TOL:
+        if float(np.min(m)) < -SPECTRUM_TOL:
             raise OutOfRangeError("Markov map has a negative entry")
         m = np.maximum(m, 0.0)
         sums = m.sum(axis=0)
-        if float(np.max(sums)) > 1.0 + _TOL:
+        if float(np.max(sums)) > 1.0 + TRACE_TOL:
             raise OutOfRangeError(
                 f"Markov map column sum {float(np.max(sums)):.6f} exceeds one"
             )
@@ -93,7 +91,7 @@ class MarkovMap:
 
     @property
     def deterministic(self) -> bool:
-        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0))) <= _TOL
+        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0))) <= TRACE_TOL
 
 
 def apply_markov(m: MarkovMap, x: ClassicalState) -> ClassicalState:
@@ -137,17 +135,15 @@ def embed_classical(x: ClassicalState) -> QuantumState:
     return QuantumState(np.diag(x.probs.astype(complex)))
 
 
-def classical_falsifier_exists(
-    x: ClassicalState, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[int, ...] | None:
+def classical_falsifier_exists(x: ClassicalState) -> tuple[int, ...] | None:
     """Outcome indices whose occurrence falsifies the declared distribution:
-    {i : x_i <= rank_tol}.  None when every outcome has positive weight
+    {i : x_i <= DEFAULT_RANK_TOL}.  None when every outcome has positive weight
     (nothing can ever be falsified, e.g. a binary coin with p not in {0,1}).
     """
     if not x.deterministic:
         raise NotDeterministicError(
             "falsifier existence is defined for normalized distributions"
         )
-    idx = tuple(int(i) for i in np.nonzero(x.probs <= rank_tol)[0])
+    idx = tuple(int(i) for i in np.nonzero(x.probs <= DEFAULT_RANK_TOL)[0])
     return idx if idx else None
 

@@ -240,7 +240,7 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
         seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
         n_zero, n_one = count_classical_coin(true_p, n_trials, seed)
         extra = {"true_p": float(true_p)}
-    verdict = classical_verdict(declared_p, n_zero, n_one, rank_tol=cfg.rank_tol)
+    verdict = classical_verdict(declared_p, n_zero, n_one, bias_tol=cfg.rank_tol)
     report = {
         "declared_p": float(declared_p),
         **extra,

@@ -30,7 +30,7 @@ from .falsification import (
     falsification_probability,
     support_falsification_test,
 )
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, TRACE_TOL
 from .quantum import QuantumState
 
 # Campaign trials consume variates of Philox, a counter-based stream keyed by
@@ -93,45 +93,35 @@ def _tally(
     uniforms, where label maps uniforms to per-trial outcomes and count
     maps outcomes to an exact integer total.
 
-    When trace is given, it is called once as trace(head, label_chunks) in
-    one ordered pass, where label_chunks yields each chunk's outcomes in
-    trial order (valid until the next is drawn); the chunks it leaves
-    unread are still counted.  Otherwise contiguous stripes of the trials
-    are counted on min(_cpus(), chunks) threads, the caller's among them,
-    with buffers of _CHUNK values in all.  An exception in any stripe stops
-    the others at their next chunk and reaches the caller; every thread is
-    joined before _tally returns or raises.
+    Contiguous stripes of the trials are counted on min(_cpus(), chunks)
+    threads, the caller's among them, with buffers of _CHUNK values in all.
+    An exception in any stripe stops the others at their next chunk and
+    reaches the caller; every thread is joined before _tally returns or
+    raises.  Given a trace, the one stripe is stripe 0, and trace(head,
+    label_chunks) gets its chunks' outcomes in trial order (each valid until
+    the next is drawn); the chunks it leaves unread are still counted.
     """
-    if trace is not None:
-        total = 0
-
-        def label_chunks() -> Iterator[np.ndarray]:
-            nonlocal total
-            for u in _stripe(master_seed, 0, n_trials, _CHUNK):
-                outcomes = label(u)
-                total = total + count(outcomes)
-                yield outcomes
-
-        chunks = label_chunks()
-        trace(head, chunks)
-        for _ in chunks:
-            pass
-        return total
-
-    workers = min(_cpus(), -(-n_trials // _CHUNK))
+    workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
     bounds = [n_trials * k // workers for k in range(workers + 1)]
     totals: list[Any] = [0] * workers
     errors: list[BaseException] = []
     stop = threading.Event()
 
-    def run(k: int) -> None:
-        total = 0
+    def label_chunks(k: int) -> Iterator[np.ndarray]:
         for u in _stripe(master_seed, bounds[k], bounds[k + 1], size):
             if stop.is_set():
                 return
-            total = total + count(label(u))
-        totals[k] = total
+            outcomes = label(u)
+            totals[k] = totals[k] + count(outcomes)
+            yield outcomes
+
+    def run(k: int) -> None:
+        chunks = label_chunks(k)
+        if trace is not None:
+            trace(head, chunks)
+        for _ in chunks:
+            pass
 
     def work(k: int) -> None:
         try:
@@ -181,7 +171,7 @@ class NaryGenerator:
             raise OutOfRangeError("generator parameters must be finite")
         if min(probs) < -1e-12:
             raise OutOfRangeError("outcome weights must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-10:
+        if abs(sum(probs) - 1.0) > TRACE_TOL:
             raise OutOfRangeError(
                 f"outcome weights sum to {sum(probs)!r}, expected 1"
             )
@@ -343,21 +333,21 @@ def falsify_campaign(
 
 
 def classical_verdict(
-    declared_p: float, n_zero: int, n_one: int, rank_tol: float = DEFAULT_RANK_TOL
+    declared_p: float, n_zero: int, n_one: int, bias_tol: float = DEFAULT_RANK_TOL
 ) -> BaselineVerdict:
     """Logical falsifiability of a classical coin declaring P(outcome 0) = p,
     given how often each outcome occurred.
 
     For p strictly inside (0, 1) both outcomes have positive probability, so
     no outcome sequence can refute the declaration.  Only the deterministic
-    endpoints are falsifiable: p = 1 is refuted by any outcome 1, p = 0 by
-    any outcome 0.
+    endpoints (within the absolute bias_tol) are falsifiable: p = 1 is
+    refuted by any outcome 1, p = 0 by any outcome 0.
     """
     if not (np.isfinite(declared_p) and 0.0 <= declared_p <= 1.0):
         raise OutOfRangeError(f"declared_p={declared_p!r} outside [0, 1]")
-    if declared_p >= 1.0 - rank_tol:
+    if declared_p >= 1.0 - bias_tol:
         hit = n_one > 0
-    elif declared_p <= rank_tol:
+    elif declared_p <= bias_tol:
         hit = n_zero > 0
     else:
         return BaselineVerdict.NOT_FALSIFIABLE

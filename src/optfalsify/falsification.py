@@ -21,8 +21,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    SPECTRUM_TOL,
+    _hermitian,
     as_matrix,
-    dagger,
     is_hermitian,
     projector_rank,
     support_projector,
@@ -38,17 +39,17 @@ class TestOutcome(Enum):
 @dataclass(frozen=True, eq=False)
 class SupportHypothesis:
     """Claim that a state's support lies inside the subspace projected onto
-    by `projector`.  Only proper subspaces are falsifiable, so a full-space
-    projector is rejected outright."""
+    by `projector`, idempotent within SPECTRUM_TOL.  Only proper subspaces
+    are falsifiable, so a full-space projector is rejected outright."""
 
     projector: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
         p = as_matrix(self.projector, square=True, name="hypothesis projector")
-        if not is_hermitian(p, 1e-10):
+        if not is_hermitian(p):
             raise OutOfRangeError("hypothesis projector must be Hermitian")
-        if float(np.max(np.abs(p @ p - p))) > 1e-10:
+        if float(np.max(np.abs(p @ p - p))) > SPECTRUM_TOL:
             raise OutOfRangeError("hypothesis projector must be idempotent")
         if p.shape[0] < 2:
             raise DimensionMismatchError(
@@ -59,20 +60,15 @@ class SupportHypothesis:
                 "hypothesis subspace is the whole space; no falsifier exists "
                 "(only the inconclusive test F = 0 remains)"
             )
-        p = (p + dagger(p)) / 2.0
+        p = _hermitian(p, "hypothesis projector")
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
 
     @classmethod
-    def from_state(
-        cls,
-        declared: QuantumState,
-        rank_tol: float = DEFAULT_RANK_TOL,
-        label: str = "",
-    ) -> "SupportHypothesis":
+    def from_state(cls, declared: QuantumState, label: str = "") -> "SupportHypothesis":
         """Hypothesis that a source emits states inside Supp(declared)."""
         return cls(
-            projector=support_projector(declared.spectrum, rank_tol),
+            projector=support_projector(declared.spectrum),
             label=label or "support of declared state",
         )
 

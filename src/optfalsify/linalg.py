@@ -24,6 +24,13 @@ from .errors import (
 # Relative eigenvalue cutoff separating support from kernel.
 DEFAULT_RANK_TOL = 1e-10
 
+# Absolute cutoffs shared by the validating constructors: max|m - m^dag|;
+# how far a trace, total, weight sum or norm may exceed (or, when normalized,
+# miss) one; and how far an eigenvalue or probability may leave [0, 1].
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+SPECTRUM_TOL = 1e-10
+
 # Largest entry modulus a matrix may carry.  The sum or product of two such
 # entries is finite, so Hermiticity checks and symmetrization cannot overflow.
 MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
@@ -65,8 +72,20 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= HERM_TOL
+
+
+def _hermitian(m, name: str) -> np.ndarray:
+    """as_matrix(m), checked Hermitian within HERM_TOL (else NotHermitianError
+    naming it) and symmetrized to exactly Hermitian as (m + m^dag)/2."""
+    m = as_matrix(m, square=True, name=name)
+    if not is_hermitian(m):
+        raise NotHermitianError(
+            f"{name} is not Hermitian: max|m - m^dag| = "
+            f"{np.abs(m - dagger(m)).max():.3e} > {HERM_TOL:.1e}"
+        )
+    return (m + dagger(m)) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +121,7 @@ class HermitianEig:
     vectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> HermitianEig:
+def hermitian_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``zheevd`` through
     ``np.linalg.eigh``).
 
@@ -113,17 +132,12 @@ def hermitian_eig(m, tol: float = 1e-10) -> HermitianEig:
     positive.  Identical input bits give identical output bits on a given
     platform and BLAS.  Raises OutOfRangeError for an entry that is not
     finite or exceeds MAX_ENTRY in modulus, NotHermitianError if
-    max|m - m^dag| > tol and EigConvergenceError if LAPACK does not
+    max|m - m^dag| > HERM_TOL and EigConvergenceError if LAPACK does not
     converge.  The input is symmetrized as (m + m^dag)/2 before it is
     decomposed; an exactly Hermitian input is decomposed as it is, which is
     how a QuantumState's cached spectrum equals hermitian_eig(state.matrix).
     """
-    m = as_matrix(m, square=True, name="hermitian_eig input")
-    if not is_hermitian(m, tol):
-        raise NotHermitianError(
-            f"hermitian_eig: max|m - m^dag| = {np.max(np.abs(m - dagger(m))):.3e} > {tol:.1e}"
-        )
-    return _eig_core((m + dagger(m)) / 2.0)
+    return _eig_core(_hermitian(m, "hermitian_eig input"))
 
 
 def _eig_core(h: np.ndarray) -> HermitianEig:
@@ -169,9 +183,9 @@ def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
 def _psd_eigs(m, rank_tol: float, name: str) -> HermitianEig:
     """Eigendecomposition plus a PSD check at relative tolerance rank_tol.
 
-    m is a Hermitian matrix, or a HermitianEig already computed, such as
-    the spectrum a validated QuantumState carries; only a matrix is
-    decomposed here."""
+    m is a Hermitian matrix, or a HermitianEig already computed, such as the
+    spectrum QuantumState validation computes; only a matrix is decomposed
+    here."""
     eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
     lam_max = max(float(eig.values[0]), 0.0)
     if float(eig.values[-1]) < -rank_tol * lam_max:
@@ -187,8 +201,7 @@ def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Hermitian PSD up to tolerance."""
     eig = _psd_eigs(m, rank_tol, "support_projector")
     cols = eig.vectors[:, support_mask(eig.values, rank_tol)]
-    p = cols @ dagger(cols)
-    return (p + dagger(p)) / 2.0
+    return _hermitian(cols @ dagger(cols), "support projector")
 
 
 def kernel_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -225,11 +238,11 @@ def doubleket_to_mat(v, rows: int | None = None, cols: int | None = None) -> np.
     return v.reshape(rows, cols).copy()
 
 
-def complete_to_unitary(cols: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary.
 
     Deterministic greedy Gram-Schmidt over the canonical basis in index
-    order; candidates whose residual norm falls below tol are skipped.
+    order; candidates whose residual norm is at most 1e-6 are skipped.
     """
     cols = as_matrix(cols, name="complete_to_unitary input")
     d, k = cols.shape
@@ -247,7 +260,7 @@ def complete_to_unitary(cols: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         for b in basis:
             cand -= np.vdot(b, cand) * b
         nrm = float(np.linalg.norm(cand))
-        if nrm > tol:
+        if nrm > 1e-6:
             basis.append(cand / nrm)
     if len(basis) != d:
         raise DimensionMismatchError(

@@ -333,28 +333,10 @@ def check_dilation(
             kraus[-1] *= 0.95
             try:
                 dilate(KrausChannel(tuple(kraus)))
+                note = "mis-normalized Kraus family was not rejected"
             except OptFalsifyError as exc:
-                results.append(
-                    PropertyResult(
-                        name="injected-fault-kraus-norm",
-                        cases=1,
-                        worst=float("inf"),
-                        bound=0.0,
-                        passed=False,
-                        note=f"injected fault surfaced as expected: {exc}",
-                    )
-                )
-                continue
-            results.append(
-                PropertyResult(
-                    name="injected-fault-kraus-norm",
-                    cases=1,
-                    worst=float("inf"),
-                    bound=0.0,
-                    passed=False,
-                    note="mis-normalized Kraus family was not rejected",
-                )
-            )
+                note = f"injected fault surfaced as expected: {exc}"
+            results.append(_result("injected-fault-kraus-norm", 1, np.inf, 0.0, note))
             continue
         ch = KrausChannel(tuple(kraus))
         dil = dilate(ch)

@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     NotCompressibleError,
     NotDeterministicError,
-    NotHermitianError,
     NotPSDError,
     NotTracePreservingError,
     NumericalContaminationError,
@@ -27,16 +26,19 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     MAX_ENTRY,
+    SPECTRUM_TOL,
+    TRACE_TOL,
     HermitianEig,
     _eig_core,
     _extreme_eigvals,
+    _hermitian,
+    _psd_eigs,
     as_matrix,
     complete_to_unitary,
     dagger,
     doubleket_to_mat,
     entries_bounded,
     hermitian_eig,
-    is_hermitian,
     mat_to_doubleket,
     partial_trace,
     support_mask,
@@ -45,9 +47,6 @@ from .linalg import (
     unbounded_entries,
 )
 
-_HERM_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_SPECTRUM_TOL = 1e-10
 _ORTHOGONALITY_TOL = 1e-8
 
 
@@ -56,17 +55,28 @@ def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
     object.__setattr__(obj, field_name, value)
 
 
-def _unit_vector(vector, name: str) -> np.ndarray:
-    """vector / its 2-norm, flattened; OutOfRangeError for a zero vector, an
-    entry that as_matrix would reject, or a norm that overflows."""
+def _is_zero(m: np.ndarray) -> bool:
+    """True when every entry of m has modulus at most SPECTRUM_TOL."""
+    return float(np.max(np.abs(m))) <= SPECTRUM_TOL
+
+
+def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
+    """A fresh flattened complex copy of vector and its 2-norm (inf when it
+    overflows); OutOfRangeError for an entry that as_matrix would reject."""
     try:
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = np.array(vector, dtype=complex).reshape(-1)
     except OverflowError:  # a Python integer beyond float range
         raise unbounded_entries(name) from None
     if v.size and not entries_bounded(v):
         raise unbounded_entries(name)
     with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(v))
+        return v, float(np.linalg.norm(v))
+
+
+def _unit_vector(vector, name: str) -> np.ndarray:
+    """vector / its 2-norm, flattened; OutOfRangeError for a zero vector, an
+    entry that as_matrix would reject, or a norm that overflows."""
+    v, nrm = _bounded_vector(vector, name)
     if nrm == 0.0:
         raise OutOfRangeError(f"{name} must be nonzero")
     if not np.isfinite(nrm):
@@ -76,9 +86,9 @@ def _unit_vector(vector, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Sub-normalized density matrix: Hermitian, PSD within rank_tol, trace
-    in (0, 1 + 1e-10].  Negative eigenvalues within -rank_tol*lam_max are
-    treated as zero rather than rejected.
+    """Sub-normalized density matrix: Hermitian, PSD, trace in
+    (0, 1 + TRACE_TOL].  Negative eigenvalues within -DEFAULT_RANK_TOL*lam_max
+    are treated as zero rather than rejected.
 
     The eigendecomposition that validation computes is kept, read-only, as
     `spectrum`; it is not a field, so repr and equality ignore it."""
@@ -86,18 +96,10 @@ class QuantumState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix, square=True, name="state matrix")
-        if not is_hermitian(m, _HERM_TOL):
-            raise NotHermitianError("state matrix is not Hermitian within 1e-10")
-        m = (m + dagger(m)) / 2.0
-        eig = _eig_core(m)
-        lam_max = max(float(eig.values[0]), 0.0)
-        if float(eig.values[-1]) < -DEFAULT_RANK_TOL * lam_max:
-            raise NotPSDError(
-                f"state matrix has eigenvalue {eig.values[-1]:.3e} below tolerance"
-            )
+        m = _hermitian(self.matrix, "state matrix")
+        eig = _psd_eigs(_eig_core(m), DEFAULT_RANK_TOL, "state matrix")
         tr = float(np.trace(m).real)
-        if not 0.0 < tr <= 1.0 + _TRACE_TOL:
+        if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise OutOfRangeError(f"state trace {tr!r} outside (0, 1]")
         _frozen_array(self, "matrix", m)
         # m is exactly Hermitian, so hermitian_eig(self.matrix) would return
@@ -132,8 +134,8 @@ class QuantumState:
 
     @property
     def deterministic(self) -> bool:
-        """True when the state is normalized (trace one within 1e-10)."""
-        return abs(self.trace - 1.0) <= _TRACE_TOL
+        """True when the state is normalized (trace one within TRACE_TOL)."""
+        return abs(self.trace - 1.0) <= TRACE_TOL
 
     def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return int(np.count_nonzero(support_mask(self.spectrum.values, rank_tol)))
@@ -141,7 +143,7 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Measurement element: Hermitian with spectrum in [0, 1] within 1e-10.
+    """Measurement element: Hermitian, spectrum in [0, 1] within SPECTRUM_TOL.
 
     Validation reads only the lowest and highest eigenvalue, by
     ``np.linalg.eigvalsh``; no eigenvectors are computed or kept."""
@@ -149,14 +151,11 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix, square=True, name="effect matrix")
-        if not is_hermitian(m, _HERM_TOL):
-            raise NotHermitianError("effect matrix is not Hermitian within 1e-10")
-        m = (m + dagger(m)) / 2.0
+        m = _hermitian(self.matrix, "effect matrix")
         lowest, highest = _extreme_eigvals(m)
-        if lowest < -_SPECTRUM_TOL:
+        if lowest < -SPECTRUM_TOL:
             raise NotPSDError(f"effect has eigenvalue {lowest:.3e} below zero")
-        if highest > 1.0 + _SPECTRUM_TOL:
+        if highest > 1.0 + SPECTRUM_TOL:
             raise OutOfRangeError(f"effect has eigenvalue {highest:.3e} above one")
         _frozen_array(self, "matrix", m)
 
@@ -175,7 +174,7 @@ class Effect:
 
     @property
     def is_zero(self) -> bool:
-        return float(np.max(np.abs(self.matrix))) <= _SPECTRUM_TOL
+        return _is_zero(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +202,8 @@ class KrausChannel:
                 "channel is not trace-nonincreasing: sum A^dag A has an entry "
                 f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
             )
-        if not is_hermitian(gram, _HERM_TOL):
-            raise NotHermitianError(
-                "channel gram sum A^dag A is not Hermitian: max|G - G^dag| = "
-                f"{np.abs(gram - dagger(gram)).max():.3e} > {_HERM_TOL:.1e}"
-            )
-        _, top = _extreme_eigvals((gram + dagger(gram)) / 2.0)
-        if top > 1.0 + _SPECTRUM_TOL:
+        _, top = _extreme_eigvals(_hermitian(gram, "channel gram sum A^dag A"))
+        if top > 1.0 + SPECTRUM_TOL:
             raise OutOfRangeError(
                 "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
                 f"(top eigenvalue {top:.6f})"
@@ -237,10 +231,10 @@ class KrausChannel:
 
     @property
     def deterministic(self) -> bool:
-        """True when trace-preserving: sum A^dag A = I within 1e-10."""
+        """True when trace-preserving: sum A^dag A = I within TRACE_TOL."""
         gram = getattr(self, "_gram")
         eye = np.eye(self.dim_in, dtype=complex)
-        return float(np.max(np.abs(gram - eye))) <= _TRACE_TOL
+        return float(np.max(np.abs(gram - eye))) <= TRACE_TOL
 
 
 def born_probability(rho: QuantumState, effect: Effect) -> float:
@@ -277,12 +271,12 @@ class Purification:
     dim_b: int
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.state_vector, dtype=complex).reshape(-1).copy()
+        v, nrm = _bounded_vector(self.state_vector, "purification vector")
         if self.dim_a < 1 or self.dim_b < 1 or v.size != self.dim_a * self.dim_b:
             raise DimensionMismatchError(
                 f"purification vector length {v.size} != {self.dim_a}x{self.dim_b}"
             )
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= TRACE_TOL:
             raise OutOfRangeError("purification vector must have unit norm")
         _frozen_array(self, "state_vector", v)
 
@@ -308,9 +302,7 @@ def purify(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> Purificatio
     return Purification(state_vector=psi, dim_a=rho.dim, dim_b=int(lams.size))
 
 
-def connecting_unitary(
-    p1: Purification, p2: Purification, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
     """Unitary U on the environment with (I (x) U) psi1 = psi2.
 
     Both purifications must share dim_a and dim_b and reduce to the same
@@ -337,9 +329,8 @@ def connecting_unitary(
         raise PurificationMismatchError(
             "purifications reduce to different marginals"
         )
-    rho = (rho1 + rho2 + dagger(rho1 + rho2)) / 4.0
-    eig = hermitian_eig(rho)
-    keep = support_mask(eig.values, rank_tol)
+    eig = hermitian_eig((rho1 + rho2) / 2.0)
+    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
     lams = eig.values[keep]
     vecs = eig.vectors[:, keep]
     scale = 1.0 / np.sqrt(lams)
@@ -364,27 +355,21 @@ class DiscriminationResult:
     falsifier_nu: Effect | None
 
 
-def perfectly_discriminable(
-    rho: QuantumState, nu: QuantumState, rank_tol: float = DEFAULT_RANK_TOL
-) -> DiscriminationResult:
+def perfectly_discriminable(rho: QuantumState, nu: QuantumState) -> DiscriminationResult:
     """States are perfectly discriminable in one shot iff their supports are
     orthogonal (max entry of P_rho P_nu at most 1e-8).  The falsifier for
     each state is the projector onto its kernel, which captures the other
     state entirely in the discriminable case."""
     if rho.dim != nu.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {nu.dim}")
-    p_rho = support_projector(rho.spectrum, rank_tol)
-    p_nu = support_projector(nu.spectrum, rank_tol)
+    p_rho = support_projector(rho.spectrum)
+    p_nu = support_projector(nu.spectrum)
     overlap = float(np.max(np.abs(p_rho @ p_nu)))
     dim = rho.dim
     k_rho = np.eye(dim, dtype=complex) - p_rho
     k_nu = np.eye(dim, dtype=complex) - p_nu
-    falsifier_rho = None
-    if float(np.max(np.abs(k_rho))) > _SPECTRUM_TOL:
-        falsifier_rho = Effect(k_rho)
-    falsifier_nu = None
-    if float(np.max(np.abs(k_nu))) > _SPECTRUM_TOL:
-        falsifier_nu = Effect(k_nu)
+    falsifier_rho = None if _is_zero(k_rho) else Effect(k_rho)
+    falsifier_nu = None if _is_zero(k_nu) else Effect(k_nu)
     return DiscriminationResult(
         discriminable=overlap <= _ORTHOGONALITY_TOL,
         overlap=overlap,
@@ -406,16 +391,14 @@ class CompressionResult:
         return QuantumState(dagger(v) @ self.state.matrix @ v)
 
 
-def compress(
-    rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL
-) -> CompressionResult:
+def compress(rho: QuantumState) -> CompressionResult:
     """Lossless restriction of a rank-deficient state to its support.
 
     Returns V of shape (rank, dim) with V V^dag = I_rank and the state
     V rho V^dag.  Full-rank states raise NotCompressibleError.
     """
     eig = rho.spectrum
-    keep = support_mask(eig.values, rank_tol)
+    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
     rank = int(np.count_nonzero(keep))
     if rank == rho.dim:
         raise NotCompressibleError(
@@ -443,9 +426,7 @@ class CanonicalForm:
         return out
 
 
-def canonical_form(
-    r: QuantumState, rank_tol: float = DEFAULT_RANK_TOL
-) -> CanonicalForm:
+def canonical_form(r: QuantumState) -> CanonicalForm:
     """Spectral double-ket decomposition of a state on a d x d bipartite
     space: A_j = sqrt(lam_j) unvec(v_j) for each kept eigenpair."""
     d = int(round(np.sqrt(r.dim)))
@@ -454,7 +435,7 @@ def canonical_form(
             f"canonical_form needs a bipartite d^2 dimension, got {r.dim}"
         )
     eig = r.spectrum
-    keep = support_mask(eig.values, rank_tol)
+    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
     ops = []
     weights = []
     for lam, vec in zip(eig.values[keep], eig.vectors[:, keep].T):
@@ -474,9 +455,7 @@ class LocalFalsifier:
     degenerate: bool
 
 
-def local_falsifier(
-    a_op, a_vec, rank_tol: float = DEFAULT_RANK_TOL
-) -> LocalFalsifier:
+def local_falsifier(a_op, a_vec) -> LocalFalsifier:
     """Given A != 0 on a d x d bipartite space (d >= 2) and a unit vector a,
     pick b orthogonal to (A^dag a)* so that (<a| (x) <b|) |A>> = 0.
 
@@ -492,15 +471,15 @@ def local_falsifier(
     scale = float(np.linalg.norm(a_mat))
     if scale == 0.0:
         raise OutOfRangeError("local_falsifier: operator must be nonzero")
-    a = np.asarray(a_vec, dtype=complex).reshape(-1)
+    a, nrm = _bounded_vector(a_vec, "local_falsifier vector a")
     if a.size != d:
         raise DimensionMismatchError(
             f"vector length {a.size} does not match operator dim {d}"
         )
-    if abs(np.linalg.norm(a) - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:
         raise OutOfRangeError("local_falsifier: vector a must have unit norm")
     c = np.conj(dagger(a_mat) @ a)
-    if float(np.linalg.norm(c)) <= rank_tol * scale:
+    if float(np.linalg.norm(c)) <= DEFAULT_RANK_TOL * scale:
         b = np.zeros(d, dtype=complex)
         b[0] = 1.0
         degenerate = True
@@ -525,8 +504,6 @@ class Dilation:
     unitary: np.ndarray
     dim_sys: int
     dim_env: int
-    ancilla: QuantumState
-    projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         u = as_matrix(self.unitary, square=True, name="dilation unitary")
@@ -547,12 +524,14 @@ class Dilation:
             raise DimensionMismatchError(
                 f"state dim {rho.dim} != system dim {self.dim_sys}"
             )
-        if not 0 <= k < len(self.projectors):
+        if not 0 <= k < self.dim_env:
             raise OutOfRangeError(f"branch index {k} out of range")
-        joint = tensor(rho.matrix, self.ancilla.matrix)
+        # The ancilla |0><0| and the outcome projector |k><k|, exactly 0/1.
+        env = np.eye(self.dim_env, dtype=complex)
+        joint = tensor(rho.matrix, np.outer(env[0], env[0]))
         evolved = self.unitary @ joint @ dagger(self.unitary)
         picked = evolved @ tensor(
-            np.eye(self.dim_sys, dtype=complex), self.projectors[k]
+            np.eye(self.dim_sys, dtype=complex), np.outer(env[k], env[k])
         )
         return partial_trace(picked, self.dim_sys, self.dim_env, keep="A")
 
@@ -588,20 +567,7 @@ def dilate(channel: KrausChannel) -> Dilation:
         u[:, col] = w[:, j]
     for j, col in enumerate(free):
         u[:, col] = w[:, d + j]
-    ancilla_vec = np.zeros(n_env, dtype=complex)
-    ancilla_vec[0] = 1.0
-    projectors = []
-    for k in range(n_env):
-        p = np.zeros((n_env, n_env), dtype=complex)
-        p[k, k] = 1.0
-        projectors.append(p)
-    return Dilation(
-        unitary=u,
-        dim_sys=d,
-        dim_env=n_env,
-        ancilla=QuantumState.pure(ancilla_vec),
-        projectors=tuple(projectors),
-    )
+    return Dilation(unitary=u, dim_sys=d, dim_env=n_env)
 
 
 def state_support(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -200,6 +200,23 @@ class TestEntryBound:
         m = build([1e150, 1e150j]).matrix
         np.testing.assert_allclose(m, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: Purification(v, 2, 1), "purification vector"),
+            (lambda v: local_falsifier(np.eye(2), v), "local_falsifier vector a"),
+        ],
+        ids=["Purification", "local_falsifier"],
+    )
+    def test_unit_norm_vector(self, build, name):
+        # Bad entries are rejected by name before any norm is taken; a norm
+        # that overflows from entries inside the bound is not a unit norm.
+        for vector in ([np.nan, 0.0], [1e200, 0.0], [10**400, 0], [self.BEYOND, 0.0]):
+            with pytest.raises(OutOfRangeError, match=name):
+                build(vector)
+        with pytest.raises(OutOfRangeError, match="must have unit norm"):
+            build([1e154, 1e154])
+
 
 class TestBornProbability:
     def test_basis_readout(self):
@@ -529,6 +546,16 @@ class TestDilate:
         dil = dilate(KrausChannel((random_unitary(2, rng),)))
         with pytest.raises(OutOfRangeError):
             dil.branch(QuantumState.maximally_mixed(2), 5)
+
+    def test_keeps_no_derived_data(self, rng):
+        dil = dilate(KrausChannel(tuple(random_kraus_tp(2, 3, rng))))
+        fields = {f.name for f in dataclasses.fields(dil)}
+        assert fields == {"unitary", "dim_sys", "dim_env"}
+        rho = QuantumState.maximally_mixed(2)
+        assert dil.branch(rho, dil.dim_env - 1).shape == (2, 2)
+        for k in (-1, dil.dim_env):
+            with pytest.raises(OutOfRangeError):
+                dil.branch(rho, k)
 
 
 class TestCachedSpectrum:
