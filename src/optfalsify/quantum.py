@@ -445,6 +445,12 @@ def canonical_form(r: QuantumState) -> CanonicalForm:
     return CanonicalForm(operators=tuple(ops), weights=np.array(weights))
 
 
+# Smallest |A|_F that local_falsifier uses unscaled: above it, a
+# non-degenerate c = (A^dag a)*, with |c| > DEFAULT_RANK_TOL * |A|_F, has a
+# normal (full-precision) |c|^2.
+_MIN_SCALE = float(np.sqrt(np.finfo(float).tiny)) / DEFAULT_RANK_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class LocalFalsifier:
     """Product falsifier a (x) b for the hypothesis that a bipartite pure
@@ -468,7 +474,16 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
         raise DimensionMismatchError(
             "local falsifier needs local dimension >= 2"
         )
-    scale = float(np.linalg.norm(a_mat))
+    with np.errstate(over="ignore", under="ignore"):
+        scale = float(np.linalg.norm(a_mat))
+    if np.any(a_mat) and not _MIN_SCALE <= scale < np.inf:
+        # Squares of A's or c's entries over- or underflow.  The falsifier
+        # does not change when A is scaled by a positive number, so bring
+        # its largest entry to 1 (part by part: a complex division by a
+        # subnormal overflows).
+        top = np.max(np.abs(a_mat))
+        a_mat = a_mat.real / top + 1j * (a_mat.imag / top)
+        scale = float(np.linalg.norm(a_mat))
     if scale == 0.0:
         raise OutOfRangeError("local_falsifier: operator must be nonzero")
     a, nrm = _bounded_vector(a_vec, "local_falsifier vector a")

@@ -203,37 +203,62 @@ def report_to_json(report: CampaignReport) -> dict:
     return asdict(report)
 
 
-def write_trace_csv(
-    path: str, outcomes, p_theoretical, seed: int, codes=None
-) -> None:
+# The trace is encoded at most this many rows at a time, in blocks whose
+# trial indices share one decimal width (blocks also end at each power of
+# ten), so no Python code runs per row and memory does not grow with
+# n_trials.  The bytes are the same at any block size.
+_BLOCK = 8192
+
+
+def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> None:
     """Per-trial trace with columns trial,outcome,p_theoretical,seed.
 
     A trial with outcome code c gets the row outcomes[c], p_theoretical[c],
     seed; p_theoretical may instead be a single probability shared by every
     code.  codes yields the trials' codes as consecutive integer (or boolean)
-    arrays, in trial order; without it, trial i has code i, one row per
-    entry of outcomes.  The row text after the trial index is formatted once
-    per code, and each array of codes is written as one string.
+    arrays, in trial order.  The row text after the trial index is encoded
+    once per code, NUL-padded to a common width; each block of rows is
+    assembled as uint8 bytes (index digits, then the code's text) and
+    written without its padding; no byte of a row's text is NUL.
     """
-    scalar = isinstance(p_theoretical, (int, float, np.floating, np.integer))
-    if scalar:
+    if isinstance(p_theoretical, (int, float, np.floating, np.integer)):
         p_theoretical = [p_theoretical] * len(outcomes)
-    if codes is None:
-        codes = [np.arange(len(outcomes))]
-    tails = np.array(
-        [
-            f",{label},{float_literal(p)},{seed}\n"
-            for label, p in zip(outcomes, p_theoretical, strict=True)
-        ],
-        dtype=object,
-    )
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("trial,outcome,p_theoretical,seed\n")
+    tails = [
+        f",{label},{float_literal(p)},{seed}\n".encode("ascii")
+        for label, p in zip(outcomes, p_theoretical, strict=True)
+    ]
+    width = max(map(len, tails))
+    table = np.zeros((len(tails), width), dtype=np.uint8)
+    for row, tail in zip(table, tails):
+        row[: len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"trial,outcome,p_theoretical,seed\n")
         start = 0
         for chunk in codes:
-            rows = tails[np.asarray(chunk, dtype=np.intp)].tolist()
-            fh.write("".join([f"{i}{t}" for i, t in enumerate(rows, start)]))
-            start += len(rows)
+            chunk = np.asarray(chunk)
+            lo = 0
+            while lo < len(chunk):
+                first = start + lo
+                nd = len(str(first))
+                hi = min(len(chunk), lo + _BLOCK, 10**nd - start)
+                rows = np.empty((hi - lo, nd + width), dtype=np.uint8)
+                rows[:, :nd] = _digits(first, hi - lo, nd).T
+                np.take(table, chunk[lo:hi], axis=0, out=rows[:, nd:])
+                fh.write(rows[rows != 0])
+                lo = hi
+            start += len(chunk)
+
+
+def _digits(first: int, m: int, nd: int) -> np.ndarray:
+    """(nd, m) ASCII decimal digits of first, ..., first + m - 1, most
+    significant first; each index must have exactly nd digits."""
+    out = np.empty((nd, m), dtype=np.uint8)
+    idx = np.arange(first, first + m, dtype=np.uint64)
+    ten = np.uint64(10)
+    for k in range(nd - 1, -1, -1):
+        idx, out[k] = np.divmod(idx, ten)
+    out += ord("0")
+    return out
 
 
 def json_loads(text: str) -> Any:

@@ -375,10 +375,11 @@ class TestStreamedCampaign:
         args = ["falsify-coin", "--config", config, "--out", str(tmp_path / "r.json"),
                 "--csv", str(tmp_path / "t.csv")]
         cli_main(args)
-        # The row text of one 2^16-trial chunk traces at about 10 MiB; a
-        # bulk draw of 1e6 uniforms would add 8 MB on top of it.
+        # One 2^16-trial chunk and one encoded block of rows trace at about
+        # 1.6 MiB; a bulk draw of 1e6 uniforms would add 8 MB, and one
+        # chunk's rows held as Python strings about 8 MiB.
         peak = self._traced_peak(cli_main, args)
-        assert peak < 12 * 2**20
+        assert peak < 4 * 2**20
 
 
 
@@ -434,9 +435,10 @@ class TestStreamedSample:
     def test_cli_trace_memory_bounded(self, tmp_path):
         args = self._args(tmp_path, 1_000_000) + ["--csv", os.devnull]
         cli_main(args)
-        # The row text of one 2^16-trial chunk traces at about 10 MiB; a
-        # bulk draw of 1e6 uniforms and their codes would add 16 MB to it.
-        assert TestStreamedCampaign._traced_peak(cli_main, args) < 12 * 2**20
+        # One 2^16-trial chunk and one encoded block of rows trace at about
+        # 1.8 MiB; a bulk draw of 1e6 uniforms and their codes would add
+        # 16 MB, and one chunk's rows held as Python strings about 7 MiB.
+        assert TestStreamedCampaign._traced_peak(cli_main, args) < 4 * 2**20
 
     def test_many_outcomes_memory_bounded(self, tmp_path):
         config = tmp_path / "wide.json"

@@ -492,6 +492,39 @@ class TestLocalFalsifier:
         with pytest.raises(OutOfRangeError):
             local_falsifier(np.eye(2), [1.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale", [1e154, 1e-160, 1e-200], ids=["overflow", "subnormal", "underflow"]
+    )
+    def test_norm_out_of_float_range(self, scale):
+        # |A|_F^2 overflows, is subnormal or underflows to 0 although every
+        # entry is in range; the falsifier must still be the one of I, and
+        # never fire on |I>>/sqrt(2).
+        for a in ([0.6, 0.8], [1.0, 0.0]):
+            lf = local_falsifier(np.eye(2) * scale, a)
+            assert not lf.degenerate
+            unit = local_falsifier(np.eye(2), a)
+            assert np.array_equal(lf.effect.matrix, unit.effect.matrix)
+        psi = QuantumState.pure(mat_to_doubleket(np.eye(2)))
+        assert born_probability(psi, lf.effect) == 0.0
+
+    def test_ordinary_operator_bits_unchanged(self, rng):
+        # Inputs whose norm is in range are used as given: b follows the
+        # unscaled formula bit for bit.
+        for dim, mag in ((2, 1.0), (2, 1e-3), (3, 1e5), (3, 1.0), (4, 1e-7)):
+            a_op = random_complex_matrix(dim, dim, rng) * mag
+            a = random_unit_vector(dim, rng)
+            c = np.conj(a_op.conj().T @ a)
+            j = int(np.argmin(np.abs(c)))
+            b = np.zeros(dim, dtype=complex)
+            b[j] = 1.0
+            b = b - c * (np.conj(c[j]) / float(np.vdot(c, c).real))
+            b = b / np.linalg.norm(b)
+            lf = local_falsifier(a_op, a)
+            assert np.array_equal(lf.vector_b, b)
+            expected = Effect(tensor(np.outer(a, a.conj()), np.outer(b, b.conj())))
+            assert np.array_equal(lf.effect.matrix, expected.matrix)
+
 
 class TestDilate:
     def test_dephasing_unitary_by_hand(self):

@@ -1,7 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from optfalsify import QuantumState, make_coin, purify
+from optfalsify import QuantumState, make_coin, purify, serialize
 from optfalsify.errors import OutOfRangeError, SchemaError
 from optfalsify.random_ops import random_density_matrix
 from optfalsify.serialize import (
@@ -235,7 +238,8 @@ class TestFiles:
 
     def test_trace_csv_scalar_probability(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), ["INCONCLUSIVE", "FALSIFIED"], 0.5, 9)
+        codes = [np.array([0, 1])]
+        write_trace_csv(str(path), ["INCONCLUSIVE", "FALSIFIED"], 0.5, 9, codes)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,outcome,p_theoretical,seed"
         assert lines[1] == "0,INCONCLUSIVE,0.5,9"
@@ -243,7 +247,69 @@ class TestFiles:
 
     def test_trace_csv_per_trial_probability(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), [0, 1], [0.25, 0.75], 3)
+        write_trace_csv(str(path), [0, 1], [0.25, 0.75], 3, [np.array([0, 1])])
         lines = path.read_text().splitlines()
         assert lines[1] == "0,0,0.25,3"
         assert lines[2] == "1,1,0.75,3"
+
+
+def reference_trace(outcomes, probs, seed, chunks) -> bytes:
+    """The trace CSV written row by row with the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
+    codes = np.concatenate(chunks).astype(int).tolist() if chunks else []
+    writer.writerows(
+        [i, outcomes[c], format(probs[c], ".17g"), seed] for i, c in enumerate(codes)
+    )
+    return buf.getvalue().encode("ascii")
+
+
+def split(codes, size):
+    return [codes[lo : lo + size] for lo in range(0, len(codes), size)]
+
+
+class TestTraceEncoder:
+    """write_trace_csv's bytes against a row-by-row reference, across the
+    decimal widths of the trial index, code types, tail lengths and chunk
+    and block sizes."""
+
+    COIN = ("INCONCLUSIVE", "FALSIFIED")
+    # Tails of different lengths: 0.1 is written with 17 digits.
+    PROBS = [0.25, 0.1, 0.65]
+
+    def _check(self, tmp_path, outcomes, p, seed, chunks):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), outcomes, p, seed, iter(chunks))
+        probs = [p] * len(outcomes) if isinstance(p, float) else p
+        assert path.read_bytes() == reference_trace(outcomes, probs, seed, chunks)
+
+    def test_tail_literals(self, tmp_path):
+        self._check(tmp_path, range(3), self.PROBS, 5, [np.array([0, 1, 2])])
+        text = (tmp_path / "trace.csv").read_text()
+        assert text.splitlines()[1:] == [
+            "0,0,0.25,5",
+            "1,1,0.10000000000000001,5",
+            "2,2,0.65000000000000002,5",
+        ]
+
+    @pytest.mark.parametrize("block", [1, 5, 8192])
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    def test_chunk_and_block_sizes(self, tmp_path, monkeypatch, size, block):
+        # 1234 trials cross the index widths 1 -> 2 -> 3 -> 4 inside chunks
+        # and blocks of every size here.
+        monkeypatch.setattr(serialize, "_BLOCK", block)
+        rng = np.random.default_rng(size)
+        fired = rng.random(1234) < 0.3
+        self._check(tmp_path, self.COIN, 0.3, 17, split(fired, size))
+        codes = rng.integers(0, 3, 1234)
+        self._check(tmp_path, range(3), self.PROBS, 0, split(codes, size))
+
+    def test_million_boundary(self, tmp_path):
+        # The 6- to 7-digit boundary falls inside the chunk of trials
+        # 983040..1048575, in chunks of the campaigns' 2^16 trials.
+        fired = np.random.default_rng(1).random(1_000_037) < 0.5
+        self._check(tmp_path, self.COIN, 0.5, 123456789, split(fired, 1 << 16))
+
+    def test_no_trials(self, tmp_path):
+        self._check(tmp_path, self.COIN, 0.5, 1, [])
