@@ -7,7 +7,6 @@ from .classical import (
     apply_markov,
     classical_falsifier_exists,
     classical_probability,
-    deterministic_effect,
     embed_classical,
     permutation_map,
 )

@@ -113,11 +113,6 @@ def classical_probability(effect: MarkovMap, x: ClassicalState) -> float:
     return float(effect.matrix[0] @ x.probs)
 
 
-def deterministic_effect(dim: int) -> MarkovMap:
-    """All-ones row: certain outcome, used to take marginals."""
-    return MarkovMap(np.ones((1, dim)))
-
-
 def permutation_map(perm) -> MarkovMap:
     """Reversible classical map sending basis state j to perm[j]."""
     perm = list(perm)

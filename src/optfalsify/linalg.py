@@ -9,6 +9,7 @@ and the row-major double-ket vectorization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,16 +77,47 @@ def is_hermitian(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= HERM_TOL
 
 
-def _hermitian(m, name: str) -> np.ndarray:
-    """as_matrix(m), checked Hermitian within HERM_TOL (else NotHermitianError
-    naming it) and symmetrized to exactly Hermitian as (m + m^dag)/2."""
-    m = as_matrix(m, square=True, name=name)
-    if not is_hermitian(m):
-        raise NotHermitianError(
-            f"{name} is not Hermitian: max|m - m^dag| = "
-            f"{np.abs(m - dagger(m)).max():.3e} > {HERM_TOL:.1e}"
+def _at(name: str, index: int, stack: bool) -> str:
+    """name, followed by the failing index when it belongs to a stack."""
+    return f"{name} [{index}]" if stack else name
+
+
+def _as_stack(m, name: str) -> np.ndarray:
+    """Coerce to a complex (n, d, d) stack of square matrices, with the entry
+    bound of as_matrix checked per matrix (errors name the failing index)."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except OverflowError:  # a Python integer beyond float range
+        raise unbounded_entries(name) from None
+    if a.ndim != 3 or 0 in a.shape or a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(
+            f"{name}: expected a stack of square matrices, got shape {a.shape}"
         )
-    return (m + dagger(m)) / 2.0
+    # NaN fails the comparison, so the first unbounded matrix is the first False.
+    bounded = np.abs(a).max(axis=(1, 2)) <= MAX_ENTRY
+    if not bounded.all():
+        raise unbounded_entries(_at(name, int(np.argmin(bounded)), True))
+    return a
+
+
+def _hermitian(m, name: str, stack: bool = False) -> np.ndarray:
+    """as_matrix(m), checked Hermitian within HERM_TOL (else NotHermitianError
+    naming it) and symmetrized to exactly Hermitian as (m + m^dag)/2.
+
+    With stack=True, m is an (n, d, d) stack (see _as_stack), each matrix is
+    checked and symmetrized on its own, and errors name the first failing
+    index."""
+    a = _as_stack(m, name) if stack else as_matrix(m, square=True, name=name)
+    adj = a.conj().swapaxes(-1, -2)
+    skew = np.abs(a - adj)
+    if not skew.max() <= HERM_TOL:
+        worst = skew.max(axis=(-2, -1)).reshape(-1)
+        k = int(np.argmax(worst > HERM_TOL))
+        raise NotHermitianError(
+            f"{_at(name, k, stack)} is not Hermitian: max|m - m^dag| = "
+            f"{worst[k]:.3e} > {HERM_TOL:.1e}"
+        )
+    return (a + adj) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,29 +169,53 @@ def hermitian_eig(m) -> HermitianEig:
     decomposed; an exactly Hermitian input is decomposed as it is, which is
     how a QuantumState's cached spectrum equals hermitian_eig(state.matrix).
     """
-    return _eig_core(_hermitian(m, "hermitian_eig input"))
+    values, vectors = _eig_core(_hermitian(m, "hermitian_eig input")[None])
+    return HermitianEig(values=values[0], vectors=vectors[0])
 
 
-def _eig_core(h: np.ndarray) -> HermitianEig:
-    """hermitian_eig without its validation: h must be an exactly Hermitian
-    complex array that as_matrix has accepted."""
+@functools.lru_cache(maxsize=64)
+def _grids(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Read-only broadcast index grids for an (n, d, d) stack: the flat
+    offset of each matrix's first eigenvalue (n, 1), the matrix index
+    (n, 1, 1), the row index (d, 1) and the column index (d,).  Cached, so
+    each (n, d) pays for them once."""
+    rows = np.arange(n)[:, None, None]
+    cols = np.arange(d)
+    grids = (rows[:, 0] * d, rows, cols[:, None], cols)
+    for g in grids:
+        g.setflags(write=False)
+    return grids
+
+
+def _eig_core(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig without its validation, on an (n, d, d) stack h of
+    exactly Hermitian complex matrices that _hermitian has accepted: the
+    (n, d) descending eigenvalues and the (n, d, d) eigenvector columns.
+    Each matrix is sorted and phase-fixed on its own."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(f"hermitian_eig: {exc}") from None
-    order = np.argsort(-w, kind="stable")
-    values, vectors = w[order], v[:, order]
+    offsets, rows, rcol, cols = _grids(*w.shape)
+    if (w[:, 1:] > w[:, :-1]).all():
+        # LAPACK's eigenvalues ascend; with no ties the stable descending
+        # order is their reversal.
+        values, vectors = w[:, ::-1].copy(), v[:, :, ::-1].copy()
+    else:
+        order = np.argsort(-w, axis=1, kind="stable")
+        values = w.ravel()[order + offsets]
+        vectors = v[rows, rcol, order[:, None, :]]
     # The pivot is the first large component rather than the largest one, so
     # near-ties in magnitude cannot flip which entry fixes the phase.
     mags = np.abs(vectors)
-    pivot = (mags >= 0.5 * mags.max(axis=0)).argmax(axis=0)
-    cols = np.arange(vectors.shape[1])
-    lead = vectors[pivot, cols]
+    large = mags >= 0.5 * mags.max(axis=1, keepdims=True)
+    pivot = large.argmax(axis=1, keepdims=True)
+    lead = vectors[rows, pivot, cols]
     size = np.abs(lead)
     vectors *= size / lead
     # The product leaves a rounding-level imaginary part on the pivot.
-    vectors[pivot, cols] = size
-    return HermitianEig(values=values, vectors=vectors)
+    vectors[rows, pivot, cols] = size
+    return values, vectors
 
 
 def _extreme_eigvals(h: np.ndarray) -> tuple[float, float]:
@@ -180,26 +236,27 @@ def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
     return values > rank_tol * max(float(values[0]), 0.0)
 
 
-def _psd_eigs(m, rank_tol: float, name: str) -> HermitianEig:
-    """Eigendecomposition plus a PSD check at relative tolerance rank_tol.
-
-    m is a Hermitian matrix, or a HermitianEig already computed, such as the
-    spectrum QuantumState validation computes; only a matrix is decomposed
-    here."""
-    eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
-    lam_max = max(float(eig.values[0]), 0.0)
-    if float(eig.values[-1]) < -rank_tol * lam_max:
-        raise NotPSDError(
-            f"{name}: eigenvalue {eig.values[-1]:.3e} below -rank_tol*lam_max"
-        )
-    return eig
+def _check_psd(
+    values: np.ndarray, rank_tol: float, name: str, stack: bool = False
+) -> None:
+    """NotPSDError unless, in each row of the (n, d) descending eigenvalues,
+    the lowest is at least -rank_tol * lam_max, with lam_max clamped at zero.
+    With stack=True the error names the first failing row."""
+    for k, row in enumerate(values.tolist()):
+        if row[-1] < -rank_tol * max(row[0], 0.0):
+            raise NotPSDError(
+                f"{_at(name, k, stack)}: eigenvalue {row[-1]:.3e} "
+                "below -rank_tol*lam_max"
+            )
 
 
 def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
-    above rank_tol * lam_max.  Input (a matrix or its HermitianEig) must be
-    Hermitian PSD up to tolerance."""
-    eig = _psd_eigs(m, rank_tol, "support_projector")
+    above rank_tol * lam_max.  m is a Hermitian matrix, or a HermitianEig
+    already computed, such as a QuantumState's spectrum (only a matrix is
+    decomposed here); either way it must be PSD at rank_tol (_check_psd)."""
+    eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
+    _check_psd(eig.values[None], rank_tol, "support_projector")
     cols = eig.vectors[:, support_mask(eig.values, rank_tol)]
     return _hermitian(cols @ dagger(cols), "support projector")
 

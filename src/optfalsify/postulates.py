@@ -8,10 +8,14 @@ tolerance it must stay under.  The CLI surfaces these as check-postulates.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from . import quantum
 from .classical import (
     ClassicalState,
     apply_markov,
@@ -31,6 +35,7 @@ from .quantum import (
     Effect,
     KrausChannel,
     QuantumState,
+    _pure_matrix,
     apply_channel,
     born_probability,
     canonical_form,
@@ -82,6 +87,31 @@ def _sub_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+# Drawn matrices are validated this many at a time, so the states and
+# stacks alive at once stay few whatever the number of cases.
+_BLOCK = 64
+
+
+def _validated(
+    cases: Iterable[tuple[np.ndarray, Any]],
+) -> Iterator[tuple[QuantumState, Any]]:
+    """(state, tag) for each drawn (matrix, tag), in draw order; the tag
+    carries whatever else the suite drew for that case.  Each block of
+    _BLOCK cases is validated as one stack per dimension.  Validation draws
+    nothing, so a suite that hands it a lazy stream of draws sees the same
+    cases as one that validates each draw as it comes."""
+    cases = iter(cases)
+    while block := list(itertools.islice(cases, _BLOCK)):
+        by_dim: dict[int, list[int]] = {}
+        for k, (m, _) in enumerate(block):
+            by_dim.setdefault(m.shape[0], []).append(k)
+        states = {}
+        for ks in by_dim.values():
+            stack = np.stack([block[k][0] for k in ks])
+            states.update(zip(ks, quantum._states(stack)))
+        yield from ((states[k], tag) for k, (_, tag) in enumerate(block))
+
+
 def check_doubleket_identity(
     rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 100
 ) -> PropertyResult:
@@ -108,9 +138,9 @@ def check_purification_recovery(
     cases = 0
     note = ""
     for d in dims:
-        for i in range(n_per_dim):
-            rank = 1 + i % d
-            rho = QuantumState(random_density_matrix(d, rng, rank=rank))
+        ranks = (1 + i % d for i in range(n_per_dim))
+        drawn = ((random_density_matrix(d, rng, rank=rank), rank) for rank in ranks)
+        for rho, rank in _validated(drawn):
             pur = purify(rho)
             cases += 1
             if pur.dim_b != rank:
@@ -129,12 +159,23 @@ def check_purification_uniqueness(
     a unitary on the environment alone."""
     worst_recon = 0.0
     worst_unitary = 0.0
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        rank = 1 + i % d
-        rho = QuantumState(random_density_matrix(d, rng, rank=rank))
+    note = ""
+
+    def draws():
+        for i in range(n_cases):
+            d = dims[i % len(dims)]
+            rank = 1 + i % d
+            # The environment of purify(rho) is as large as the drawn rank
+            # (purification-recovery checks this).
+            yield random_density_matrix(d, rng, rank=rank), random_unitary(rank, rng)
+
+    for rho, v in _validated(draws()):
+        d = rho.dim
         p1 = purify(rho)
-        v = random_unitary(p1.dim_b, rng)
+        if p1.dim_b != v.shape[0]:
+            worst_recon = worst_unitary = np.inf
+            note = f"environment dim {p1.dim_b} != rank {v.shape[0]} at dim {d}"
+            continue
         psi2 = tensor(np.eye(d, dtype=complex), v) @ p1.state_vector
         p2 = type(p1)(state_vector=psi2, dim_a=d, dim_b=p1.dim_b)
         u = connecting_unitary(p1, p2)
@@ -143,8 +184,12 @@ def check_purification_uniqueness(
         dev = np.max(np.abs(dagger(u) @ u - np.eye(p1.dim_b)))
         worst_unitary = max(worst_unitary, float(dev))
     return [
-        _result("purification-uniqueness-reconstruction", n_cases, worst_recon, 1e-8),
-        _result("purification-uniqueness-unitarity", n_cases, worst_unitary, 1e-9),
+        _result(
+            "purification-uniqueness-reconstruction", n_cases, worst_recon, 1e-8, note
+        ),
+        _result(
+            "purification-uniqueness-unitarity", n_cases, worst_unitary, 1e-9, note
+        ),
     ]
 
 
@@ -155,6 +200,20 @@ def _support_bruteforce(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     u, s, _ = np.linalg.svd(m)
     cols = u[:, s > rank_tol * s[0]]
     return cols @ cols.conj().T
+
+
+def _orthogonal_pair(
+    d: int, rank: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two trace-one matrices supported on a random rank-`rank` subspace and
+    on its orthogonal complement."""
+    p = random_projector(d, rank, rng)
+    q = np.eye(d, dtype=complex) - p
+    g1 = random_complex_matrix(d, d, rng)
+    g2 = random_complex_matrix(d, d, rng)
+    m1 = p @ g1 @ g1.conj().T @ p
+    m2 = q @ g2 @ g2.conj().T @ q
+    return m1 / np.trace(m1).real, m2 / np.trace(m2).real
 
 
 def check_discrimination(
@@ -170,9 +229,13 @@ def check_discrimination(
     cases = 0
     note = ""
     for d in dims:
-        for i in range(n_random_per_dim):
-            rho = QuantumState(random_density_matrix(d, rng, rank=1 + i % d))
-            nu = QuantumState(random_density_matrix(d, rng, rank=1 + (i // 2) % d))
+        drawn = (
+            (random_density_matrix(d, rng, rank=rank), None)
+            for i in range(n_random_per_dim)
+            for rank in (1 + i % d, 1 + (i // 2) % d)
+        )
+        states = _validated(drawn)
+        for (rho, _), (nu, _) in zip(states, states):  # consecutive pairs
             cases += 1
             got = perfectly_discriminable(rho, nu).discriminable
             overlap = np.trace(
@@ -181,17 +244,14 @@ def check_discrimination(
             if got != bool(abs(overlap) <= 1e-8):
                 disagreements += 1
                 note = f"random pair disagreement at dim {d}"
-    for i in range(n_orthogonal):
-        d = max(dims)
-        rank = 1 + i % (d - 1)
-        p = random_projector(d, rank, rng)
-        q = np.eye(d, dtype=complex) - p
-        g1 = random_complex_matrix(d, d, rng)
-        g2 = random_complex_matrix(d, d, rng)
-        m1 = p @ g1 @ g1.conj().T @ p
-        m2 = q @ g2 @ g2.conj().T @ q
-        rho = QuantumState(m1 / np.trace(m1).real)
-        nu = QuantumState(m2 / np.trace(m2).real)
+    d = max(dims)
+    drawn = (
+        (m, None)
+        for i in range(n_orthogonal)
+        for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)
+    )
+    states = _validated(drawn)
+    for (rho, _), (nu, _) in zip(states, states):  # consecutive pairs
         cases += 1
         res = perfectly_discriminable(rho, nu)
         ok = res.discriminable
@@ -213,11 +273,16 @@ def check_local_falsifier(
     state |A>>."""
     worst = 0.0
     degenerate_hits = 0
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        a_op = random_complex_matrix(d, d, rng)
-        psi = QuantumState.pure(mat_to_doubleket(a_op))
-        a_vec = random_unit_vector(d, rng)
+
+    def draws():
+        for i in range(n_cases):
+            d = dims[i % len(dims)]
+            a_op = random_complex_matrix(d, d, rng)
+            # The matrix of QuantumState.pure(mat_to_doubleket(a_op)).
+            psi = _pure_matrix(mat_to_doubleket(a_op))
+            yield psi, (a_op, random_unit_vector(d, rng))
+
+    for psi, (a_op, a_vec) in _validated(draws()):
         lf = local_falsifier(a_op, a_vec)
         if lf.degenerate:
             degenerate_hits += 1
@@ -233,10 +298,11 @@ def check_canonical_form(
     operators are trace-orthogonal with the stated weights."""
     worst_recon = 0.0
     worst_orth = 0.0
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        rank = 1 + i % (d * d)
-        r = QuantumState(random_density_matrix(d * d, rng, rank=rank))
+    drawn = (
+        (random_density_matrix(d * d, rng, rank=1 + i % (d * d)), None)
+        for i, d in zip(range(n_cases), itertools.cycle(dims))
+    )
+    for r, _ in _validated(drawn):
         cf = canonical_form(r)
         worst_recon = max(
             worst_recon, float(np.max(np.abs(cf.reconstruction() - r.matrix)))
@@ -258,10 +324,11 @@ def check_compression(
     """Rank-deficient states restrict losslessly to their support."""
     worst_iso = 0.0
     worst_recon = 0.0
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        rank = 1 + i % (d - 1) if d > 2 else 1
-        rho = QuantumState(random_density_matrix(d, rng, rank=rank))
+    drawn = (
+        (random_density_matrix(d, rng, rank=1 + i % (d - 1) if d > 2 else 1), None)
+        for i, d in zip(range(n_cases), itertools.cycle(dims))
+    )
+    for rho, _ in _validated(drawn):
         comp = compress(rho)
         v = comp.isometry
         worst_iso = max(
@@ -283,11 +350,12 @@ def check_atomic_rank(
 ) -> list[PropertyResult]:
     """Atomic channels never increase rank; a non-atomic one can."""
     violations = 0
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        rho = QuantumState(random_density_matrix(d, rng, rank=1 + i % d))
-        ch = KrausChannel((random_contraction(d, rng),))
-        out = apply_channel(ch, rho)
+    drawn = (
+        (random_density_matrix(d, rng, rank=1 + i % d), random_contraction(d, rng))
+        for i, d in zip(range(n_cases), itertools.cycle(dims))
+    )
+    for rho, a in _validated(drawn):
+        out = apply_channel(KrausChannel((a,)), rho)
         if out.rank() > rho.rank():
             violations += 1
     atomic = _result(
@@ -320,8 +388,8 @@ def check_dilation(
 ) -> list[PropertyResult]:
     """Every branch of the dilation circuit matches its Kraus term."""
     worst = 0.0
-    cases = 0
     results = []
+    drawn = []
     for i in range(n_cases):
         d = dims[i % len(dims)]
         n_kraus = 1 + i % 4
@@ -339,9 +407,11 @@ def check_dilation(
             results.append(_result("injected-fault-kraus-norm", 1, np.inf, 0.0, note))
             continue
         ch = KrausChannel(tuple(kraus))
+        drawn.append((random_density_matrix(d, rng), ch))
+    cases = len(drawn)
+    for rho, ch in _validated(drawn):
+        d = rho.dim
         dil = dilate(ch)
-        rho = QuantumState(random_density_matrix(d, rng))
-        cases += 1
         for k in range(dil.dim_env):
             branch = dil.branch(rho, k)
             expected = (

@@ -29,10 +29,11 @@ from .linalg import (
     SPECTRUM_TOL,
     TRACE_TOL,
     HermitianEig,
+    _at,
+    _check_psd,
     _eig_core,
     _extreme_eigvals,
     _hermitian,
-    _psd_eigs,
     as_matrix,
     complete_to_unitary,
     dagger,
@@ -84,6 +85,35 @@ def _unit_vector(vector, name: str) -> np.ndarray:
     return v / nrm
 
 
+def _pure_matrix(vector) -> np.ndarray:
+    """|v><v| for the pure state vector v, normalized as QuantumState.pure
+    normalizes it."""
+    v = _unit_vector(vector, "pure state vector")
+    return np.outer(v, v.conj())
+
+
+def _state_spectra(h: np.ndarray, stack: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an (n, d, d) stack h of exactly Hermitian matrices as states
+    (PSD at -DEFAULT_RANK_TOL * lam_max, trace in (0, 1 + TRACE_TOL]) and
+    return their spectra as _eig_core does.  h and the spectra are made
+    read-only.  With stack=True, errors name the first failing index."""
+    values, vectors = _eig_core(h)
+    _check_psd(values, DEFAULT_RANK_TOL, "state matrix", stack)
+    for k, tr in enumerate(h.trace(axis1=1, axis2=2).real.tolist()):
+        if not 0.0 < tr <= 1.0 + TRACE_TOL:
+            where = _at("state", k, stack)
+            raise OutOfRangeError(f"{where} trace {tr!r} outside (0, 1]")
+    for a in (h, values, vectors):
+        a.setflags(write=False)
+    return values, vectors
+
+
+def _adopt(state: "QuantumState", h, values, vectors, k: int) -> None:
+    """Give state matrix k of a validated stack and its spectrum, as views."""
+    object.__setattr__(state, "matrix", h[k])
+    object.__setattr__(state, "_spectrum", HermitianEig(values[k], vectors[k]))
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Sub-normalized density matrix: Hermitian, PSD, trace in
@@ -96,22 +126,15 @@ class QuantumState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _hermitian(self.matrix, "state matrix")
-        eig = _psd_eigs(_eig_core(m), DEFAULT_RANK_TOL, "state matrix")
-        tr = float(np.trace(m).real)
-        if not 0.0 < tr <= 1.0 + TRACE_TOL:
-            raise OutOfRangeError(f"state trace {tr!r} outside (0, 1]")
-        _frozen_array(self, "matrix", m)
-        # m is exactly Hermitian, so hermitian_eig(self.matrix) would return
-        # these same bits.
-        eig.values.setflags(write=False)
-        eig.vectors.setflags(write=False)
-        object.__setattr__(self, "_spectrum", eig)
+        # A stack of one: _states validates whole stacks with the same code.
+        h = _hermitian(self.matrix, "state matrix")[None]
+        # h is exactly Hermitian, so hermitian_eig(self.matrix) would return
+        # the same spectrum bits.
+        _adopt(self, h, *_state_spectra(h, stack=False), 0)
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
-        v = _unit_vector(vector, "pure state vector")
-        return cls(np.outer(v, v.conj()))
+        return cls(_pure_matrix(vector))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
@@ -141,6 +164,19 @@ class QuantumState:
         return int(np.count_nonzero(support_mask(self.spectrum.values, rank_tol)))
 
 
+def _states(stack) -> list[QuantumState]:
+    """QuantumStates for an (n, d, d) stack of matrices, validated together
+    by the code each QuantumState(m) runs on a stack of one; each state's
+    matrix and spectrum are read-only views of the validated stack.  Every
+    check applies, and an error names the first failing index."""
+    h = _hermitian(stack, "state matrix", stack=True)
+    spectra = _state_spectra(h, stack=True)
+    states = [object.__new__(QuantumState) for _ in range(len(h))]
+    for k, state in enumerate(states):
+        _adopt(state, h, *spectra, k)
+    return states
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
     """Measurement element: Hermitian, spectrum in [0, 1] within SPECTRUM_TOL.
@@ -162,11 +198,6 @@ class Effect:
     @classmethod
     def identity(cls, dim: int) -> "Effect":
         return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def projector_onto(cls, vector) -> "Effect":
-        v = _unit_vector(vector, "projector vector")
-        return cls(np.outer(v, v.conj()))
 
     @property
     def dim(self) -> int:
@@ -583,8 +614,3 @@ def dilate(channel: KrausChannel) -> Dilation:
     for j, col in enumerate(free):
         u[:, col] = w[:, d + j]
     return Dilation(unitary=u, dim_sys=d, dim_env=n_env)
-
-
-def state_support(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    return support_projector(rho.spectrum, rank_tol)
-

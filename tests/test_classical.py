@@ -7,7 +7,6 @@ from optfalsify import (
     apply_markov,
     classical_falsifier_exists,
     classical_probability,
-    deterministic_effect,
     embed_classical,
     permutation_map,
 )
@@ -17,7 +16,8 @@ from optfalsify.errors import (
     OutOfRangeError,
 )
 from optfalsify.coins import count_generator, make_nary
-from optfalsify.quantum import Effect, born_probability, state_support
+from optfalsify.linalg import support_projector
+from optfalsify.quantum import Effect, born_probability
 
 
 class TestClassicalState:
@@ -72,7 +72,7 @@ class TestMarkovMap:
 class TestEffectsAndProbability:
     def test_deterministic_effect_is_total_mass(self):
         st = ClassicalState([0.25, 0.25])
-        p = classical_probability(deterministic_effect(2), st)
+        p = classical_probability(MarkovMap(np.ones((1, 2))), st)
         assert p == pytest.approx(0.5, abs=1e-15)
 
     def test_indicator_row(self):
@@ -87,7 +87,7 @@ class TestEffectsAndProbability:
 
     def test_effect_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            classical_probability(deterministic_effect(3), ClassicalState([0.5, 0.5]))
+            classical_probability(MarkovMap(np.ones((1, 3))), ClassicalState([0.5, 0.5]))
 
 
 class TestPermutation:
@@ -124,7 +124,7 @@ class TestEmbedding:
     def test_support_projector_is_indicator(self):
         rho = embed_classical(ClassicalState([0.5, 0.0, 0.5]))
         np.testing.assert_allclose(
-            state_support(rho), np.diag([1.0, 0.0, 1.0]), atol=1e-12
+            support_projector(rho.spectrum), np.diag([1.0, 0.0, 1.0]), atol=1e-12
         )
 
 

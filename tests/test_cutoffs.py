@@ -2,7 +2,8 @@
 
 Each case builds an input that strays eps past one boundary: it is
 accepted at eps = 0.5 x the cutoff and rejected with a typed error at
-eps = 2 x the cutoff.
+eps = 2 x the cutoff.  The state cutoffs are also crossed inside a stack
+validated by quantum._states, whose errors name the failing index.
 """
 
 import numpy as np
@@ -17,10 +18,16 @@ from optfalsify import (
     hermitian_eig,
     linalg,
     make_nary,
+    quantum,
 )
-from optfalsify.errors import NotHermitianError, OutOfRangeError
+from optfalsify.errors import (
+    DimensionMismatchError,
+    NotHermitianError,
+    NotPSDError,
+    OutOfRangeError,
+)
 from optfalsify.falsification import SupportHypothesis
-from optfalsify.linalg import HERM_TOL, SPECTRUM_TOL, TRACE_TOL
+from optfalsify.linalg import DEFAULT_RANK_TOL, HERM_TOL, MAX_ENTRY, SPECTRUM_TOL, TRACE_TOL
 
 
 def test_shared_cutoffs_pinned():
@@ -53,6 +60,8 @@ CASES = {
         OutOfRangeError,
         lambda e: QuantumState(np.diag([0.5 + e, 0.5])),
     ),
+    # lam_max = 1, so the PSD cut sits at -DEFAULT_RANK_TOL.
+    "state-psd": (DEFAULT_RANK_TOL, NotPSDError, lambda e: QuantumState(np.diag([1.0, -e]))),
     "cstate-total": (TRACE_TOL, OutOfRangeError, lambda e: ClassicalState([0.5 + e, 0.5])),
     "generator-weight-sum": (TRACE_TOL, OutOfRangeError, lambda e: make_nary([0.5 + e, 0.5])),
     "purification-norm": (
@@ -75,3 +84,54 @@ def test_both_sides_of_shared_cutoff(case):
     build(0.5 * tol)
     with pytest.raises(error):
         build(2.0 * tol)
+
+
+# name: (cutoff, error raised at 2x, state matrix straying eps past the cutoff)
+STATE_CUTOFFS = {
+    "hermiticity": (HERM_TOL, NotHermitianError, _skewed),
+    "psd": (DEFAULT_RANK_TOL, NotPSDError, lambda e: np.diag([1.0, -e])),
+    "trace": (TRACE_TOL, OutOfRangeError, lambda e: np.diag([0.5 + e, 0.5])),
+}
+
+
+def _stack_with(m, at=3, n=7):
+    """n valid qubit states with m in place of the one at index `at`."""
+    stack = np.stack([np.diag([0.25, 0.75]).astype(complex)] * n)
+    stack[at] = m
+    return stack
+
+
+@pytest.mark.parametrize("case", STATE_CUTOFFS)
+def test_both_sides_of_state_cutoff_in_a_stack(case):
+    tol, error, matrix = STATE_CUTOFFS[case]
+    states = quantum._states(_stack_with(matrix(0.5 * tol)))
+    assert states[3].matrix.tobytes() == QuantumState(matrix(0.5 * tol)).matrix.tobytes()
+    with pytest.raises(error) as per_object:
+        QuantumState(matrix(2.0 * tol))
+    with pytest.raises(error, match=r"\[3\]") as stacked:
+        quantum._states(_stack_with(matrix(2.0 * tol)))
+    assert type(stacked.value) is type(per_object.value)
+    assert "[" not in str(per_object.value)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 2.0 * MAX_ENTRY])
+def test_unbounded_entry_in_a_stack(k, entry):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1] = entry
+    with pytest.raises(OutOfRangeError, match=rf"state matrix \[{k}\]: entries must be finite"):
+        quantum._states(_stack_with(m, at=k))
+
+
+@pytest.mark.parametrize(
+    "shape", [(7, 2, 3), (0, 2, 2), (7, 0, 0), (2, 2), (1, 7, 2, 2), ()]
+)
+def test_stack_shape_rejected(shape):
+    with pytest.raises(DimensionMismatchError, match="expected a stack of square matrices"):
+        quantum._states(np.zeros(shape, dtype=complex))
+
+
+def test_stacked_states_are_read_only():
+    for state in quantum._states(_stack_with(np.eye(2) / 2)):
+        for a in (state.matrix, state.spectrum.values, state.spectrum.vectors):
+            assert not a.flags.writeable

@@ -38,7 +38,6 @@ from optfalsify.errors import (
 )
 from optfalsify.falsification import SupportHypothesis
 from optfalsify.linalg import MAX_ENTRY
-from optfalsify.quantum import state_support
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_density_matrix,
@@ -185,10 +184,7 @@ class TestEntryBound:
         with pytest.raises(OutOfRangeError, match="entries must be finite"):
             KrausChannel((np.full((2, 2), self.BEYOND),))
 
-    @pytest.mark.parametrize(
-        "build, name",
-        [(QuantumState.pure, "pure state vector"), (Effect.projector_onto, "projector vector")],
-    )
+    @pytest.mark.parametrize("build, name", [(QuantumState.pure, "pure state vector")])
     def test_normalized_vector(self, build, name):
         # Inside the bound the norm may still overflow; beyond it, or for an
         # integer beyond float range, the entries are rejected first.
@@ -234,7 +230,7 @@ class TestBornProbability:
 
     def test_clamped_to_unit_interval(self):
         rho = QuantumState.pure([1.0, 0.0])
-        p = born_probability(rho, Effect.projector_onto([1.0, 0.0]))
+        p = born_probability(rho, Effect(np.diag([1.0, 0.0])))
         assert 0.0 <= p <= 1.0
 
     def test_dim_mismatch(self):
@@ -642,7 +638,7 @@ class TestCachedSpectrum:
             (lambda: purify(mixed), (0, 0)),
             (lambda: compress(mixed), (1, 0)),
             (lambda: canonical_form(mixed), (0, 0)),
-            (lambda: state_support(mixed), (0, 0)),
+            (lambda: support_projector(mixed.spectrum), (0, 0)),
             (lambda: perfectly_discriminable(pure, other), (0, 2)),
             (lambda: SupportHypothesis.from_state(mixed), (0, 0)),
         ]
@@ -660,7 +656,6 @@ class TestCachedSpectrum:
             for tol in (1e-10, 1e-3):
                 cached = support_projector(rho.spectrum, tol)
                 assert cached.tobytes() == support_projector(rho.matrix, tol).tobytes()
-                assert state_support(rho, tol).tobytes() == cached.tobytes()
                 assert (
                     kernel_projector(rho.spectrum, tol).tobytes()
                     == kernel_projector(rho.matrix, tol).tobytes()
@@ -673,8 +668,6 @@ class TestCachedSpectrum:
             support_projector(rho.spectrum, rank_tol=1e-11)
         with pytest.raises(NotPSDError):
             kernel_projector(rho.spectrum, rank_tol=1e-11)
-        with pytest.raises(NotPSDError):
-            state_support(rho, rank_tol=1e-11)
         p = support_projector(rho.spectrum, rank_tol=1e-6)
         np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
 
