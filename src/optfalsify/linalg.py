@@ -9,7 +9,6 @@ and the row-major double-ket vectorization.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,20 +172,6 @@ def hermitian_eig(m) -> HermitianEig:
     return HermitianEig(values=values[0], vectors=vectors[0])
 
 
-@functools.lru_cache(maxsize=64)
-def _grids(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Read-only broadcast index grids for an (n, d, d) stack: the flat
-    offset of each matrix's first eigenvalue (n, 1), the matrix index
-    (n, 1, 1), the row index (d, 1) and the column index (d,).  Cached, so
-    each (n, d) pays for them once."""
-    rows = np.arange(n)[:, None, None]
-    cols = np.arange(d)
-    grids = (rows[:, 0] * d, rows, cols[:, None], cols)
-    for g in grids:
-        g.setflags(write=False)
-    return grids
-
-
 def _eig_core(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig without its validation, on an (n, d, d) stack h of
     exactly Hermitian complex matrices that _hermitian has accepted: the
@@ -196,23 +181,19 @@ def _eig_core(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(f"hermitian_eig: {exc}") from None
-    offsets, rows, rcol, cols = _grids(*w.shape)
-    if (w[:, 1:] > w[:, :-1]).all():
-        # LAPACK's eigenvalues ascend; with no ties the stable descending
-        # order is their reversal.
-        values, vectors = w[:, ::-1].copy(), v[:, :, ::-1].copy()
-    else:
-        order = np.argsort(-w, axis=1, kind="stable")
-        values = w.ravel()[order + offsets]
-        vectors = v[rows, rcol, order[:, None, :]]
+    rows = np.arange(w.shape[0])[:, None]
+    cols = np.arange(w.shape[1])
+    order = np.argsort(-w, axis=1, kind="stable")
+    values = w[rows, order]
+    vectors = v[rows[:, None], cols[:, None], order[:, None]]
     # The pivot is the first large component rather than the largest one, so
     # near-ties in magnitude cannot flip which entry fixes the phase.
     mags = np.abs(vectors)
     large = mags >= 0.5 * mags.max(axis=1, keepdims=True)
-    pivot = large.argmax(axis=1, keepdims=True)
+    pivot = large.argmax(axis=1)
     lead = vectors[rows, pivot, cols]
     size = np.abs(lead)
-    vectors *= size / lead
+    vectors *= (size / lead)[:, None]
     # The product leaves a rounding-level imaginary part on the pivot.
     vectors[rows, pivot, cols] = size
     return values, vectors

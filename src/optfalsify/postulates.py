@@ -491,6 +491,8 @@ def run_postulate_checks(
         raise OutOfRangeError("dims must all be >= 2")
     if dims[-1] > 8:
         raise OutOfRangeError("dims above 8 exceed the intended regime")
+    if seed < 0:
+        raise OutOfRangeError("seed must be a non-negative integer")
     small = tuple(d for d in dims if d <= 3) or (dims[0],)
     results: list[PropertyResult] = []
     results.append(check_doubleket_identity(_sub_rng(seed, 0), dims))

@@ -195,10 +195,6 @@ class Effect:
             raise OutOfRangeError(f"effect has eigenvalue {highest:.3e} above one")
         _frozen_array(self, "matrix", m)
 
-    @classmethod
-    def identity(cls, dim: int) -> "Effect":
-        return cls(np.eye(dim, dtype=complex))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -255,10 +251,6 @@ class KrausChannel:
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
-
-    @property
-    def atomic(self) -> bool:
-        return len(self.kraus) == 1
 
     @property
     def deterministic(self) -> bool:

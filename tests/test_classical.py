@@ -35,6 +35,13 @@ class TestClassicalState:
         with pytest.raises(OutOfRangeError):
             ClassicalState([0.0, 0.0])
 
+    def test_empty_or_non_finite_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            ClassicalState([])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(OutOfRangeError, match="finite"):
+                ClassicalState([bad, 0.5])
+
     def test_deterministic_flag(self):
         assert ClassicalState([0.3, 0.7]).deterministic
         assert not ClassicalState([0.3, 0.3]).deterministic
@@ -53,6 +60,13 @@ class TestMarkovMap:
     def test_negative_entry_rejected(self):
         with pytest.raises(OutOfRangeError):
             MarkovMap([[1.2, 0.0], [-0.2, 1.0]])
+
+    def test_not_2d_or_non_finite_rejected(self):
+        for shape in ((2,), (1, 1, 1), (0, 2)):
+            with pytest.raises(DimensionMismatchError, match="2-D"):
+                MarkovMap(np.ones(shape))
+        with pytest.raises(OutOfRangeError, match="finite"):
+            MarkovMap([[np.nan, 0.0], [1.0, 1.0]])
 
     def test_deterministic_flag(self):
         assert MarkovMap([[0.5, 0.0], [0.5, 1.0]]).deterministic

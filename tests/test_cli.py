@@ -373,6 +373,30 @@ class TestErrorPaths:
         assert run_cli(["falsify-coin", "--config", str(config)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "dims, message", [("x", "expected a range like 2..4"), ("4..2", "bad dimension range")]
+    )
+    def test_bad_dims_exit_2(self, dims, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["check-postulates", "--dims", dims])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_negative_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_SEED, "-1")
+        assert run_cli(["check-postulates", "--dims", "2..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ENV_SEED} must be non-negative" in captured.err
+
+    def test_empty_config_path(self, capsys):
+        assert run_cli(["falsify-coin", "--config", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "falsify-coin requires --config" in captured.err
+
 
 class TestOutOfRangeEntries:
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):

@@ -125,6 +125,11 @@ class TestNaryGenerator:
         with pytest.raises(DimensionMismatchError):
             make_nary([1.0])
 
+    def test_parameters_must_be_finite(self):
+        for probs, phases in (([np.nan, 0.5], None), ([0.5, 0.5], [0.0, np.inf])):
+            with pytest.raises(OutOfRangeError, match="must be finite"):
+                make_nary(probs, phases)
+
     def test_sampling_frequencies(self):
         gen = make_nary([0.1, 0.2, 0.3, 0.4])
         n = 100_000
@@ -200,6 +205,8 @@ class TestCampaignStream:
             count_classical_coin(0.5, 0, 0)
         with pytest.raises(OutOfRangeError):
             count_generator(make_coin(0.5), 0, 0)
+        with pytest.raises(OutOfRangeError, match="n_trials"):
+            falsify_campaign(make_coin(0.5), QuantumState.maximally_mixed(2), 0, 0)
 
 
 class TestFalsifyCampaign:

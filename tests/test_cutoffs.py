@@ -123,6 +123,11 @@ def test_unbounded_entry_in_a_stack(k, entry):
         quantum._states(_stack_with(m, at=k))
 
 
+def test_integer_beyond_float_range_in_a_stack():
+    with pytest.raises(OutOfRangeError, match="state matrix: entries must be finite"):
+        quantum._states([[[1.0, 0.0], [0.0, 0.0]], [[10**400, 0], [0, 0]]])
+
+
 @pytest.mark.parametrize(
     "shape", [(7, 2, 3), (0, 2, 2), (7, 0, 0), (2, 2), (1, 7, 2, 2), ()]
 )

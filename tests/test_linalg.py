@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optfalsify import linalg
+from optfalsify import linalg, quantum
 from optfalsify.errors import (
     DimensionMismatchError,
     EigConvergenceError,
@@ -9,6 +9,7 @@ from optfalsify.errors import (
     NotPSDError,
     OutOfRangeError,
 )
+from optfalsify.random_ops import random_density_matrix
 
 from conftest import random_hermitian
 
@@ -204,6 +205,58 @@ class TestHermitianEig:
         eig = linalg.hermitian_eig([[3.0]])
         assert eig.values[0] == 3.0 and eig.vectors[0, 0] == 1.0
 
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatchError, match="expected square"):
+            linalg.hermitian_eig([[1.0, 0.0]])
+
+
+def _reference_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """The documented convention, one matrix at a time from np.linalg.eigh:
+    symmetrize as (m + m^dag)/2, order descending by a stable sort, and fix
+    each column's phase at its first entry of magnitude at least half the
+    column maximum."""
+    m = np.array(m, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    order = sorted(range(len(w)), key=lambda j: -w[j])
+    values, vectors = w[order], v[:, order]
+    for j in range(len(w)):
+        mags = np.abs(vectors[:, j])
+        pivot = int(np.flatnonzero(mags >= 0.5 * mags.max())[0])
+        vectors[:, j] *= mags[pivot] / vectors[pivot, j]
+        vectors[pivot, j] = mags[pivot]
+    return values, vectors
+
+
+def _tied(d: int) -> list[np.ndarray]:
+    """np.eye(d), -np.eye(d), diag(1, 1, 0, ...) and diag(1, 0, ...)."""
+    first = np.arange(d)
+    return [np.eye(d), -np.eye(d), np.diag(first < 2) * 1.0, np.diag(first < 1) * 1.0]
+
+
+@pytest.mark.parametrize("d", [*range(1, 17), 64])
+class TestReferenceConvention:
+    """hermitian_eig and the stacked state validation give the reference's
+    bits, with and without tied eigenvalues."""
+
+    def test_hermitian_eig(self, d):
+        rng = np.random.default_rng(300 + d)
+        mats = [random_hermitian(d, rng) for _ in range(3)]
+        mats += [random_density_matrix(d, rng, rank=1 + k % d) for k in range(3)]
+        for m in mats + _tied(d):
+            eig = linalg.hermitian_eig(m)
+            values, vectors = _reference_eig(m)
+            assert np.array_equal(eig.values, values)
+            assert np.array_equal(eig.vectors, vectors)
+
+    def test_stacked_states(self, d):
+        rng = np.random.default_rng(400 + d)
+        mats = [random_density_matrix(d, rng, rank=1 + k % d) for k in range(6)]
+        mats += [t / np.trace(t) for t in _tied(d)[::2]] + [np.eye(d) / d]
+        for state, m in zip(quantum._states(np.stack(mats)), mats):
+            values, vectors = _reference_eig(m)
+            assert np.array_equal(state.spectrum.values, values)
+            assert np.array_equal(state.spectrum.vectors, vectors)
+
 
 class TestSupportProjectors:
     def test_diagonal_indicator(self):
@@ -297,3 +350,12 @@ class TestCompleteToUnitary:
     def test_too_many_columns(self):
         with pytest.raises(DimensionMismatchError):
             linalg.complete_to_unitary(np.ones((2, 3)))
+
+    def test_overflowing_residuals_rejected(self):
+        # Columns at the entry bound overflow the Gram-Schmidt residuals to
+        # NaN, so no candidate extends them.
+        cols = np.full((3, 1), linalg.MAX_ENTRY)
+        cols[2] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DimensionMismatchError, match="not orthonormal enough"):
+                linalg.complete_to_unitary(cols)

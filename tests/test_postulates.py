@@ -1,7 +1,22 @@
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 
+from optfalsify import postulates
+from optfalsify.classical import classical_falsifier_exists
 from optfalsify.errors import OutOfRangeError
 from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
+from optfalsify.quantum import (
+    Purification,
+    QuantumState,
+    apply_channel,
+    dilate,
+    local_falsifier,
+    perfectly_discriminable,
+    purify,
+)
 
 
 class TestRunPostulateChecks:
@@ -37,5 +52,98 @@ class TestRunPostulateChecks:
         with pytest.raises(OutOfRangeError):
             run_postulate_checks(dims=(2, 16), seed=0)
 
+    def test_seed_validated(self):
+        with pytest.raises(OutOfRangeError, match="seed must be a non-negative integer"):
+            run_postulate_checks(dims=(2,), seed=-1)
+
     def test_known_faults_registry(self):
         assert "kraus-norm" in KNOWN_FAULTS
+
+
+def _padded_purify(rho):
+    """purify(rho) with one more, unoccupied, environment dimension."""
+    pur = purify(rho)
+    psi = np.zeros((pur.dim_a, pur.dim_b + 1), dtype=complex)
+    psi[:, :-1] = pur.state_vector.reshape(pur.dim_a, pur.dim_b)
+    return Purification(psi.reshape(-1), pur.dim_a, pur.dim_b + 1)
+
+
+def _flipped_discrimination(rho, nu):
+    res = perfectly_discriminable(rho, nu)
+    return dataclasses.replace(res, discriminable=not res.discriminable)
+
+
+def _rank_raising_channel(channel, rho):
+    """apply_channel mixed half and half with I/d at the same trace; the
+    dephased qubit of the counterexample, exactly I/2, is left as it is."""
+    out = apply_channel(channel, rho)
+    return QuantumState(0.5 * out.matrix + 0.5 * out.trace * np.eye(out.dim) / out.dim)
+
+
+def _lenient_dilate(channel):
+    """dilate, except that a channel that is not trace-preserving is let
+    through (with no dilation) instead of rejected."""
+    return dilate(channel) if channel.deterministic else None
+
+
+def _negated_falsifier(state):
+    return None if classical_falsifier_exists(state) is not None else (0,)
+
+
+_ENV_NOTE = r"environment dim \d+ != rank \d+ at dim \d+"
+
+# Library name the suites import: (a replacement that disagrees with the
+# suite's independent route, injected fault, {failing result: its note}).
+WRONG_ROUTES = {
+    "purify": (
+        _padded_purify,
+        None,
+        {
+            "purification-recovery": _ENV_NOTE,
+            "purification-uniqueness-reconstruction": _ENV_NOTE,
+            "purification-uniqueness-unitarity": _ENV_NOTE,
+        },
+    ),
+    "perfectly_discriminable": (
+        _flipped_discrimination,
+        None,
+        {"orthogonal-support-discrimination": "constructed orthogonal pair not discriminated"},
+    ),
+    "apply_channel": (_rank_raising_channel, None, {"atomic-rank-never-increases": ""}),
+    "dilate": (
+        _lenient_dilate,
+        "kraus-norm",
+        {"injected-fault-kraus-norm": "mis-normalized Kraus family was not rejected"},
+    ),
+    "classical_falsifier_exists": (
+        _negated_falsifier,
+        None,
+        {"classical-embedding-agreement": ""},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ROUTES)
+def test_each_suite_goes_red(monkeypatch, name):
+    replacement, fault, notes = WRONG_ROUTES[name]
+    monkeypatch.setattr(postulates, name, replacement)
+    results = run_postulate_checks(dims=(2, 3), seed=0, fault=fault)
+    failed = {r.name: r for r in results if not r.passed}
+    assert set(failed) == set(notes)
+    for result_name, note in notes.items():
+        assert re.fullmatch(note, failed[result_name].note)
+    if name == "perfectly_discriminable":
+        # Every random and every constructed pair disagrees.
+        r = failed["orthogonal-support-discrimination"]
+        assert r.worst == r.cases
+
+
+def test_degenerate_directions_noted(monkeypatch):
+    def always_degenerate(a_op, a_vec):
+        return dataclasses.replace(local_falsifier(a_op, a_vec), degenerate=True)
+
+    monkeypatch.setattr(postulates, "local_falsifier", always_degenerate)
+    results = run_postulate_checks(dims=(2, 3), seed=0)
+    assert all(r.passed for r in results)
+    (r,) = [r for r in results if r.name == "local-falsifier-born-zero"]
+    assert r.note == f"{r.cases} degenerate directions"

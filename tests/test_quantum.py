@@ -38,6 +38,7 @@ from optfalsify.errors import (
 )
 from optfalsify.falsification import SupportHypothesis
 from optfalsify.linalg import MAX_ENTRY
+from optfalsify.quantum import Dilation
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_density_matrix,
@@ -107,9 +108,9 @@ class TestEffect:
             Effect(np.diag([-0.2, 0.5]))
 
     def test_identity_and_zero(self):
-        assert Effect.identity(3).dim == 3
+        assert Effect(np.eye(3)).dim == 3
         assert Effect(np.zeros((2, 2))).is_zero
-        assert not Effect.identity(2).is_zero
+        assert not Effect(np.eye(2)).is_zero
 
 
 class TestKrausChannel:
@@ -119,9 +120,9 @@ class TestKrausChannel:
 
     def test_flags(self, rng):
         unitary = KrausChannel((random_unitary(3, rng),))
-        assert unitary.atomic and unitary.deterministic
+        assert unitary.deterministic
         half = KrausChannel((np.eye(2) * np.sqrt(0.5),))
-        assert half.atomic and not half.deterministic
+        assert not half.deterministic
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -235,7 +236,7 @@ class TestBornProbability:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            born_probability(QuantumState.maximally_mixed(2), Effect.identity(3))
+            born_probability(QuantumState.maximally_mixed(2), Effect(np.eye(3)))
 
     def test_imaginary_contamination_guard(self):
         # Forged non-Hermitian operands (bypassing validation) must trip the
@@ -585,6 +586,56 @@ class TestDilate:
         for k in (-1, dil.dim_env):
             with pytest.raises(OutOfRangeError):
                 dil.branch(rho, k)
+
+
+class TestMismatchedInputs:
+    """Mismatched dimensions and a non-unitary dilation raise typed errors."""
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: QuantumState.maximally_mixed(0), DimensionMismatchError, "positive"),
+            (
+                lambda: connecting_unitary(
+                    purify(QuantumState.pure([1.0, 0.0])),
+                    purify(QuantumState.pure([1.0, 0.0, 0.0])),
+                ),
+                DimensionMismatchError,
+                "system dims differ",
+            ),
+            (
+                lambda: perfectly_discriminable(
+                    QuantumState.maximally_mixed(2), QuantumState.maximally_mixed(3)
+                ),
+                DimensionMismatchError,
+                "state dims differ",
+            ),
+            (
+                lambda: local_falsifier(np.eye(2), [1.0, 0.0, 0.0]),
+                DimensionMismatchError,
+                "does not match operator dim",
+            ),
+            (lambda: Dilation(np.eye(4), 2, 3), DimensionMismatchError, "!= 2x3"),
+            (lambda: Dilation(2.0 * np.eye(4), 2, 2), OutOfRangeError, "deviates from unitary"),
+            (
+                lambda: Dilation(np.eye(4), 2, 2).branch(QuantumState.maximally_mixed(3), 0),
+                DimensionMismatchError,
+                "!= system dim",
+            ),
+        ],
+        ids=[
+            "maximally_mixed",
+            "connecting_unitary",
+            "perfectly_discriminable",
+            "local_falsifier",
+            "dilation-dims",
+            "dilation-unitarity",
+            "dilation-branch",
+        ],
+    )
+    def test_typed_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestCachedSpectrum:

@@ -118,6 +118,9 @@ class TestTypedObjects:
     def test_missing_kind_rejected(self):
         with pytest.raises(SchemaError):
             object_from_json({"rows": 1})
+        for doc in ([1.0], "state", None):
+            with pytest.raises(SchemaError, match="object: expected a JSON object, got"):
+                object_from_json(doc)
 
     def test_invalid_payload_propagates_validation(self):
         doc = state_to_json(QuantumState.maximally_mixed(2))
@@ -143,6 +146,8 @@ class TestDeclaredGenerator:
     def test_unrecognized_shape_rejected(self):
         with pytest.raises(SchemaError):
             declared_from_json({"bias": 0.5})
+        with pytest.raises(SchemaError, match="declared: expected a JSON object"):
+            declared_from_json([0.5, 0.5])
 
 
 class TestCampaignConfig:

@@ -16,7 +16,7 @@ from optfalsify.random_ops import random_density_matrix
 
 def _corpus(d: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Random states of every rank 1..d, plus states with repeated and zero
-    eigenvalues, which take the sorting route for ties."""
+    eigenvalues, whose ties the stable sort keeps in LAPACK's order."""
     mats = [random_density_matrix(d, rng, rank=1 + k % d) for k in range(3 * d)]
     mats.append(np.eye(d, dtype=complex) / d)
     if d > 2:
