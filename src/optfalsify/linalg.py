@@ -199,22 +199,25 @@ def _eig_core(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _extreme_eigvals(h: np.ndarray) -> tuple[float, float]:
-    """Lowest and highest eigenvalue of h by LAPACK without eigenvectors
+def _extreme_eigvals(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest eigenvalue of each matrix of an (n, d, d) stack h,
+    as two (n,) arrays, by LAPACK without eigenvectors
     (``np.linalg.eigvalsh``), for validations that read no more of the
-    spectrum.  h must be an exactly Hermitian complex array that as_matrix
-    has accepted.  Raises EigConvergenceError if LAPACK does not converge."""
+    spectrum.  h must hold exactly Hermitian complex matrices that
+    _hermitian has accepted.  Raises EigConvergenceError if LAPACK does not
+    converge."""
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(f"eigvalsh: {exc}") from None
-    return float(w[0]), float(w[-1])
+    return w[:, 0], w[:, -1]
 
 
 def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
     """Which of the descending eigenvalues lie in the support: those above
-    rank_tol * lam_max, with lam_max clamped at zero."""
-    return values > rank_tol * max(float(values[0]), 0.0)
+    rank_tol * lam_max, with lam_max clamped at zero.  values may also be an
+    (n, d) stack of rows, each cut at its own lam_max."""
+    return values > rank_tol * np.maximum(values[..., :1], 0.0)
 
 
 def _check_psd(
@@ -237,9 +240,30 @@ def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     already computed, such as a QuantumState's spectrum (only a matrix is
     decomposed here); either way it must be PSD at rank_tol (_check_psd)."""
     eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
-    _check_psd(eig.values[None], rank_tol, "support_projector")
-    cols = eig.vectors[:, support_mask(eig.values, rank_tol)]
-    return _hermitian(cols @ dagger(cols), "support projector")
+    return _support_projectors(eig.values[None], eig.vectors[None], rank_tol)[0]
+
+
+def _support_projectors(
+    values: np.ndarray, vectors: np.ndarray, rank_tol: float, stack: bool = False
+) -> np.ndarray:
+    """support_projector for each row of the (n, d) descending eigenvalues
+    and (n, d, d) eigenvector columns of an _eig_core stack, as an (n, d, d)
+    stack.  With stack=True, errors name the first failing index.
+
+    The values descend, so each support is a column prefix.  Rows of equal
+    rank share one product over that prefix, which gives the bits of the
+    product for a single matrix; zeroing the columns outside the support
+    would not."""
+    _check_psd(values, rank_tol, "support_projector", stack)
+    ranks = support_mask(values, rank_tol).sum(axis=1)
+    p = np.empty_like(vectors)
+    for r in set(ranks.tolist()):
+        rows = ranks == r
+        cols = vectors[rows, :, :r]
+        p[rows] = cols @ cols.conj().swapaxes(1, 2)
+    if stack:
+        return _hermitian(p, "support projector", stack=True)
+    return _hermitian(p[0], "support projector")[None]
 
 
 def kernel_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -276,16 +300,34 @@ def doubleket_to_mat(v, rows: int | None = None, cols: int | None = None) -> np.
     return v.reshape(rows, cols).copy()
 
 
+# How far complete_to_unitary's input columns may stray from orthonormal,
+# max|C^dag C - I|; also the residual norm below which a canonical
+# candidate counts as already spanned.
+_COMPLETION_TOL = 1e-6
+
+
 def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary.
 
-    Deterministic greedy Gram-Schmidt over the canonical basis in index
-    order; candidates whose residual norm is at most 1e-6 are skipped.
+    Columns with max|C^dag C - I| above _COMPLETION_TOL raise
+    DimensionMismatchError.  Deterministic greedy Gram-Schmidt over the
+    canonical basis in index order; candidates whose residual norm is at
+    most _COMPLETION_TOL are skipped.
     """
     cols = as_matrix(cols, name="complete_to_unitary input")
     d, k = cols.shape
     if k > d:
         raise DimensionMismatchError(f"complete_to_unitary: {k} columns in dim {d}")
+    # Entries within MAX_ENTRY can overflow the gram; NaN or inf fails below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(dagger(cols) @ cols - np.eye(k)).max()
+    if not dev <= _COMPLETION_TOL:
+        raise DimensionMismatchError(
+            "complete_to_unitary: input columns are not orthonormal enough to extend"
+        )
+    # With m < d nearly orthonormal columns in the basis, the squared
+    # residuals of the d canonical candidates sum to about d - m >= 1, so
+    # some candidate always clears the cut until the basis is full.
     basis = [cols[:, j].copy() for j in range(k)]
     for j in range(d):
         if len(basis) == d:
@@ -298,10 +340,6 @@ def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
         for b in basis:
             cand -= np.vdot(b, cand) * b
         nrm = float(np.linalg.norm(cand))
-        if nrm > 1e-6:
+        if nrm > _COMPLETION_TOL:
             basis.append(cand / nrm)
-    if len(basis) != d:
-        raise DimensionMismatchError(
-            "complete_to_unitary: input columns are not orthonormal enough to extend"
-        )
     return np.column_stack(basis)

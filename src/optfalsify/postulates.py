@@ -35,6 +35,7 @@ from .quantum import (
     Effect,
     KrausChannel,
     QuantumState,
+    _discriminate,
     _pure_matrix,
     apply_channel,
     born_probability,
@@ -43,7 +44,6 @@ from .quantum import (
     connecting_unitary,
     dilate,
     local_falsifier,
-    perfectly_discriminable,
     purify,
 )
 from .random_ops import (
@@ -194,12 +194,30 @@ def check_purification_uniqueness(
 
 
 def _support_bruteforce(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    # Independent route for cross-checking the library projectors: an SVD,
-    # not the eigendecomposition the library uses.  For a PSD matrix the
-    # singular values are the eigenvalues, so the cutoff is the same.
+    """Support projectors of an (n, d, d) stack of PSD matrices by an
+    independent route for cross-checking the library projectors: an SVD,
+    not the eigendecomposition the library uses.  For a PSD matrix the
+    singular values are the eigenvalues, so the cutoff is the same.  They
+    come out descending, so each support is a column prefix of u; rows of
+    equal rank share one product over it."""
     u, s, _ = np.linalg.svd(m)
-    cols = u[:, s > rank_tol * s[0]]
-    return cols @ cols.conj().T
+    ranks = (s > rank_tol * s[:, :1]).sum(axis=1)
+    p = np.empty_like(u)
+    for r in set(ranks.tolist()):
+        rows = ranks == r
+        cols = u[rows, :, :r]
+        p[rows] = cols @ cols.conj().swapaxes(1, 2)
+    return p
+
+
+def _pairs(
+    states: Iterator[tuple[QuantumState, Any]],
+) -> Iterator[tuple[list[QuantumState], list[QuantumState]]]:
+    """Consecutive pairs of the validated states as (rhos, nus) lists of
+    _BLOCK // 2 pairs, so each list pair is one block of _validated."""
+    pairs = zip(states, states)
+    while block := list(itertools.islice(pairs, _BLOCK // 2)):
+        yield [rho for (rho, _), _ in block], [nu for _, (nu, _) in block]
 
 
 def _orthogonal_pair(
@@ -224,7 +242,7 @@ def check_discrimination(
 ) -> PropertyResult:
     """perfectly_discriminable agrees with the brute-force criterion
     Tr(P_rho P_nu) <= 1e-8 on random pairs and on pairs built with
-    orthogonal supports."""
+    orthogonal supports.  Each block of pairs is decided as one stack."""
     disagreements = 0
     cases = 0
     note = ""
@@ -234,33 +252,31 @@ def check_discrimination(
             for i in range(n_random_per_dim)
             for rank in (1 + i % d, 1 + (i // 2) % d)
         )
-        states = _validated(drawn)
-        for (rho, _), (nu, _) in zip(states, states):  # consecutive pairs
-            cases += 1
-            got = perfectly_discriminable(rho, nu).discriminable
-            overlap = np.trace(
-                _support_bruteforce(rho.matrix) @ _support_bruteforce(nu.matrix)
-            ).real
-            if got != bool(abs(overlap) <= 1e-8):
-                disagreements += 1
-                note = f"random pair disagreement at dim {d}"
+        for rhos, nus in _pairs(_validated(drawn)):
+            n = len(rhos)
+            p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
+            overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
+            for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
+                cases += 1
+                if res.discriminable != (abs(overlap) <= 1e-8):
+                    disagreements += 1
+                    note = f"random pair disagreement at dim {d}"
     d = max(dims)
     drawn = (
         (m, None)
         for i in range(n_orthogonal)
         for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)
     )
-    states = _validated(drawn)
-    for (rho, _), (nu, _) in zip(states, states):  # consecutive pairs
-        cases += 1
-        res = perfectly_discriminable(rho, nu)
-        ok = res.discriminable
-        if ok and res.falsifier_rho is not None:
-            # The rho-falsifier must capture nu with certainty.
-            ok = abs(born_probability(nu, res.falsifier_rho) - 1.0) <= 1e-8
-        if not ok:
-            disagreements += 1
-            note = "constructed orthogonal pair not discriminated"
+    for rhos, nus in _pairs(_validated(drawn)):
+        for nu, res in zip(nus, _discriminate(rhos, nus)):
+            cases += 1
+            ok = res.discriminable
+            if ok and res.falsifier_rho is not None:
+                # The rho-falsifier must capture nu with certainty.
+                ok = abs(born_probability(nu, res.falsifier_rho) - 1.0) <= 1e-8
+            if not ok:
+                disagreements += 1
+                note = "constructed orthogonal pair not discriminated"
     return _result(
         "orthogonal-support-discrimination", cases, float(disagreements), 0.0, note
     )

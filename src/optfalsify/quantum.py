@@ -34,6 +34,7 @@ from .linalg import (
     _eig_core,
     _extreme_eigvals,
     _hermitian,
+    _support_projectors,
     as_matrix,
     complete_to_unitary,
     dagger,
@@ -43,12 +44,15 @@ from .linalg import (
     mat_to_doubleket,
     partial_trace,
     support_mask,
-    support_projector,
     tensor,
     unbounded_entries,
 )
 
+# Largest entry of P_rho P_nu at which two supports count as orthogonal.
 _ORTHOGONALITY_TOL = 1e-8
+# Largest entry of rho1 - rho2 at which two purifications' marginals count
+# as equal in connecting_unitary.
+_MARGINAL_TOL = 1e-8
 
 
 def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
@@ -56,9 +60,10 @@ def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
     object.__setattr__(obj, field_name, value)
 
 
-def _is_zero(m: np.ndarray) -> bool:
-    """True when every entry of m has modulus at most SPECTRUM_TOL."""
-    return float(np.max(np.abs(m))) <= SPECTRUM_TOL
+def _is_zero(m: np.ndarray) -> np.ndarray:
+    """Whether every entry of the matrix m, or of each matrix of an
+    (n, d, d) stack m, has modulus at most SPECTRUM_TOL."""
+    return np.abs(m).max(axis=(-2, -1)) <= SPECTRUM_TOL
 
 
 def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
@@ -177,6 +182,26 @@ def _states(stack) -> list[QuantumState]:
     return states
 
 
+def _effect_matrices(m, stack: bool) -> np.ndarray:
+    """m checked and symmetrized by _hermitian, with each spectrum checked
+    in [0, 1] within SPECTRUM_TOL (its extremes only, by eigvalsh): a
+    read-only (n, d, d) stack.  m is one matrix, or with stack=True an
+    (n, d, d) stack whose errors name the first failing index."""
+    if stack:
+        h = _hermitian(m, "effect matrix", stack=True)
+    else:
+        h = _hermitian(m, "effect matrix")[None]
+    lowest, highest = _extreme_eigvals(h)
+    for k, (low, high) in enumerate(zip(lowest.tolist(), highest.tolist())):
+        where = _at("effect", k, stack)
+        if low < -SPECTRUM_TOL:
+            raise NotPSDError(f"{where} has eigenvalue {low:.3e} below zero")
+        if high > 1.0 + SPECTRUM_TOL:
+            raise OutOfRangeError(f"{where} has eigenvalue {high:.3e} above one")
+    h.setflags(write=False)
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
     """Measurement element: Hermitian, spectrum in [0, 1] within SPECTRUM_TOL.
@@ -187,13 +212,8 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _hermitian(self.matrix, "effect matrix")
-        lowest, highest = _extreme_eigvals(m)
-        if lowest < -SPECTRUM_TOL:
-            raise NotPSDError(f"effect has eigenvalue {lowest:.3e} below zero")
-        if highest > 1.0 + SPECTRUM_TOL:
-            raise OutOfRangeError(f"effect has eigenvalue {highest:.3e} above one")
-        _frozen_array(self, "matrix", m)
+        # A stack of one: _effects validates whole stacks with the same code.
+        _frozen_array(self, "matrix", _effect_matrices(self.matrix, stack=False)[0])
 
     @property
     def dim(self) -> int:
@@ -201,7 +221,20 @@ class Effect:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self.matrix)
+        return bool(_is_zero(self.matrix))
+
+
+def _effects(stack) -> list[Effect]:
+    """Effects for an (n, d, d) stack of matrices, validated together by the
+    code each Effect(m) runs on a stack of one; each effect's matrix is a
+    read-only view of the validated stack.  Every check applies, and an
+    error names the first failing index."""
+    effects = []
+    for m in _effect_matrices(stack, stack=True):
+        effect = object.__new__(Effect)
+        object.__setattr__(effect, "matrix", m)
+        effects.append(effect)
+    return effects
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +262,11 @@ class KrausChannel:
                 "channel is not trace-nonincreasing: sum A^dag A has an entry "
                 f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
             )
-        _, top = _extreme_eigvals(_hermitian(gram, "channel gram sum A^dag A"))
-        if top > 1.0 + SPECTRUM_TOL:
+        _, top = _extreme_eigvals(_hermitian(gram, "channel gram sum A^dag A")[None])
+        if top[0] > 1.0 + SPECTRUM_TOL:
             raise OutOfRangeError(
                 "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
-                f"(top eigenvalue {top:.6f})"
+                f"(top eigenvalue {top[0]:.6f})"
             )
         for a in ops:
             a.setflags(write=False)
@@ -348,7 +381,7 @@ def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
     m2 = doubleket_to_mat(p2.state_vector, da, db)
     rho1 = m1 @ dagger(m1)
     rho2 = m2 @ dagger(m2)
-    if float(np.max(np.abs(rho1 - rho2))) > _ORTHOGONALITY_TOL:
+    if float(np.max(np.abs(rho1 - rho2))) > _MARGINAL_TOL:
         raise PurificationMismatchError(
             "purifications reduce to different marginals"
         )
@@ -385,20 +418,41 @@ def perfectly_discriminable(rho: QuantumState, nu: QuantumState) -> Discriminati
     state entirely in the discriminable case."""
     if rho.dim != nu.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {nu.dim}")
-    p_rho = support_projector(rho.spectrum)
-    p_nu = support_projector(nu.spectrum)
-    overlap = float(np.max(np.abs(p_rho @ p_nu)))
-    dim = rho.dim
-    k_rho = np.eye(dim, dtype=complex) - p_rho
-    k_nu = np.eye(dim, dtype=complex) - p_nu
-    falsifier_rho = None if _is_zero(k_rho) else Effect(k_rho)
-    falsifier_nu = None if _is_zero(k_nu) else Effect(k_nu)
-    return DiscriminationResult(
-        discriminable=overlap <= _ORTHOGONALITY_TOL,
-        overlap=overlap,
-        falsifier_rho=falsifier_rho,
-        falsifier_nu=falsifier_nu,
+    return _discriminate([rho], [nu])[0]
+
+
+def _discriminate(
+    rhos: list[QuantumState], nus: list[QuantumState]
+) -> list[DiscriminationResult]:
+    """perfectly_discriminable(rhos[k], nus[k]) for every k, with every
+    projector, overlap, kernel and falsifier Effect of the pairs built as one
+    stack; the states must all share one dimension."""
+    states = [*rhos, *nus]
+    dims = sorted({s.dim for s in states})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"state dims differ: {dims}")
+    n = len(rhos)
+    p = _support_projectors(
+        np.stack([s.spectrum.values for s in states]),
+        np.stack([s.spectrum.vectors for s in states]),
+        DEFAULT_RANK_TOL,
+        stack=True,
     )
+    overlaps = np.abs(p[:n] @ p[n:]).max(axis=(1, 2)).tolist()
+    kernels = np.eye(dims[0], dtype=complex) - p
+    # A full-rank state has a zero kernel, and no falsifier.
+    zero = _is_zero(kernels)
+    built = iter(() if zero.all() else _effects(kernels[~zero]))
+    falsifiers = [None if z else next(built) for z in zero.tolist()]
+    return [
+        DiscriminationResult(
+            discriminable=overlap <= _ORTHOGONALITY_TOL,
+            overlap=overlap,
+            falsifier_rho=falsifiers[k],
+            falsifier_nu=falsifiers[n + k],
+        )
+        for k, overlap in enumerate(overlaps)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,14 +14,16 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @pytest.fixture
 def lapack_calls(monkeypatch) -> dict:
-    """Count the Hermitian LAPACK calls the package makes: maps "eigh" and
-    "eigvalsh" to the list of input matrices each was called with."""
+    """Count the matrices the package hands to Hermitian LAPACK: maps "eigh"
+    and "eigvalsh" to the list of input matrices, one entry per matrix, so a
+    call on an (n, d, d) stack adds n entries."""
     inputs = {"eigh": [], "eigvalsh": []}
     for name, seen in inputs.items():
         real = getattr(np.linalg, name)
 
         def counting(a, *args, _real=real, _seen=seen, **kwargs):
-            _seen.append(np.array(a, dtype=complex))
+            m = np.array(a, dtype=complex)
+            _seen.extend(m.reshape(-1, *m.shape[-2:]))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)

@@ -1,4 +1,5 @@
-"""Both sides of every cutoff shared between validating constructors.
+"""Both sides of every cutoff shared between validating constructors, and
+of the single-site cutoffs of complete_to_unitary and connecting_unitary.
 
 Each case builds an input that strays eps past one boundary: it is
 accepted at eps = 0.5 x the cutoff and rejected with a typed error at
@@ -25,6 +26,7 @@ from optfalsify.errors import (
     NotHermitianError,
     NotPSDError,
     OutOfRangeError,
+    PurificationMismatchError,
 )
 from optfalsify.falsification import SupportHypothesis
 from optfalsify.linalg import DEFAULT_RANK_TOL, HERM_TOL, MAX_ENTRY, SPECTRUM_TOL, TRACE_TOL
@@ -81,6 +83,49 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_both_sides_of_shared_cutoff(case):
     tol, error, build = CASES[case]
+    build(0.5 * tol)
+    with pytest.raises(error):
+        build(2.0 * tol)
+
+
+def test_single_site_cutoffs_pinned():
+    pinned = (linalg._COMPLETION_TOL, quantum._MARGINAL_TOL, quantum._ORTHOGONALITY_TOL)
+    assert pinned == (1e-6, 1e-8, 1e-8)
+
+
+def _near_isometry(eps):
+    """3 x 2 columns with C^dag C - I = [[0, eps], [eps, eps^2]]."""
+    cols = np.eye(3, 2, dtype=complex)
+    cols[0, 1] = eps
+    return cols
+
+
+def _purifications(eps):
+    """Two purifications on 2 x 2 whose marginals differ by diag(eps, -eps)."""
+    return (
+        Purification(np.sqrt([0.6, 0.0, 0.0, 0.4]).astype(complex), 2, 2),
+        Purification(np.sqrt([0.6 + eps, 0.0, 0.0, 0.4 - eps]).astype(complex), 2, 2),
+    )
+
+
+# name: (cutoff, error raised at 2x, build(eps))
+SINGLE_SITE_CASES = {
+    "complete-to-unitary-orthonormality": (
+        linalg._COMPLETION_TOL,
+        DimensionMismatchError,
+        lambda e: linalg.complete_to_unitary(_near_isometry(e)),
+    ),
+    "connecting-unitary-marginals": (
+        quantum._MARGINAL_TOL,
+        PurificationMismatchError,
+        lambda e: quantum.connecting_unitary(*_purifications(e)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_SITE_CASES)
+def test_both_sides_of_single_site_cutoff(case):
+    tol, error, build = SINGLE_SITE_CASES[case]
     build(0.5 * tol)
     with pytest.raises(error):
         build(2.0 * tol)

@@ -351,9 +351,14 @@ class TestCompleteToUnitary:
         with pytest.raises(DimensionMismatchError):
             linalg.complete_to_unitary(np.ones((2, 3)))
 
+    def test_non_orthonormal_columns_rejected(self):
+        # A column of norm 2 used to be extended to [[2, 1], [0, 0]].
+        with pytest.raises(DimensionMismatchError, match="not orthonormal enough"):
+            linalg.complete_to_unitary([[2.0], [0.0]])
+
     def test_overflowing_residuals_rejected(self):
-        # Columns at the entry bound overflow the Gram-Schmidt residuals to
-        # NaN, so no candidate extends them.
+        # Columns at the entry bound overflow C^dag C, so they are not
+        # orthonormal.
         cols = np.full((3, 1), linalg.MAX_ENTRY)
         cols[2] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):

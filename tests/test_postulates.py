@@ -11,10 +11,10 @@ from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
 from optfalsify.quantum import (
     Purification,
     QuantumState,
+    _discriminate,
     apply_channel,
     dilate,
     local_falsifier,
-    perfectly_discriminable,
     purify,
 )
 
@@ -68,9 +68,11 @@ def _padded_purify(rho):
     return Purification(psi.reshape(-1), pur.dim_a, pur.dim_b + 1)
 
 
-def _flipped_discrimination(rho, nu):
-    res = perfectly_discriminable(rho, nu)
-    return dataclasses.replace(res, discriminable=not res.discriminable)
+def _flipped_discrimination(rhos, nus):
+    return [
+        dataclasses.replace(res, discriminable=not res.discriminable)
+        for res in _discriminate(rhos, nus)
+    ]
 
 
 def _rank_raising_channel(channel, rho):
@@ -104,7 +106,7 @@ WRONG_ROUTES = {
             "purification-uniqueness-unitarity": _ENV_NOTE,
         },
     ),
-    "perfectly_discriminable": (
+    "_discriminate": (
         _flipped_discrimination,
         None,
         {"orthogonal-support-discrimination": "constructed orthogonal pair not discriminated"},
@@ -132,7 +134,7 @@ def test_each_suite_goes_red(monkeypatch, name):
     assert set(failed) == set(notes)
     for result_name, note in notes.items():
         assert re.fullmatch(note, failed[result_name].note)
-    if name == "perfectly_discriminable":
+    if name == "_discriminate":
         # Every random and every constructed pair disagrees.
         r = failed["orthogonal-support-discrimination"]
         assert r.worst == r.cases

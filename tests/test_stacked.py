@@ -1,17 +1,38 @@
-"""Stacked state validation gives the bits of per-object construction.
+"""Stacked validation and discrimination give the bits of per-object
+construction.
 
-quantum._states validates a whole stack of matrices through the code that
-QuantumState(m) runs on a stack of one.  That a stacked LAPACK call returns
-the same bits as one call per matrix is a fact about the platform and its
-BLAS, so these tests check it rather than assume it.
+quantum._states and quantum._effects validate a whole stack of matrices
+through the code that QuantumState(m) and Effect(m) run on a stack of one;
+linalg._support_projectors and quantum._discriminate likewise build the
+projectors and falsifiers of many states at once.  That a stacked LAPACK or
+BLAS call returns the same bits as one call per matrix is a fact about the
+platform and its BLAS, so these tests check it rather than assume it.
 """
 
 import numpy as np
 import pytest
 
-from optfalsify import QuantumState, hermitian_eig, quantum, run_postulate_checks
-from optfalsify.linalg import _eig_core, _hermitian
-from optfalsify.random_ops import random_density_matrix
+from optfalsify import (
+    Effect,
+    QuantumState,
+    hermitian_eig,
+    perfectly_discriminable,
+    postulates,
+    quantum,
+    run_postulate_checks,
+    support_projector,
+)
+from optfalsify.errors import NotHermitianError, NotPSDError, OutOfRangeError
+from optfalsify.linalg import (
+    DEFAULT_RANK_TOL,
+    HERM_TOL,
+    SPECTRUM_TOL,
+    _eig_core,
+    _hermitian,
+    _support_projectors,
+    support_mask,
+)
+from optfalsify.random_ops import random_density_matrix, random_unitary
 
 
 def _corpus(d: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -62,10 +83,156 @@ def _per_object(stack):
     return [QuantumState(m) for m in stack]
 
 
+def _per_pair(rhos, nus):
+    return [perfectly_discriminable(rho, nu) for rho, nu in zip(rhos, nus)]
+
+
 @pytest.mark.parametrize("dims, seed", [((2, 3, 4), 1), (tuple(range(2, 9)), 3)])
 def test_suites_match_per_object_validation(monkeypatch, dims, seed):
     stacked = run_postulate_checks(dims, seed=seed)
     monkeypatch.setattr(quantum, "_states", _per_object)
+    monkeypatch.setattr(postulates, "_discriminate", _per_pair)
     per_object = run_postulate_checks(dims, seed=seed)
     # repr of a float round-trips, so equal reprs mean equal bits.
     assert repr(stacked) == repr(per_object)
+
+
+DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
+
+
+def _reference_projector(eig):
+    """The support projector of one spectrum, product over the kept columns
+    and symmetrized, as support_projector computed it per matrix."""
+    cols = eig.vectors[:, support_mask(eig.values, DEFAULT_RANK_TOL)]
+    p = cols @ cols.conj().T
+    return (p + p.conj().T) / 2.0
+
+
+def _pairs(d, rng):
+    """Pairs of the corpus states: each with itself, with its neighbour, and
+    pairs with exactly orthogonal supports.  The corpus holds pure,
+    full-rank (no falsifier) and tied spectra."""
+    states = [QuantumState(m) for m in _corpus(d, rng)]
+    pairs = list(zip(states, states)) + list(zip(states, states[1:] + states[:1]))
+    if d > 1:
+        for rank in range(1, d):
+            rho, nu = postulates._orthogonal_pair(d, rank, rng)
+            pairs.append((QuantumState(rho), QuantumState(nu)))
+        e = np.eye(d, dtype=complex)
+        pairs.append((QuantumState(np.diag(e[0])), QuantumState(np.diag(e[-1]))))
+    return pairs
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_support_projector_stack_gives_per_object_bits(d):
+    states = [QuantumState(m) for m in _corpus(d, np.random.default_rng(300 + d))]
+    values = np.stack([s.spectrum.values for s in states])
+    vectors = np.stack([s.spectrum.vectors for s in states])
+    stacked = _support_projectors(values, vectors, DEFAULT_RANK_TOL, stack=True)
+    for state, p in zip(states, stacked):
+        assert np.array_equal(p, support_projector(state.spectrum))
+        assert np.array_equal(p, _reference_projector(state.spectrum))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_discriminate_gives_per_object_bits(d):
+    pairs = _pairs(d, np.random.default_rng(400 + d))
+    rhos, nus = [rho for rho, _ in pairs], [nu for _, nu in pairs]
+    stacked = quantum._discriminate(rhos, nus)
+    eye = np.eye(d, dtype=complex)
+    seen = set()
+    for (rho, nu), got in zip(pairs, stacked):
+        want = perfectly_discriminable(rho, nu)
+        p_rho = _reference_projector(rho.spectrum)
+        p_nu = _reference_projector(nu.spectrum)
+        assert got.overlap == want.overlap == float(np.abs(p_rho @ p_nu).max())
+        assert got.discriminable == want.discriminable
+        for p, f, g in ((p_rho, got.falsifier_rho, want.falsifier_rho),
+                        (p_nu, got.falsifier_nu, want.falsifier_nu)):
+            k = eye - p
+            if np.abs(k).max() <= SPECTRUM_TOL:
+                assert f is None and g is None
+                seen.add("none")
+                continue
+            assert np.array_equal(f.matrix, g.matrix)
+            assert np.array_equal(f.matrix, (k + k.conj().T) / 2.0)
+            assert not f.matrix.flags.writeable
+            seen.add("falsifier")
+        seen.add(got.discriminable)
+    # Full-rank states give no falsifier; pure ones do (none at d = 1).
+    assert seen == ({"none", False} if d == 1 else {"none", "falsifier", True, False})
+
+
+def _effect_corpus(d, rng):
+    """Effects with random spectra in [0, 1], the projectors and kernels of
+    the state corpus, and the tied effects 0, I and diag(1, 0, ...)."""
+    mats = []
+    for _ in range(2 * d):
+        u = random_unitary(d, rng)
+        mats.append((u * rng.uniform(0.0, 1.0, d)) @ u.conj().T)
+    for m in _corpus(d, rng):
+        p = support_projector(m)
+        mats += [p, np.eye(d) - p]
+    mats += [np.zeros((d, d)), np.eye(d), np.diag([1.0] + [0.0] * (d - 1))]
+    return np.stack(mats).astype(complex)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_effects_stack_gives_per_object_bits(d):
+    stack = _effect_corpus(d, np.random.default_rng(500 + d))
+    singles = [Effect(m) for m in stack]
+    for part in (slice(None, 1), slice(None, 5), slice(None)):
+        for got, want in zip(quantum._effects(stack[part]), singles[part]):
+            assert np.array_equal(got.matrix, want.matrix)
+            assert not got.matrix.flags.writeable
+            assert got.is_zero == want.is_zero
+
+
+def _reference_bruteforce(m, rank_tol=1e-10):
+    """The SVD support projector of one matrix."""
+    u, s, _ = np.linalg.svd(m)
+    cols = u[:, s > rank_tol * s[0]]
+    return cols @ cols.conj().T
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_bruteforce_stack_gives_per_object_bits(d):
+    pairs = _pairs(d, np.random.default_rng(600 + d))
+    n = len(pairs)
+    mats = [rho.matrix for rho, _ in pairs] + [nu.matrix for _, nu in pairs]
+    stacked = postulates._support_bruteforce(np.stack(mats))
+    for m, p in zip(mats, stacked):
+        assert np.array_equal(p, _reference_bruteforce(m))
+    # The suite's stacked trace Tr(P_rho P_nu), pair by pair.
+    traces = np.trace(stacked[:n] @ stacked[n:], axis1=1, axis2=2).real
+    for k, (rho, nu) in enumerate(pairs):
+        want = np.trace(_reference_bruteforce(rho.matrix) @ _reference_bruteforce(nu.matrix))
+        assert traces[k] == want.real
+
+
+# name: (cutoff, error raised at 2x, effect matrix straying eps past the cutoff)
+EFFECT_CUTOFFS = {
+    "hermiticity": (HERM_TOL, NotHermitianError, lambda e: [[0.5, e], [0.0, 0.5]]),
+    "below-zero": (SPECTRUM_TOL, NotPSDError, lambda e: np.diag([0.5, -e])),
+    "above-one": (SPECTRUM_TOL, OutOfRangeError, lambda e: np.diag([1.0 + e, 0.5])),
+}
+
+
+def _effect_stack_with(m, at=3, n=7):
+    """n valid qubit effects with m in place of the one at index `at`."""
+    stack = np.stack([np.diag([0.25, 1.0]).astype(complex)] * n)
+    stack[at] = m
+    return stack
+
+
+@pytest.mark.parametrize("case", EFFECT_CUTOFFS)
+def test_both_sides_of_effect_cutoff_in_a_stack(case):
+    tol, error, matrix = EFFECT_CUTOFFS[case]
+    effects = quantum._effects(_effect_stack_with(matrix(0.5 * tol)))
+    assert np.array_equal(effects[3].matrix, Effect(matrix(0.5 * tol)).matrix)
+    with pytest.raises(error) as per_object:
+        Effect(matrix(2.0 * tol))
+    with pytest.raises(error, match=r"\[3\]") as stacked:
+        quantum._effects(_effect_stack_with(matrix(2.0 * tol)))
+    assert type(stacked.value) is type(per_object.value)
+    assert "[" not in str(per_object.value)
