@@ -60,7 +60,7 @@ class SupportHypothesis:
                 "hypothesis subspace is the whole space; no falsifier exists "
                 "(only the inconclusive test F = 0 remains)"
             )
-        p = _hermitian(p, "hypothesis projector")
+        p = _hermitian(p[None], "hypothesis projector")[0]
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
 

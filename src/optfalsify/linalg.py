@@ -76,14 +76,21 @@ def is_hermitian(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= HERM_TOL
 
 
-def _at(name: str, index: int, stack: bool) -> str:
-    """name, followed by the failing index when it belongs to a stack."""
-    return f"{name} [{index}]" if stack else name
+def _check_dims(name: str, *dims) -> None:
+    """DimensionMismatchError unless each of dims is an integer >= 1, not a bool."""
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise DimensionMismatchError(f"{name}: {d!r} is not a positive integer")
+
+
+def _at(name: str, index: int, n: int) -> str:
+    """name, with the failing index when its stack holds n > 1 matrices."""
+    return f"{name} [{index}]" if n > 1 else name
 
 
 def _as_stack(m, name: str) -> np.ndarray:
     """Coerce to a complex (n, d, d) stack of square matrices, with the entry
-    bound of as_matrix checked per matrix (errors name the failing index)."""
+    bound of as_matrix checked per matrix (errors name it as _at does)."""
     try:
         a = np.asarray(m, dtype=complex)
     except OverflowError:  # a Python integer beyond float range
@@ -95,25 +102,21 @@ def _as_stack(m, name: str) -> np.ndarray:
     # NaN fails the comparison, so the first unbounded matrix is the first False.
     bounded = np.abs(a).max(axis=(1, 2)) <= MAX_ENTRY
     if not bounded.all():
-        raise unbounded_entries(_at(name, int(np.argmin(bounded)), True))
+        raise unbounded_entries(_at(name, int(np.argmin(bounded)), len(a)))
     return a
 
 
-def _hermitian(m, name: str, stack: bool = False) -> np.ndarray:
-    """as_matrix(m), checked Hermitian within HERM_TOL (else NotHermitianError
-    naming it) and symmetrized to exactly Hermitian as (m + m^dag)/2.
-
-    With stack=True, m is an (n, d, d) stack (see _as_stack), each matrix is
-    checked and symmetrized on its own, and errors name the first failing
-    index."""
-    a = _as_stack(m, name) if stack else as_matrix(m, square=True, name=name)
-    adj = a.conj().swapaxes(-1, -2)
+def _hermitian(a: np.ndarray, name: str) -> np.ndarray:
+    """The complex (n, d, d) stack a, coerced at the entry point, checked
+    Hermitian within HERM_TOL matrix by matrix (else NotHermitianError, see
+    _at) and symmetrized to exactly Hermitian as (a + a^dag)/2."""
+    adj = a.conj().swapaxes(1, 2)
     skew = np.abs(a - adj)
     if not skew.max() <= HERM_TOL:
-        worst = skew.max(axis=(-2, -1)).reshape(-1)
+        worst = skew.max(axis=(1, 2))
         k = int(np.argmax(worst > HERM_TOL))
         raise NotHermitianError(
-            f"{_at(name, k, stack)} is not Hermitian: max|m - m^dag| = "
+            f"{_at(name, k, len(a))} is not Hermitian: max|m - m^dag| = "
             f"{worst[k]:.3e} > {HERM_TOL:.1e}"
         )
     return (a + adj) / 2.0
@@ -132,7 +135,8 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     keep is "A" (trace out the second factor) or "B" (trace out the first).
     """
     m = as_matrix(m, square=True, name="partial_trace input")
-    if dim_a < 1 or dim_b < 1 or m.shape[0] != dim_a * dim_b:
+    _check_dims("partial_trace dimension", dim_a, dim_b)
+    if m.shape[0] != dim_a * dim_b:
         raise DimensionMismatchError(
             f"partial_trace: matrix of dim {m.shape[0]} is not {dim_a}x{dim_b}"
         )
@@ -168,7 +172,8 @@ def hermitian_eig(m) -> HermitianEig:
     decomposed; an exactly Hermitian input is decomposed as it is, which is
     how a QuantumState's cached spectrum equals hermitian_eig(state.matrix).
     """
-    values, vectors = _eig_core(_hermitian(m, "hermitian_eig input")[None])
+    a = as_matrix(m, square=True, name="hermitian_eig input")[None]
+    values, vectors = _eig_core(_hermitian(a, "hermitian_eig input"))
     return HermitianEig(values=values[0], vectors=vectors[0])
 
 
@@ -220,16 +225,14 @@ def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
     return values > rank_tol * np.maximum(values[..., :1], 0.0)
 
 
-def _check_psd(
-    values: np.ndarray, rank_tol: float, name: str, stack: bool = False
-) -> None:
+def _check_psd(values: np.ndarray, rank_tol: float, name: str) -> None:
     """NotPSDError unless, in each row of the (n, d) descending eigenvalues,
     the lowest is at least -rank_tol * lam_max, with lam_max clamped at zero.
-    With stack=True the error names the first failing row."""
+    The error names the first failing row (see _at)."""
     for k, row in enumerate(values.tolist()):
         if row[-1] < -rank_tol * max(row[0], 0.0):
             raise NotPSDError(
-                f"{_at(name, k, stack)}: eigenvalue {row[-1]:.3e} "
+                f"{_at(name, k, len(values))}: eigenvalue {row[-1]:.3e} "
                 "below -rank_tol*lam_max"
             )
 
@@ -244,26 +247,23 @@ def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def _support_projectors(
-    values: np.ndarray, vectors: np.ndarray, rank_tol: float, stack: bool = False
+    values: np.ndarray, vectors: np.ndarray, rank_tol: float
 ) -> np.ndarray:
     """support_projector for each row of the (n, d) descending eigenvalues
-    and (n, d, d) eigenvector columns of an _eig_core stack, as an (n, d, d)
-    stack.  With stack=True, errors name the first failing index.
+    and (n, d, d) eigenvector columns of an _eig_core stack, stacked alike.
 
     The values descend, so each support is a column prefix.  Rows of equal
     rank share one product over that prefix, which gives the bits of the
     product for a single matrix; zeroing the columns outside the support
     would not."""
-    _check_psd(values, rank_tol, "support_projector", stack)
+    _check_psd(values, rank_tol, "support_projector")
     ranks = support_mask(values, rank_tol).sum(axis=1)
     p = np.empty_like(vectors)
     for r in set(ranks.tolist()):
         rows = ranks == r
         cols = vectors[rows, :, :r]
         p[rows] = cols @ cols.conj().swapaxes(1, 2)
-    if stack:
-        return _hermitian(p, "support projector", stack=True)
-    return _hermitian(p[0], "support projector")[None]
+    return _hermitian(p, "support projector")
 
 
 def kernel_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -293,7 +293,8 @@ def doubleket_to_mat(v, rows: int | None = None, cols: int | None = None) -> np.
                 f"doubleket_to_mat: length {v.size} is not a perfect square"
             )
         rows = cols = d
-    if rows is None or cols is None or rows * cols != v.size:
+    _check_dims("doubleket_to_mat dimension", rows, cols)
+    if rows * cols != v.size:
         raise DimensionMismatchError(
             f"doubleket_to_mat: length {v.size} != {rows}x{cols}"
         )

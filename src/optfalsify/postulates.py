@@ -25,6 +25,7 @@ from .classical import (
 )
 from .errors import OptFalsifyError, OutOfRangeError
 from .linalg import (
+    DEFAULT_RANK_TOL,
     dagger,
     kernel_projector,
     mat_to_doubleket,
@@ -113,9 +114,10 @@ def _validated(
 
 
 def check_doubleket_identity(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 100
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """(A (x) B)|C>> = |A C B^T>> for random triples."""
+    n_cases = 100
     worst = 0.0
     for i in range(n_cases):
         m = dims[i % len(dims)]
@@ -130,7 +132,7 @@ def check_doubleket_identity(
 
 
 def check_purification_recovery(
-    rng: np.random.Generator, dims: tuple[int, ...], n_per_dim: int = 50
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """Tracing out the environment of purify(rho) returns rho, with the
     environment exactly as large as the rank."""
@@ -138,7 +140,7 @@ def check_purification_recovery(
     cases = 0
     note = ""
     for d in dims:
-        ranks = (1 + i % d for i in range(n_per_dim))
+        ranks = (1 + i % d for i in range(50))
         drawn = ((random_density_matrix(d, rng, rank=rank), rank) for rank in ranks)
         for rho, rank in _validated(drawn):
             pur = purify(rho)
@@ -153,10 +155,11 @@ def check_purification_recovery(
 
 
 def check_purification_uniqueness(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 50
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
     """Purifications of the same state with equal environments are linked by
     a unitary on the environment alone."""
+    n_cases = 50
     worst_recon = 0.0
     worst_unitary = 0.0
     note = ""
@@ -193,7 +196,7 @@ def check_purification_uniqueness(
     ]
 
 
-def _support_bruteforce(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def _support_bruteforce(m: np.ndarray) -> np.ndarray:
     """Support projectors of an (n, d, d) stack of PSD matrices by an
     independent route for cross-checking the library projectors: an SVD,
     not the eigendecomposition the library uses.  For a PSD matrix the
@@ -201,7 +204,7 @@ def _support_bruteforce(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     come out descending, so each support is a column prefix of u; rows of
     equal rank share one product over it."""
     u, s, _ = np.linalg.svd(m)
-    ranks = (s > rank_tol * s[:, :1]).sum(axis=1)
+    ranks = (s > DEFAULT_RANK_TOL * s[:, :1]).sum(axis=1)
     p = np.empty_like(u)
     for r in set(ranks.tolist()):
         rows = ranks == r
@@ -235,10 +238,7 @@ def _orthogonal_pair(
 
 
 def check_discrimination(
-    rng: np.random.Generator,
-    dims: tuple[int, ...],
-    n_random_per_dim: int = 200,
-    n_orthogonal: int = 50,
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """perfectly_discriminable agrees with the brute-force criterion
     Tr(P_rho P_nu) <= 1e-8 on random pairs and on pairs built with
@@ -249,7 +249,7 @@ def check_discrimination(
     for d in dims:
         drawn = (
             (random_density_matrix(d, rng, rank=rank), None)
-            for i in range(n_random_per_dim)
+            for i in range(200)
             for rank in (1 + i % d, 1 + (i // 2) % d)
         )
         for rhos, nus in _pairs(_validated(drawn)):
@@ -264,7 +264,7 @@ def check_discrimination(
     d = max(dims)
     drawn = (
         (m, None)
-        for i in range(n_orthogonal)
+        for i in range(50)
         for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)
     )
     for rhos, nus in _pairs(_validated(drawn)):
@@ -283,10 +283,11 @@ def check_discrimination(
 
 
 def check_local_falsifier(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 100
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """The product falsifier a (x) b never fires on the bipartite pure
     state |A>>."""
+    n_cases = 100
     worst = 0.0
     degenerate_hits = 0
 
@@ -308,10 +309,11 @@ def check_local_falsifier(
 
 
 def check_canonical_form(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 50
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
     """Canonical double-ket decomposition reconstructs the state and its
     operators are trace-orthogonal with the stated weights."""
+    n_cases = 50
     worst_recon = 0.0
     worst_orth = 0.0
     drawn = (
@@ -335,9 +337,10 @@ def check_canonical_form(
 
 
 def check_compression(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 100
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
     """Rank-deficient states restrict losslessly to their support."""
+    n_cases = 100
     worst_iso = 0.0
     worst_recon = 0.0
     drawn = (
@@ -362,9 +365,10 @@ def check_compression(
 
 
 def check_atomic_rank(
-    rng: np.random.Generator, dims: tuple[int, ...], n_cases: int = 100
+    rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
     """Atomic channels never increase rank; a non-atomic one can."""
+    n_cases = 100
     violations = 0
     drawn = (
         (random_density_matrix(d, rng, rank=1 + i % d), random_contraction(d, rng))
@@ -397,12 +401,10 @@ def check_atomic_rank(
 
 
 def check_dilation(
-    rng: np.random.Generator,
-    dims: tuple[int, ...],
-    n_cases: int = 20,
-    fault: str | None = None,
+    rng: np.random.Generator, dims: tuple[int, ...], fault: str | None = None
 ) -> list[PropertyResult]:
     """Every branch of the dilation circuit matches its Kraus term."""
+    n_cases = 20
     worst = 0.0
     results = []
     drawn = []
@@ -440,17 +442,16 @@ def check_dilation(
     return results
 
 
-def check_classical_embedding(
-    rng: np.random.Generator, n_cases: int = 50
-) -> list[PropertyResult]:
+def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
     """Diagonal embedding preserves outcome probabilities and support, and
     falsifier existence matches a nonzero kernel of the embedding."""
+    n_cases = 50
     worst = 0.0
     mismatches = 0
     # The 0/1 diagonal effect of each outcome, for every dimension drawn below.
     outcome_effects = {
         d: [Effect(np.diag(row)) for row in np.eye(d, dtype=complex)]
-        for d in range(2, 2 + min(n_cases, 5))
+        for d in range(2, 7)
     }
     for i in range(n_cases):
         d = 2 + i % 5

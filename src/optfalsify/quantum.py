@@ -29,7 +29,9 @@ from .linalg import (
     SPECTRUM_TOL,
     TRACE_TOL,
     HermitianEig,
+    _as_stack,
     _at,
+    _check_dims,
     _check_psd,
     _eig_core,
     _extreme_eigvals,
@@ -97,26 +99,24 @@ def _pure_matrix(vector) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _state_spectra(h: np.ndarray, stack: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Validate an (n, d, d) stack h of exactly Hermitian matrices as states
-    (PSD at -DEFAULT_RANK_TOL * lam_max, trace in (0, 1 + TRACE_TOL]) and
-    return their spectra as _eig_core does.  h and the spectra are made
-    read-only.  With stack=True, errors name the first failing index."""
+def _validate_states(a: np.ndarray, states: list["QuantumState"]) -> None:
+    """Validate the complex (n, d, d) stack a, coerced at the entry point,
+    as n states: Hermitian, PSD at -DEFAULT_RANK_TOL * lam_max, trace in
+    (0, 1 + TRACE_TOL]; an error names the first failing index (see _at).
+    Give states[k] matrix k, symmetrized, and its _eig_core spectrum, as
+    read-only views."""
+    h = _hermitian(a, "state matrix")
     values, vectors = _eig_core(h)
-    _check_psd(values, DEFAULT_RANK_TOL, "state matrix", stack)
+    _check_psd(values, DEFAULT_RANK_TOL, "state matrix")
     for k, tr in enumerate(h.trace(axis1=1, axis2=2).real.tolist()):
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
-            where = _at("state", k, stack)
+            where = _at("state", k, len(h))
             raise OutOfRangeError(f"{where} trace {tr!r} outside (0, 1]")
-    for a in (h, values, vectors):
-        a.setflags(write=False)
-    return values, vectors
-
-
-def _adopt(state: "QuantumState", h, values, vectors, k: int) -> None:
-    """Give state matrix k of a validated stack and its spectrum, as views."""
-    object.__setattr__(state, "matrix", h[k])
-    object.__setattr__(state, "_spectrum", HermitianEig(values[k], vectors[k]))
+    for b in (h, values, vectors):
+        b.setflags(write=False)
+    for k, state in enumerate(states):
+        object.__setattr__(state, "matrix", h[k])
+        object.__setattr__(state, "_spectrum", HermitianEig(values[k], vectors[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +131,10 @@ class QuantumState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        # A stack of one: _states validates whole stacks with the same code.
-        h = _hermitian(self.matrix, "state matrix")[None]
-        # h is exactly Hermitian, so hermitian_eig(self.matrix) would return
-        # the same spectrum bits.
-        _adopt(self, h, *_state_spectra(h, stack=False), 0)
+        # A stack of one, validated as _states validates whole stacks; the
+        # exactly Hermitian result has the spectrum bits of hermitian_eig.
+        a = as_matrix(self.matrix, square=True, name="state matrix")[None]
+        _validate_states(a, [self])
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
@@ -143,8 +142,7 @@ class QuantumState:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
-        if dim < 1:
-            raise DimensionMismatchError("dimension must be positive")
+        _check_dims("maximally_mixed dimension", dim)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @property
@@ -173,27 +171,22 @@ def _states(stack) -> list[QuantumState]:
     """QuantumStates for an (n, d, d) stack of matrices, validated together
     by the code each QuantumState(m) runs on a stack of one; each state's
     matrix and spectrum are read-only views of the validated stack.  Every
-    check applies, and an error names the first failing index."""
-    h = _hermitian(stack, "state matrix", stack=True)
-    spectra = _state_spectra(h, stack=True)
-    states = [object.__new__(QuantumState) for _ in range(len(h))]
-    for k, state in enumerate(states):
-        _adopt(state, h, *spectra, k)
+    check applies, and an error names the first failing one as _at does."""
+    a = _as_stack(stack, "state matrix")
+    states = [object.__new__(QuantumState) for _ in range(len(a))]
+    _validate_states(a, states)
     return states
 
 
-def _effect_matrices(m, stack: bool) -> np.ndarray:
-    """m checked and symmetrized by _hermitian, with each spectrum checked
-    in [0, 1] within SPECTRUM_TOL (its extremes only, by eigvalsh): a
-    read-only (n, d, d) stack.  m is one matrix, or with stack=True an
-    (n, d, d) stack whose errors name the first failing index."""
-    if stack:
-        h = _hermitian(m, "effect matrix", stack=True)
-    else:
-        h = _hermitian(m, "effect matrix")[None]
+def _effect_matrices(a: np.ndarray) -> np.ndarray:
+    """The complex (n, d, d) stack a, coerced at the entry point, checked
+    and symmetrized by _hermitian, with each spectrum checked in
+    [0, 1] within SPECTRUM_TOL (its extremes only, by eigvalsh): a
+    read-only stack.  An error names the first failing index (see _at)."""
+    h = _hermitian(a, "effect matrix")
     lowest, highest = _extreme_eigvals(h)
     for k, (low, high) in enumerate(zip(lowest.tolist(), highest.tolist())):
-        where = _at("effect", k, stack)
+        where = _at("effect", k, len(h))
         if low < -SPECTRUM_TOL:
             raise NotPSDError(f"{where} has eigenvalue {low:.3e} below zero")
         if high > 1.0 + SPECTRUM_TOL:
@@ -213,7 +206,8 @@ class Effect:
 
     def __post_init__(self) -> None:
         # A stack of one: _effects validates whole stacks with the same code.
-        _frozen_array(self, "matrix", _effect_matrices(self.matrix, stack=False)[0])
+        a = as_matrix(self.matrix, square=True, name="effect matrix")[None]
+        _frozen_array(self, "matrix", _effect_matrices(a)[0])
 
     @property
     def dim(self) -> int:
@@ -228,9 +222,9 @@ def _effects(stack) -> list[Effect]:
     """Effects for an (n, d, d) stack of matrices, validated together by the
     code each Effect(m) runs on a stack of one; each effect's matrix is a
     read-only view of the validated stack.  Every check applies, and an
-    error names the first failing index."""
+    error names the first failing one as _at does."""
     effects = []
-    for m in _effect_matrices(stack, stack=True):
+    for m in _effect_matrices(_as_stack(stack, "effect matrix")):
         effect = object.__new__(Effect)
         object.__setattr__(effect, "matrix", m)
         effects.append(effect)
@@ -262,7 +256,7 @@ class KrausChannel:
                 "channel is not trace-nonincreasing: sum A^dag A has an entry "
                 f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
             )
-        _, top = _extreme_eigvals(_hermitian(gram, "channel gram sum A^dag A")[None])
+        _, top = _extreme_eigvals(_hermitian(gram[None], "channel gram sum A^dag A"))
         if top[0] > 1.0 + SPECTRUM_TOL:
             raise OutOfRangeError(
                 "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
@@ -328,7 +322,8 @@ class Purification:
 
     def __post_init__(self) -> None:
         v, nrm = _bounded_vector(self.state_vector, "purification vector")
-        if self.dim_a < 1 or self.dim_b < 1 or v.size != self.dim_a * self.dim_b:
+        _check_dims("purification dimension", self.dim_a, self.dim_b)
+        if v.size != self.dim_a * self.dim_b:
             raise DimensionMismatchError(
                 f"purification vector length {v.size} != {self.dim_a}x{self.dim_b}"
             )
@@ -436,7 +431,6 @@ def _discriminate(
         np.stack([s.spectrum.values for s in states]),
         np.stack([s.spectrum.vectors for s in states]),
         DEFAULT_RANK_TOL,
-        stack=True,
     )
     overlaps = np.abs(p[:n] @ p[n:]).max(axis=(1, 2)).tolist()
     kernels = np.eye(dims[0], dtype=complex) - p
@@ -599,6 +593,7 @@ class Dilation:
 
     def __post_init__(self) -> None:
         u = as_matrix(self.unitary, square=True, name="dilation unitary")
+        _check_dims("dilation dimension", self.dim_sys, self.dim_env)
         d = self.dim_sys * self.dim_env
         if u.shape[0] != d:
             raise DimensionMismatchError(

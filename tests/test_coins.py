@@ -39,6 +39,16 @@ SQRT_HALF = 0.7071067811865476
 # more than the machine's CPUs; 3 and 7 do not divide the trial counts.
 WORKERS = (1, 2, 3, 5)
 CHUNKS = (1, 3, 7, 1 << 16)
+# Chunk sizes 1 and 3 cost a Python step per trial or two, so the chunk
+# matrices run them on this prefix of the trials.  It is a multiple of
+# neither 4 (the uniforms of one Philox counter step) nor 3, and at 5 workers
+# its stripes start at 200, 401, 601 and 802: three start inside a step.
+SHORT_TRIALS = 1003
+
+
+def trials_at(size, n_trials):
+    """The trials the chunk matrices run at chunk size `size`."""
+    return min(n_trials, SHORT_TRIALS) if size in (1, 3) else n_trials
 
 
 def cli_outputs(tmp_path, tag, *args):
@@ -329,27 +339,33 @@ class TestStreamedCampaign:
         return str(path)
 
     def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
-        config = self._config(tmp_path, self.N_TRIALS, self.SEED)
         bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
-        outputs = set()
+        outputs = {}
         for workers, size in splits(monkeypatch):
-            chunks = coins._stripe(self.SEED, 0, self.N_TRIALS, size)
-            assert np.concatenate([u.copy() for u in chunks]).tobytes() == bulk.tobytes()
+            n = trials_at(size, self.N_TRIALS)
+            chunks = coins._stripe(self.SEED, 0, n, size)
+            assert np.concatenate([u.copy() for u in chunks]).tobytes() == bulk[:n].tobytes()
+            config = self._config(tmp_path, n, self.SEED)
             tag = f"{workers}_{size}"
-            outputs.add(cli_outputs(tmp_path, tag, "falsify-coin", "--config", config))
-        assert len(outputs) == 1
-        report_bytes, csv_bytes = outputs.pop()
-        report = json.loads(report_bytes)
-        assert report["n_falsified"] == 49936
-        # Reference trace in the per-row csv.writer format.
-        rate = report["theoretical_rate"]
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
-        for i, u in enumerate(bulk):
-            label = "FALSIFIED" if u < rate else "INCONCLUSIVE"
-            writer.writerow([i, label, float_literal(rate), self.SEED])
-        assert csv_bytes == expected.getvalue().encode("ascii")
+            run = cli_outputs(tmp_path, tag, "falsify-coin", "--config", config)
+            outputs.setdefault(n, set()).add(run)
+        assert sorted(outputs) == [SHORT_TRIALS, self.N_TRIALS]
+        for n, runs in outputs.items():
+            assert len(runs) == 1
+            report_bytes, csv_bytes = runs.pop()
+            report = json.loads(report_bytes)
+            rate = report["theoretical_rate"]
+            assert report["n_falsified"] == int(np.count_nonzero(bulk[:n] < rate))
+            if n == self.N_TRIALS:
+                assert report["n_falsified"] == 49936
+            # Reference trace in the per-row csv.writer format.
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
+            for i, u in enumerate(bulk[:n]):
+                label = "FALSIFIED" if u < rate else "INCONCLUSIVE"
+                writer.writerow([i, label, float_literal(rate), self.SEED])
+            assert csv_bytes == expected.getvalue().encode("ascii")
 
     @staticmethod
     def _traced_peak(fn, *args) -> int:
@@ -406,28 +422,32 @@ class TestStreamedSample:
         assert count_generator(make_coin(1.0), 100, 0)[1].tolist() == [100, 0]
 
     def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
-        config = self._config(tmp_path, self.N_TRIALS)
-        outputs = set()
+        outputs = {}
         for workers, size in splits(monkeypatch):
-            outputs.add(cli_outputs(tmp_path, f"{workers}_{size}", "sample", "--config", config))
-        assert len(outputs) == 1
-        report_bytes, csv_bytes = outputs.pop()
+            n = trials_at(size, self.N_TRIALS)
+            config = self._config(tmp_path, n)
+            run = cli_outputs(tmp_path, f"{workers}_{size}", "sample", "--config", config)
+            outputs.setdefault(n, set()).add(run)
+        assert sorted(outputs) == [SHORT_TRIALS, self.N_TRIALS]
         # Reference: inverse-CDF codes of the bulk keyed stream.
         gen = make_nary(self.DECLARED["probs"], self.DECLARED["phases"])
         probs = born_reference(gen.state().matrix)
         edges = np.cumsum(probs)
         edges[-1] = 1.0
         bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
-        codes = np.searchsorted(edges, bulk, side="right")
-        report = json.loads(report_bytes)
-        assert report["counts"] == np.bincount(codes, minlength=3).tolist()
-        assert report["probs"] == probs.tolist()
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
-        for i, c in enumerate(codes):
-            writer.writerow([i, c, float_literal(probs[c]), self.SEED])
-        assert csv_bytes == expected.getvalue().encode("ascii")
+        for n, runs in outputs.items():
+            assert len(runs) == 1
+            report_bytes, csv_bytes = runs.pop()
+            codes = np.searchsorted(edges, bulk[:n], side="right")
+            report = json.loads(report_bytes)
+            assert report["counts"] == np.bincount(codes, minlength=3).tolist()
+            assert report["probs"] == probs.tolist()
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["trial", "outcome", "p_theoretical", "seed"])
+            for i, c in enumerate(codes):
+                writer.writerow([i, c, float_literal(probs[c]), self.SEED])
+            assert csv_bytes == expected.getvalue().encode("ascii")
 
     def _args(self, tmp_path, n_trials):
         config = self._config(tmp_path, n_trials)

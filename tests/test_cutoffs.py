@@ -153,10 +153,16 @@ def test_both_sides_of_state_cutoff_in_a_stack(case):
     assert states[3].matrix.tobytes() == QuantumState(matrix(0.5 * tol)).matrix.tobytes()
     with pytest.raises(error) as per_object:
         QuantumState(matrix(2.0 * tol))
-    with pytest.raises(error, match=r"\[3\]") as stacked:
-        quantum._states(_stack_with(matrix(2.0 * tol)))
-    assert type(stacked.value) is type(per_object.value)
     assert "[" not in str(per_object.value)
+    # The index is named only when the stack holds more than one matrix; a
+    # failing stack of one reads exactly as the single object does.
+    for at, n in ((3, 7), (1, 2), (0, 1)):
+        with pytest.raises(error) as stacked:
+            quantum._states(_stack_with(matrix(2.0 * tol), at=at, n=n))
+        assert type(stacked.value) is type(per_object.value)
+        index = f" [{at}]" if n > 1 else ""
+        assert index in str(stacked.value)
+        assert str(stacked.value).replace(index, "", 1) == str(per_object.value)
 
 
 @pytest.mark.parametrize("k", [0, 3, 6])

@@ -15,10 +15,12 @@ from optfalsify import (
     compress,
     connecting_unitary,
     dilate,
+    doubleket_to_mat,
     hermitian_eig,
     kernel_projector,
     local_falsifier,
     mat_to_doubleket,
+    partial_trace,
     perfectly_discriminable,
     purify,
     support_projector,
@@ -636,6 +638,33 @@ class TestMismatchedInputs:
     def test_typed_error(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+
+# Each call is valid when d = 2; every dimension it is given must be a
+# Python or numpy integer of at least 1, and never a bool.
+DIMENSION_CALLS = {
+    "purification-system": lambda d: Purification([1.0, 0.0], d, 1).marginal(),
+    "purification-environment": lambda d: Purification([1.0, 0.0], 1, d).marginal(),
+    "dilation-system": lambda d: Dilation(np.eye(2), d, 1),
+    "dilation-environment": lambda d: Dilation(np.eye(2), 1, d),
+    "maximally_mixed": lambda d: QuantumState.maximally_mixed(d),
+    "partial_trace": lambda d: partial_trace(np.eye(4), d, 2, keep="A"),
+    "doubleket_to_mat": lambda d: doubleket_to_mat(np.ones(4), d, 2),
+}
+
+
+@pytest.mark.parametrize("site", DIMENSION_CALLS)
+class TestDimensionArguments:
+    @pytest.mark.parametrize("d", [2, np.int64(2)], ids=["int", "np.int64"])
+    def test_integer_accepted(self, site, d):
+        DIMENSION_CALLS[site](d)
+
+    @pytest.mark.parametrize(
+        "d", [2.0, True, 0, np.True_], ids=["float", "bool", "zero", "np.bool_"]
+    )
+    def test_non_integer_rejected(self, site, d):
+        with pytest.raises(DimensionMismatchError, match="is not a positive integer"):
+            DIMENSION_CALLS[site](d)
 
 
 class TestCachedSpectrum:

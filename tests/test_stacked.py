@@ -71,7 +71,7 @@ def test_eig_core_stack_matches_hermitian_eig(d):
     rng = np.random.default_rng(200 + d)
     g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
     mats = list(g + g.conj().swapaxes(1, 2)) + [np.eye(d, dtype=complex)]
-    values, vectors = _eig_core(_hermitian(np.stack(mats), "stack", stack=True))
+    values, vectors = _eig_core(_hermitian(np.stack(mats), "stack"))
     for k, m in enumerate(mats):
         eig = hermitian_eig(m)
         assert np.array_equal(values[k], eig.values)
@@ -128,7 +128,7 @@ def test_support_projector_stack_gives_per_object_bits(d):
     states = [QuantumState(m) for m in _corpus(d, np.random.default_rng(300 + d))]
     values = np.stack([s.spectrum.values for s in states])
     vectors = np.stack([s.spectrum.vectors for s in states])
-    stacked = _support_projectors(values, vectors, DEFAULT_RANK_TOL, stack=True)
+    stacked = _support_projectors(values, vectors, DEFAULT_RANK_TOL)
     for state, p in zip(states, stacked):
         assert np.array_equal(p, support_projector(state.spectrum))
         assert np.array_equal(p, _reference_projector(state.spectrum))
@@ -232,7 +232,13 @@ def test_both_sides_of_effect_cutoff_in_a_stack(case):
     assert np.array_equal(effects[3].matrix, Effect(matrix(0.5 * tol)).matrix)
     with pytest.raises(error) as per_object:
         Effect(matrix(2.0 * tol))
-    with pytest.raises(error, match=r"\[3\]") as stacked:
-        quantum._effects(_effect_stack_with(matrix(2.0 * tol)))
-    assert type(stacked.value) is type(per_object.value)
     assert "[" not in str(per_object.value)
+    # The index is named only when the stack holds more than one matrix; a
+    # failing stack of one reads exactly as the single object does.
+    for at, n in ((3, 7), (1, 2), (0, 1)):
+        with pytest.raises(error) as stacked:
+            quantum._effects(_effect_stack_with(matrix(2.0 * tol), at=at, n=n))
+        assert type(stacked.value) is type(per_object.value)
+        index = f" [{at}]" if n > 1 else ""
+        assert index in str(stacked.value)
+        assert str(stacked.value).replace(index, "", 1) == str(per_object.value)
