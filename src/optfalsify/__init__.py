@@ -49,7 +49,6 @@ from .falsification import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     HermitianEig,
-    complete_to_unitary,
     dagger,
     doubleket_to_mat,
     hermitian_eig,

@@ -24,7 +24,6 @@ from .linalg import (
     SPECTRUM_TOL,
     _hermitian,
     as_matrix,
-    is_hermitian,
     projector_rank,
     support_projector,
 )
@@ -47,8 +46,7 @@ class SupportHypothesis:
 
     def __post_init__(self) -> None:
         p = as_matrix(self.projector, square=True, name="hypothesis projector")
-        if not is_hermitian(p):
-            raise OutOfRangeError("hypothesis projector must be Hermitian")
+        p = _hermitian(p[None], "hypothesis projector")[0]
         if float(np.max(np.abs(p @ p - p))) > SPECTRUM_TOL:
             raise OutOfRangeError("hypothesis projector must be idempotent")
         if p.shape[0] < 2:
@@ -60,7 +58,6 @@ class SupportHypothesis:
                 "hypothesis subspace is the whole space; no falsifier exists "
                 "(only the inconclusive test F = 0 remains)"
             )
-        p = _hermitian(p[None], "hypothesis projector")[0]
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
 

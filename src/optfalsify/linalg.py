@@ -72,10 +72,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= HERM_TOL
-
-
 def _check_dims(name: str, *dims) -> None:
     """DimensionMismatchError unless each of dims is an integer >= 1, not a bool."""
     for d in dims:
@@ -129,23 +125,15 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one factor of a (dim_a*dim_b) x (dim_a*dim_b) matrix.
-
-    keep is "A" (trace out the second factor) or "B" (trace out the first).
-    """
+def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """Trace out the second factor of a (dim_a*dim_b) x (dim_a*dim_b) matrix."""
     m = as_matrix(m, square=True, name="partial_trace input")
     _check_dims("partial_trace dimension", dim_a, dim_b)
     if m.shape[0] != dim_a * dim_b:
         raise DimensionMismatchError(
             f"partial_trace: matrix of dim {m.shape[0]} is not {dim_a}x{dim_b}"
         )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise OutOfRangeError(f"partial_trace: keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("ikjk->ij", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
 @dataclass(frozen=True)
@@ -283,64 +271,12 @@ def mat_to_doubleket(a) -> np.ndarray:
     return a.reshape(-1).copy()
 
 
-def doubleket_to_mat(v, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Inverse of mat_to_doubleket; square shape inferred when not given."""
+def doubleket_to_mat(v, rows: int, cols: int) -> np.ndarray:
+    """Inverse of mat_to_doubleket for a rows x cols matrix."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if rows is None and cols is None:
-        d = int(round(np.sqrt(v.size)))
-        if d * d != v.size:
-            raise DimensionMismatchError(
-                f"doubleket_to_mat: length {v.size} is not a perfect square"
-            )
-        rows = cols = d
     _check_dims("doubleket_to_mat dimension", rows, cols)
     if rows * cols != v.size:
         raise DimensionMismatchError(
             f"doubleket_to_mat: length {v.size} != {rows}x{cols}"
         )
     return v.reshape(rows, cols).copy()
-
-
-# How far complete_to_unitary's input columns may stray from orthonormal,
-# max|C^dag C - I|; also the residual norm below which a canonical
-# candidate counts as already spanned.
-_COMPLETION_TOL = 1e-6
-
-
-def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary.
-
-    Columns with max|C^dag C - I| above _COMPLETION_TOL raise
-    DimensionMismatchError.  Deterministic greedy Gram-Schmidt over the
-    canonical basis in index order; candidates whose residual norm is at
-    most _COMPLETION_TOL are skipped.
-    """
-    cols = as_matrix(cols, name="complete_to_unitary input")
-    d, k = cols.shape
-    if k > d:
-        raise DimensionMismatchError(f"complete_to_unitary: {k} columns in dim {d}")
-    # Entries within MAX_ENTRY can overflow the gram; NaN or inf fails below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(dagger(cols) @ cols - np.eye(k)).max()
-    if not dev <= _COMPLETION_TOL:
-        raise DimensionMismatchError(
-            "complete_to_unitary: input columns are not orthonormal enough to extend"
-        )
-    # With m < d nearly orthonormal columns in the basis, the squared
-    # residuals of the d canonical candidates sum to about d - m >= 1, so
-    # some candidate always clears the cut until the basis is full.
-    basis = [cols[:, j].copy() for j in range(k)]
-    for j in range(d):
-        if len(basis) == d:
-            break
-        cand = np.zeros(d, dtype=complex)
-        cand[j] = 1.0
-        for b in basis:
-            cand -= np.vdot(b, cand) * b
-        # Second pass restores orthogonality lost to cancellation.
-        for b in basis:
-            cand -= np.vdot(b, cand) * b
-        nrm = float(np.linalg.norm(cand))
-        if nrm > _COMPLETION_TOL:
-            basis.append(cand / nrm)
-    return np.column_stack(basis)

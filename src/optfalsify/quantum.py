@@ -38,7 +38,6 @@ from .linalg import (
     _hermitian,
     _support_projectors,
     as_matrix,
-    complete_to_unitary,
     dagger,
     doubleket_to_mat,
     entries_bounded,
@@ -334,7 +333,7 @@ class Purification:
     def marginal(self) -> QuantumState:
         """Reduced state on the first factor."""
         full = np.outer(self.state_vector, self.state_vector.conj())
-        return QuantumState(partial_trace(full, self.dim_a, self.dim_b, keep="A"))
+        return QuantumState(partial_trace(full, self.dim_a, self.dim_b))
 
 
 def purify(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> Purification:
@@ -380,20 +379,10 @@ def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
         raise PurificationMismatchError(
             "purifications reduce to different marginals"
         )
-    eig = hermitian_eig((rho1 + rho2) / 2.0)
-    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
-    lams = eig.values[keep]
-    vecs = eig.vectors[:, keep]
-    scale = 1.0 / np.sqrt(lams)
-    # Columns x_i = M^dag w_i / sqrt(lam_i) are orthonormal in the
-    # environment; matching them between the two purifications fixes U on
-    # the support, and paired completions fix it on the complement.
-    x1 = (dagger(m1) @ vecs) * scale[None, :]
-    x2 = (dagger(m2) @ vecs) * scale[None, :]
-    y1 = complete_to_unitary(x1)[:, lams.size :]
-    y2 = complete_to_unitary(x2)[:, lams.size :]
-    ut = x1 @ dagger(x2) + y1 @ dagger(y2)
-    return ut.T.copy()
+    # M2 = M1 U^T, so U^T is the unitary polar factor of M1^dag M2: the
+    # orthogonal Procrustes solution, which needs no support cut.
+    w, _, vh = np.linalg.svd(dagger(m1) @ m2)
+    return (w @ vh).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,7 +609,7 @@ class Dilation:
         picked = evolved @ tensor(
             np.eye(self.dim_sys, dtype=complex), np.outer(env[k], env[k])
         )
-        return partial_trace(picked, self.dim_sys, self.dim_env, keep="A")
+        return partial_trace(picked, self.dim_sys, self.dim_env)
 
 
 def dilate(channel: KrausChannel) -> Dilation:
@@ -628,8 +617,9 @@ def dilate(channel: KrausChannel) -> Dilation:
 
     The environment has dimension max(n_kraus, 2), the ancilla starts in
     |0><0|, and the isometry column for system basis vector j sits at
-    column j * dim_env of the unitary; remaining columns are a deterministic
-    orthonormal completion.
+    column j * dim_env of the unitary; the remaining columns, in order, are
+    the leading eigenvectors of I - V V^dag for the isometry V, in
+    hermitian_eig's order and phase convention.
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError(
@@ -646,12 +636,9 @@ def dilate(channel: KrausChannel) -> Dilation:
     v = np.zeros((big, d), dtype=complex)
     for k, a in enumerate(channel.kraus):
         v[k::n_env, :] = a
-    w = complete_to_unitary(v)
-    u = np.zeros((big, big), dtype=complex)
-    occupied = [j * n_env for j in range(d)]
-    free = [c for c in range(big) if c not in occupied]
-    for j, col in enumerate(occupied):
-        u[:, col] = w[:, j]
-    for j, col in enumerate(free):
-        u[:, col] = w[:, d + j]
+    # The kernel of V^dag is the eigenvalue-1 eigenspace of I - V V^dag.
+    kernel = hermitian_eig(np.eye(big) - v @ dagger(v)).vectors[:, : big - d]
+    u = np.empty((big, big), dtype=complex)
+    u[:, ::n_env] = v
+    u[:, [c for c in range(big) if c % n_env]] = kernel
     return Dilation(unitary=u, dim_sys=d, dim_env=n_env)

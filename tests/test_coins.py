@@ -602,18 +602,21 @@ class TestClassicalBaseline:
         assert count_classical_coin(0.6, 100, 21) == self._tosses(0.6, 100, 21)
 
     def test_counts_match_bulk_sample(self, tmp_path, monkeypatch):
-        expected = self._tosses(0.3, 100_000, 5)
-        config = self._config(
-            tmp_path, declared_p=0.3, true_p=0.3, n_trials=100_000, seed=5
-        )
-        reports = set()
+        n_trials = 100_000
+        reports = {}
         for workers, size in splits(monkeypatch):
+            n = trials_at(size, n_trials)
+            config = self._config(
+                tmp_path, declared_p=0.3, true_p=0.3, n_trials=n, seed=5
+            )
             out = tmp_path / f"r{workers}_{size}.json"
             assert cli_main(["classical-baseline", "--config", config, "--out", str(out)]) == 0
-            reports.add(out.read_bytes())
-        assert len(reports) == 1
-        doc = json.loads(reports.pop())
-        assert (doc["n_zero"], doc["n_one"]) == expected
+            reports.setdefault(n, set()).add(out.read_bytes())
+        assert sorted(reports) == [SHORT_TRIALS, n_trials]
+        for n, runs in reports.items():
+            assert len(runs) == 1
+            doc = json.loads(runs.pop())
+            assert (doc["n_zero"], doc["n_one"]) == self._tosses(0.3, n, 5)
 
     def test_counts_validate_like_sampler(self):
         for args in ((1.5, 10, 0), (0.5, 0, 0)):

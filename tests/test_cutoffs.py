@@ -1,5 +1,5 @@
 """Both sides of every cutoff shared between validating constructors, and
-of the single-site cutoffs of complete_to_unitary and connecting_unitary.
+of the single-site cutoff of connecting_unitary.
 
 Each case builds an input that strays eps past one boundary: it is
 accepted at eps = 0.5 x the cutoff and rejected with a typed error at
@@ -54,7 +54,7 @@ CASES = {
     # [[1, e], [0, 0]] is exactly idempotent, so only Hermiticity is at stake.
     "hypothesis-hermiticity": (
         HERM_TOL,
-        OutOfRangeError,
+        NotHermitianError,
         lambda e: SupportHypothesis([[1.0, e], [0.0, 0.0]]),
     ),
     "state-trace": (
@@ -89,15 +89,8 @@ def test_both_sides_of_shared_cutoff(case):
 
 
 def test_single_site_cutoffs_pinned():
-    pinned = (linalg._COMPLETION_TOL, quantum._MARGINAL_TOL, quantum._ORTHOGONALITY_TOL)
-    assert pinned == (1e-6, 1e-8, 1e-8)
-
-
-def _near_isometry(eps):
-    """3 x 2 columns with C^dag C - I = [[0, eps], [eps, eps^2]]."""
-    cols = np.eye(3, 2, dtype=complex)
-    cols[0, 1] = eps
-    return cols
+    pinned = (quantum._MARGINAL_TOL, quantum._ORTHOGONALITY_TOL)
+    assert pinned == (1e-8, 1e-8)
 
 
 def _purifications(eps):
@@ -110,11 +103,6 @@ def _purifications(eps):
 
 # name: (cutoff, error raised at 2x, build(eps))
 SINGLE_SITE_CASES = {
-    "complete-to-unitary-orthonormality": (
-        linalg._COMPLETION_TOL,
-        DimensionMismatchError,
-        lambda e: linalg.complete_to_unitary(_near_isometry(e)),
-    ),
     "connecting-unitary-marginals": (
         quantum._MARGINAL_TOL,
         PurificationMismatchError,

@@ -16,6 +16,7 @@ from optfalsify import (
 from optfalsify.errors import (
     DimensionMismatchError,
     NotDeterministicError,
+    NotHermitianError,
     OutOfRangeError,
     UnfalsifiableHypothesisError,
 )
@@ -42,7 +43,7 @@ class TestSupportHypothesis:
 
     def test_not_hermitian(self):
         m = np.array([[1.0, 0.3], [0.0, 0.0]])
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(NotHermitianError, match="hypothesis projector is not Hermitian"):
             SupportHypothesis(m)
 
     def test_dimension_floor(self):

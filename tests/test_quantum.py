@@ -330,16 +330,29 @@ class TestConnectingUnitary:
         assert np.array_equal(u, np.eye(3))
 
     def test_random_pairs(self, rng):
-        for dim in (2, 3, 4):
-            rho = QuantumState(random_density_matrix(dim, rng))
-            p1 = purify(rho)
-            v = random_unitary(p1.dim_b, rng)
-            psi2 = tensor(np.eye(dim, dtype=complex), v) @ p1.state_vector
-            p2 = Purification(psi2, dim, p1.dim_b)
-            u = connecting_unitary(p1, p2)
-            moved = tensor(np.eye(dim, dtype=complex), u) @ p1.state_vector
-            assert np.linalg.norm(moved - psi2) <= 1e-8
-            assert np.max(np.abs(u.conj().T @ u - np.eye(p1.dim_b))) <= 1e-9
+        # Random states, and d = 3 states with spectrum (0.7 - s, 0.3, s) in a
+        # random basis, s just above the support cut at 1e-10 * lam_max.  Each
+        # is purified minimally and with one more, unused, environment
+        # dimension.
+        rhos = [random_density_matrix(dim, rng) for dim in (2, 3, 4)]
+        for s in (2e-10, 1.2e-10):
+            w = random_unitary(3, rng)
+            rhos.append(w @ np.diag([0.7 - s, 0.3, s]) @ w.conj().T)
+        for rho in rhos:
+            dim = rho.shape[0]
+            pur = purify(QuantumState(rho))
+            m = doubleket_to_mat(pur.state_vector, dim, pur.dim_b)
+            for env in (pur.dim_b, pur.dim_b + 1):
+                padded = np.zeros((dim, env), dtype=complex)
+                padded[:, : pur.dim_b] = m
+                p1 = Purification(mat_to_doubleket(padded), dim, env)
+                v = random_unitary(env, rng)
+                psi2 = tensor(np.eye(dim, dtype=complex), v) @ p1.state_vector
+                p2 = Purification(psi2, dim, env)
+                u = connecting_unitary(p1, p2)
+                moved = tensor(np.eye(dim, dtype=complex), u) @ p1.state_vector
+                assert np.linalg.norm(moved - psi2) <= 1e-8
+                assert np.max(np.abs(u.conj().T @ u - np.eye(env))) <= 1e-9
 
     def test_different_marginals_rejected(self):
         p1 = purify(QuantumState(np.diag([0.3, 0.7])))
@@ -527,16 +540,19 @@ class TestLocalFalsifier:
 
 class TestDilate:
     def test_dephasing_unitary_by_hand(self):
-        # Kraus {|0><0|, |1><1|}: the isometry sends |j>|0> to |j>|j>, and
-        # the canonical completion fills the rest as a permutation.
+        # Kraus {|0><0|, |1><1|}: the isometry V sends |j>|0> to |j>|j>, so
+        # columns 0 and 2 are |00> and |11>, and I - V V^dag = diag(0, 1, 1, 0).
+        # LAPACK sorts that diagonal ascending by selection sort, which swaps
+        # |01> and |11> into (|00>, |11>, |10>, |01>); the stable descending
+        # sort then puts |10> before |01> in the free columns 1 and 3.
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         dil = dilate(KrausChannel((p0, p1)))
         expected = np.array(
             [
                 [1, 0, 0, 0],
-                [0, 1, 0, 0],
                 [0, 0, 0, 1],
+                [0, 1, 0, 0],
                 [0, 0, 1, 0],
             ],
             dtype=complex,
@@ -556,6 +572,24 @@ class TestDilate:
             np.testing.assert_allclose(
                 total, apply_channel(ch, rho).matrix, atol=1e-9
             )
+
+    def test_completion_extends_isometry(self, rng):
+        for dim, n_kraus in ((2, 1), (2, 3), (3, 2), (4, 4)):
+            ch = KrausChannel(tuple(random_kraus_tp(dim, n_kraus, rng)))
+            u = dilate(ch).unitary
+            n_env = max(n_kraus, 2)
+            for k, a in enumerate(ch.kraus):
+                assert np.array_equal(u[k::n_env, ::n_env], a)
+            np.testing.assert_allclose(
+                u.conj().T @ u, np.eye(dim * n_env), atol=1e-12
+            )
+
+    def test_deterministic(self, rng):
+        kraus = random_kraus_tp(3, 2, rng)
+        assert np.array_equal(
+            dilate(KrausChannel(tuple(kraus))).unitary,
+            dilate(KrausChannel(tuple(a.copy() for a in kraus))).unitary,
+        )
 
     def test_unitary_channel_padded_environment(self, rng):
         dil = dilate(KrausChannel((random_unitary(2, rng),)))
@@ -648,7 +682,7 @@ DIMENSION_CALLS = {
     "dilation-system": lambda d: Dilation(np.eye(2), d, 1),
     "dilation-environment": lambda d: Dilation(np.eye(2), 1, d),
     "maximally_mixed": lambda d: QuantumState.maximally_mixed(d),
-    "partial_trace": lambda d: partial_trace(np.eye(4), d, 2, keep="A"),
+    "partial_trace": lambda d: partial_trace(np.eye(4), d, 2),
     "doubleket_to_mat": lambda d: doubleket_to_mat(np.ones(4), d, 2),
 }
 
