@@ -203,11 +203,12 @@ def report_to_json(report: CampaignReport) -> dict:
     return asdict(report)
 
 
-# The trace is encoded at most this many rows at a time, in blocks whose
-# trial indices share one decimal width (blocks also end at each power of
-# ten), so no Python code runs per row and memory does not grow with
-# n_trials.  The bytes are the same at any block size.
-_BLOCK = 8192
+# The trace is encoded at most this many rows at a time, in blocks that also
+# end at each multiple of _LOW, so every index in a block has the same digits
+# above its last four; no Python code runs per row, and memory does not grow
+# with n_trials.  The bytes are the same at any block size.
+_BLOCK = 5000
+_LOW = 10**4
 
 
 def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> None:
@@ -216,10 +217,14 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     A trial with outcome code c gets the row outcomes[c], p_theoretical[c],
     seed; p_theoretical may instead be a single probability shared by every
     code.  codes yields the trials' codes as consecutive integer (or boolean)
-    arrays, in trial order.  The row text after the trial index is encoded
-    once per code, NUL-padded to a common width; each block of rows is
-    assembled as uint8 bytes (index digits, then the code's text) and
-    written without its padding; no byte of a row's text is NUL.
+    arrays, in trial order.  Trial i = q * _LOW + low is written as str(q),
+    omitted when q = 0, and then the four digits of low.  Each block of rows
+    is gathered by code from a uint8 template with one row per code: str(q),
+    NUL-padded on the left to a 4-byte boundary, four placeholder bytes and
+    the code's text, NUL-padded to a multiple of 4 bytes.  One uint32 store
+    per row puts the ASCII digits of low in the placeholder (with q = 0,
+    digits whose leading zeros are NUL), and the block is written without
+    its padding; no byte of a row's text is NUL.
     """
     if isinstance(p_theoretical, (int, float, np.floating, np.integer)):
         p_theoretical = [p_theoretical] * len(outcomes)
@@ -227,10 +232,11 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
         f",{label},{float_literal(p)},{seed}\n".encode("ascii")
         for label, p in zip(outcomes, p_theoretical, strict=True)
     ]
-    width = max(map(len, tails))
+    width = -(-max(map(len, tails)) // 4) * 4
     table = np.zeros((len(tails), width), dtype=np.uint8)
     for row, tail in zip(table, tails):
         row[: len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    low4, low4_unpadded = _low_digits()
     with open(path, "wb") as fh:
         fh.write(b"trial,outcome,p_theoretical,seed\n")
         start = 0
@@ -238,27 +244,32 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
             chunk = np.asarray(chunk)
             lo = 0
             while lo < len(chunk):
-                first = start + lo
-                nd = len(str(first))
-                hi = min(len(chunk), lo + _BLOCK, 10**nd - start)
-                rows = np.empty((hi - lo, nd + width), dtype=np.uint8)
-                rows[:, :nd] = _digits(first, hi - lo, nd).T
-                np.take(table, chunk[lo:hi], axis=0, out=rows[:, nd:])
+                q, low = divmod(start + lo, _LOW)
+                hi = min(len(chunk), lo + _BLOCK, lo + _LOW - low)
+                head = np.frombuffer(str(q).encode("ascii") if q else b"", dtype=np.uint8)
+                col = -(-len(head) // 4)
+                template = np.zeros((len(tails), 4 * col + 4 + width), dtype=np.uint8)
+                template[:, 4 * col - len(head) : 4 * col] = head
+                template[:, 4 * col + 4 :] = table
+                rows = np.take(template, chunk[lo:hi], axis=0)
+                digits = low4 if q else low4_unpadded
+                rows.view(np.uint32)[:, col] = digits[low : low + hi - lo]
                 fh.write(rows[rows != 0])
                 lo = hi
             start += len(chunk)
 
 
-def _digits(first: int, m: int, nd: int) -> np.ndarray:
-    """(nd, m) ASCII decimal digits of first, ..., first + m - 1, most
-    significant first; each index must have exactly nd digits."""
-    out = np.empty((nd, m), dtype=np.uint8)
-    idx = np.arange(first, first + m, dtype=np.uint64)
-    ten = np.uint64(10)
-    for k in range(nd - 1, -1, -1):
-        idx, out[k] = np.divmod(idx, ten)
-    out += ord("0")
-    return out
+def _low_digits() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits "0000" ... "9999" of 0, ..., _LOW - 1, four bytes
+    read as one uint32 each: zero-padded, and with the leading zeros NUL (0
+    keeps its one digit)."""
+    low = np.arange(_LOW, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (low // places % 10 + ord("0")).astype(np.uint8)
+    leading = low < places
+    leading[0, -1] = False
+    unpadded = np.where(leading, np.uint8(0), padded)
+    return padded.view(np.uint32)[:, 0], unpadded.view(np.uint32)[:, 0]
 
 
 def json_loads(text: str) -> Any:

@@ -399,7 +399,7 @@ class TestStreamedCampaign:
                 "--csv", str(tmp_path / "t.csv")]
         cli_main(args)
         # One 2^16-trial chunk and one encoded block of rows trace at about
-        # 1.6 MiB; a bulk draw of 1e6 uniforms would add 8 MB, and one
+        # 1.3 MiB; a bulk draw of 1e6 uniforms would add 8 MB, and one
         # chunk's rows held as Python strings about 8 MiB.
         peak = self._traced_peak(cli_main, args)
         assert peak < 4 * 2**20
@@ -462,9 +462,10 @@ class TestStreamedSample:
     def test_cli_trace_memory_bounded(self, tmp_path):
         args = self._args(tmp_path, 1_000_000) + ["--csv", os.devnull]
         cli_main(args)
-        # One 2^16-trial chunk and one encoded block of rows trace at about
-        # 1.8 MiB; a bulk draw of 1e6 uniforms and their codes would add
-        # 16 MB, and one chunk's rows held as Python strings about 7 MiB.
+        # At a chunk edge the uniforms and two chunks of int64 codes, 2^16
+        # each, and one encoded block of rows trace at about 1.8 MiB; a bulk
+        # draw of 1e6 uniforms and their codes would add 16 MB, and one
+        # chunk's rows held as Python strings about 7 MiB.
         assert TestStreamedCampaign._traced_peak(cli_main, args) < 4 * 2**20
 
     def test_many_outcomes_memory_bounded(self, tmp_path):
@@ -602,12 +603,16 @@ class TestClassicalBaseline:
         assert count_classical_coin(0.6, 100, 21) == self._tosses(0.6, 100, 21)
 
     def test_counts_match_bulk_sample(self, tmp_path, monkeypatch):
-        n_trials = 100_000
+        # Stripes read one uniform late count u[1..n] in place of u[0..n-1],
+        # whatever the split.  At seed 8 and true_p 0.5, u[0] has the other
+        # label than u[1003] and u[100000], so that fault moves the counts at
+        # both trial counts.
+        n_trials, true_p, seed = 100_000, 0.5, 8
         reports = {}
         for workers, size in splits(monkeypatch):
             n = trials_at(size, n_trials)
             config = self._config(
-                tmp_path, declared_p=0.3, true_p=0.3, n_trials=n, seed=5
+                tmp_path, declared_p=true_p, true_p=true_p, n_trials=n, seed=seed
             )
             out = tmp_path / f"r{workers}_{size}.json"
             assert cli_main(["classical-baseline", "--config", config, "--out", str(out)]) == 0
@@ -616,7 +621,7 @@ class TestClassicalBaseline:
         for n, runs in reports.items():
             assert len(runs) == 1
             doc = json.loads(runs.pop())
-            assert (doc["n_zero"], doc["n_one"]) == self._tosses(0.3, n, 5)
+            assert (doc["n_zero"], doc["n_one"]) == self._tosses(true_p, n, seed)
 
     def test_counts_validate_like_sampler(self):
         for args in ((1.5, 10, 0), (0.5, 0, 0)):

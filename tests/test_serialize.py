@@ -318,3 +318,46 @@ class TestTraceEncoder:
 
     def test_no_trials(self, tmp_path):
         self._check(tmp_path, self.COIN, 0.5, 1, [])
+
+    def test_trial_zero(self, tmp_path):
+        for code in (1, 0):
+            self._check(tmp_path, self.COIN, 0.5, 2, [np.array([code])])
+        assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
+            "0,INCONCLUSIVE,0.5,2"
+        ]
+
+    # Code tables: the coin with boolean codes; three tails of three lengths,
+    # 9, 26 and 36 bytes, so each ends at a different offset in its 4-byte
+    # word; and 256 codes, as in sample's wide case.
+    TABLES = {
+        "coin": (COIN, 0.5, lambda rng, n: rng.random(n) < 0.5),
+        "three-lengths": (
+            ("0", "10", "INCONCLUSIVE"),
+            [0.5, 0.1, 0.39999999999999997],
+            lambda rng, n: rng.integers(0, 3, n),
+        ),
+        "256-codes": (range(256), 1 / 256, lambda rng, n: rng.integers(0, 256, n)),
+    }
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("on_edge", [False, True], ids=["inside", "on-edge"])
+    def test_low_digit_edges(self, tmp_path, table, on_edge):
+        # The digits above the last four of the trial index appear at 10^4
+        # (9999 -> 10000), change at 2 * 10^4 (19999 -> 20000) and gain a
+        # digit at 10^5 (99999 -> 100000); each edge falls either inside a
+        # chunk or on the first trial of one.
+        outcomes, p, draw = self.TABLES[table]
+        codes = draw(np.random.default_rng(4), 100_003)
+        cuts = [10_000, 20_000, 100_000] if on_edge else [9_990, 19_995, 99_998]
+        self._check(tmp_path, outcomes, p, 8, np.split(codes, cuts))
+
+    @pytest.mark.parametrize("block", [1, 7, 3333, 5000])
+    def test_block_sizes_across_edges(self, tmp_path, monkeypatch, block):
+        # 20011 trials cross 10^4 and 2 * 10^4 in chunks of 4099 trials, whose
+        # edges fall inside blocks, and in one chunk.
+        monkeypatch.setattr(serialize, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for outcomes, p, draw in self.TABLES.values():
+            codes = draw(rng, 20_011)
+            for size in (4099, 1 << 16):
+                self._check(tmp_path, outcomes, p, 6, split(codes, size))
