@@ -29,11 +29,15 @@ class ClassicalState:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.probs, dtype=float).reshape(-1).copy()
+        try:
+            x = np.array(self.probs, dtype=float).reshape(-1)
+        except (OverflowError, TypeError, ValueError):
+            # A Python integer beyond float range, text, or ragged rows.
+            raise OutOfRangeError("classical state entries must be finite numbers") from None
         if x.size < 1:
             raise DimensionMismatchError("classical state needs at least one outcome")
         if not np.all(np.isfinite(x)):
-            raise OutOfRangeError("classical state entries must be finite")
+            raise OutOfRangeError("classical state entries must be finite numbers")
         if float(np.min(x)) < -SPECTRUM_TOL:
             raise OutOfRangeError(
                 f"classical state has negative entry {float(np.min(x)):.3e}"
@@ -64,11 +68,14 @@ class MarkovMap:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        try:
+            m = np.array(self.matrix, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # as in ClassicalState
+            raise OutOfRangeError("Markov map entries must be finite numbers") from None
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionMismatchError(f"Markov map must be 2-D, got {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise OutOfRangeError("Markov map entries must be finite")
+            raise OutOfRangeError("Markov map entries must be finite numbers")
         if float(np.min(m)) < -SPECTRUM_TOL:
             raise OutOfRangeError("Markov map has a negative entry")
         m = np.maximum(m, 0.0)
@@ -77,7 +84,6 @@ class MarkovMap:
             raise OutOfRangeError(
                 f"Markov map column sum {float(np.max(sums)):.6f} exceeds one"
             )
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -129,7 +129,7 @@ def cmd_falsify_coin(cfg: RunConfig) -> int:
 
         def trace(rate, fired_chunks):
             serialize.write_trace_csv(
-                cfg.csv_path, ("INCONCLUSIVE", "FALSIFIED"), rate, seed,
+                cfg.csv_path, ("INCONCLUSIVE", "FALSIFIED"), (rate, rate), seed,
                 codes=fired_chunks,
             )
 

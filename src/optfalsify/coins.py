@@ -159,8 +159,12 @@ class NaryGenerator:
     phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(x) for x in self.probs)
-        phases = tuple(float(x) for x in self.phases)
+        try:
+            probs = tuple(float(x) for x in self.probs)
+            phases = tuple(float(x) for x in self.phases)
+        except (OverflowError, TypeError, ValueError):
+            # A Python integer beyond float range, or not a real number.
+            raise OutOfRangeError("generator parameters must be finite numbers") from None
         if len(probs) < 2:
             raise DimensionMismatchError("generator needs at least two outcomes")
         if len(phases) != len(probs):
@@ -168,7 +172,7 @@ class NaryGenerator:
                 f"{len(phases)} phases for {len(probs)} outcome weights"
             )
         if not all(np.isfinite(x) for x in probs + phases):
-            raise OutOfRangeError("generator parameters must be finite")
+            raise OutOfRangeError("generator parameters must be finite numbers")
         if min(probs) < -1e-12:
             raise OutOfRangeError("outcome weights must be non-negative")
         if abs(sum(probs) - 1.0) > TRACE_TOL:
@@ -192,7 +196,10 @@ class NaryGenerator:
 
 
 def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
-    p, phi = float(p), float(phi)
+    try:
+        p, phi = float(p), float(phi)
+    except (OverflowError, TypeError, ValueError):  # as in NaryGenerator
+        raise OutOfRangeError("coin bias and phase must be real numbers") from None
     if not (np.isfinite(p) and 0.0 <= p <= 1.0):
         raise OutOfRangeError(f"coin bias p={p!r} outside [0, 1]")
     if not np.isfinite(phi):
@@ -201,10 +208,10 @@ def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
 
 
 def make_nary(probs, phases=None) -> NaryGenerator:
-    probs = tuple(float(x) for x in probs)
+    probs = tuple(probs)
     if phases is None:
         phases = (0.0,) * len(probs)
-    return NaryGenerator(probs=probs, phases=tuple(float(x) for x in phases))
+    return NaryGenerator(probs=probs, phases=tuple(phases))
 
 
 def generator_probs(declared: NaryGenerator) -> np.ndarray:

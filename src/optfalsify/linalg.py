@@ -43,19 +43,21 @@ def entries_bounded(a: np.ndarray) -> bool:
 
 
 def unbounded_entries(name: str) -> OutOfRangeError:
-    """The error for an input `name` with an entry that is not finite or
-    exceeds MAX_ENTRY in modulus."""
+    """The error for an input `name` with an entry that is not a finite
+    number or exceeds MAX_ENTRY in modulus."""
     return OutOfRangeError(
-        f"{name}: entries must be finite with modulus at most {MAX_ENTRY:.4e}"
+        f"{name}: entries must be finite numbers with modulus at most {MAX_ENTRY:.4e}"
     )
 
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh complex 2-D array, validating shape and that every
-    entry is finite with modulus at most MAX_ENTRY (else OutOfRangeError)."""
+    entry is a finite number with modulus at most MAX_ENTRY (else
+    OutOfRangeError)."""
     try:
         a = np.array(m, dtype=complex)
-    except OverflowError:  # a Python integer beyond float range
+    except (OverflowError, TypeError, ValueError):
+        # A Python integer beyond float range, text, or rows of unequal length.
         raise unbounded_entries(name) from None
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(
@@ -89,7 +91,7 @@ def _as_stack(m, name: str) -> np.ndarray:
     bound of as_matrix checked per matrix (errors name it as _at does)."""
     try:
         a = np.asarray(m, dtype=complex)
-    except OverflowError:  # a Python integer beyond float range
+    except (OverflowError, TypeError, ValueError):  # as in as_matrix
         raise unbounded_entries(name) from None
     if a.ndim != 3 or 0 in a.shape or a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(
@@ -100,6 +102,19 @@ def _as_stack(m, name: str) -> np.ndarray:
     if not bounded.all():
         raise unbounded_entries(_at(name, int(np.argmin(bounded)), len(a)))
     return a
+
+
+def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
+    """A fresh flattened complex copy of vector and its 2-norm (inf when it
+    overflows); OutOfRangeError for an entry that as_matrix would reject."""
+    try:
+        v = np.array(vector, dtype=complex).reshape(-1)
+    except (OverflowError, TypeError, ValueError):  # as in as_matrix
+        raise unbounded_entries(name) from None
+    if v.size and not entries_bounded(v):
+        raise unbounded_entries(name)
+    with np.errstate(over="ignore"):
+        return v, float(np.linalg.norm(v))
 
 
 def _hermitian(a: np.ndarray, name: str) -> np.ndarray:
@@ -272,11 +287,12 @@ def mat_to_doubleket(a) -> np.ndarray:
 
 
 def doubleket_to_mat(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of mat_to_doubleket for a rows x cols matrix."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    """Inverse of mat_to_doubleket for a rows x cols matrix, whose entries
+    as_matrix would accept."""
+    v, _ = _bounded_vector(v, "doubleket_to_mat input")
     _check_dims("doubleket_to_mat dimension", rows, cols)
     if rows * cols != v.size:
         raise DimensionMismatchError(
             f"doubleket_to_mat: length {v.size} != {rows}x{cols}"
         )
-    return v.reshape(rows, cols).copy()
+    return v.reshape(rows, cols)

@@ -271,9 +271,11 @@ def check_discrimination(
         for nu, res in zip(nus, _discriminate(rhos, nus)):
             cases += 1
             ok = res.discriminable
-            if ok and res.falsifier_rho is not None:
-                # The rho-falsifier must capture nu with certainty.
-                ok = abs(born_probability(nu, res.falsifier_rho) - 1.0) <= 1e-8
+            # The rho-falsifier, built on this read, must capture nu with
+            # certainty.
+            falsifier = res.falsifier_rho if ok else None
+            if falsifier is not None:
+                ok = abs(born_probability(nu, falsifier) - 1.0) <= 1e-8
             if not ok:
                 disagreements += 1
                 note = "constructed orthogonal pair not discriminated"
@@ -448,8 +450,9 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
     n_cases = 50
     worst = 0.0
     mismatches = 0
-    # The 0/1 diagonal effect of each outcome, for every dimension drawn below.
-    outcome_effects = {
+    # The POVM of 0/1 diagonal effects, one per outcome, for every dimension
+    # drawn below.
+    outcome_povms = {
         d: [Effect(np.diag(row)) for row in np.eye(d, dtype=complex)]
         for d in range(2, 7)
     }
@@ -461,7 +464,7 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
             x = x / x.sum()
         state = ClassicalState(x)
         embedded = embed_classical(state)
-        for k, e in enumerate(outcome_effects[d]):
+        for k, e in enumerate(outcome_povms[d]):
             dev = abs(born_probability(embedded, e) - state.probs[k])
             worst = max(worst, float(dev))
         indicator = np.diag((state.probs > 1e-10).astype(complex))

@@ -31,6 +31,7 @@ from .linalg import (
     HermitianEig,
     _as_stack,
     _at,
+    _bounded_vector,
     _check_dims,
     _check_psd,
     _eig_core,
@@ -46,7 +47,6 @@ from .linalg import (
     partial_trace,
     support_mask,
     tensor,
-    unbounded_entries,
 )
 
 # Largest entry of P_rho P_nu at which two supports count as orthogonal.
@@ -61,23 +61,9 @@ def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
     object.__setattr__(obj, field_name, value)
 
 
-def _is_zero(m: np.ndarray) -> np.ndarray:
-    """Whether every entry of the matrix m, or of each matrix of an
-    (n, d, d) stack m, has modulus at most SPECTRUM_TOL."""
-    return np.abs(m).max(axis=(-2, -1)) <= SPECTRUM_TOL
-
-
-def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
-    """A fresh flattened complex copy of vector and its 2-norm (inf when it
-    overflows); OutOfRangeError for an entry that as_matrix would reject."""
-    try:
-        v = np.array(vector, dtype=complex).reshape(-1)
-    except OverflowError:  # a Python integer beyond float range
-        raise unbounded_entries(name) from None
-    if v.size and not entries_bounded(v):
-        raise unbounded_entries(name)
-    with np.errstate(over="ignore"):
-        return v, float(np.linalg.norm(v))
+def _is_zero(m: np.ndarray) -> bool:
+    """Whether every entry of the matrix m has modulus at most SPECTRUM_TOL."""
+    return bool(np.abs(m).max() <= SPECTRUM_TOL)
 
 
 def _unit_vector(vector, name: str) -> np.ndarray:
@@ -162,8 +148,8 @@ class QuantumState:
         """True when the state is normalized (trace one within TRACE_TOL)."""
         return abs(self.trace - 1.0) <= TRACE_TOL
 
-    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        return int(np.count_nonzero(support_mask(self.spectrum.values, rank_tol)))
+    def rank(self) -> int:
+        return int(np.count_nonzero(support_mask(self.spectrum.values, DEFAULT_RANK_TOL)))
 
 
 def _states(stack) -> list[QuantumState]:
@@ -177,23 +163,6 @@ def _states(stack) -> list[QuantumState]:
     return states
 
 
-def _effect_matrices(a: np.ndarray) -> np.ndarray:
-    """The complex (n, d, d) stack a, coerced at the entry point, checked
-    and symmetrized by _hermitian, with each spectrum checked in
-    [0, 1] within SPECTRUM_TOL (its extremes only, by eigvalsh): a
-    read-only stack.  An error names the first failing index (see _at)."""
-    h = _hermitian(a, "effect matrix")
-    lowest, highest = _extreme_eigvals(h)
-    for k, (low, high) in enumerate(zip(lowest.tolist(), highest.tolist())):
-        where = _at("effect", k, len(h))
-        if low < -SPECTRUM_TOL:
-            raise NotPSDError(f"{where} has eigenvalue {low:.3e} below zero")
-        if high > 1.0 + SPECTRUM_TOL:
-            raise OutOfRangeError(f"{where} has eigenvalue {high:.3e} above one")
-    h.setflags(write=False)
-    return h
-
-
 @dataclass(frozen=True, eq=False)
 class Effect:
     """Measurement element: Hermitian, spectrum in [0, 1] within SPECTRUM_TOL.
@@ -204,9 +173,14 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        # A stack of one: _effects validates whole stacks with the same code.
         a = as_matrix(self.matrix, square=True, name="effect matrix")[None]
-        _frozen_array(self, "matrix", _effect_matrices(a)[0])
+        h = _hermitian(a, "effect matrix")
+        lowest, highest = _extreme_eigvals(h)
+        if lowest[0] < -SPECTRUM_TOL:
+            raise NotPSDError(f"effect has eigenvalue {lowest[0]:.3e} below zero")
+        if highest[0] > 1.0 + SPECTRUM_TOL:
+            raise OutOfRangeError(f"effect has eigenvalue {highest[0]:.3e} above one")
+        _frozen_array(self, "matrix", h[0])
 
     @property
     def dim(self) -> int:
@@ -214,20 +188,7 @@ class Effect:
 
     @property
     def is_zero(self) -> bool:
-        return bool(_is_zero(self.matrix))
-
-
-def _effects(stack) -> list[Effect]:
-    """Effects for an (n, d, d) stack of matrices, validated together by the
-    code each Effect(m) runs on a stack of one; each effect's matrix is a
-    read-only view of the validated stack.  Every check applies, and an
-    error names the first failing one as _at does."""
-    effects = []
-    for m in _effect_matrices(_as_stack(stack, "effect matrix")):
-        effect = object.__new__(Effect)
-        object.__setattr__(effect, "matrix", m)
-        effects.append(effect)
-    return effects
+        return _is_zero(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +225,6 @@ class KrausChannel:
         for a in ops:
             a.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
-        _frozen_array(self, "_gram", gram)
 
     @property
     def dim_in(self) -> int:
@@ -281,7 +241,7 @@ class KrausChannel:
     @property
     def deterministic(self) -> bool:
         """True when trace-preserving: sum A^dag A = I within TRACE_TOL."""
-        gram = getattr(self, "_gram")
+        gram = sum(dagger(a) @ a for a in self.kraus)
         eye = np.eye(self.dim_in, dtype=complex)
         return float(np.max(np.abs(gram - eye))) <= TRACE_TOL
 
@@ -387,12 +347,23 @@ def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationResult:
-    """Outcome of the orthogonal-support test for a pair of states."""
+    """Outcome of the orthogonal-support test for a pair of states, with the
+    projector onto each state's kernel (read-only).  A state's falsifier is
+    its kernel, validated as an Effect each time it is read; a full-rank
+    state, whose kernel is zero, has none."""
 
     discriminable: bool
     overlap: float
-    falsifier_rho: Effect | None
-    falsifier_nu: Effect | None
+    kernel_rho: np.ndarray
+    kernel_nu: np.ndarray
+
+    @property
+    def falsifier_rho(self) -> Effect | None:
+        return None if _is_zero(self.kernel_rho) else Effect(self.kernel_rho)
+
+    @property
+    def falsifier_nu(self) -> Effect | None:
+        return None if _is_zero(self.kernel_nu) else Effect(self.kernel_nu)
 
 
 def perfectly_discriminable(rho: QuantumState, nu: QuantumState) -> DiscriminationResult:
@@ -409,12 +380,9 @@ def _discriminate(
     rhos: list[QuantumState], nus: list[QuantumState]
 ) -> list[DiscriminationResult]:
     """perfectly_discriminable(rhos[k], nus[k]) for every k, with every
-    projector, overlap, kernel and falsifier Effect of the pairs built as one
-    stack; the states must all share one dimension."""
+    projector, overlap and kernel of the pairs built as one stack; the
+    states must all share one dimension."""
     states = [*rhos, *nus]
-    dims = sorted({s.dim for s in states})
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"state dims differ: {dims}")
     n = len(rhos)
     p = _support_projectors(
         np.stack([s.spectrum.values for s in states]),
@@ -422,17 +390,14 @@ def _discriminate(
         DEFAULT_RANK_TOL,
     )
     overlaps = np.abs(p[:n] @ p[n:]).max(axis=(1, 2)).tolist()
-    kernels = np.eye(dims[0], dtype=complex) - p
-    # A full-rank state has a zero kernel, and no falsifier.
-    zero = _is_zero(kernels)
-    built = iter(() if zero.all() else _effects(kernels[~zero]))
-    falsifiers = [None if z else next(built) for z in zero.tolist()]
+    kernels = np.eye(rhos[0].dim, dtype=complex) - p
+    kernels.setflags(write=False)
     return [
         DiscriminationResult(
             discriminable=overlap <= _ORTHOGONALITY_TOL,
             overlap=overlap,
-            falsifier_rho=falsifiers[k],
-            falsifier_nu=falsifiers[n + k],
+            kernel_rho=kernels[k],
+            kernel_nu=kernels[n + k],
         )
         for k, overlap in enumerate(overlaps)
     ]

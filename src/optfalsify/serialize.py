@@ -215,8 +215,7 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     """Per-trial trace with columns trial,outcome,p_theoretical,seed.
 
     A trial with outcome code c gets the row outcomes[c], p_theoretical[c],
-    seed; p_theoretical may instead be a single probability shared by every
-    code.  codes yields the trials' codes as consecutive integer (or boolean)
+    seed.  codes yields the trials' codes as consecutive integer (or boolean)
     arrays, in trial order.  Trial i = q * _LOW + low is written as str(q),
     omitted when q = 0, and then the four digits of low.  Each block of rows
     is gathered by code from a uint8 template with one row per code: str(q),
@@ -226,8 +225,6 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     digits whose leading zeros are NUL), and the block is written without
     its padding; no byte of a row's text is NUL.
     """
-    if isinstance(p_theoretical, (int, float, np.floating, np.integer)):
-        p_theoretical = [p_theoretical] * len(outcomes)
     tails = [
         f",{label},{float_literal(p)},{seed}\n".encode("ascii")
         for label, p in zip(outcomes, p_theoretical, strict=True)

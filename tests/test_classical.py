@@ -15,7 +15,7 @@ from optfalsify.errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
-from optfalsify.coins import count_generator, make_nary
+from optfalsify.coins import count_generator, make_coin, make_nary
 from optfalsify.linalg import support_projector
 from optfalsify.quantum import Effect, born_probability
 
@@ -50,6 +50,24 @@ class TestClassicalState:
         st = ClassicalState([0.5, 0.5])
         with pytest.raises(ValueError):
             st.probs[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClassicalState([10**400]),
+        lambda: ClassicalState(["a"]),
+        lambda: MarkovMap([["a"]]),
+        lambda: MarkovMap([[10**400]]),
+        lambda: make_coin("x"),
+        lambda: make_nary([10**400, 0]),
+    ],
+    ids=["state-integer", "state-text", "map-text", "map-integer", "coin-text", "nary-integer"],
+)
+def test_non_numbers_rejected(build):
+    # Text, or an integer beyond float range, is an out-of-range parameter.
+    with pytest.raises(OutOfRangeError, match="must be"):
+        build()
 
 
 class TestMarkovMap:

@@ -46,6 +46,12 @@ def _skewed(eps):
 CASES = {
     "state-hermiticity": (HERM_TOL, NotHermitianError, lambda e: QuantumState(_skewed(e))),
     "effect-hermiticity": (HERM_TOL, NotHermitianError, lambda e: Effect(_skewed(e))),
+    "effect-below-zero": (SPECTRUM_TOL, NotPSDError, lambda e: Effect(np.diag([0.5, -e]))),
+    "effect-above-one": (
+        SPECTRUM_TOL,
+        OutOfRangeError,
+        lambda e: Effect(np.diag([1.0 + e, 0.5])),
+    ),
     "hermitian_eig-hermiticity": (
         HERM_TOL,
         NotHermitianError,

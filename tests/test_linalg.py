@@ -95,6 +95,24 @@ class TestEntryBound:
             linalg.as_matrix([[10**400]])
 
 
+# Inputs that numpy cannot coerce to complex (text, ragged rows, an integer
+# beyond float range) or that hold NaN, at each coercion point.
+UNCOERCIBLE = {
+    "as_matrix-text": lambda: linalg.as_matrix("abc"),
+    "as_matrix-ragged": lambda: linalg.as_matrix([[1, 2], [3]]),
+    "stack-ragged": lambda: quantum._states([[[1, 0], [0]]]),
+    "pure-text": lambda: quantum.QuantumState.pure("ab"),
+    "doubleket-integer": lambda: linalg.doubleket_to_mat([10**400], 1, 1),
+    "doubleket-nan": lambda: linalg.doubleket_to_mat([np.nan], 1, 1),
+}
+
+
+@pytest.mark.parametrize("site", UNCOERCIBLE)
+def test_uncoercible_input_is_typed(site):
+    with pytest.raises(OutOfRangeError, match="entries must be finite numbers"):
+        UNCOERCIBLE[site]()
+
+
 class TestHermitianEig:
     def test_pauli_x_by_hand(self):
         # char poly of [[0,1],[1,0]] is l^2 - 1: eigenpairs (1, (1,1)/sqrt2)

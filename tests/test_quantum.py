@@ -745,15 +745,16 @@ class TestCachedSpectrum:
         other = QuantumState.pure([0.0, 1.0, 0.0, 0.0])
         # Each consumer paired with the LAPACK calls (eigh, eigvalsh) that
         # validate the new objects it builds: compress decomposes the
-        # compressed state, and perfectly_discriminable reads the extreme
-        # eigenvalues of one falsifier effect per state.
+        # compressed state, and perfectly_discriminable builds no effect
+        # until a falsifier is read, whose extreme eigenvalues it then reads.
         calls = [
             (lambda: mixed.rank(), (0, 0)),
             (lambda: purify(mixed), (0, 0)),
             (lambda: compress(mixed), (1, 0)),
             (lambda: canonical_form(mixed), (0, 0)),
             (lambda: support_projector(mixed.spectrum), (0, 0)),
-            (lambda: perfectly_discriminable(pure, other), (0, 2)),
+            (lambda: perfectly_discriminable(pure, other), (0, 0)),
+            (lambda: perfectly_discriminable(pure, other).falsifier_rho, (0, 1)),
             (lambda: SupportHypothesis.from_state(mixed), (0, 0)),
         ]
         built = [s.matrix.tobytes() for s in (mixed, pure, other)]

@@ -241,10 +241,11 @@ class TestFiles:
             "verdict",
         ]
 
-    def test_trace_csv_scalar_probability(self, tmp_path):
+    def test_trace_csv_shared_probability(self, tmp_path):
+        # falsify-coin writes its one rate against both outcomes.
         path = tmp_path / "trace.csv"
         codes = [np.array([0, 1])]
-        write_trace_csv(str(path), ["INCONCLUSIVE", "FALSIFIED"], 0.5, 9, codes)
+        write_trace_csv(str(path), ["INCONCLUSIVE", "FALSIFIED"], (0.5, 0.5), 9, codes)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,outcome,p_theoretical,seed"
         assert lines[1] == "0,INCONCLUSIVE,0.5,9"
@@ -285,8 +286,8 @@ class TestTraceEncoder:
 
     def _check(self, tmp_path, outcomes, p, seed, chunks):
         path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), outcomes, p, seed, iter(chunks))
         probs = [p] * len(outcomes) if isinstance(p, float) else p
+        write_trace_csv(str(path), outcomes, probs, seed, iter(chunks))
         assert path.read_bytes() == reference_trace(outcomes, probs, seed, chunks)
 
     def test_tail_literals(self, tmp_path):

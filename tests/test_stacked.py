@@ -1,10 +1,10 @@
 """Stacked validation and discrimination give the bits of per-object
 construction.
 
-quantum._states and quantum._effects validate a whole stack of matrices
-through the code that QuantumState(m) and Effect(m) run on a stack of one;
-linalg._support_projectors and quantum._discriminate likewise build the
-projectors and falsifiers of many states at once.  That a stacked LAPACK or
+quantum._states validates a whole stack of matrices through the code that
+QuantumState(m) runs on a stack of one; linalg._support_projectors and
+quantum._discriminate likewise build the projectors and kernels of many
+states at once.  That a stacked LAPACK or
 BLAS call returns the same bits as one call per matrix is a fact about the
 platform and its BLAS, so these tests check it rather than assume it.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from optfalsify import (
-    Effect,
     QuantumState,
     hermitian_eig,
     perfectly_discriminable,
@@ -22,17 +21,15 @@ from optfalsify import (
     run_postulate_checks,
     support_projector,
 )
-from optfalsify.errors import NotHermitianError, NotPSDError, OutOfRangeError
 from optfalsify.linalg import (
     DEFAULT_RANK_TOL,
-    HERM_TOL,
     SPECTRUM_TOL,
     _eig_core,
     _hermitian,
     _support_projectors,
     support_mask,
 )
-from optfalsify.random_ops import random_density_matrix, random_unitary
+from optfalsify.random_ops import random_density_matrix
 
 
 def _corpus(d: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -163,31 +160,6 @@ def test_discriminate_gives_per_object_bits(d):
     assert seen == ({"none", False} if d == 1 else {"none", "falsifier", True, False})
 
 
-def _effect_corpus(d, rng):
-    """Effects with random spectra in [0, 1], the projectors and kernels of
-    the state corpus, and the tied effects 0, I and diag(1, 0, ...)."""
-    mats = []
-    for _ in range(2 * d):
-        u = random_unitary(d, rng)
-        mats.append((u * rng.uniform(0.0, 1.0, d)) @ u.conj().T)
-    for m in _corpus(d, rng):
-        p = support_projector(m)
-        mats += [p, np.eye(d) - p]
-    mats += [np.zeros((d, d)), np.eye(d), np.diag([1.0] + [0.0] * (d - 1))]
-    return np.stack(mats).astype(complex)
-
-
-@pytest.mark.parametrize("d", DIMS)
-def test_effects_stack_gives_per_object_bits(d):
-    stack = _effect_corpus(d, np.random.default_rng(500 + d))
-    singles = [Effect(m) for m in stack]
-    for part in (slice(None, 1), slice(None, 5), slice(None)):
-        for got, want in zip(quantum._effects(stack[part]), singles[part]):
-            assert np.array_equal(got.matrix, want.matrix)
-            assert not got.matrix.flags.writeable
-            assert got.is_zero == want.is_zero
-
-
 def _reference_bruteforce(m, rank_tol=1e-10):
     """The SVD support projector of one matrix."""
     u, s, _ = np.linalg.svd(m)
@@ -208,37 +180,3 @@ def test_bruteforce_stack_gives_per_object_bits(d):
     for k, (rho, nu) in enumerate(pairs):
         want = np.trace(_reference_bruteforce(rho.matrix) @ _reference_bruteforce(nu.matrix))
         assert traces[k] == want.real
-
-
-# name: (cutoff, error raised at 2x, effect matrix straying eps past the cutoff)
-EFFECT_CUTOFFS = {
-    "hermiticity": (HERM_TOL, NotHermitianError, lambda e: [[0.5, e], [0.0, 0.5]]),
-    "below-zero": (SPECTRUM_TOL, NotPSDError, lambda e: np.diag([0.5, -e])),
-    "above-one": (SPECTRUM_TOL, OutOfRangeError, lambda e: np.diag([1.0 + e, 0.5])),
-}
-
-
-def _effect_stack_with(m, at=3, n=7):
-    """n valid qubit effects with m in place of the one at index `at`."""
-    stack = np.stack([np.diag([0.25, 1.0]).astype(complex)] * n)
-    stack[at] = m
-    return stack
-
-
-@pytest.mark.parametrize("case", EFFECT_CUTOFFS)
-def test_both_sides_of_effect_cutoff_in_a_stack(case):
-    tol, error, matrix = EFFECT_CUTOFFS[case]
-    effects = quantum._effects(_effect_stack_with(matrix(0.5 * tol)))
-    assert np.array_equal(effects[3].matrix, Effect(matrix(0.5 * tol)).matrix)
-    with pytest.raises(error) as per_object:
-        Effect(matrix(2.0 * tol))
-    assert "[" not in str(per_object.value)
-    # The index is named only when the stack holds more than one matrix; a
-    # failing stack of one reads exactly as the single object does.
-    for at, n in ((3, 7), (1, 2), (0, 1)):
-        with pytest.raises(error) as stacked:
-            quantum._effects(_effect_stack_with(matrix(2.0 * tol), at=at, n=n))
-        assert type(stacked.value) is type(per_object.value)
-        index = f" [{at}]" if n > 1 else ""
-        assert index in str(stacked.value)
-        assert str(stacked.value).replace(index, "", 1) == str(per_object.value)
