@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 
-from . import linalg, serialize
+from . import serialize
 from .coins import (
     classical_verdict,
     count_classical_coin,
@@ -39,7 +39,6 @@ class RunConfig:
     command: str
     config_path: str | None = None
     master_seed: int | None = None
-    rank_tol: float = linalg.DEFAULT_RANK_TOL
     n_trials: int | None = None
     out_path: str | None = None
     csv_path: str | None = None
@@ -49,10 +48,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.master_seed is not None and self.master_seed < 0:
             raise OutOfRangeError("seed must be a non-negative integer")
-        if not 0.0 < self.rank_tol < 1e-4:
-            raise OutOfRangeError(
-                f"rank tolerance {self.rank_tol!r} outside (0, 1e-4)"
-            )
         if self.n_trials is not None and self.n_trials < 1:
             raise OutOfRangeError("trial count must be at least 1")
 
@@ -107,7 +102,7 @@ def cmd_purify(cfg: RunConfig) -> int:
     # The config dict is not kept: at d = 64 it holds thousands of boxed
     # floats that would otherwise stay alive through the eigendecomposition.
     rho = serialize.object_from_json(_load_config_doc(cfg), "config")
-    pur = purify(rho, rank_tol=cfg.rank_tol)
+    pur = purify(rho)
     _emit_doc(cfg, serialize.purification_to_json(pur))
     print(
         f"purified dim-{pur.dim_a} state into environment dim {pur.dim_b}",
@@ -133,9 +128,7 @@ def cmd_falsify_coin(cfg: RunConfig) -> int:
                 codes=fired_chunks,
             )
 
-    report = falsify_campaign(
-        declared, true_state, n_trials, seed, rank_tol=cfg.rank_tol, trace=trace
-    )
+    report = falsify_campaign(declared, true_state, n_trials, seed, trace=trace)
     _emit_doc(cfg, serialize.report_to_json(report))
     print(
         f"verdict {report.verdict}: {report.n_falsified}/{report.n_trials} "
@@ -240,7 +233,7 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
         seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
         n_zero, n_one = count_classical_coin(true_p, n_trials, seed)
         extra = {"true_p": float(true_p)}
-    verdict = classical_verdict(declared_p, n_zero, n_one, bias_tol=cfg.rank_tol)
+    verdict = classical_verdict(declared_p, n_zero, n_one)
     report = {
         "declared_p": float(declared_p),
         **extra,
@@ -265,8 +258,6 @@ _OPTIONS = {
                                    help=f"master seed (fallback: config, then ${ENV_SEED})")),
     "n_trials": ("--trials", dict(type=int, metavar="N",
                                   help="override the configured trial count")),
-    "rank_tol": ("--rank-tol", dict(type=float, metavar="X",
-                                    help="relative eigenvalue cutoff for supports")),
     "out_path": ("--out", dict(metavar="PATH",
                                help="write the JSON report here instead of stdout")),
     "csv_path": ("--csv", dict(metavar="PATH", help="write a per-trial CSV trace")),
@@ -279,18 +270,17 @@ _OPTIONS = {
 # Subcommand name: (handler, help text, the RunConfig options it takes).
 _SUBCOMMANDS = {
     "purify": (cmd_purify, "purify a density matrix into a minimal pure dilation",
-               {"config_path", "rank_tol", "out_path"}),
+               {"config_path", "out_path"}),
     "falsify-coin": (cmd_falsify_coin, "run a Monte Carlo falsification campaign",
-                     {"config_path", "master_seed", "n_trials", "rank_tol",
-                      "out_path", "csv_path"}),
+                     {"config_path", "master_seed", "n_trials", "out_path",
+                      "csv_path"}),
     "sample": (cmd_sample, "draw outcomes from a declared generator",
                {"config_path", "master_seed", "n_trials", "out_path", "csv_path"}),
     "check-postulates": (cmd_check_postulates, "re-run the dual-route property suites",
                          {"master_seed", "out_path", "dims", "inject_fault"}),
     "classical-baseline": (cmd_classical_baseline,
                            "judge falsifiability of a classical coin",
-                           {"config_path", "master_seed", "n_trials", "rank_tol",
-                            "out_path"}),
+                           {"config_path", "master_seed", "n_trials", "out_path"}),
 }
 
 

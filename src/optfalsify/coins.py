@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from .classical import ClassicalState, classical_falsifier_exists
 from .errors import (
     DimensionMismatchError,
     NotDeterministicError,
@@ -30,7 +31,7 @@ from .falsification import (
     falsification_probability,
     support_falsification_test,
 )
-from .linalg import DEFAULT_RANK_TOL, TRACE_TOL
+from .linalg import TRACE_TOL
 from .quantum import QuantumState
 
 # Campaign trials consume variates of Philox, a counter-based stream keyed by
@@ -208,10 +209,12 @@ def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
 
 
 def make_nary(probs, phases=None) -> NaryGenerator:
-    probs = tuple(probs)
-    if phases is None:
-        phases = (0.0,) * len(probs)
-    return NaryGenerator(probs=probs, phases=tuple(phases))
+    try:
+        probs = tuple(probs)
+        phases = (0.0,) * len(probs) if phases is None else tuple(phases)
+    except TypeError:  # not a sequence, as in NaryGenerator
+        raise OutOfRangeError("generator parameters must be finite numbers") from None
+    return NaryGenerator(probs=probs, phases=phases)
 
 
 def generator_probs(declared: NaryGenerator) -> np.ndarray:
@@ -290,14 +293,13 @@ def falsify_campaign(
     n_trials: int,
     master_seed: int,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
     trace: Callable[[float, Iterator[np.ndarray]], None] | None = None,
 ) -> CampaignReport:
     """Repeat the declared-state falsification test on n_trials emissions of
     true_state.  One falsifying click settles the verdict (falsification is
     single-shot), but all trials run so the empirical rate can be compared
     with the theoretical rate 1 - <psi|rho|psi>, which is 0.0 at or below
-    rank_tol (see falsification_probability).
+    DEFAULT_RANK_TOL (see falsification_probability).
 
     Trial i fires iff the i-th keyed uniform falls below the theoretical
     rate, which is exactly the single-trial Bernoulli sampling of run_test.
@@ -316,7 +318,7 @@ def falsify_campaign(
         )
     if not true_state.deterministic:
         raise NotDeterministicError("campaign requires a trace-one true state")
-    rate = falsification_probability(test, true_state, rank_tol)
+    rate = falsification_probability(test, true_state)
     n_falsified = int(
         _tally(master_seed, n_trials, lambda u: u < rate, np.count_nonzero, trace, rate)
     )
@@ -339,25 +341,27 @@ def falsify_campaign(
     )
 
 
-def classical_verdict(
-    declared_p: float, n_zero: int, n_one: int, bias_tol: float = DEFAULT_RANK_TOL
-) -> BaselineVerdict:
+def classical_verdict(declared_p: float, n_zero: int, n_one: int) -> BaselineVerdict:
     """Logical falsifiability of a classical coin declaring P(outcome 0) = p,
     given how often each outcome occurred.
 
     For p strictly inside (0, 1) both outcomes have positive probability, so
-    no outcome sequence can refute the declaration.  Only the deterministic
-    endpoints (within the absolute bias_tol) are falsifiable: p = 1 is
-    refuted by any outcome 1, p = 0 by any outcome 0.
+    no outcome sequence can refute the declaration.  Only an outcome whose
+    declared weight (p or 1 - p) is at most DEFAULT_RANK_TOL is falsifying
+    (classical_falsifier_exists): a p near 1 is refuted by any outcome 1, a
+    p near 0 by any outcome 0.
     """
-    if not (np.isfinite(declared_p) and 0.0 <= declared_p <= 1.0):
+    try:
+        valid = bool(np.isfinite(declared_p)) and 0.0 <= declared_p <= 1.0
+    except TypeError:  # not a real number: text, None, a huge integer
+        valid = False
+    if not valid:
         raise OutOfRangeError(f"declared_p={declared_p!r} outside [0, 1]")
-    if declared_p >= 1.0 - bias_tol:
-        hit = n_one > 0
-    elif declared_p <= bias_tol:
-        hit = n_zero > 0
-    else:
+    falsifying = classical_falsifier_exists(ClassicalState([declared_p, 1.0 - declared_p]))
+    if falsifying is None:
         return BaselineVerdict.NOT_FALSIFIABLE
+    counts = (n_zero, n_one)
+    hit = any(counts[i] > 0 for i in falsifying)
     return BaselineVerdict.FALSIFIED if hit else BaselineVerdict.NOT_FALSIFIED
 
 

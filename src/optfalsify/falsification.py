@@ -115,19 +115,18 @@ def support_falsification_test(
     return FalsificationTest(falsifier, hypothesis_label=hypothesis.label)
 
 
-def falsification_probability(
-    test: FalsificationTest, rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL
-) -> float:
+def falsification_probability(test: FalsificationTest, rho: QuantumState) -> float:
     """Born probability of the falsifying outcome; any strictly positive
     value already refutes the hypothesis at the theory level.
 
-    A probability at or below rank_tol is returned as exactly 0.0.  F <= I
-    and tr rho <= 1 bound it by 1, so this is the relative cutoff at scale 1:
-    rounding residue in an honest source's rate (up to ~3e-16 for declared
-    coins) can then never fire a sampled trial.
+    A probability at or below DEFAULT_RANK_TOL is returned as exactly 0.0.
+    F <= I and tr rho <= 1 bound it by 1, so this is the relative cutoff at
+    scale 1: rounding residue in an honest source's rate (up to ~3e-16 for
+    declared coins) can then never fire a sampled trial.  The cutoff is
+    fixed, so no caller can set it below that residue.
     """
     p = born_probability(rho, test.falsifier)
-    return 0.0 if p <= rank_tol else p
+    return 0.0 if p <= DEFAULT_RANK_TOL else p
 
 
 def run_test(

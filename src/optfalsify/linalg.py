@@ -221,46 +221,47 @@ def _extreme_eigvals(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, 0], w[:, -1]
 
 
-def support_mask(values: np.ndarray, rank_tol: float) -> np.ndarray:
+def support_mask(values: np.ndarray) -> np.ndarray:
     """Which of the descending eigenvalues lie in the support: those above
-    rank_tol * lam_max, with lam_max clamped at zero.  values may also be an
-    (n, d) stack of rows, each cut at its own lam_max."""
-    return values > rank_tol * np.maximum(values[..., :1], 0.0)
+    DEFAULT_RANK_TOL * lam_max, with lam_max clamped at zero.  values may
+    also be an (n, d) stack of rows, each cut at its own lam_max."""
+    return values > DEFAULT_RANK_TOL * np.maximum(values[..., :1], 0.0)
 
 
-def _check_psd(values: np.ndarray, rank_tol: float, name: str) -> None:
+def _check_psd(values: np.ndarray, name: str) -> None:
     """NotPSDError unless, in each row of the (n, d) descending eigenvalues,
-    the lowest is at least -rank_tol * lam_max, with lam_max clamped at zero.
-    The error names the first failing row (see _at)."""
+    the lowest is at least -DEFAULT_RANK_TOL * lam_max, with lam_max clamped
+    at zero.  The error names the first failing row (see _at)."""
     for k, row in enumerate(values.tolist()):
-        if row[-1] < -rank_tol * max(row[0], 0.0):
+        if row[-1] < -DEFAULT_RANK_TOL * max(row[0], 0.0):
             raise NotPSDError(
                 f"{_at(name, k, len(values))}: eigenvalue {row[-1]:.3e} "
-                "below -rank_tol*lam_max"
+                "below -DEFAULT_RANK_TOL*lam_max"
             )
 
 
-def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def support_projector(m) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue
-    above rank_tol * lam_max.  m is a Hermitian matrix, or a HermitianEig
-    already computed, such as a QuantumState's spectrum (only a matrix is
-    decomposed here); either way it must be PSD at rank_tol (_check_psd)."""
+    above DEFAULT_RANK_TOL * lam_max.  m is a Hermitian matrix, or a
+    HermitianEig already computed, such as a QuantumState's spectrum (only
+    a matrix is decomposed here); either way it must be PSD at that cut
+    (_check_psd)."""
     eig = m if isinstance(m, HermitianEig) else hermitian_eig(m)
-    return _support_projectors(eig.values[None], eig.vectors[None], rank_tol)[0]
+    values = eig.values[None]
+    _check_psd(values, "support_projector")
+    return _support_projectors(values, eig.vectors[None])[0]
 
 
-def _support_projectors(
-    values: np.ndarray, vectors: np.ndarray, rank_tol: float
-) -> np.ndarray:
+def _support_projectors(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """support_projector for each row of the (n, d) descending eigenvalues
-    and (n, d, d) eigenvector columns of an _eig_core stack, stacked alike.
+    and (n, d, d) eigenvector columns of an _eig_core stack, stacked alike,
+    without its PSD check: the rows must come from validated states.
 
     The values descend, so each support is a column prefix.  Rows of equal
     rank share one product over that prefix, which gives the bits of the
     product for a single matrix; zeroing the columns outside the support
     would not."""
-    _check_psd(values, rank_tol, "support_projector")
-    ranks = support_mask(values, rank_tol).sum(axis=1)
+    ranks = support_mask(values).sum(axis=1)
     p = np.empty_like(vectors)
     for r in set(ranks.tolist()):
         rows = ranks == r
@@ -269,9 +270,9 @@ def _support_projectors(
     return _hermitian(p, "support projector")
 
 
-def kernel_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_projector(m) -> np.ndarray:
     """Projector onto the orthogonal complement of the support."""
-    p = support_projector(m, rank_tol)
+    p = support_projector(m)
     return np.eye(p.shape[0], dtype=complex) - p
 
 

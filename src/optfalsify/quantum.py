@@ -92,7 +92,7 @@ def _validate_states(a: np.ndarray, states: list["QuantumState"]) -> None:
     read-only views."""
     h = _hermitian(a, "state matrix")
     values, vectors = _eig_core(h)
-    _check_psd(values, DEFAULT_RANK_TOL, "state matrix")
+    _check_psd(values, "state matrix")
     for k, tr in enumerate(h.trace(axis1=1, axis2=2).real.tolist()):
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
             where = _at("state", k, len(h))
@@ -149,7 +149,7 @@ class QuantumState:
         return abs(self.trace - 1.0) <= TRACE_TOL
 
     def rank(self) -> int:
-        return int(np.count_nonzero(support_mask(self.spectrum.values, DEFAULT_RANK_TOL)))
+        return int(np.count_nonzero(support_mask(self.spectrum.values)))
 
 
 def _states(stack) -> list[QuantumState]:
@@ -198,7 +198,11 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.kraus, np.ndarray) or not len(self.kraus):
+        try:
+            empty = isinstance(self.kraus, np.ndarray) or not len(self.kraus)
+        except TypeError:  # no length: a number or None
+            empty = True
+        if empty:
             raise DimensionMismatchError("channel needs a nonempty Kraus list")
         ops = tuple(as_matrix(a, name="Kraus operator") for a in self.kraus)
         shape = ops[0].shape
@@ -296,13 +300,13 @@ class Purification:
         return QuantumState(partial_trace(full, self.dim_a, self.dim_b))
 
 
-def purify(rho: QuantumState, rank_tol: float = DEFAULT_RANK_TOL) -> Purification:
+def purify(rho: QuantumState) -> Purification:
     """Minimal purification: environment dimension equals the rank of rho,
     environment basis ordered by descending eigenvalue."""
     if not rho.deterministic:
         raise NotDeterministicError("only trace-one states are purified")
     eig = rho.spectrum
-    keep = support_mask(eig.values, rank_tol)
+    keep = support_mask(eig.values)
     lams = eig.values[keep]
     vecs = eig.vectors[:, keep]
     # psi = sum_i sqrt(lam_i) v_i (x) e_i, i.e. the double-ket of V sqrt(L).
@@ -387,7 +391,6 @@ def _discriminate(
     p = _support_projectors(
         np.stack([s.spectrum.values for s in states]),
         np.stack([s.spectrum.vectors for s in states]),
-        DEFAULT_RANK_TOL,
     )
     overlaps = np.abs(p[:n] @ p[n:]).max(axis=(1, 2)).tolist()
     kernels = np.eye(rhos[0].dim, dtype=complex) - p
@@ -423,7 +426,7 @@ def compress(rho: QuantumState) -> CompressionResult:
     V rho V^dag.  Full-rank states raise NotCompressibleError.
     """
     eig = rho.spectrum
-    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
+    keep = support_mask(eig.values)
     rank = int(np.count_nonzero(keep))
     if rank == rho.dim:
         raise NotCompressibleError(
@@ -460,7 +463,7 @@ def canonical_form(r: QuantumState) -> CanonicalForm:
             f"canonical_form needs a bipartite d^2 dimension, got {r.dim}"
         )
     eig = r.spectrum
-    keep = support_mask(eig.values, DEFAULT_RANK_TOL)
+    keep = support_mask(eig.values)
     ops = []
     weights = []
     for lam, vec in zip(eig.values[keep], eig.vectors[:, keep].T):

@@ -15,9 +15,9 @@ from optfalsify.errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
-from optfalsify.coins import count_generator, make_coin, make_nary
+from optfalsify.coins import classical_verdict, count_generator, make_coin, make_nary
 from optfalsify.linalg import support_projector
-from optfalsify.quantum import Effect, born_probability
+from optfalsify.quantum import Effect, KrausChannel, born_probability
 
 
 class TestClassicalState:
@@ -67,6 +67,25 @@ class TestClassicalState:
 def test_non_numbers_rejected(build):
     # Text, or an integer beyond float range, is an out-of-range parameter.
     with pytest.raises(OutOfRangeError, match="must be"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: KrausChannel(5), DimensionMismatchError, "nonempty Kraus list"),
+        (lambda: KrausChannel(None), DimensionMismatchError, "nonempty Kraus list"),
+        (lambda: make_nary(5), OutOfRangeError, "must be finite numbers"),
+        (lambda: make_nary([0.5, 0.5], 3), OutOfRangeError, "must be finite numbers"),
+        (lambda: classical_verdict("x", 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
+        (lambda: classical_verdict(None, 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
+    ],
+    ids=["kraus-int", "kraus-none", "nary-int", "nary-phases-int", "verdict-text",
+         "verdict-none"],
+)
+def test_non_sequences_and_non_numbers_raise_typed_errors(build, error, message):
+    # Library callers only: the CLI's JSON schema rejects these first.
+    with pytest.raises(error, match=message):
         build()
 
 

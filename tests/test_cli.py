@@ -104,28 +104,34 @@ class TestFalsifyCoin:
         fired = sum("FALSIFIED" == row.split(",")[1] for row in lines[1:])
         assert fired == read_json(str(out))["n_falsified"]
 
-    def test_rank_tol_sets_zero_rate_cutoff(self, tmp_path):
-        # Declared balanced coin vs a state rotated by 1e-3: rate about 1e-6.
-        theta = np.pi / 4 + 1e-3
-        config = tmp_path / "c.json"
+    def _report(self, tmp_path, declared, true_state):
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
         write_json(
             str(config),
-            {
-                "declared": {"p": 0.5},
-                "true_state": state_to_json(
-                    QuantumState.pure([np.cos(theta), np.sin(theta)])
-                ),
-                "n_trials": 100,
-            },
+            {"declared": declared, "true_state": state_to_json(true_state), "n_trials": 100},
         )
+        assert run_cli(["falsify-coin", "--config", str(config), "--out", str(out)]) == 0
+        return read_json(str(out))
+
+    def test_rank_tol_sets_zero_rate_cutoff(self, tmp_path):
+        # Declared balanced coin vs a state rotated by delta: rate sin^2 delta,
+        # reported as 0.0 at or below DEFAULT_RANK_TOL = 1e-10.
         rates = []
-        for tol in ("1e-10", "1e-5"):
-            out = tmp_path / f"r{tol}.json"
-            args = ["falsify-coin", "--config", str(config), "--out", str(out)]
-            assert run_cli(args + ["--rank-tol", tol]) == 0
-            rates.append(read_json(str(out))["theoretical_rate"])
-        assert rates[0] == pytest.approx(1e-6, rel=1e-3)
-        assert rates[1] == 0.0
+        for rate in (5e-11, 2e-10):
+            theta = np.pi / 4 + np.arcsin(np.sqrt(rate))
+            state = QuantumState.pure([np.cos(theta), np.sin(theta)])
+            rates.append(self._report(tmp_path, {"p": 0.5}, state)["theoretical_rate"])
+        assert rates[0] == 0.0
+        assert rates[1] == pytest.approx(2e-10, rel=1e-5)
+
+    def test_honest_three_outcome_rate_exactly_zero(self, tmp_path):
+        # Unsnapped, this generator's rate is a rounding residue of 3.2e-17.
+        declared = {"probs": [1 / 9, 4 / 9, 4 / 9], "phases": [0.0, 0.0, 0.0]}
+        state = make_nary(declared["probs"], declared["phases"]).state()
+        doc = self._report(tmp_path, declared, state)
+        assert doc["theoretical_rate"] == 0.0
+        assert doc["z_degenerate"] is True
+        assert doc["verdict"] == "NOT_FALSIFIED"
 
     def test_report_to_stdout_without_out(self, coin_config, capsys):
         assert run_cli(["falsify-coin", "--config", coin_config]) == 0
@@ -263,11 +269,11 @@ class TestClassicalBaseline:
 
 class TestParser:
     FLAGS = {
-        "purify": {"--config", "--rank-tol", "--out"},
-        "falsify-coin": {"--config", "--seed", "--trials", "--rank-tol", "--out", "--csv"},
+        "purify": {"--config", "--out"},
+        "falsify-coin": {"--config", "--seed", "--trials", "--out", "--csv"},
         "sample": {"--config", "--seed", "--trials", "--out", "--csv"},
         "check-postulates": {"--seed", "--out", "--dims", "--inject-fault"},
-        "classical-baseline": {"--config", "--seed", "--trials", "--rank-tol", "--out"},
+        "classical-baseline": {"--config", "--seed", "--trials", "--out"},
     }
 
     @staticmethod
@@ -295,11 +301,9 @@ class TestParser:
     def test_each_flag_sets_its_field(self):
         cfg = self._config(
             ["falsify-coin", "--config", "c.json", "--seed", "5", "--trials", "9",
-             "--rank-tol", "1e-8", "--out", "o.json", "--csv", "t.csv"]
+             "--out", "o.json", "--csv", "t.csv"]
         )
-        assert (cfg.config_path, cfg.master_seed, cfg.n_trials, cfg.rank_tol) == (
-            "c.json", 5, 9, 1e-8
-        )
+        assert (cfg.config_path, cfg.master_seed, cfg.n_trials) == ("c.json", 5, 9)
         assert (cfg.out_path, cfg.csv_path) == ("o.json", "t.csv")
         cfg = self._config(["check-postulates", "--dims", "3..5", "--inject-fault", "kraus-norm"])
         assert (cfg.dims, cfg.inject_fault) == ((3, 4, 5), "kraus-norm")
@@ -355,9 +359,13 @@ class TestErrorPaths:
         assert run_cli(["falsify-coin", "--config", coin_config, "--trials", "0"]) == 2
         capsys.readouterr()
 
-    def test_bad_rank_tol(self, coin_config, capsys):
-        assert run_cli(["falsify-coin", "--config", coin_config, "--rank-tol", "0.5"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", ["purify", "falsify-coin", "classical-baseline"])
+    def test_rank_tol_flag_rejected(self, command, coin_config, capsys):
+        # The support cutoff is fixed at DEFAULT_RANK_TOL; no flag sets it.
+        with pytest.raises(SystemExit) as exited:
+            run_cli([command, "--config", coin_config, "--rank-tol", "1e-17"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
 
     def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "c.json"

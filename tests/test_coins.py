@@ -31,6 +31,7 @@ from optfalsify.errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
+from optfalsify.linalg import DEFAULT_RANK_TOL
 from optfalsify.serialize import float_literal, state_to_json, write_json
 
 SQRT_HALF = 0.7071067811865476
@@ -240,16 +241,20 @@ class TestFalsifyCampaign:
                 assert report.z_degenerate
 
     def test_rate_at_rank_tol_snaps_to_zero(self):
-        # Declared balanced coin vs a state rotated by delta: rate sin^2 delta.
-        delta = 1e-3
-        rho = QuantumState.pure([np.cos(np.pi / 4 + delta), np.sin(np.pi / 4 + delta)])
+        # Declared balanced coin vs a state rotated by delta: rate sin^2 delta,
+        # snapped to 0.0 at or below DEFAULT_RANK_TOL and reported above it.
         coin = make_coin(0.5)
-        rate = falsification_probability(coin_falsification_test(coin), rho)
-        assert rate == pytest.approx(np.sin(delta) ** 2, rel=1e-6)
-        assert falsify_campaign(coin, rho, 10, 0).theoretical_rate == rate
-        snapped = falsify_campaign(coin, rho, 10, 0, rank_tol=2 * rate)
-        assert snapped.theoretical_rate == 0.0
-        assert snapped.z_degenerate
+        for scale, snapped in ((0.5, True), (2.0, False)):
+            delta = np.arcsin(np.sqrt(scale * DEFAULT_RANK_TOL))
+            rho = QuantumState.pure([np.cos(np.pi / 4 + delta), np.sin(np.pi / 4 + delta)])
+            rate = falsification_probability(coin_falsification_test(coin), rho)
+            report = falsify_campaign(coin, rho, 10, 0)
+            assert report.theoretical_rate == rate
+            assert report.z_degenerate is snapped
+            if snapped:
+                assert rate == 0.0
+            else:
+                assert rate == pytest.approx(scale * DEFAULT_RANK_TOL, rel=1e-5)
 
     def test_dishonest_source_regression(self):
         # Declared balanced coin vs maximally mixed emission: rate 1/2.

@@ -4,20 +4,28 @@ of the single-site cutoff of connecting_unitary.
 Each case builds an input that strays eps past one boundary: it is
 accepted at eps = 0.5 x the cutoff and rejected with a typed error at
 eps = 2 x the cutoff.  The state cutoffs are also crossed inside a stack
-validated by quantum._states, whose errors name the failing index.
+validated by quantum._states, whose errors name the failing index.  The
+fixed cuts that decide rather than reject (the snap of a falsification
+probability, the classical endpoint rule, a state's rank) give one
+decision at 0.5 x DEFAULT_RANK_TOL and the other at 2 x.
 """
 
 import numpy as np
 import pytest
 
 from optfalsify import (
+    BaselineVerdict,
     ClassicalState,
     Effect,
     MarkovMap,
     Purification,
     QuantumState,
+    classical_verdict,
+    coin_falsification_test,
+    falsification_probability,
     hermitian_eig,
     linalg,
+    make_coin,
     make_nary,
     quantum,
 )
@@ -70,6 +78,12 @@ CASES = {
     ),
     # lam_max = 1, so the PSD cut sits at -DEFAULT_RANK_TOL.
     "state-psd": (DEFAULT_RANK_TOL, NotPSDError, lambda e: QuantumState(np.diag([1.0, -e]))),
+    # A raw matrix, checked by support_projector itself rather than by a state.
+    "support_projector-psd": (
+        DEFAULT_RANK_TOL,
+        NotPSDError,
+        lambda e: linalg.support_projector(np.diag([1.0, -e])),
+    ),
     "cstate-total": (TRACE_TOL, OutOfRangeError, lambda e: ClassicalState([0.5 + e, 0.5])),
     "generator-weight-sum": (TRACE_TOL, OutOfRangeError, lambda e: make_nary([0.5 + e, 0.5])),
     "purification-norm": (
@@ -92,6 +106,46 @@ def test_both_sides_of_shared_cutoff(case):
     build(0.5 * tol)
     with pytest.raises(error):
         build(2.0 * tol)
+
+
+def _rotated_rate(rate):
+    """falsification_probability of the declared fair coin on the pure state
+    rotated from it by arcsin(sqrt(rate)), whose Born probability is rate."""
+    theta = np.pi / 4 + np.arcsin(np.sqrt(rate))
+    state = QuantumState.pure([np.cos(theta), np.sin(theta)])
+    return falsification_probability(coin_falsification_test(make_coin(0.5)), state)
+
+
+FALSIFIED, NOT_FALSIFIABLE = BaselineVerdict.FALSIFIED, BaselineVerdict.NOT_FALSIFIABLE
+
+# name: (decide(eps), decision at eps = 0.5 x DEFAULT_RANK_TOL, decision at 2 x)
+DECISIONS = {
+    "falsification-snap": (lambda e: _rotated_rate(e) > 0.0, False, True),
+    "classical-verdict-near-0": (lambda e: classical_verdict(e, 1, 0), FALSIFIED, NOT_FALSIFIABLE),
+    "classical-verdict-near-1": (
+        lambda e: classical_verdict(1.0 - e, 0, 1),
+        FALSIFIED,
+        NOT_FALSIFIABLE,
+    ),
+    # lam_max = 1 - eps, so the support cut sits at DEFAULT_RANK_TOL * (1 - eps).
+    "state-rank": (lambda e: QuantumState(np.diag([1.0 - e, e])).rank(), 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", DECISIONS)
+def test_both_sides_of_decision_cutoff(case):
+    decide, below, above = DECISIONS[case]
+    assert decide(0.5 * DEFAULT_RANK_TOL) == below
+    assert decide(2.0 * DEFAULT_RANK_TOL) == above
+
+
+def test_classical_endpoint_cut_between_neighbours():
+    # 1 - 0.9999999999 is 1.0000000827e-10, above the cut; one float higher,
+    # 1 - p is 1.1e-16 smaller and at most DEFAULT_RANK_TOL.
+    p = 0.9999999999
+    assert 1.0 - p > DEFAULT_RANK_TOL >= 1.0 - np.nextafter(p, 2.0)
+    assert classical_verdict(p, 0, 1) is NOT_FALSIFIABLE
+    assert classical_verdict(np.nextafter(p, 2.0), 0, 1) is FALSIFIED
 
 
 def test_single_site_cutoffs_pinned():

@@ -111,8 +111,8 @@ def test_honest_source_rate_is_exactly_zero(mags, phases):
     assert _exact_rate(amps, rho) == 0
     # The declared state as the generator builds it, and the exact matrix
     # rounded entry by entry: both leave rounding residue in Tr(rho F)
-    # (up to ~2e-16 for the three-outcome generators), which the rank_tol
-    # snap turns into exactly 0.0.
+    # (up to ~2e-16 for the three-outcome generators), which the
+    # DEFAULT_RANK_TOL snap turns into exactly 0.0.
     for state in (declared.state(), _state(rho)):
         assert falsification_probability(test, state) == 0.0
         report = falsify_campaign(declared, state, 1_000_000, 2024)
@@ -159,7 +159,7 @@ def test_dishonest_rate_matches_exact_rate(mags, phases):
 def test_rate_at_or_below_rank_tol_is_reported_as_zero():
     # The documented completeness gap: the snap that makes honest rates
     # exactly 0.0 also reports a dishonest source whose exact rate lies in
-    # (0, rank_tol] at 0.0, so no campaign can catch it.
+    # (0, DEFAULT_RANK_TOL] at 0.0, so no campaign can catch it.
     a0, a1 = _amplitudes(FIFTHS, ("1", "3+4i"))
     orthogonal = [(-a1[0], a1[1]), (a0[0], -a0[1])]  # (-conj(a1), conj(a0))
     leak = Fraction(5, 10**11)

@@ -768,23 +768,12 @@ class TestCachedSpectrum:
 
     def test_projectors_match_matrix_route(self, rng):
         for rho in self._corpus(rng):
-            for tol in (1e-10, 1e-3):
-                cached = support_projector(rho.spectrum, tol)
-                assert cached.tobytes() == support_projector(rho.matrix, tol).tobytes()
-                assert (
-                    kernel_projector(rho.spectrum, tol).tobytes()
-                    == kernel_projector(rho.matrix, tol).tobytes()
-                )
-
-    def test_psd_check_at_callers_rank_tol(self):
-        # Valid at the default cutoff 1e-10, not at 1e-11.
-        rho = QuantumState(np.diag([1.0 - 5e-11, -5e-11]))
-        with pytest.raises(NotPSDError):
-            support_projector(rho.spectrum, rank_tol=1e-11)
-        with pytest.raises(NotPSDError):
-            kernel_projector(rho.spectrum, rank_tol=1e-11)
-        p = support_projector(rho.spectrum, rank_tol=1e-6)
-        np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
+            cached = support_projector(rho.spectrum)
+            assert cached.tobytes() == support_projector(rho.matrix).tobytes()
+            assert (
+                kernel_projector(rho.spectrum).tobytes()
+                == kernel_projector(rho.matrix).tobytes()
+            )
 
     def test_results_own_their_arrays(self, rng):
         rho = QuantumState(random_density_matrix(4, rng, rank=2))

@@ -100,7 +100,7 @@ DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
 def _reference_projector(eig):
     """The support projector of one spectrum, product over the kept columns
     and symmetrized, as support_projector computed it per matrix."""
-    cols = eig.vectors[:, support_mask(eig.values, DEFAULT_RANK_TOL)]
+    cols = eig.vectors[:, support_mask(eig.values)]
     p = cols @ cols.conj().T
     return (p + p.conj().T) / 2.0
 
@@ -125,7 +125,7 @@ def test_support_projector_stack_gives_per_object_bits(d):
     states = [QuantumState(m) for m in _corpus(d, np.random.default_rng(300 + d))]
     values = np.stack([s.spectrum.values for s in states])
     vectors = np.stack([s.spectrum.vectors for s in states])
-    stacked = _support_projectors(values, vectors, DEFAULT_RANK_TOL)
+    stacked = _support_projectors(values, vectors)
     for state, p in zip(states, stacked):
         assert np.array_equal(p, support_projector(state.spectrum))
         assert np.array_equal(p, _reference_projector(state.spectrum))
@@ -160,10 +160,10 @@ def test_discriminate_gives_per_object_bits(d):
     assert seen == ({"none", False} if d == 1 else {"none", "falsifier", True, False})
 
 
-def _reference_bruteforce(m, rank_tol=1e-10):
+def _reference_bruteforce(m):
     """The SVD support projector of one matrix."""
     u, s, _ = np.linalg.svd(m)
-    cols = u[:, s > rank_tol * s[0]]
+    cols = u[:, s > DEFAULT_RANK_TOL * s[0]]
     return cols @ cols.conj().T
 
 
