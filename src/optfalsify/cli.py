@@ -82,6 +82,19 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
     return 0
 
 
+def _trials_and_seed(cfg: RunConfig, doc: dict) -> tuple[int, int]:
+    """The trial count (--trials flag, else the config value, which is then
+    required) and the seed (see _resolve_seed) of a run that draws.  The
+    config values are validated even when the flags override them."""
+    n_trials = serialize.config_int(doc, "n_trials", 1)
+    config_seed = serialize.config_int(doc, "seed", 0)
+    if cfg.n_trials is not None:
+        n_trials = cfg.n_trials
+    elif n_trials is None:
+        raise SchemaError("config: missing key 'n_trials'")
+    return n_trials, _resolve_seed(cfg.master_seed, config_seed)
+
+
 def _emit_doc(cfg: RunConfig, doc: dict) -> None:
     if cfg.out_path:
         serialize.write_json(cfg.out_path, doc)
@@ -113,12 +126,13 @@ def cmd_purify(cfg: RunConfig) -> int:
 
 def cmd_falsify_coin(cfg: RunConfig) -> int:
     doc = _load_config_doc(cfg)
-    declared, true_state, n_trials, config_seed = serialize.campaign_config_from_json(
-        doc
+    declared = serialize.declared_from_json(
+        serialize.require_key(doc, "declared", dict, "config")
     )
-    if cfg.n_trials is not None:
-        n_trials = cfg.n_trials
-    seed = _resolve_seed(cfg.master_seed, config_seed)
+    true_state = serialize.object_from_json(
+        serialize.require_key(doc, "true_state", dict, "config"), "config.true_state"
+    )
+    n_trials, seed = _trials_and_seed(cfg, doc)
     trace = None
     if cfg.csv_path:
 
@@ -143,10 +157,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     declared = serialize.declared_from_json(
         serialize.require_key(doc, "declared", dict, "config")
     )
-    n_trials = cfg.n_trials
-    if n_trials is None:
-        n_trials = serialize.require_key(doc, "n_trials", int, "config")
-    seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
+    n_trials, seed = _trials_and_seed(cfg, doc)
     trace = None
     if cfg.csv_path:
 
@@ -227,10 +238,7 @@ def cmd_classical_baseline(cfg: RunConfig) -> int:
             if "true_p" in doc
             else declared_p
         )
-        n_trials = cfg.n_trials
-        if n_trials is None:
-            n_trials = serialize.require_key(doc, "n_trials", int, "config")
-        seed = _resolve_seed(cfg.master_seed, serialize.config_seed(doc))
+        n_trials, seed = _trials_and_seed(cfg, doc)
         n_zero, n_one = count_classical_coin(true_p, n_trials, seed)
         extra = {"true_p": float(true_p)}
     verdict = classical_verdict(declared_p, n_zero, n_one)

@@ -87,8 +87,7 @@ def _tally(
     n_trials: int,
     label: Callable[[np.ndarray], np.ndarray],
     count: Callable[[np.ndarray], Any],
-    trace: Callable[[Any, Iterator[np.ndarray]], None] | None = None,
-    head: Any = None,
+    trace: Callable[[Iterator[np.ndarray]], None] | None = None,
 ) -> Any:
     """Sum of count(label(u)) over the chunks u of the first n_trials keyed
     uniforms, where label maps uniforms to per-trial outcomes and count
@@ -98,9 +97,9 @@ def _tally(
     threads, the caller's among them, with buffers of _CHUNK values in all.
     An exception in any stripe stops the others at their next chunk and
     reaches the caller; every thread is joined before _tally returns or
-    raises.  Given a trace, the one stripe is stripe 0, and trace(head,
-    label_chunks) gets its chunks' outcomes in trial order (each valid until
-    the next is drawn); the chunks it leaves unread are still counted.
+    raises.  Given a trace, the one stripe is stripe 0, and trace(label_chunks)
+    gets its chunks' outcomes in trial order (each valid until the next is
+    drawn); the chunks it leaves unread are still counted.
     """
     workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
@@ -120,7 +119,7 @@ def _tally(
     def run(k: int) -> None:
         chunks = label_chunks(k)
         if trace is not None:
-            trace(head, chunks)
+            trace(chunks)
         for _ in chunks:
             pass
 
@@ -250,8 +249,7 @@ def count_generator(
         n_trials,
         lambda u: np.searchsorted(edges, u, side="right"),
         lambda codes: np.bincount(codes, minlength=declared.dim),
-        trace,
-        probs,
+        None if trace is None else lambda chunks: trace(probs, chunks),
     )
     return probs, counts
 
@@ -260,10 +258,7 @@ def coin_falsification_test(declared: NaryGenerator) -> FalsificationTest:
     """Most efficient test of "the source emits the declared state":
     falsifier = identity minus the declared pure-state projector."""
     psi = declared.state_vector
-    hypothesis = SupportHypothesis(
-        projector=np.outer(psi, psi.conj()),
-        label="source emits the declared generator state",
-    )
+    hypothesis = SupportHypothesis(np.outer(psi, psi.conj()))
     return support_falsification_test(hypothesis, efficiency=1.0)
 
 
@@ -320,7 +315,13 @@ def falsify_campaign(
         raise NotDeterministicError("campaign requires a trace-one true state")
     rate = falsification_probability(test, true_state)
     n_falsified = int(
-        _tally(master_seed, n_trials, lambda u: u < rate, np.count_nonzero, trace, rate)
+        _tally(
+            master_seed,
+            n_trials,
+            lambda u: u < rate,
+            np.count_nonzero,
+            None if trace is None else lambda chunks: trace(rate, chunks),
+        )
     )
     empirical = n_falsified / n_trials
     if 0.0 < rate < 1.0:

@@ -42,7 +42,6 @@ class SupportHypothesis:
     are falsifiable, so a full-space projector is rejected outright."""
 
     projector: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         p = as_matrix(self.projector, square=True, name="hypothesis projector")
@@ -62,12 +61,9 @@ class SupportHypothesis:
         object.__setattr__(self, "projector", p)
 
     @classmethod
-    def from_state(cls, declared: QuantumState, label: str = "") -> "SupportHypothesis":
+    def from_state(cls, declared: QuantumState) -> "SupportHypothesis":
         """Hypothesis that a source emits states inside Supp(declared)."""
-        return cls(
-            projector=support_projector(declared.spectrum),
-            label=label or "support of declared state",
-        )
+        return cls(support_projector(declared.spectrum))
 
     @property
     def dim(self) -> int:
@@ -85,7 +81,6 @@ class FalsificationTest:
     falsify anything."""
 
     falsifier: Effect
-    hypothesis_label: str = ""
 
     def __post_init__(self) -> None:
         if self.falsifier.is_zero:
@@ -112,7 +107,7 @@ def support_falsification_test(
         raise OutOfRangeError(f"efficiency {efficiency!r} outside (0, 1]")
     eye = np.eye(hypothesis.dim, dtype=complex)
     falsifier = Effect(efficiency * (eye - hypothesis.projector))
-    return FalsificationTest(falsifier, hypothesis_label=hypothesis.label)
+    return FalsificationTest(falsifier)
 
 
 def falsification_probability(test: FalsificationTest, rho: QuantumState) -> float:

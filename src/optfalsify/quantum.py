@@ -295,9 +295,10 @@ class Purification:
         _frozen_array(self, "state_vector", v)
 
     def marginal(self) -> QuantumState:
-        """Reduced state on the first factor."""
-        full = np.outer(self.state_vector, self.state_vector.conj())
-        return QuantumState(partial_trace(full, self.dim_a, self.dim_b))
+        """Reduced state on the first factor: M M^dag, where M is the
+        dim_a x dim_b matrix of the vector."""
+        m = doubleket_to_mat(self.state_vector, self.dim_a, self.dim_b)
+        return QuantumState(m @ dagger(m))
 
 
 def purify(rho: QuantumState) -> Purification:
@@ -456,7 +457,8 @@ class CanonicalForm:
 
 def canonical_form(r: QuantumState) -> CanonicalForm:
     """Spectral double-ket decomposition of a state on a d x d bipartite
-    space: A_j = sqrt(lam_j) unvec(v_j) for each kept eigenpair."""
+    space: A_j = sqrt(lam_j) unvec(v_j) for each kept eigenpair, with the
+    kept eigenvalues lam_j as the weights."""
     d = int(round(np.sqrt(r.dim)))
     if d * d != r.dim:
         raise DimensionMismatchError(
@@ -464,13 +466,12 @@ def canonical_form(r: QuantumState) -> CanonicalForm:
         )
     eig = r.spectrum
     keep = support_mask(eig.values)
-    ops = []
-    weights = []
-    for lam, vec in zip(eig.values[keep], eig.vectors[:, keep].T):
-        a = np.sqrt(lam) * doubleket_to_mat(vec, d, d)
-        ops.append(a)
-        weights.append(float(np.trace(dagger(a) @ a).real))
-    return CanonicalForm(operators=tuple(ops), weights=np.array(weights))
+    lams = eig.values[keep]
+    ops = tuple(
+        np.sqrt(lam) * doubleket_to_mat(vec, d, d)
+        for lam, vec in zip(lams, eig.vectors[:, keep].T)
+    )
+    return CanonicalForm(operators=ops, weights=lams)
 
 
 # Smallest |A|_F that local_falsifier uses unscaled: above it, a

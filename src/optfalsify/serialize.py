@@ -177,26 +177,14 @@ def declared_from_json(doc: dict, where: str = "declared") -> NaryGenerator:
     raise SchemaError(f"{where}: need either p/phi or probs/phases")
 
 
-def campaign_config_from_json(doc: dict):
-    """Returns (declared, true_state, n_trials, seed-or-None)."""
-    declared = declared_from_json(require_key(doc, "declared", dict, "config"))
-    true_state = object_from_json(
-        require_key(doc, "true_state", dict, "config"), "config.true_state"
-    )
-    n_trials = require_key(doc, "n_trials", int, "config")
-    if n_trials < 1:
-        raise SchemaError(f"config: n_trials must be >= 1, got {n_trials}")
-    return declared, true_state, n_trials, config_seed(doc)
-
-
-def config_seed(doc: dict) -> int | None:
-    """The config's optional "seed", a non-negative integer; None if absent."""
-    if "seed" not in doc:
+def config_int(doc: dict, key: str, minimum: int) -> int | None:
+    """The config's optional integer key, at least minimum; None if absent."""
+    if key not in doc:
         return None
-    seed = require_key(doc, "seed", int, "config")
-    if seed < 0:
-        raise SchemaError("config: seed must be non-negative")
-    return seed
+    value = require_key(doc, key, int, "config")
+    if value < minimum:
+        raise SchemaError(f"config: {key} must be >= {minimum}, got {value}")
+    return value
 
 
 def report_to_json(report: CampaignReport) -> dict:

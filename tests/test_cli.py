@@ -340,6 +340,85 @@ class TestConfigSeed:
         assert "seed" in capsys.readouterr().err
 
 
+class TestConfiguredTrials:
+    """A config n_trials follows the seed's rule on every subcommand that
+    samples: it must be an integer >= 1 even when --trials overrides it, and
+    it is required only when --trials is absent."""
+
+    @pytest.mark.parametrize("command", sorted(TestConfigSeed.CONFIGS))
+    @pytest.mark.parametrize("n_trials", ["absent", 0, "10", 10])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_one_rule(self, command, n_trials, flag, tmp_path, capsys):
+        doc = dict(TestConfigSeed.CONFIGS[command])
+        del doc["n_trials"]
+        if n_trials != "absent":
+            doc["n_trials"] = n_trials
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        write_json(str(config), doc)
+        argv = [command, "--config", str(config), "--out", str(out)]
+        code = run_cli(argv + ["--trials", "5"] if flag else argv)
+        valid = n_trials == "absent" or n_trials == 10
+        if valid and (flag or n_trials != "absent"):
+            assert code == 0
+            assert read_json(str(out))["n_trials"] == (5 if flag else 10)
+        else:
+            assert code == 2
+            assert "n_trials" in capsys.readouterr().err
+
+
+class TestCampaignConfig:
+    """The falsify-coin config: declared, true_state, n_trials and an
+    optional seed."""
+
+    def _run(self, tmp_path, capsys, drop=None, **overrides):
+        doc = {
+            "declared": {"p": 0.5, "phi": 0.0},
+            "true_state": state_to_json(QuantumState.maximally_mixed(2)),
+            "n_trials": 100,
+            "seed": 4,
+            **overrides,
+        }
+        doc.pop(drop, None)
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        write_json(str(config), doc)
+        code = run_cli(["falsify-coin", "--config", str(config), "--out", str(out)])
+        report = read_json(str(out)) if code == 0 else None
+        return code, report, capsys.readouterr().err
+
+    def test_parses(self, tmp_path, capsys):
+        code, report, _ = self._run(tmp_path, capsys)
+        assert code == 0
+        assert (report["n_trials"], report["seed"]) == (100, 4)
+        # The fair coin against I/2: 1 - <psi|I/2|psi>.
+        assert report["theoretical_rate"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_seed_optional(self, tmp_path, capsys):
+        code, report, _ = self._run(tmp_path, capsys, drop="seed")
+        assert code == 0
+        assert report["seed"] == 0
+
+    def test_bad_trials(self, tmp_path, capsys):
+        code, _, err = self._run(tmp_path, capsys, n_trials=0)
+        assert code == 2
+        assert "config: n_trials must be >= 1, got 0" in err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        code, _, err = self._run(tmp_path, capsys, seed=-1)
+        assert code == 2
+        assert "config: seed must be >= 0, got -1" in err
+
+    def test_true_state_must_be_state_kind(self, tmp_path, capsys):
+        kind_effect = {**state_to_json(QuantumState.maximally_mixed(2)), "kind": "effect"}
+        code, _, err = self._run(tmp_path, capsys, true_state=kind_effect)
+        assert code == 2
+        assert "unknown kind 'effect'" in err
+
+    def test_missing_declared(self, tmp_path, capsys):
+        code, _, err = self._run(tmp_path, capsys, drop="declared")
+        assert code == 2
+        assert "missing key 'declared'" in err
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert run_cli(["falsify-coin", "--config", "/nonexistent/x.json"]) == 2

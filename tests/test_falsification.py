@@ -108,10 +108,7 @@ class TestSupportFalsificationTest:
 
 class TestFalsificationTestType:
     def test_inconclusive_is_derived(self):
-        assert [f.name for f in dataclasses.fields(FalsificationTest)] == [
-            "falsifier",
-            "hypothesis_label",
-        ]
+        assert [f.name for f in dataclasses.fields(FalsificationTest)] == ["falsifier"]
         rng = np.random.default_rng(11)
         for d in (2, 3, 5):
             hyp = SupportHypothesis(random_projector(d, 1, rng))
@@ -129,9 +126,8 @@ class TestFalsificationTestType:
             FalsificationTest(Effect(np.eye(2) * 1e-14))
 
     def test_genuine_test_not_inconclusive(self):
-        test = FalsificationTest(Effect(np.diag([0.0, 1.0])), "basis-zero support")
+        test = FalsificationTest(Effect(np.diag([0.0, 1.0])))
         assert not test.falsifier.is_zero
-        assert test.hypothesis_label == "basis-zero support"
 
 
 class TestRunTest:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from optfalsify.errors import (
     PurificationMismatchError,
 )
 from optfalsify.falsification import SupportHypothesis
-from optfalsify.linalg import MAX_ENTRY
+from optfalsify.linalg import MAX_ENTRY, support_mask
 from optfalsify.quantum import Dilation
 from optfalsify.random_ops import (
     random_complex_matrix,
@@ -303,6 +304,20 @@ class TestPurify:
         with pytest.raises(NotDeterministicError):
             purify(QuantumState(np.diag([0.25, 0.25])))
 
+    def test_marginal_memory_is_quadratic(self, rng):
+        # The marginal is M M^dag of the d x d matrix M of the vector; the
+        # outer product of the d^2-vector would take 16 d^4 bytes (16 MiB at
+        # d = 32).
+        pur = purify(QuantumState(random_density_matrix(32, rng)))
+        assert pur.dim_b == 32
+        tracemalloc.start()
+        try:
+            pur.marginal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestPurificationType:
     def test_norm_validation(self):
@@ -467,6 +482,14 @@ class TestCanonicalForm:
     def test_non_square_dimension_rejected(self, rng):
         with pytest.raises(DimensionMismatchError):
             canonical_form(QuantumState(random_density_matrix(6, rng)))
+
+    def test_weights_are_kept_eigenvalues(self, rng):
+        # Independent of Tr(A_j^dag A_j), which the orthogonality check
+        # compares them against.
+        for d, rank in ((2, 4), (2, 3), (3, 9), (3, 5), (4, 16)):
+            r = QuantumState(random_density_matrix(d * d, rng, rank=rank))
+            kept = r.spectrum.values[support_mask(r.spectrum.values)]
+            assert canonical_form(r).weights.tobytes() == kept.tobytes()
 
 
 class TestLocalFalsifier:

@@ -8,7 +8,6 @@ from optfalsify import QuantumState, make_coin, purify, serialize
 from optfalsify.errors import OutOfRangeError, SchemaError
 from optfalsify.random_ops import random_density_matrix
 from optfalsify.serialize import (
-    campaign_config_from_json,
     declared_from_json,
     float_literal,
     json_dumps,
@@ -148,51 +147,6 @@ class TestDeclaredGenerator:
             declared_from_json({"bias": 0.5})
         with pytest.raises(SchemaError, match="declared: expected a JSON object"):
             declared_from_json([0.5, 0.5])
-
-
-class TestCampaignConfig:
-    def _config(self, **overrides):
-        doc = {
-            "declared": {"p": 0.5, "phi": 0.0},
-            "true_state": state_to_json(QuantumState.maximally_mixed(2)),
-            "n_trials": 100,
-            "seed": 4,
-        }
-        doc.update(overrides)
-        return doc
-
-    def test_parses(self):
-        declared, true_state, n_trials, seed = campaign_config_from_json(
-            self._config()
-        )
-        assert declared.probs == (0.5, 0.5)
-        assert true_state.dim == 2
-        assert (n_trials, seed) == (100, 4)
-
-    def test_seed_optional(self):
-        doc = self._config()
-        del doc["seed"]
-        assert campaign_config_from_json(doc)[3] is None
-
-    def test_bad_trials(self):
-        with pytest.raises(SchemaError):
-            campaign_config_from_json(self._config(n_trials=0))
-
-    def test_negative_seed(self):
-        with pytest.raises(SchemaError):
-            campaign_config_from_json(self._config(seed=-1))
-
-    def test_true_state_must_be_state_kind(self):
-        doc = self._config()
-        doc["true_state"] = {**doc["true_state"], "kind": "effect"}
-        with pytest.raises(SchemaError, match="unknown kind 'effect'"):
-            campaign_config_from_json(doc)
-
-    def test_missing_declared(self):
-        doc = self._config()
-        del doc["declared"]
-        with pytest.raises(SchemaError):
-            campaign_config_from_json(doc)
 
 
 class TestFiles:
