@@ -18,7 +18,14 @@ from .errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
-from .linalg import DEFAULT_RANK_TOL, SPECTRUM_TOL, TRACE_TOL
+from .linalg import (
+    _check_int,
+    _frozen_array,
+    _negligible,
+    _normalized,
+    _subnormalized,
+    _unit_spectrum,
+)
 from .quantum import QuantumState
 
 
@@ -38,16 +45,14 @@ class ClassicalState:
             raise DimensionMismatchError("classical state needs at least one outcome")
         if not np.all(np.isfinite(x)):
             raise OutOfRangeError("classical state entries must be finite numbers")
-        if float(np.min(x)) < -SPECTRUM_TOL:
-            raise OutOfRangeError(
-                f"classical state has negative entry {float(np.min(x)):.3e}"
-            )
+        low, _ = _unit_spectrum(x)
+        if low is not None:
+            raise OutOfRangeError(f"classical state has negative entry {low:.3e}")
         x = np.maximum(x, 0.0)
         total = float(np.sum(x))
-        if not 0.0 < total <= 1.0 + TRACE_TOL:
+        if not (0.0 < total and _subnormalized(total)):
             raise OutOfRangeError(f"classical state total {total!r} outside (0, 1]")
-        x.setflags(write=False)
-        object.__setattr__(self, "probs", x)
+        _frozen_array(self, "probs", x)
 
     @property
     def dim(self) -> int:
@@ -55,7 +60,7 @@ class ClassicalState:
 
     @property
     def deterministic(self) -> bool:
-        return abs(float(np.sum(self.probs)) - 1.0) <= TRACE_TOL
+        return _normalized(abs(float(np.sum(self.probs)) - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +81,15 @@ class MarkovMap:
             raise DimensionMismatchError(f"Markov map must be 2-D, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise OutOfRangeError("Markov map entries must be finite numbers")
-        if float(np.min(m)) < -SPECTRUM_TOL:
+        if _unit_spectrum(m)[0] is not None:
             raise OutOfRangeError("Markov map has a negative entry")
         m = np.maximum(m, 0.0)
         sums = m.sum(axis=0)
-        if float(np.max(sums)) > 1.0 + TRACE_TOL:
+        if not _subnormalized(float(np.max(sums))):
             raise OutOfRangeError(
                 f"Markov map column sum {float(np.max(sums)):.6f} exceeds one"
             )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _frozen_array(self, "matrix", m)
 
     @property
     def dim_in(self) -> int:
@@ -97,7 +101,7 @@ class MarkovMap:
 
     @property
     def deterministic(self) -> bool:
-        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0))) <= TRACE_TOL
+        return _normalized(float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0))))
 
 
 def apply_markov(m: MarkovMap, x: ClassicalState) -> ClassicalState:
@@ -123,8 +127,11 @@ def permutation_map(perm) -> MarkovMap:
     """Reversible classical map sending basis state j to perm[j]."""
     perm = list(perm)
     n = len(perm)
+    message = f"not a permutation of 0..{n - 1}: {perm}"
+    for i in perm:
+        _check_int(i, 0, OutOfRangeError, message)
     if sorted(perm) != list(range(n)):
-        raise OutOfRangeError(f"not a permutation of 0..{n - 1}: {perm}")
+        raise OutOfRangeError(message)
     m = np.zeros((n, n))
     for j, i in enumerate(perm):
         m[i, j] = 1.0
@@ -145,6 +152,6 @@ def classical_falsifier_exists(x: ClassicalState) -> tuple[int, ...] | None:
         raise NotDeterministicError(
             "falsifier existence is defined for normalized distributions"
         )
-    idx = tuple(int(i) for i in np.nonzero(x.probs <= DEFAULT_RANK_TOL)[0])
+    idx = tuple(int(i) for i in np.nonzero(_negligible(x.probs))[0])
     return idx if idx else None
 

@@ -31,7 +31,7 @@ from .falsification import (
     falsification_probability,
     support_falsification_test,
 )
-from .linalg import TRACE_TOL
+from .linalg import _WEIGHT_TOL, _check_int, _normalized
 from .quantum import QuantumState
 
 # Campaign trials consume variates of Philox, a counter-based stream keyed by
@@ -49,8 +49,7 @@ _CHUNK = 1 << 16
 
 
 def _philox(master_seed: int) -> np.random.Philox:
-    if master_seed < 0:
-        raise OutOfRangeError("seed must be a non-negative integer")
+    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
     return np.random.Philox(np.random.SeedSequence(master_seed))
 
 
@@ -72,6 +71,16 @@ def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.n
         chunk = buf[: min(size, stop - lo)]
         gen.random(out=chunk)
         yield chunk
+
+
+def _check_probability(name: str, p: float) -> None:
+    """OutOfRangeError unless p is a real number in [0, 1]."""
+    try:
+        valid = bool(np.isfinite(p)) and 0.0 <= p <= 1.0
+    except TypeError:  # not a real number: text, None, a huge integer
+        valid = False
+    if not valid:
+        raise OutOfRangeError(f"{name}={p!r} outside [0, 1]")
 
 
 def _cpus() -> int:
@@ -99,8 +108,10 @@ def _tally(
     reaches the caller; every thread is joined before _tally returns or
     raises.  Given a trace, the one stripe is stripe 0, and trace(label_chunks)
     gets its chunks' outcomes in trial order (each valid until the next is
-    drawn); the chunks it leaves unread are still counted.
+    drawn); the chunks it leaves unread are still counted.  n_trials must
+    be an integer of at least 1 (else OutOfRangeError).
     """
+    _check_int(n_trials, 1, OutOfRangeError, "n_trials must be an integer of at least 1")
     workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
     bounds = [n_trials * k // workers for k in range(workers + 1)]
@@ -173,9 +184,9 @@ class NaryGenerator:
             )
         if not all(np.isfinite(x) for x in probs + phases):
             raise OutOfRangeError("generator parameters must be finite numbers")
-        if min(probs) < -1e-12:
+        if min(probs) < -_WEIGHT_TOL:
             raise OutOfRangeError("outcome weights must be non-negative")
-        if abs(sum(probs) - 1.0) > TRACE_TOL:
+        if not _normalized(abs(sum(probs) - 1.0)):
             raise OutOfRangeError(
                 f"outcome weights sum to {sum(probs)!r}, expected 1"
             )
@@ -200,10 +211,7 @@ def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
         p, phi = float(p), float(phi)
     except (OverflowError, TypeError, ValueError):  # as in NaryGenerator
         raise OutOfRangeError("coin bias and phase must be real numbers") from None
-    if not (np.isfinite(p) and 0.0 <= p <= 1.0):
-        raise OutOfRangeError(f"coin bias p={p!r} outside [0, 1]")
-    if not np.isfinite(phi):
-        raise OutOfRangeError("coin phase must be finite")
+    _check_probability("coin bias p", p)
     return NaryGenerator((p, 1.0 - p), (0.0, phi))
 
 
@@ -239,8 +247,6 @@ def count_generator(
     each chunk's outcome indices in trial order (valid until the next is
     drawn); the chunks it leaves unread are still counted.
     """
-    if n_trials < 1:
-        raise OutOfRangeError("n_trials must be at least 1")
     probs = generator_probs(declared)
     edges = np.cumsum(probs)
     edges[-1] = 1.0
@@ -304,8 +310,6 @@ def falsify_campaign(
     boolean mask of fired trials in trial order (valid until the next is
     drawn); the chunks it leaves unread are still counted.
     """
-    if n_trials < 1:
-        raise OutOfRangeError("n_trials must be at least 1")
     test = coin_falsification_test(declared)
     if true_state.dim != test.dim:
         raise DimensionMismatchError(
@@ -352,12 +356,7 @@ def classical_verdict(declared_p: float, n_zero: int, n_one: int) -> BaselineVer
     (classical_falsifier_exists): a p near 1 is refuted by any outcome 1, a
     p near 0 by any outcome 0.
     """
-    try:
-        valid = bool(np.isfinite(declared_p)) and 0.0 <= declared_p <= 1.0
-    except TypeError:  # not a real number: text, None, a huge integer
-        valid = False
-    if not valid:
-        raise OutOfRangeError(f"declared_p={declared_p!r} outside [0, 1]")
+    _check_probability("declared_p", declared_p)
     falsifying = classical_falsifier_exists(ClassicalState([declared_p, 1.0 - declared_p]))
     if falsifying is None:
         return BaselineVerdict.NOT_FALSIFIABLE
@@ -373,9 +372,6 @@ def count_classical_coin(
     P(outcome 0) = true_p: trial i gives outcome 1 iff the i-th keyed
     uniform is at least true_p.  The tosses are counted in fixed-size chunks
     (see _tally), so memory does not grow with n_trials."""
-    if not (np.isfinite(true_p) and 0.0 <= true_p <= 1.0):
-        raise OutOfRangeError(f"true_p={true_p!r} outside [0, 1]")
-    if n_trials < 1:
-        raise OutOfRangeError("n_trials must be at least 1")
+    _check_probability("true_p", true_p)
     n_one = int(_tally(master_seed, n_trials, lambda u: u >= true_p, np.count_nonzero))
     return n_trials - n_one, n_one

@@ -20,9 +20,10 @@ from .errors import (
     UnfalsifiableHypothesisError,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL,
-    SPECTRUM_TOL,
+    _frozen_array,
     _hermitian,
+    _is_zero,
+    _negligible,
     as_matrix,
     projector_rank,
     support_projector,
@@ -46,7 +47,7 @@ class SupportHypothesis:
     def __post_init__(self) -> None:
         p = as_matrix(self.projector, square=True, name="hypothesis projector")
         p = _hermitian(p[None], "hypothesis projector")[0]
-        if float(np.max(np.abs(p @ p - p))) > SPECTRUM_TOL:
+        if not _is_zero(p @ p - p):
             raise OutOfRangeError("hypothesis projector must be idempotent")
         if p.shape[0] < 2:
             raise DimensionMismatchError(
@@ -57,8 +58,7 @@ class SupportHypothesis:
                 "hypothesis subspace is the whole space; no falsifier exists "
                 "(only the inconclusive test F = 0 remains)"
             )
-        p.setflags(write=False)
-        object.__setattr__(self, "projector", p)
+        _frozen_array(self, "projector", p)
 
     @classmethod
     def from_state(cls, declared: QuantumState) -> "SupportHypothesis":
@@ -121,7 +121,7 @@ def falsification_probability(test: FalsificationTest, rho: QuantumState) -> flo
     fixed, so no caller can set it below that residue.
     """
     p = born_probability(rho, test.falsifier)
-    return 0.0 if p <= DEFAULT_RANK_TOL else p
+    return 0.0 if _negligible(p) else p
 
 
 def run_test(

@@ -3,8 +3,8 @@
 Everything downstream (states, effects, channels, falsifiers) sits on the
 handful of primitives in this module: tensor products, partial traces, the
 Hermitian eigendecomposition (LAPACK through numpy, with a fixed order and
-phase convention), the support cutoff and the support/kernel projectors,
-and the row-major double-ket vectorization.
+phase convention), every validation cutoff and its comparisons, the
+support/kernel projectors, and the row-major double-ket vectorization.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ DEFAULT_RANK_TOL = 1e-10
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
+
+# Cutoffs of one decision each, compared only where they are used.
+_ORTHOGONALITY_TOL = 1e-8  # largest entry of P_rho P_nu of orthogonal supports
+_MARGINAL_TOL = 1e-8  # largest entry of rho1 - rho2 of equal marginals
+_IMAG_TOL = 1e-8  # largest imaginary part of a Born trace
+_UNIT_NORM_TOL = 1e-8  # how far local_falsifier's vector may miss unit norm
+_UNITARY_TOL = 1e-9  # largest entry of U^dag U - I of a dilation
+_WEIGHT_TOL = 1e-12  # how far below zero a generator's weight may lie
 
 # Largest entry modulus a matrix may carry.  The sum or product of two such
 # entries is finite, so Hermiticity checks and symmetrization cannot overflow.
@@ -74,11 +82,43 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def _check_int(n, minimum: int, error: type[Exception], message: str) -> None:
+    """error(message) unless n is an integer (not a bool) of at least minimum."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        raise error(message)
+
+
 def _check_dims(name: str, *dims) -> None:
-    """DimensionMismatchError unless each of dims is an integer >= 1, not a bool."""
+    """DimensionMismatchError unless each of dims is an integer >= 1 (_check_int)."""
     for d in dims:
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-            raise DimensionMismatchError(f"{name}: {d!r} is not a positive integer")
+        _check_int(d, 1, DimensionMismatchError, f"{name}: {d!r} is not a positive integer")
+
+
+def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
+    value.setflags(write=False)
+    object.__setattr__(obj, field_name, value)
+
+
+# Every comparison with a shared cutoff is made by one helper per decision
+# and side: those below, _hermitian and _unit_spectrum.
+def _negligible(x, scale=1.0):
+    """x <= DEFAULT_RANK_TOL * scale: the support, PSD, snap and endpoint cut."""
+    return x <= DEFAULT_RANK_TOL * scale
+
+
+def _normalized(dev) -> bool:
+    """dev <= TRACE_TOL, for the deviation of a trace, total or norm from one."""
+    return dev <= TRACE_TOL
+
+
+def _subnormalized(x) -> bool:
+    """x <= 1.0 + TRACE_TOL, for a trace, total or column sum."""
+    return x <= 1.0 + TRACE_TOL
+
+
+def _is_zero(m: np.ndarray) -> bool:
+    """Whether every entry of the matrix m has modulus at most SPECTRUM_TOL."""
+    return bool(np.abs(m).max() <= SPECTRUM_TOL)
 
 
 def _at(name: str, index: int, n: int) -> str:
@@ -207,25 +247,19 @@ def _eig_core(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _extreme_eigvals(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest and highest eigenvalue of each matrix of an (n, d, d) stack h,
-    as two (n,) arrays, by LAPACK without eigenvectors
-    (``np.linalg.eigvalsh``), for validations that read no more of the
-    spectrum.  h must hold exactly Hermitian complex matrices that
-    _hermitian has accepted.  Raises EigConvergenceError if LAPACK does not
-    converge."""
-    try:
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigConvergenceError(f"eigvalsh: {exc}") from None
-    return w[:, 0], w[:, -1]
+def _unit_spectrum(values) -> tuple[float | None, float | None]:
+    """The lowest of the values (eigenvalues or probabilities) when it is
+    below -SPECTRUM_TOL, and the highest when it is above 1.0 + SPECTRUM_TOL;
+    each None when it is not."""
+    low, high = float(np.min(values)), float(np.max(values))
+    return low if low < -SPECTRUM_TOL else None, high if high > 1.0 + SPECTRUM_TOL else None
 
 
 def support_mask(values: np.ndarray) -> np.ndarray:
     """Which of the descending eigenvalues lie in the support: those above
     DEFAULT_RANK_TOL * lam_max, with lam_max clamped at zero.  values may
     also be an (n, d) stack of rows, each cut at its own lam_max."""
-    return values > DEFAULT_RANK_TOL * np.maximum(values[..., :1], 0.0)
+    return ~_negligible(values, np.maximum(values[..., :1], 0.0))
 
 
 def _check_psd(values: np.ndarray, name: str) -> None:
@@ -233,7 +267,7 @@ def _check_psd(values: np.ndarray, name: str) -> None:
     the lowest is at least -DEFAULT_RANK_TOL * lam_max, with lam_max clamped
     at zero.  The error names the first failing row (see _at)."""
     for k, row in enumerate(values.tolist()):
-        if row[-1] < -DEFAULT_RANK_TOL * max(row[0], 0.0):
+        if not _negligible(-row[-1], max(row[0], 0.0)):
             raise NotPSDError(
                 f"{_at(name, k, len(values))}: eigenvalue {row[-1]:.3e} "
                 "below -DEFAULT_RANK_TOL*lam_max"

@@ -25,7 +25,10 @@ from .classical import (
 )
 from .errors import OptFalsifyError, OutOfRangeError
 from .linalg import (
+    _ORTHOGONALITY_TOL,
     DEFAULT_RANK_TOL,
+    SPECTRUM_TOL,
+    _check_int,
     dagger,
     kernel_projector,
     mat_to_doubleket,
@@ -241,8 +244,8 @@ def check_discrimination(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """perfectly_discriminable agrees with the brute-force criterion
-    Tr(P_rho P_nu) <= 1e-8 on random pairs and on pairs built with
-    orthogonal supports.  Each block of pairs is decided as one stack."""
+    Tr(P_rho P_nu) <= _ORTHOGONALITY_TOL on random pairs and on pairs built
+    with orthogonal supports.  Each block of pairs is decided as one stack."""
     disagreements = 0
     cases = 0
     note = ""
@@ -258,7 +261,7 @@ def check_discrimination(
             overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
             for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
                 cases += 1
-                if res.discriminable != (abs(overlap) <= 1e-8):
+                if res.discriminable != (abs(overlap) <= _ORTHOGONALITY_TOL):
                     disagreements += 1
                     note = f"random pair disagreement at dim {d}"
     d = max(dims)
@@ -272,10 +275,10 @@ def check_discrimination(
             cases += 1
             ok = res.discriminable
             # The rho-falsifier, built on this read, must capture nu with
-            # certainty.
+            # certainty, to within the orthogonality cut.
             falsifier = res.falsifier_rho if ok else None
             if falsifier is not None:
-                ok = abs(born_probability(nu, falsifier) - 1.0) <= 1e-8
+                ok = abs(born_probability(nu, falsifier) - 1.0) <= _ORTHOGONALITY_TOL
             if not ok:
                 disagreements += 1
                 note = "constructed orthogonal pair not discriminated"
@@ -467,14 +470,14 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
         for k, e in enumerate(outcome_povms[d]):
             dev = abs(born_probability(embedded, e) - state.probs[k])
             worst = max(worst, float(dev))
-        indicator = np.diag((state.probs > 1e-10).astype(complex))
+        indicator = np.diag((state.probs > DEFAULT_RANK_TOL).astype(complex))
         worst = max(
             worst,
             float(np.max(np.abs(support_projector(embedded.spectrum) - indicator))),
         )
         has_falsifier = classical_falsifier_exists(state) is not None
         kernel_nonzero = (
-            float(np.max(np.abs(kernel_projector(embedded.spectrum)))) > 1e-10
+            float(np.max(np.abs(kernel_projector(embedded.spectrum)))) > SPECTRUM_TOL
         )
         if has_falsifier != kernel_nonzero:
             mismatches += 1
@@ -511,8 +514,7 @@ def run_postulate_checks(
         raise OutOfRangeError("dims must all be >= 2")
     if dims[-1] > 8:
         raise OutOfRangeError("dims above 8 exceed the intended regime")
-    if seed < 0:
-        raise OutOfRangeError("seed must be a non-negative integer")
+    _check_int(seed, 0, OutOfRangeError, "seed must be a non-negative integer")
     small = tuple(d for d in dims if d <= 3) or (dims[0],)
     results: list[PropertyResult] = []
     results.append(check_doubleket_identity(_sub_rng(seed, 0), dims))

@@ -26,18 +26,27 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     MAX_ENTRY,
-    SPECTRUM_TOL,
-    TRACE_TOL,
+    _IMAG_TOL,
+    _MARGINAL_TOL,
+    _ORTHOGONALITY_TOL,
+    _UNIT_NORM_TOL,
+    _UNITARY_TOL,
     HermitianEig,
     _as_stack,
     _at,
     _bounded_vector,
     _check_dims,
+    _check_int,
     _check_psd,
     _eig_core,
-    _extreme_eigvals,
+    _frozen_array,
     _hermitian,
+    _is_zero,
+    _negligible,
+    _normalized,
+    _subnormalized,
     _support_projectors,
+    _unit_spectrum,
     as_matrix,
     dagger,
     doubleket_to_mat,
@@ -48,23 +57,6 @@ from .linalg import (
     support_mask,
     tensor,
 )
-
-# Largest entry of P_rho P_nu at which two supports count as orthogonal.
-_ORTHOGONALITY_TOL = 1e-8
-# Largest entry of rho1 - rho2 at which two purifications' marginals count
-# as equal in connecting_unitary.
-_MARGINAL_TOL = 1e-8
-
-
-def _frozen_array(obj, field_name: str, value: np.ndarray) -> None:
-    value.setflags(write=False)
-    object.__setattr__(obj, field_name, value)
-
-
-def _is_zero(m: np.ndarray) -> bool:
-    """Whether every entry of the matrix m has modulus at most SPECTRUM_TOL."""
-    return bool(np.abs(m).max() <= SPECTRUM_TOL)
-
 
 def _unit_vector(vector, name: str) -> np.ndarray:
     """vector / its 2-norm, flattened; OutOfRangeError for a zero vector, an
@@ -94,7 +86,7 @@ def _validate_states(a: np.ndarray, states: list["QuantumState"]) -> None:
     values, vectors = _eig_core(h)
     _check_psd(values, "state matrix")
     for k, tr in enumerate(h.trace(axis1=1, axis2=2).real.tolist()):
-        if not 0.0 < tr <= 1.0 + TRACE_TOL:
+        if not (0.0 < tr and _subnormalized(tr)):
             where = _at("state", k, len(h))
             raise OutOfRangeError(f"{where} trace {tr!r} outside (0, 1]")
     for b in (h, values, vectors):
@@ -146,7 +138,7 @@ class QuantumState:
     @property
     def deterministic(self) -> bool:
         """True when the state is normalized (trace one within TRACE_TOL)."""
-        return abs(self.trace - 1.0) <= TRACE_TOL
+        return _normalized(abs(self.trace - 1.0))
 
     def rank(self) -> int:
         return int(np.count_nonzero(support_mask(self.spectrum.values)))
@@ -167,19 +159,19 @@ def _states(stack) -> list[QuantumState]:
 class Effect:
     """Measurement element: Hermitian, spectrum in [0, 1] within SPECTRUM_TOL.
 
-    Validation reads only the lowest and highest eigenvalue, by
-    ``np.linalg.eigvalsh``; no eigenvectors are computed or kept."""
+    Validation reads only the lowest and highest eigenvalue; no spectrum is
+    kept."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix, square=True, name="effect matrix")[None]
         h = _hermitian(a, "effect matrix")
-        lowest, highest = _extreme_eigvals(h)
-        if lowest[0] < -SPECTRUM_TOL:
-            raise NotPSDError(f"effect has eigenvalue {lowest[0]:.3e} below zero")
-        if highest[0] > 1.0 + SPECTRUM_TOL:
-            raise OutOfRangeError(f"effect has eigenvalue {highest[0]:.3e} above one")
+        low, high = _unit_spectrum(_eig_core(h)[0])
+        if low is not None:
+            raise NotPSDError(f"effect has eigenvalue {low:.3e} below zero")
+        if high is not None:
+            raise OutOfRangeError(f"effect has eigenvalue {high:.3e} above one")
         _frozen_array(self, "matrix", h[0])
 
     @property
@@ -220,11 +212,12 @@ class KrausChannel:
                 "channel is not trace-nonincreasing: sum A^dag A has an entry "
                 f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
             )
-        _, top = _extreme_eigvals(_hermitian(gram[None], "channel gram sum A^dag A"))
-        if top[0] > 1.0 + SPECTRUM_TOL:
+        h = _hermitian(gram[None], "channel gram sum A^dag A")
+        _, top = _unit_spectrum(_eig_core(h)[0])
+        if top is not None:
             raise OutOfRangeError(
                 "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
-                f"(top eigenvalue {top[0]:.6f})"
+                f"(top eigenvalue {top:.6f})"
             )
         for a in ops:
             a.setflags(write=False)
@@ -247,18 +240,18 @@ class KrausChannel:
         """True when trace-preserving: sum A^dag A = I within TRACE_TOL."""
         gram = sum(dagger(a) @ a for a in self.kraus)
         eye = np.eye(self.dim_in, dtype=complex)
-        return float(np.max(np.abs(gram - eye))) <= TRACE_TOL
+        return _normalized(float(np.max(np.abs(gram - eye))))
 
 
 def born_probability(rho: QuantumState, effect: Effect) -> float:
     """Tr(rho E), clamped to [0, 1].  Raises NumericalContaminationError if
-    the trace carries imaginary weight above 1e-8."""
+    the trace carries imaginary weight above _IMAG_TOL (1e-8)."""
     if rho.dim != effect.dim:
         raise DimensionMismatchError(
             f"state dim {rho.dim} vs effect dim {effect.dim}"
         )
     p = complex(np.trace(rho.matrix @ effect.matrix))
-    if abs(p.imag) > 1e-8:
+    if abs(p.imag) > _IMAG_TOL:
         raise NumericalContaminationError(
             f"Born probability has imaginary part {p.imag:.3e}"
         )
@@ -290,7 +283,7 @@ class Purification:
             raise DimensionMismatchError(
                 f"purification vector length {v.size} != {self.dim_a}x{self.dim_b}"
             )
-        if not abs(nrm - 1.0) <= TRACE_TOL:
+        if not _normalized(abs(nrm - 1.0)):
             raise OutOfRangeError("purification vector must have unit norm")
         _frozen_array(self, "state_vector", v)
 
@@ -321,8 +314,8 @@ def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
     """Unitary U on the environment with (I (x) U) psi1 = psi2.
 
     Both purifications must share dim_a and dim_b and reduce to the same
-    marginal within 1e-8 (else PurificationMismatchError).  Identical inputs
-    return the identity exactly.
+    marginal within _MARGINAL_TOL (else PurificationMismatchError).
+    Identical inputs return the identity exactly.
     """
     if p1.dim_a != p2.dim_a:
         raise DimensionMismatchError(
@@ -373,9 +366,9 @@ class DiscriminationResult:
 
 def perfectly_discriminable(rho: QuantumState, nu: QuantumState) -> DiscriminationResult:
     """States are perfectly discriminable in one shot iff their supports are
-    orthogonal (max entry of P_rho P_nu at most 1e-8).  The falsifier for
-    each state is the projector onto its kernel, which captures the other
-    state entirely in the discriminable case."""
+    orthogonal (max entry of P_rho P_nu at most _ORTHOGONALITY_TOL).  The
+    falsifier for each state is the projector onto its kernel, which
+    captures the other state entirely in the discriminable case."""
     if rho.dim != nu.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {nu.dim}")
     return _discriminate([rho], [nu])[0]
@@ -520,22 +513,18 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
         raise DimensionMismatchError(
             f"vector length {a.size} does not match operator dim {d}"
         )
-    if not abs(nrm - 1.0) <= 1e-8:
+    if not abs(nrm - 1.0) <= _UNIT_NORM_TOL:
         raise OutOfRangeError("local_falsifier: vector a must have unit norm")
     c = np.conj(dagger(a_mat) @ a)
-    if float(np.linalg.norm(c)) <= DEFAULT_RANK_TOL * scale:
-        b = np.zeros(d, dtype=complex)
-        b[0] = 1.0
-        degenerate = True
-    else:
+    degenerate = _negligible(float(np.linalg.norm(c)), scale)
+    j = 0 if degenerate else int(np.argmin(np.abs(c)))
+    b = np.zeros(d, dtype=complex)
+    b[j] = 1.0
+    if not degenerate:
         # Project the canonical vector least aligned with c onto c's
         # complement; its residual norm is at least sqrt(1 - 1/d) > 0.
-        j = int(np.argmin(np.abs(c)))
-        b = np.zeros(d, dtype=complex)
-        b[j] = 1.0
         b = b - c * (np.conj(c[j]) / float(np.vdot(c, c).real))
         b = b / np.linalg.norm(b)
-        degenerate = False
     effect = Effect(tensor(np.outer(a, a.conj()), np.outer(b, b.conj())))
     return LocalFalsifier(vector_b=b, effect=effect, degenerate=degenerate)
 
@@ -558,7 +547,7 @@ class Dilation:
                 f"dilation unitary dim {u.shape[0]} != {self.dim_sys}x{self.dim_env}"
             )
         dev = float(np.max(np.abs(dagger(u) @ u - np.eye(d))))
-        if dev > 1e-9:
+        if dev > _UNITARY_TOL:
             raise OutOfRangeError(f"dilation matrix deviates from unitary by {dev:.3e}")
         _frozen_array(self, "unitary", u)
 
@@ -569,7 +558,8 @@ class Dilation:
             raise DimensionMismatchError(
                 f"state dim {rho.dim} != system dim {self.dim_sys}"
             )
-        if not 0 <= k < self.dim_env:
+        _check_int(k, 0, OutOfRangeError, f"branch index {k} out of range")
+        if k >= self.dim_env:
             raise OutOfRangeError(f"branch index {k} out of range")
         # The ancilla |0><0| and the outcome projector |k><k|, exactly 0/1.
         env = np.eye(self.dim_env, dtype=complex)

@@ -15,9 +15,19 @@ from optfalsify.errors import (
     NotDeterministicError,
     OutOfRangeError,
 )
-from optfalsify.coins import classical_verdict, count_generator, make_coin, make_nary
+from optfalsify.coins import (
+    classical_verdict,
+    count_classical_coin,
+    count_generator,
+    falsify_campaign,
+    make_coin,
+    make_nary,
+)
 from optfalsify.linalg import support_projector
-from optfalsify.quantum import Effect, KrausChannel, born_probability
+from optfalsify.postulates import run_postulate_checks
+from optfalsify.quantum import Dilation, Effect, KrausChannel, QuantumState, born_probability
+
+MIXED = QuantumState.maximally_mixed(2)
 
 
 class TestClassicalState:
@@ -79,9 +89,27 @@ def test_non_numbers_rejected(build):
         (lambda: make_nary([0.5, 0.5], 3), OutOfRangeError, "must be finite numbers"),
         (lambda: classical_verdict("x", 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
         (lambda: classical_verdict(None, 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
+        # Integer arguments: an integer of at least the minimum, never a bool.
+        (lambda: falsify_campaign(make_coin(0.5), MIXED, 2.5, 0), OutOfRangeError, "n_trials"),
+        (lambda: count_generator(make_coin(0.5), "10", 0), OutOfRangeError, "n_trials"),
+        (lambda: count_classical_coin(0.5, True, 0), OutOfRangeError, "n_trials"),
+        (
+            lambda: falsify_campaign(make_coin(0.5), MIXED, 10, 1.5),
+            OutOfRangeError,
+            "seed must be a non-negative integer",
+        ),
+        (lambda: run_postulate_checks(seed=1.5), OutOfRangeError, "seed must be a non-negative"),
+        (lambda: run_postulate_checks(seed="1"), OutOfRangeError, "seed must be a non-negative"),
+        (lambda: Dilation(np.eye(2), 2, 1).branch(MIXED, 0.5), OutOfRangeError, "branch index"),
+        (lambda: permutation_map([0.0, 1.0]), OutOfRangeError, "not a permutation"),
+        (lambda: count_classical_coin("x", 10, 0), OutOfRangeError, r"outside \[0, 1\]"),
+        (lambda: count_classical_coin(10**400, 10, 0), OutOfRangeError, r"outside \[0, 1\]"),
     ],
     ids=["kraus-int", "kraus-none", "nary-int", "nary-phases-int", "verdict-text",
-         "verdict-none"],
+         "verdict-none", "campaign-trials-float", "sample-trials-text",
+         "coin-trials-bool", "campaign-seed-float", "postulates-seed-float",
+         "postulates-seed-text", "branch-float", "permutation-floats", "coin-p-text",
+         "coin-p-huge"],
 )
 def test_non_sequences_and_non_numbers_raise_typed_errors(build, error, message):
     # Library callers only: the CLI's JSON schema rejects these first.

@@ -307,8 +307,8 @@ class TestFalsifyCampaign:
         true_state = QuantumState.maximally_mixed(2)
         lapack_calls["eigh"].clear()
         falsify_campaign(make_coin(0.5), true_state, 100, 0)
-        assert len(lapack_calls["eigh"]) == 0
-        assert len(lapack_calls["eigvalsh"]) == 1
+        assert len(lapack_calls["eigh"]) == 1
+        assert len(lapack_calls["eigvalsh"]) == 0
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):

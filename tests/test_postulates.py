@@ -59,6 +59,14 @@ class TestRunPostulateChecks:
     def test_known_faults_registry(self):
         assert "kraus-norm" in KNOWN_FAULTS
 
+    def test_every_spectrum_through_eigh(self, lapack_calls):
+        # One LAPACK route feeds every spectral decision: at these dims and
+        # seed, 2392 state and projector matrices and 291 effect and gram
+        # matrices, all through eigh.
+        run_postulate_checks(dims=(2, 3, 4), seed=1)
+        assert len(lapack_calls["eigh"]) == 2392 + 291
+        assert lapack_calls["eigvalsh"] == []
+
 
 def _padded_purify(rho):
     """purify(rho) with one more, unoccupied, environment dimension."""

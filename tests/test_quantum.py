@@ -137,7 +137,7 @@ class TestKrausChannel:
 
 
 class TestExtremeEigenvalueValidation:
-    """Effect and KrausChannel read their extreme eigenvalues by eigvalsh."""
+    """Effect and KrausChannel read their extreme eigenvalues from eigh."""
 
     def test_gram_cutoff_both_sides(self, rng):
         u = random_unitary(3, rng)
@@ -156,7 +156,7 @@ class TestExtremeEigenvalueValidation:
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(EigConvergenceError):
             Effect(np.diag([0.5, 0.0]))
         with pytest.raises(EigConvergenceError):
@@ -769,7 +769,7 @@ class TestCachedSpectrum:
         # Each consumer paired with the LAPACK calls (eigh, eigvalsh) that
         # validate the new objects it builds: compress decomposes the
         # compressed state, and perfectly_discriminable builds no effect
-        # until a falsifier is read, whose extreme eigenvalues it then reads.
+        # until a falsifier is read, which it then decomposes.
         calls = [
             (lambda: mixed.rank(), (0, 0)),
             (lambda: purify(mixed), (0, 0)),
@@ -777,7 +777,7 @@ class TestCachedSpectrum:
             (lambda: canonical_form(mixed), (0, 0)),
             (lambda: support_projector(mixed.spectrum), (0, 0)),
             (lambda: perfectly_discriminable(pure, other), (0, 0)),
-            (lambda: perfectly_discriminable(pure, other).falsifier_rho, (0, 1)),
+            (lambda: perfectly_discriminable(pure, other).falsifier_rho, (1, 0)),
             (lambda: SupportHypothesis.from_state(mixed), (0, 0)),
         ]
         built = [s.matrix.tobytes() for s in (mixed, pure, other)]
