@@ -11,6 +11,7 @@ positive probability unless p is 0 or 1.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -34,22 +35,35 @@ from .falsification import (
 from .linalg import _WEIGHT_TOL, _check_int, _normalized
 from .quantum import QuantumState
 
-# Campaign trials consume variates of Philox, a counter-based stream keyed by
-# the master seed: trial i's uniform is a keyed hash of i, so any stretch of
-# trials can be read on its own, bit for bit, by positioning a fresh stream
-# at its first trial.  Untraced counts split the trials into contiguous
-# stripes, one per CPU this process may run on (_cpus), and count each
-# stripe on its own thread; the counts are exact integers, so their sum does
-# not depend on the split.  A trace sees the trials in one ordered pass.
+# Campaign trials consume the raw 64-bit words of Philox, a counter-based
+# stream keyed by the master seed: trial i's word is a keyed hash of i, so any
+# stretch of trials can be read on its own, bit for bit, by positioning a
+# fresh stream at its first trial.  Untraced counts split the trials into
+# contiguous stripes, one per CPU this process may run on (_cpus), and count
+# each stripe on its own thread; the counts are exact integers, so their sum
+# does not depend on the split.  A trace sees the trials in one ordered pass.
+#
+# Trial i's uniform is numpy's Philox double u = (x >> 11) * 2^-53 of its
+# word x, and for p in [0, 1] u < p holds exactly when x < ceil(p * 2^53) << 11
+# (_cut).  So campaigns compare the words against integer thresholds computed
+# once per call and never form the doubles; every count is the one the
+# doubles give.
 
-# Campaigns draw their uniforms this many at a time into reused buffers
-# (split evenly between the stripes), so their memory does not grow with
-# n_trials.  The stream is the same at any chunk size.
+# Campaigns draw their words this many at a time (split evenly between the
+# stripes), so their memory does not grow with n_trials.  The stream is the
+# same at any chunk size.
 _CHUNK = 1 << 16
+
+# ceil(p * 2^53) of p = 1.0: a cut this high passes every word.
+_ALL = 1 << 53
+
+
+def _check_seed(master_seed: int) -> None:
+    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
 
 
 def _philox(master_seed: int) -> np.random.Philox:
-    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
+    _check_seed(master_seed)
     return np.random.Philox(np.random.SeedSequence(master_seed))
 
 
@@ -58,19 +72,41 @@ def seeded_stream(master_seed: int) -> np.random.Generator:
 
 
 def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
-    """seeded_stream(master_seed).random(stop)[start:] as consecutive chunks
-    of at most size values.  Each chunk is a view of one reused buffer and
-    holds its values only until the next chunk is drawn."""
+    """seeded_stream(master_seed).bit_generator.random_raw(stop)[start:] as
+    consecutive new uint64 arrays of at most size words."""
     bits = _philox(master_seed)
-    # Each Philox counter step yields four 64-bit draws, one per uniform.
+    # Each Philox counter step yields four 64-bit words.
     bits.advance(start // 4)
     bits.random_raw(start % 4)
-    gen = np.random.Generator(bits)
-    buf = np.empty(min(stop - start, size))
     for lo in range(start, stop, size):
-        chunk = buf[: min(size, stop - lo)]
-        gen.random(out=chunk)
-        yield chunk
+        yield bits.random_raw(min(size, stop - lo))
+
+
+def _cut(p: float) -> int:
+    """ceil(p * 2^53): the uniform (x >> 11) * 2^-53 of a word x is below
+    p exactly when x >> 11 is below the cut, that is x < _cut(p) << 11.
+    Scaling by 2^53 is exact, so no rounding enters."""
+    return math.ceil(math.ldexp(p, 53))
+
+
+def _below(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Mask of the words whose uniform is below p, for p in [0, 1]."""
+    cut = _cut(p)
+    if cut >= _ALL:  # p = 1.0, whose threshold 2^64 is no uint64
+        return lambda x: np.ones(len(x), dtype=bool)
+    threshold = np.uint64(cut << 11)
+    return lambda x: x < threshold
+
+
+def _outcome(edges: np.ndarray, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Codes np.searchsorted(edges, u, side="right") of the words' uniforms
+    u, for non-decreasing edges, in the narrowest unsigned type holding dim.
+    The code counts the edges at or below u, and e <= u exactly when
+    _cut(e) << 11 <= x; an edge at or above 1.0 is above every uniform and
+    never counts, so it is dropped."""
+    cuts = np.array([c << 11 for c in map(_cut, edges) if c < _ALL], dtype=np.uint64)
+    dtype = np.min_scalar_type(dim)
+    return lambda x: np.searchsorted(cuts, x, side="right").astype(dtype)
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -98,20 +134,23 @@ def _tally(
     count: Callable[[np.ndarray], Any],
     trace: Callable[[Iterator[np.ndarray]], None] | None = None,
 ) -> Any:
-    """Sum of count(label(u)) over the chunks u of the first n_trials keyed
-    uniforms, where label maps uniforms to per-trial outcomes and count
-    maps outcomes to an exact integer total.
+    """Sum of count(label(x)) over the chunks x of the first n_trials keyed
+    raw words, where label maps words to per-trial outcomes and count maps
+    outcomes to an exact integer total.
 
     Contiguous stripes of the trials are counted on min(_cpus(), chunks)
-    threads, the caller's among them, with buffers of _CHUNK values in all.
-    An exception in any stripe stops the others at their next chunk and
-    reaches the caller; every thread is joined before _tally returns or
-    raises.  Given a trace, the one stripe is stripe 0, and trace(label_chunks)
-    gets its chunks' outcomes in trial order (each valid until the next is
-    drawn); the chunks it leaves unread are still counted.  n_trials must
-    be an integer of at least 1 (else OutOfRangeError).
+    threads, the caller's among them, with chunks of _CHUNK words in all;
+    each stripe drops its chunk once labelled.  An exception in any stripe
+    stops the others at their next chunk and reaches the caller; every
+    thread is joined before _tally returns or raises.  Given a trace, the
+    one stripe is stripe 0, and trace(label_chunks) gets its chunks'
+    outcomes in trial order (each valid until the next is drawn); the
+    chunks it leaves unread are still counted.  n_trials must be an
+    integer of at least 1 and master_seed a non-negative integer (else
+    OutOfRangeError, raised before any stripe starts or trace is called).
     """
     _check_int(n_trials, 1, OutOfRangeError, "n_trials must be an integer of at least 1")
+    _check_seed(master_seed)
     workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
     bounds = [n_trials * k // workers for k in range(workers + 1)]
@@ -120,10 +159,11 @@ def _tally(
     stop = threading.Event()
 
     def label_chunks(k: int) -> Iterator[np.ndarray]:
-        for u in _stripe(master_seed, bounds[k], bounds[k + 1], size):
+        for x in _stripe(master_seed, bounds[k], bounds[k + 1], size):
             if stop.is_set():
                 return
-            outcomes = label(u)
+            outcomes = label(x)
+            del x  # so the next chunk is drawn with this one freed
             totals[k] = totals[k] + count(outcomes)
             yield outcomes
 
@@ -241,11 +281,15 @@ def count_generator(
     occurs in n_trials draws from them.
 
     Trial i's outcome is the first whose cumulative probability exceeds the
-    i-th keyed uniform.  The trials are counted in fixed-size chunks (see
+    i-th keyed uniform.  Each cumulative edge below 1.0 is compared as its
+    integer threshold against the trials' raw words, which gives exactly
+    the outcome of the uniforms (see _outcome); the last edge is 1.0 and
+    never counts.  The trials are counted in fixed-size chunks (see
     _tally), so memory does not grow with n_trials.  When trace is given,
     it is called once as trace(probs, code_chunks), where code_chunks yields
-    each chunk's outcome indices in trial order (valid until the next is
-    drawn); the chunks it leaves unread are still counted.
+    each chunk's outcome indices in trial order, in the narrowest unsigned
+    type that holds dim (valid until the next is drawn); the chunks it
+    leaves unread are still counted.
     """
     probs = generator_probs(declared)
     edges = np.cumsum(probs)
@@ -253,7 +297,7 @@ def count_generator(
     counts = _tally(
         master_seed,
         n_trials,
-        lambda u: np.searchsorted(edges, u, side="right"),
+        _outcome(edges, declared.dim),
         lambda codes: np.bincount(codes, minlength=declared.dim),
         None if trace is None else lambda chunks: trace(probs, chunks),
     )
@@ -304,11 +348,14 @@ def falsify_campaign(
 
     Trial i fires iff the i-th keyed uniform falls below the theoretical
     rate, which is exactly the single-trial Bernoulli sampling of run_test.
-    The trials are counted in fixed-size chunks (see _tally), so memory
-    does not grow with n_trials.  When trace is given, it is called once as
-    trace(rate, fired_chunks), where fired_chunks yields each chunk's
-    boolean mask of fired trials in trial order (valid until the next is
-    drawn); the chunks it leaves unread are still counted.
+    The uniforms are not formed: each trial's raw word is compared with the
+    rate's integer threshold, which fires on exactly the same trials (see
+    _below); at rate 1.0 every trial fires.  The trials are counted in
+    fixed-size chunks (see _tally), so memory does not grow with n_trials.
+    When trace is given, it is called once as trace(rate, fired_chunks),
+    where fired_chunks yields each chunk's boolean mask of fired trials in
+    trial order (valid until the next is drawn); the chunks it leaves
+    unread are still counted.
     """
     test = coin_falsification_test(declared)
     if true_state.dim != test.dim:
@@ -322,7 +369,7 @@ def falsify_campaign(
         _tally(
             master_seed,
             n_trials,
-            lambda u: u < rate,
+            _below(rate),
             np.count_nonzero,
             None if trace is None else lambda chunks: trace(rate, chunks),
         )
@@ -370,8 +417,10 @@ def count_classical_coin(
 ) -> tuple[int, int]:
     """(n_zero, n_one) of n_trials tosses of a classical coin with
     P(outcome 0) = true_p: trial i gives outcome 1 iff the i-th keyed
-    uniform is at least true_p.  The tosses are counted in fixed-size chunks
-    (see _tally), so memory does not grow with n_trials."""
+    uniform is at least true_p, decided by the integer threshold of true_p
+    as in falsify_campaign (at true_p 1.0 every toss gives outcome 0).  The
+    tosses are counted in fixed-size chunks (see _tally), so memory does
+    not grow with n_trials."""
     _check_probability("true_p", true_p)
-    n_one = int(_tally(master_seed, n_trials, lambda u: u >= true_p, np.count_nonzero))
-    return n_trials - n_one, n_one
+    n_zero = int(_tally(master_seed, n_trials, _below(true_p), np.count_nonzero))
+    return n_zero, n_trials - n_zero

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import sys
 import threading
@@ -32,7 +33,7 @@ from optfalsify.errors import (
     OutOfRangeError,
 )
 from optfalsify.linalg import DEFAULT_RANK_TOL
-from optfalsify.serialize import float_literal, state_to_json, write_json
+from optfalsify.serialize import float_literal, state_to_json, write_json, write_trace_csv
 
 SQRT_HALF = 0.7071067811865476
 
@@ -179,6 +180,16 @@ class TestCoinFalsificationTest:
         assert falsification_probability(test, coin.state()) <= 1e-12
 
 
+def raw_words(seed, n):
+    """The first n raw words of the keyed stream."""
+    return seeded_stream(seed).bit_generator.random_raw(n)
+
+
+def as_uniforms(words):
+    """numpy's Philox doubles of raw words: (x >> 11) * 2^-53."""
+    return (words >> 11) * 2.0**-53
+
+
 class TestCampaignStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -186,30 +197,51 @@ class TestCampaignStream:
 
     @staticmethod
     def _drawn(seed, n_trials):
-        chunks = coins._stripe(seed, 0, n_trials, coins._CHUNK)
-        return np.concatenate([u.copy() for u in chunks])
+        return np.concatenate(list(coins._stripe(seed, 0, n_trials, coins._CHUNK)))
 
     def test_prefix_property(self, monkeypatch):
-        # Trial i's uniform depends only on (seed, i), not on n_trials.
+        # Trial i's word depends only on (seed, i), not on n_trials.
         monkeypatch.setattr(coins, "_CHUNK", 3)
         short, long = self._drawn(99, 5), self._drawn(99, 10)
         assert np.array_equal(short, long[:5])
-        assert long.tobytes() == seeded_stream(99).random(10).tobytes()
+        assert long.tobytes() == raw_words(99, 10).tobytes()
+        assert as_uniforms(long).tobytes() == seeded_stream(99).random(10).tobytes()
 
     def test_positioned_reads_match_bulk(self):
-        # Philox yields four draws per counter step; offsets 0..67 cover
+        # Philox yields four words per counter step; offsets 0..67 cover
         # every phase of it, and stripe ends that are not multiples of 4.
-        bulk = seeded_stream(31).random(80)
+        bulk = raw_words(31, 80)
+        doubles = seeded_stream(31).random(80)
         for start in range(68):
             for stop in (start, start + 1, start + 6, 80):
                 for size in (1, 3, 64):
-                    chunks = [u.copy() for u in coins._stripe(31, start, stop, size)]
-                    assert all(0 < len(u) <= size for u in chunks)
-                    drawn = np.concatenate(chunks) if chunks else np.empty(0)
+                    chunks = list(coins._stripe(31, start, stop, size))
+                    assert all(0 < len(x) <= size for x in chunks)
+                    drawn = np.concatenate(chunks) if chunks else np.empty(0, np.uint64)
                     assert drawn.tobytes() == bulk[start:stop].tobytes()
+                    assert as_uniforms(drawn).tobytes() == doubles[start:stop].tobytes()
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(self._drawn(0, 8), self._drawn(1, 8))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_bad_seed_refused_before_any_trace(self, tmp_path, seed):
+        # The seed is checked before any stripe starts, so a traced count
+        # with a bad seed never enters its trace and writes no file.
+        path = tmp_path / "t.csv"
+        entered = []
+
+        def trace(p, chunks):
+            entered.append(p)
+            write_trace_csv(str(path), ("INCONCLUSIVE", "FALSIFIED"), (0.5, 0.5), 0, codes=chunks)
+
+        rho = QuantumState.maximally_mixed(2)
+        with pytest.raises(OutOfRangeError, match="seed"):
+            falsify_campaign(make_coin(0.5), rho, 10, seed, trace=trace)
+        with pytest.raises(OutOfRangeError, match="seed"):
+            count_generator(make_coin(0.5), 10, seed, trace=trace)
+        assert entered == []
+        assert not path.exists()
 
     def test_needs_trials(self):
         with pytest.raises(OutOfRangeError):
@@ -218,6 +250,102 @@ class TestCampaignStream:
             count_generator(make_coin(0.5), 0, 0)
         with pytest.raises(OutOfRangeError, match="n_trials"):
             falsify_campaign(make_coin(0.5), QuantumState.maximally_mixed(2), 0, 0)
+
+
+def edge_words(cuts):
+    """Raw words at and around each threshold ceil(e * 2^53) << 11 of the
+    values e: the top 53 bits one below, at and one above the cut, each
+    with the lowest and highest 11 low bits, plus the first and last word."""
+    words = {0, 2**64 - 1}
+    for e in cuts:
+        k = math.ceil(math.ldexp(e, 53))
+        for top in (k - 1, k, k + 1):
+            if 0 <= top < 2**53:
+                words.update({top << 11, (top << 11) | 0x7FF})
+    return np.array(sorted(words), dtype=np.uint64)
+
+
+class TestIntegerThresholds:
+    """Campaigns compare raw words x with integer thresholds; each mask and
+    code must be the one the uniforms (x >> 11) * 2^-53 give, bit for bit."""
+
+    TOP = 1.0 - 2.0**-53  # the largest double below 1.0
+    RATES = sorted(
+        {0.0, 1.0, 2.0**-60, TOP, DEFAULT_RANK_TOL, float(np.nextafter(DEFAULT_RANK_TOL, 1.0))}
+        | {
+            float(r)
+            for k in (1, 2, 3, 5, 2**26 + 1, 2**52, 2**53 - 3, 6004799503160661)
+            for r in (
+                np.nextafter(k * 2.0**-53, 0.0),
+                k * 2.0**-53,
+                np.nextafter(k * 2.0**-53, 1.0),
+            )
+        }
+    )
+
+    @staticmethod
+    def _words(cuts):
+        return np.concatenate([raw_words(5, 1 << 12), edge_words(cuts)])
+
+    def test_masks_match_doubles(self):
+        words = self._words(self.RATES)
+        uniforms = as_uniforms(words)
+        for rate in self.RATES:
+            mask = coins._below(rate)(words)
+            assert mask.dtype == bool
+            assert mask.tobytes() == (uniforms < rate).tobytes(), rate
+        assert coins._below(1.0)(words).all()
+        assert not coins._below(0.0)(words).any()
+
+    def test_classical_coin_at_the_ends(self):
+        n = 5003
+        for true_p, counts in ((0.0, (0, n)), (1.0, (n, 0))):
+            assert count_classical_coin(true_p, n, 4) == counts
+            assert TestClassicalBaseline._tosses(true_p, n, 4) == counts
+
+    # Cumulative edges as count_generator builds them (non-decreasing up to
+    # the last, which is 1.0), including interior edges at or above 1.0.
+    EDGES = [
+        [0.2, 0.5, 1.0],
+        [0.0, 0.0, 1.0],
+        [0.3, 1.0, 1.0],
+        [0.1, 1.0000000000000002, 1.0],
+        [0.5, TOP, 1.0],
+        [2.0**-60, DEFAULT_RANK_TOL, float(np.nextafter(DEFAULT_RANK_TOL, 1.0)), 1.0],
+        [2.0**-53, float(np.nextafter(2.0**-53, 1.0)), 3 * 2.0**-53, 0.5, 1.0],
+        list(np.cumsum([1 / 256] * 256)[:-1]) + [1.0],
+    ]
+
+    @pytest.mark.parametrize("edges", EDGES, ids=range(len(EDGES)))
+    def test_codes_match_doubles(self, edges):
+        edges = np.array(edges)
+        words = self._words(edges)
+        codes = coins._outcome(edges, len(edges))(words)
+        assert codes.dtype == (np.uint8 if len(edges) < 256 else np.uint16)
+        expected = np.searchsorted(edges, as_uniforms(words), side="right")
+        assert codes.tolist() == expected.tolist()
+
+    def test_sampler_with_interior_overshoot(self):
+        # These weights give cumulative edges ..., 1.0000000000000002, 1.0:
+        # an interior edge above 1.0, ahead of the final edge.
+        gen = make_nary(
+            [0.3164527931191568, 0.0061474024295126144, 0.0007043319030056377,
+             0.17081015527551288, 0.505885317272812, 0.0]
+        )
+        edges = np.cumsum(generator_probs(gen))
+        assert edges[-2] > 1.0
+        edges[-1] = 1.0
+        n, seed = 40_000, 6
+        codes = np.searchsorted(edges, seeded_stream(seed).random(n), side="right")
+        assert count_generator(gen, n, seed)[1].tolist() == np.bincount(codes, minlength=6).tolist()
+
+    def test_sampler_codes_are_narrow(self):
+        seen = []
+        count_generator(make_nary([0.2, 0.3, 0.5]), 100, 0, trace=lambda p, c: seen.extend(c))
+        assert [c.dtype for c in seen] == [np.uint8]
+        seen.clear()
+        count_generator(make_nary([1 / 256] * 256), 100, 0, trace=lambda p, c: seen.extend(c))
+        assert [c.dtype for c in seen] == [np.uint16]
 
 
 class TestFalsifyCampaign:
@@ -348,8 +476,9 @@ class TestStreamedCampaign:
         outputs = {}
         for workers, size in splits(monkeypatch):
             n = trials_at(size, self.N_TRIALS)
-            chunks = coins._stripe(self.SEED, 0, n, size)
-            assert np.concatenate([u.copy() for u in chunks]).tobytes() == bulk[:n].tobytes()
+            words = np.concatenate(list(coins._stripe(self.SEED, 0, n, size)))
+            assert words.tobytes() == raw_words(self.SEED, n).tobytes()
+            assert as_uniforms(words).tobytes() == bulk[:n].tobytes()
             config = self._config(tmp_path, n, self.SEED)
             tag = f"{workers}_{size}"
             run = cli_outputs(tmp_path, tag, "falsify-coin", "--config", config)
@@ -403,11 +532,12 @@ class TestStreamedCampaign:
         args = ["falsify-coin", "--config", config, "--out", str(tmp_path / "r.json"),
                 "--csv", str(tmp_path / "t.csv")]
         cli_main(args)
-        # One 2^16-trial chunk and one encoded block of rows trace at about
-        # 1.3 MiB; a bulk draw of 1e6 uniforms would add 8 MB, and one
-        # chunk's rows held as Python strings about 8 MiB.
+        # One 2^16-word chunk and one encoded block of rows trace at about
+        # 0.95 MiB; a second live chunk of words would add 0.5 MiB, a bulk
+        # draw of 1e6 words 8 MB, and one chunk's rows held as Python
+        # strings about 8 MiB.
         peak = self._traced_peak(cli_main, args)
-        assert peak < 4 * 2**20
+        assert peak < 1.2 * 2**20
 
 
 
@@ -467,11 +597,12 @@ class TestStreamedSample:
     def test_cli_trace_memory_bounded(self, tmp_path):
         args = self._args(tmp_path, 1_000_000) + ["--csv", os.devnull]
         cli_main(args)
-        # At a chunk edge the uniforms and two chunks of int64 codes, 2^16
-        # each, and one encoded block of rows trace at about 1.8 MiB; a bulk
-        # draw of 1e6 uniforms and their codes would add 16 MB, and one
-        # chunk's rows held as Python strings about 7 MiB.
-        assert TestStreamedCampaign._traced_peak(cli_main, args) < 4 * 2**20
+        # At a chunk edge one chunk of 2^16 words, its int64 searchsorted
+        # result, two chunks of uint8 codes and one encoded block of rows
+        # trace at about 1.41 MiB.  int64 codes kept from chunk to chunk
+        # would add 0.4 MiB, a bulk draw of 1e6 words and their codes 16 MB,
+        # and one chunk's rows held as Python strings about 7 MiB.
+        assert TestStreamedCampaign._traced_peak(cli_main, args) < 1.5 * 2**20
 
     def test_many_outcomes_memory_bounded(self, tmp_path):
         config = tmp_path / "wide.json"
