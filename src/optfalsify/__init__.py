@@ -21,7 +21,6 @@ from .coins import (
     falsify_campaign,
     make_coin,
     make_nary,
-    seeded_stream,
 )
 from .errors import (
     DimensionMismatchError,

@@ -9,6 +9,7 @@ deterministic effect).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .linalg import (
     _frozen_array,
     _negligible,
     _normalized,
+    _numbers,
     _subnormalized,
     _unit_spectrum,
 )
@@ -36,15 +38,9 @@ class ClassicalState:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            x = np.array(self.probs, dtype=float).reshape(-1)
-        except (OverflowError, TypeError, ValueError):
-            # A Python integer beyond float range, text, or ragged rows.
-            raise OutOfRangeError("classical state entries must be finite numbers") from None
+        x = _numbers(self.probs, float, "classical state").reshape(-1)
         if x.size < 1:
             raise DimensionMismatchError("classical state needs at least one outcome")
-        if not np.all(np.isfinite(x)):
-            raise OutOfRangeError("classical state entries must be finite numbers")
         low, _ = _unit_spectrum(x)
         if low is not None:
             raise OutOfRangeError(f"classical state has negative entry {low:.3e}")
@@ -73,14 +69,9 @@ class MarkovMap:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            m = np.array(self.matrix, dtype=float)
-        except (OverflowError, TypeError, ValueError):  # as in ClassicalState
-            raise OutOfRangeError("Markov map entries must be finite numbers") from None
+        m = _numbers(self.matrix, float, "Markov map")
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionMismatchError(f"Markov map must be 2-D, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise OutOfRangeError("Markov map entries must be finite numbers")
         if _unit_spectrum(m)[0] is not None:
             raise OutOfRangeError("Markov map has a negative entry")
         m = np.maximum(m, 0.0)
@@ -125,6 +116,8 @@ def classical_probability(effect: MarkovMap, x: ClassicalState) -> float:
 
 def permutation_map(perm) -> MarkovMap:
     """Reversible classical map sending basis state j to perm[j]."""
+    if not isinstance(perm, Iterable):
+        raise OutOfRangeError(f"not a permutation: {perm!r}")
     perm = list(perm)
     n = len(perm)
     message = f"not a permutation of 0..{n - 1}: {perm}"

@@ -32,16 +32,17 @@ from .falsification import (
     falsification_probability,
     support_falsification_test,
 )
-from .linalg import _WEIGHT_TOL, _check_int, _normalized
+from .linalg import _WEIGHT_TOL, _check_int, _check_probability, _normalized, _numbers
 from .quantum import QuantumState
 
 # Campaign trials consume the raw 64-bit words of Philox, a counter-based
-# stream keyed by the master seed: trial i's word is a keyed hash of i, so any
-# stretch of trials can be read on its own, bit for bit, by positioning a
-# fresh stream at its first trial.  Untraced counts split the trials into
-# contiguous stripes, one per CPU this process may run on (_cpus), and count
-# each stripe on its own thread; the counts are exact integers, so their sum
-# does not depend on the split.  A trace sees the trials in one ordered pass.
+# stream keyed by np.random.SeedSequence(master_seed) (_stripe): trial i's
+# word is a keyed hash of i, so any stretch of trials can be read on its
+# own, bit for bit, by positioning a fresh stream at its first trial.
+# Untraced counts split the trials into contiguous stripes, one per CPU this
+# process may run on (_cpus), and count each stripe on its own thread; the
+# counts are exact integers, so their sum does not depend on the split.  A
+# trace sees the trials in one ordered pass.
 #
 # Trial i's uniform is numpy's Philox double u = (x >> 11) * 2^-53 of its
 # word x, and for p in [0, 1] u < p holds exactly when x < ceil(p * 2^53) << 11
@@ -58,23 +59,11 @@ _CHUNK = 1 << 16
 _ALL = 1 << 53
 
 
-def _check_seed(master_seed: int) -> None:
-    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
-
-
-def _philox(master_seed: int) -> np.random.Philox:
-    _check_seed(master_seed)
-    return np.random.Philox(np.random.SeedSequence(master_seed))
-
-
-def seeded_stream(master_seed: int) -> np.random.Generator:
-    return np.random.Generator(_philox(master_seed))
-
-
 def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
-    """seeded_stream(master_seed).bit_generator.random_raw(stop)[start:] as
-    consecutive new uint64 arrays of at most size words."""
-    bits = _philox(master_seed)
+    """Words start to stop of the Philox stream keyed by master_seed (its
+    random_raw(stop)[start:]) as consecutive new uint64 arrays of at most
+    size words.  The caller has checked master_seed (_tally)."""
+    bits = np.random.Philox(np.random.SeedSequence(master_seed))
     # Each Philox counter step yields four 64-bit words.
     bits.advance(start // 4)
     bits.random_raw(start % 4)
@@ -109,16 +98,6 @@ def _outcome(edges: np.ndarray, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.searchsorted(cuts, x, side="right").astype(dtype)
 
 
-def _check_probability(name: str, p: float) -> None:
-    """OutOfRangeError unless p is a real number in [0, 1]."""
-    try:
-        valid = bool(np.isfinite(p)) and 0.0 <= p <= 1.0
-    except TypeError:  # not a real number: text, None, a huge integer
-        valid = False
-    if not valid:
-        raise OutOfRangeError(f"{name}={p!r} outside [0, 1]")
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -150,7 +129,7 @@ def _tally(
     OutOfRangeError, raised before any stripe starts or trace is called).
     """
     _check_int(n_trials, 1, OutOfRangeError, "n_trials must be an integer of at least 1")
-    _check_seed(master_seed)
+    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
     workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
     bounds = [n_trials * k // workers for k in range(workers + 1)]
@@ -210,20 +189,19 @@ class NaryGenerator:
     phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            probs = tuple(float(x) for x in self.probs)
-            phases = tuple(float(x) for x in self.phases)
-        except (OverflowError, TypeError, ValueError):
-            # A Python integer beyond float range, or not a real number.
-            raise OutOfRangeError("generator parameters must be finite numbers") from None
+        probs = _numbers(self.probs, float, "generator outcome weights")
+        phases = _numbers(self.phases, float, "generator phases")
+        if probs.ndim != 1 or phases.ndim != 1:
+            raise OutOfRangeError(
+                "generator parameters must be finite numbers, one per outcome"
+            )
+        probs, phases = tuple(probs.tolist()), tuple(phases.tolist())
         if len(probs) < 2:
             raise DimensionMismatchError("generator needs at least two outcomes")
         if len(phases) != len(probs):
             raise DimensionMismatchError(
                 f"{len(phases)} phases for {len(probs)} outcome weights"
             )
-        if not all(np.isfinite(x) for x in probs + phases):
-            raise OutOfRangeError("generator parameters must be finite numbers")
         if min(probs) < -_WEIGHT_TOL:
             raise OutOfRangeError("outcome weights must be non-negative")
         if not _normalized(abs(sum(probs) - 1.0)):
@@ -247,21 +225,13 @@ class NaryGenerator:
 
 
 def make_coin(p: float, phi: float = 0.0) -> NaryGenerator:
-    try:
-        p, phi = float(p), float(phi)
-    except (OverflowError, TypeError, ValueError):  # as in NaryGenerator
-        raise OutOfRangeError("coin bias and phase must be real numbers") from None
-    _check_probability("coin bias p", p)
+    p = _check_probability("coin bias p", p)
     return NaryGenerator((p, 1.0 - p), (0.0, phi))
 
 
 def make_nary(probs, phases=None) -> NaryGenerator:
-    try:
-        probs = tuple(probs)
-        phases = (0.0,) * len(probs) if phases is None else tuple(phases)
-    except TypeError:  # not a sequence, as in NaryGenerator
-        raise OutOfRangeError("generator parameters must be finite numbers") from None
-    return NaryGenerator(probs=probs, phases=phases)
+    probs = _numbers(probs, float, "generator outcome weights")
+    return NaryGenerator(probs, np.zeros(probs.shape) if phases is None else phases)
 
 
 def generator_probs(declared: NaryGenerator) -> np.ndarray:
@@ -403,8 +373,10 @@ def classical_verdict(declared_p: float, n_zero: int, n_one: int) -> BaselineVer
     (classical_falsifier_exists): a p near 1 is refuted by any outcome 1, a
     p near 0 by any outcome 0.
     """
-    _check_probability("declared_p", declared_p)
-    falsifying = classical_falsifier_exists(ClassicalState([declared_p, 1.0 - declared_p]))
+    p = _check_probability("declared_p", declared_p)
+    for n in (n_zero, n_one):
+        _check_int(n, 0, OutOfRangeError, "outcome counts must be non-negative integers")
+    falsifying = classical_falsifier_exists(ClassicalState([p, 1.0 - p]))
     if falsifying is None:
         return BaselineVerdict.NOT_FALSIFIABLE
     counts = (n_zero, n_one)
@@ -421,6 +393,6 @@ def count_classical_coin(
     as in falsify_campaign (at true_p 1.0 every toss gives outcome 0).  The
     tosses are counted in fixed-size chunks (see _tally), so memory does
     not grow with n_trials."""
-    _check_probability("true_p", true_p)
+    true_p = _check_probability("true_p", true_p)
     n_zero = int(_tally(master_seed, n_trials, _below(true_p), np.count_nonzero))
     return n_zero, n_trials - n_zero

@@ -20,6 +20,7 @@ from .errors import (
     UnfalsifiableHypothesisError,
 )
 from .linalg import (
+    _check_probability,
     _frozen_array,
     _hermitian,
     _is_zero,
@@ -103,10 +104,11 @@ def support_falsification_test(
     never fires on states obeying the hypothesis.  efficiency = 1 gives the
     most efficient test (largest falsification probability for every state).
     """
-    if not 0.0 < efficiency <= 1.0:
-        raise OutOfRangeError(f"efficiency {efficiency!r} outside (0, 1]")
+    eta = _check_probability("efficiency", efficiency)
+    if eta == 0.0:
+        raise OutOfRangeError(f"efficiency={efficiency!r} outside (0, 1]")
     eye = np.eye(hypothesis.dim, dtype=complex)
-    falsifier = Effect(efficiency * (eye - hypothesis.projector))
+    falsifier = Effect(eta * (eye - hypothesis.projector))
     return FalsificationTest(falsifier)
 
 

@@ -1,9 +1,10 @@
 """Dense complex linear algebra core.
 
 Everything downstream (states, effects, channels, falsifiers) sits on the
-handful of primitives in this module: tensor products, partial traces, the
-Hermitian eigendecomposition (LAPACK through numpy, with a fixed order and
-phase convention), every validation cutoff and its comparisons, the
+handful of primitives in this module: the one reader of numbers from
+outside (_numbers), tensor products, partial traces, the Hermitian
+eigendecomposition (LAPACK through numpy, with a fixed order and phase
+convention), every validation cutoff and its comparisons, the
 support/kernel projectors, and the row-major double-ket vectorization.
 """
 
@@ -59,20 +60,13 @@ def unbounded_entries(name: str) -> OutOfRangeError:
 
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce to a fresh complex 2-D array, validating shape and that every
-    entry is a finite number with modulus at most MAX_ENTRY (else
-    OutOfRangeError)."""
-    try:
-        a = np.array(m, dtype=complex)
-    except (OverflowError, TypeError, ValueError):
-        # A Python integer beyond float range, text, or rows of unequal length.
-        raise unbounded_entries(name) from None
+    """Read m by _numbers into a fresh complex array, then require a 2-D
+    matrix (square when asked; else DimensionMismatchError)."""
+    a = _numbers(m, complex, name)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(
             f"{name}: expected a 2-D matrix, got shape {a.shape}"
         )
-    if not entries_bounded(a):
-        raise unbounded_entries(name)
     if square and a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got {a.shape}")
     return a
@@ -86,6 +80,37 @@ def _check_int(n, minimum: int, error: type[Exception], message: str) -> None:
     """error(message) unless n is an integer (not a bool) of at least minimum."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise error(message)
+
+
+def _numbers(x, dtype, name: str) -> np.ndarray:
+    """x as a fresh array of dtype (complex or float): the one reader of
+    numbers from outside.  Every entry must be a finite number with modulus
+    at most MAX_ENTRY.  Anything else raises unbounded_entries(name): text
+    that is not a number, None, rows of unequal length, a Python integer
+    beyond float range, a complex number read as real, or an entry that is
+    not finite or exceeds the bound.  For a 3-D stack the error names the
+    first failing matrix (see _at)."""
+    try:
+        a = np.array(x, dtype=dtype)
+    except (OverflowError, TypeError, ValueError):
+        raise unbounded_entries(name) from None
+    if a.size and not entries_bounded(a):
+        if a.ndim == 3:
+            # NaN fails the comparison, so the first unbounded matrix is the
+            # first False.
+            bounded = np.abs(a).max(axis=(1, 2)) <= MAX_ENTRY
+            name = _at(name, int(np.argmin(bounded)), len(a))
+        raise unbounded_entries(name)
+    return a
+
+
+def _check_probability(name: str, p) -> float:
+    """p read by _numbers as one real number, which must lie in [0, 1]
+    (else OutOfRangeError)."""
+    x = _numbers(p, float, name)
+    if x.ndim or not 0.0 <= x <= 1.0:
+        raise OutOfRangeError(f"{name}={p!r} outside [0, 1]")
+    return float(x)
 
 
 def _check_dims(name: str, *dims) -> None:
@@ -127,32 +152,20 @@ def _at(name: str, index: int, n: int) -> str:
 
 
 def _as_stack(m, name: str) -> np.ndarray:
-    """Coerce to a complex (n, d, d) stack of square matrices, with the entry
-    bound of as_matrix checked per matrix (errors name it as _at does)."""
-    try:
-        a = np.asarray(m, dtype=complex)
-    except (OverflowError, TypeError, ValueError):  # as in as_matrix
-        raise unbounded_entries(name) from None
+    """Read m by _numbers into a complex (n, d, d) stack of square matrices
+    (else DimensionMismatchError)."""
+    a = _numbers(m, complex, name)
     if a.ndim != 3 or 0 in a.shape or a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(
             f"{name}: expected a stack of square matrices, got shape {a.shape}"
         )
-    # NaN fails the comparison, so the first unbounded matrix is the first False.
-    bounded = np.abs(a).max(axis=(1, 2)) <= MAX_ENTRY
-    if not bounded.all():
-        raise unbounded_entries(_at(name, int(np.argmin(bounded)), len(a)))
     return a
 
 
 def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
-    """A fresh flattened complex copy of vector and its 2-norm (inf when it
-    overflows); OutOfRangeError for an entry that as_matrix would reject."""
-    try:
-        v = np.array(vector, dtype=complex).reshape(-1)
-    except (OverflowError, TypeError, ValueError):  # as in as_matrix
-        raise unbounded_entries(name) from None
-    if v.size and not entries_bounded(v):
-        raise unbounded_entries(name)
+    """vector read by _numbers into a fresh flattened complex array, and its
+    2-norm (inf when it overflows)."""
+    v = _numbers(vector, complex, name).reshape(-1)
     with np.errstate(over="ignore"):
         return v, float(np.linalg.norm(v))
 

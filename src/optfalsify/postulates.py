@@ -509,9 +509,12 @@ def run_postulate_checks(
         raise OutOfRangeError(
             f"unknown fault {fault!r}; known faults: {', '.join(KNOWN_FAULTS)}"
         )
+    dims = tuple(dims) if isinstance(dims, Iterable) else ()
+    if not dims:
+        raise OutOfRangeError("dims must be a nonempty collection of integers")
+    for d in dims:
+        _check_int(d, 2, OutOfRangeError, "dims must all be integers >= 2")
     dims = tuple(sorted({int(d) for d in dims}))
-    if not dims or dims[0] < 2:
-        raise OutOfRangeError("dims must all be >= 2")
     if dims[-1] > 8:
         raise OutOfRangeError("dims above 8 exceed the intended regime")
     _check_int(seed, 0, OutOfRangeError, "seed must be a non-negative integer")

@@ -484,8 +484,9 @@ class LocalFalsifier:
 
 
 def local_falsifier(a_op, a_vec) -> LocalFalsifier:
-    """Given A != 0 on a d x d bipartite space (d >= 2) and a unit vector a,
-    pick b orthogonal to (A^dag a)* so that (<a| (x) <b|) |A>> = 0.
+    """Given A != 0 on a d x d bipartite space (d >= 2) and a unit vector a
+    (its norm within _UNIT_NORM_TOL of one; it is then normalized), pick b
+    orthogonal to (A^dag a)* so that (<a| (x) <b|) |A>> = 0.
 
     When A^dag a vanishes every b works; the first canonical basis vector is
     returned with degenerate=True.
@@ -515,6 +516,7 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
         )
     if not abs(nrm - 1.0) <= _UNIT_NORM_TOL:
         raise OutOfRangeError("local_falsifier: vector a must have unit norm")
+    a = a / nrm
     c = np.conj(dagger(a_mat) @ a)
     degenerate = _negligible(float(np.linalg.norm(c)), scale)
     j = 0 if degenerate else int(np.argmin(np.abs(c)))

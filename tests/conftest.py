@@ -7,6 +7,12 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
 
 
+def reference_stream(seed: int) -> np.random.Generator:
+    """The keyed stream campaigns count, built here from numpy alone: a
+    Philox bit generator keyed by np.random.SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g + g.conj().T

@@ -23,11 +23,13 @@ from optfalsify.coins import (
     make_coin,
     make_nary,
 )
+from optfalsify.falsification import SupportHypothesis, support_falsification_test
 from optfalsify.linalg import support_projector
 from optfalsify.postulates import run_postulate_checks
 from optfalsify.quantum import Dilation, Effect, KrausChannel, QuantumState, born_probability
 
 MIXED = QuantumState.maximally_mixed(2)
+HYPOTHESIS = SupportHypothesis(np.diag([1.0, 0.0]))
 
 
 class TestClassicalState:
@@ -87,8 +89,20 @@ def test_non_numbers_rejected(build):
         (lambda: KrausChannel(None), DimensionMismatchError, "nonempty Kraus list"),
         (lambda: make_nary(5), OutOfRangeError, "must be finite numbers"),
         (lambda: make_nary([0.5, 0.5], 3), OutOfRangeError, "must be finite numbers"),
-        (lambda: classical_verdict("x", 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
-        (lambda: classical_verdict(None, 0, 0), OutOfRangeError, r"outside \[0, 1\]"),
+        (
+            lambda: classical_verdict("x", 0, 0),
+            OutOfRangeError,
+            "declared_p: entries must be finite",
+        ),
+        (
+            lambda: classical_verdict(None, 0, 0),
+            OutOfRangeError,
+            "declared_p: entries must be finite",
+        ),
+        (lambda: classical_verdict(1.0, 0, "3"), OutOfRangeError, "outcome counts"),
+        (lambda: classical_verdict(1.0, 0, -3), OutOfRangeError, "outcome counts"),
+        (lambda: support_falsification_test(HYPOTHESIS, "a"), OutOfRangeError, "efficiency"),
+        (lambda: support_falsification_test(HYPOTHESIS, None), OutOfRangeError, "efficiency"),
         # Integer arguments: an integer of at least the minimum, never a bool.
         (lambda: falsify_campaign(make_coin(0.5), MIXED, 2.5, 0), OutOfRangeError, "n_trials"),
         (lambda: count_generator(make_coin(0.5), "10", 0), OutOfRangeError, "n_trials"),
@@ -100,16 +114,34 @@ def test_non_numbers_rejected(build):
         ),
         (lambda: run_postulate_checks(seed=1.5), OutOfRangeError, "seed must be a non-negative"),
         (lambda: run_postulate_checks(seed="1"), OutOfRangeError, "seed must be a non-negative"),
+        (lambda: run_postulate_checks(dims=["a"]), OutOfRangeError, "dims must all be integers"),
+        (lambda: run_postulate_checks(dims=None), OutOfRangeError, "dims must be a nonempty"),
+        (
+            lambda: run_postulate_checks(dims=[2.5, 3]),
+            OutOfRangeError,
+            "dims must all be integers",
+        ),
         (lambda: Dilation(np.eye(2), 2, 1).branch(MIXED, 0.5), OutOfRangeError, "branch index"),
         (lambda: permutation_map([0.0, 1.0]), OutOfRangeError, "not a permutation"),
-        (lambda: count_classical_coin("x", 10, 0), OutOfRangeError, r"outside \[0, 1\]"),
-        (lambda: count_classical_coin(10**400, 10, 0), OutOfRangeError, r"outside \[0, 1\]"),
+        (lambda: permutation_map(None), OutOfRangeError, "not a permutation"),
+        (
+            lambda: count_classical_coin("x", 10, 0),
+            OutOfRangeError,
+            "true_p: entries must be finite",
+        ),
+        (
+            lambda: count_classical_coin(10**400, 10, 0),
+            OutOfRangeError,
+            "true_p: entries must be finite",
+        ),
     ],
     ids=["kraus-int", "kraus-none", "nary-int", "nary-phases-int", "verdict-text",
-         "verdict-none", "campaign-trials-float", "sample-trials-text",
+         "verdict-none", "verdict-count-text", "verdict-count-negative", "efficiency-text",
+         "efficiency-none", "campaign-trials-float", "sample-trials-text",
          "coin-trials-bool", "campaign-seed-float", "postulates-seed-float",
-         "postulates-seed-text", "branch-float", "permutation-floats", "coin-p-text",
-         "coin-p-huge"],
+         "postulates-seed-text", "postulates-dims-text", "postulates-dims-none",
+         "postulates-dims-float", "branch-float", "permutation-floats", "permutation-none",
+         "coin-p-text", "coin-p-huge"],
 )
 def test_non_sequences_and_non_numbers_raise_typed_errors(build, error, message):
     # Library callers only: the CLI's JSON schema rejects these first.

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from optfalsify.cli import ENV_SEED, RunConfig, _build_parser, main
-from optfalsify.coins import generator_probs, make_nary, seeded_stream
+from optfalsify.coins import generator_probs, make_nary
 from optfalsify.quantum import QuantumState
 from optfalsify.serialize import json_dumps, read_json, state_to_json, write_json
+
+from conftest import reference_stream
 
 
 def run_cli(args):
@@ -202,7 +204,7 @@ class TestSample:
         probs = generator_probs(make_nary(declared["probs"], declared["phases"]))
         edges = np.cumsum(probs)
         edges[-1] = 1.0
-        draws = np.searchsorted(edges, seeded_stream(11).random(5000), side="right")
+        draws = np.searchsorted(edges, reference_stream(11).random(5000), side="right")
         assert doc["counts"] == np.bincount(draws, minlength=3).tolist()
         assert doc["probs"] == probs.tolist()
 

@@ -23,7 +23,6 @@ from optfalsify import (
     falsify_campaign,
     make_coin,
     make_nary,
-    seeded_stream,
 )
 from optfalsify.cli import main as cli_main
 from optfalsify.coins import generator_probs
@@ -34,6 +33,8 @@ from optfalsify.errors import (
 )
 from optfalsify.linalg import DEFAULT_RANK_TOL
 from optfalsify.serialize import float_literal, state_to_json, write_json, write_trace_csv
+
+from conftest import reference_stream
 
 SQRT_HALF = 0.7071067811865476
 
@@ -113,8 +114,10 @@ class TestCoinSetup:
                 make_coin(bad)
 
     def test_phase_must_be_finite(self):
-        with pytest.raises(OutOfRangeError):
-            make_coin(0.5, float("inf"))
+        # Phases follow the one entry rule: finite, modulus at most MAX_ENTRY.
+        for bad in (float("inf"), 1e200):
+            with pytest.raises(OutOfRangeError, match="generator phases: entries must be finite"):
+                make_coin(0.5, bad)
 
 
 class TestNaryGenerator:
@@ -182,7 +185,7 @@ class TestCoinFalsificationTest:
 
 def raw_words(seed, n):
     """The first n raw words of the keyed stream."""
-    return seeded_stream(seed).bit_generator.random_raw(n)
+    return reference_stream(seed).bit_generator.random_raw(n)
 
 
 def as_uniforms(words):
@@ -192,8 +195,9 @@ def as_uniforms(words):
 
 class TestCampaignStream:
     def test_negative_seed_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            seeded_stream(-1)
+        # _tally reads the seed once, before any stripe keys a stream.
+        with pytest.raises(OutOfRangeError, match="seed must be a non-negative integer"):
+            count_classical_coin(0.5, 10, -1)
 
     @staticmethod
     def _drawn(seed, n_trials):
@@ -205,13 +209,13 @@ class TestCampaignStream:
         short, long = self._drawn(99, 5), self._drawn(99, 10)
         assert np.array_equal(short, long[:5])
         assert long.tobytes() == raw_words(99, 10).tobytes()
-        assert as_uniforms(long).tobytes() == seeded_stream(99).random(10).tobytes()
+        assert as_uniforms(long).tobytes() == reference_stream(99).random(10).tobytes()
 
     def test_positioned_reads_match_bulk(self):
         # Philox yields four words per counter step; offsets 0..67 cover
         # every phase of it, and stripe ends that are not multiples of 4.
         bulk = raw_words(31, 80)
-        doubles = seeded_stream(31).random(80)
+        doubles = reference_stream(31).random(80)
         for start in range(68):
             for stop in (start, start + 1, start + 6, 80):
                 for size in (1, 3, 64):
@@ -336,7 +340,7 @@ class TestIntegerThresholds:
         assert edges[-2] > 1.0
         edges[-1] = 1.0
         n, seed = 40_000, 6
-        codes = np.searchsorted(edges, seeded_stream(seed).random(n), side="right")
+        codes = np.searchsorted(edges, reference_stream(seed).random(n), side="right")
         assert count_generator(gen, n, seed)[1].tolist() == np.bincount(codes, minlength=6).tolist()
 
     def test_sampler_codes_are_narrow(self):
@@ -472,7 +476,7 @@ class TestStreamedCampaign:
         return str(path)
 
     def test_chunk_size_changes_nothing(self, tmp_path, monkeypatch):
-        bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
+        bulk = reference_stream(self.SEED).random(self.N_TRIALS)
         outputs = {}
         for workers, size in splits(monkeypatch):
             n = trials_at(size, self.N_TRIALS)
@@ -569,7 +573,7 @@ class TestStreamedSample:
         probs = born_reference(gen.state().matrix)
         edges = np.cumsum(probs)
         edges[-1] = 1.0
-        bulk = seeded_stream(self.SEED).random(self.N_TRIALS)
+        bulk = reference_stream(self.SEED).random(self.N_TRIALS)
         for n, runs in outputs.items():
             assert len(runs) == 1
             report_bytes, csv_bytes = runs.pop()
@@ -622,7 +626,7 @@ class TestStripedCount:
         monkeypatch.setattr(coins, "_cpus", lambda: 5)
         monkeypatch.setattr(coins, "_CHUNK", 7)
         n, seed = 20_003, 17
-        bulk = seeded_stream(seed).random(n)
+        bulk = reference_stream(seed).random(n)
         gen = make_nary([0.2, 0.3, 0.5])
         edges = np.cumsum(generator_probs(gen))
         edges[-1] = 1.0
@@ -703,7 +707,7 @@ class TestClassicalBaseline:
     @staticmethod
     def _tosses(true_p, n_trials, seed):
         """Reference (n_zero, n_one): outcome 1 iff the keyed uniform >= true_p."""
-        n_one = int(np.count_nonzero(seeded_stream(seed).random(n_trials) >= true_p))
+        n_one = int(np.count_nonzero(reference_stream(seed).random(n_trials) >= true_p))
         return n_trials - n_one, n_one
 
     def test_interior_bias_not_falsifiable(self):

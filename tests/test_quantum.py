@@ -527,6 +527,12 @@ class TestLocalFalsifier:
         with pytest.raises(OutOfRangeError):
             local_falsifier(np.eye(2), [1.0, 1.0])
 
+    def test_vector_within_unit_norm_tol_is_normalized(self):
+        # |a| = 1 + 5e-9 passes the unit-norm check, so a is normalized
+        # before |a><a| enters the effect, whose top eigenvalue is then one.
+        lf = local_falsifier(np.eye(2), [1 + 5e-9, 0])
+        assert np.array_equal(lf.vector_b, local_falsifier(np.eye(2), [1, 0]).vector_b)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "scale", [1e154, 1e-160, 1e-200], ids=["overflow", "subnormal", "underflow"]
@@ -544,12 +550,13 @@ class TestLocalFalsifier:
         assert born_probability(psi, lf.effect) == 0.0
 
     def test_ordinary_operator_bits_unchanged(self, rng):
-        # Inputs whose norm is in range are used as given: b follows the
-        # unscaled formula bit for bit.
+        # Operators whose norm is in range are used as given: b follows the
+        # unscaled formula bit for bit, on a divided by its norm.
         for dim, mag in ((2, 1.0), (2, 1e-3), (3, 1e5), (3, 1.0), (4, 1e-7)):
             a_op = random_complex_matrix(dim, dim, rng) * mag
             a = random_unit_vector(dim, rng)
-            c = np.conj(a_op.conj().T @ a)
+            unit = a / np.linalg.norm(a)
+            c = np.conj(a_op.conj().T @ unit)
             j = int(np.argmin(np.abs(c)))
             b = np.zeros(dim, dtype=complex)
             b[j] = 1.0
@@ -557,7 +564,7 @@ class TestLocalFalsifier:
             b = b / np.linalg.norm(b)
             lf = local_falsifier(a_op, a)
             assert np.array_equal(lf.vector_b, b)
-            expected = Effect(tensor(np.outer(a, a.conj()), np.outer(b, b.conj())))
+            expected = Effect(tensor(np.outer(unit, unit.conj()), np.outer(b, b.conj())))
             assert np.array_equal(lf.effect.matrix, expected.matrix)
 
 
