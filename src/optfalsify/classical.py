@@ -121,8 +121,7 @@ def permutation_map(perm) -> MarkovMap:
     perm = list(perm)
     n = len(perm)
     message = f"not a permutation of 0..{n - 1}: {perm}"
-    for i in perm:
-        _check_int(i, 0, OutOfRangeError, message)
+    perm = [_check_int(i, 0, OutOfRangeError, message) for i in perm]
     if sorted(perm) != list(range(n)):
         raise OutOfRangeError(message)
     m = np.zeros((n, n))

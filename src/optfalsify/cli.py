@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass
 
 from . import serialize
 from .coins import (
+    BAD_SEED,
+    BAD_TRIALS,
     classical_verdict,
     count_classical_coin,
     count_generator,
     falsify_campaign,
 )
 from .errors import OptFalsifyError, OutOfRangeError, SchemaError
-from .postulates import KNOWN_FAULTS, run_postulate_checks
+from .linalg import _check_int
+from .postulates import KNOWN_FAULTS, _read_dims, run_postulate_checks
 from .quantum import purify
-
-ENV_SEED = "OPT_FALSIFY_SEED"
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class RunConfig:
     """Validated invocation parameters shared by the subcommands.
 
     master_seed is the seed given on the command line, or None when the
-    caller left it to the config file / environment fallback.
+    caller left it to the config file (then 0); dims is read by _read_dims.
     """
 
     command: str
@@ -46,53 +46,34 @@ class RunConfig:
     inject_fault: str | None = None
 
     def __post_init__(self) -> None:
-        if self.master_seed is not None and self.master_seed < 0:
-            raise OutOfRangeError("seed must be a non-negative integer")
-        if self.n_trials is not None and self.n_trials < 1:
-            raise OutOfRangeError("trial count must be at least 1")
+        if self.master_seed is not None:
+            _check_int(self.master_seed, 0, OutOfRangeError, BAD_SEED)
+        if self.n_trials is not None:
+            _check_int(self.n_trials, 1, OutOfRangeError, BAD_TRIALS)
+        object.__setattr__(self, "dims", _read_dims(self.dims))
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
-        raise argparse.ArgumentTypeError(
-            f"expected a range like 2..4, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
-    if lo < 2 or hi < lo:
+    if hi < lo:
         raise argparse.ArgumentTypeError(f"bad dimension range {text!r}")
-    return tuple(range(lo, hi + 1))
-
-
-def _resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
-    """Priority: --seed flag, then config value, then $OPT_FALSIFY_SEED, then 0."""
-    if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise OutOfRangeError(f"{ENV_SEED} must be an integer, got {env!r}")
-        if seed < 0:
-            raise OutOfRangeError(f"{ENV_SEED} must be non-negative")
-        return seed
-    return 0
+    return range(lo, hi + 1)
 
 
 def _trials_and_seed(cfg: RunConfig, doc: dict) -> tuple[int, int]:
-    """The trial count (--trials flag, else the config value, which is then
-    required) and the seed (see _resolve_seed) of a run that draws.  The
-    config values are validated even when the flags override them."""
+    """The trial count (--trials, else the config value, then required) and
+    the seed (--seed, else the config value, else 0) of a run that draws.
+    The config values are validated even when the flags override them."""
     n_trials = serialize.config_int(doc, "n_trials", 1)
-    config_seed = serialize.config_int(doc, "seed", 0)
+    seed = serialize.config_int(doc, "seed", 0) or 0
     if cfg.n_trials is not None:
         n_trials = cfg.n_trials
     elif n_trials is None:
         raise SchemaError("config: missing key 'n_trials'")
-    return n_trials, _resolve_seed(cfg.master_seed, config_seed)
+    return n_trials, seed if cfg.master_seed is None else cfg.master_seed
 
 
 def _emit_doc(cfg: RunConfig, doc: dict) -> None:
@@ -168,8 +149,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 
     probs, counts = count_generator(declared, n_trials, seed, trace=trace)
     report = {
-        "n_trials": int(n_trials),
-        "seed": int(seed),
+        "n_trials": n_trials,
+        "seed": seed,
         "probs": [float(p) for p in probs],
         "counts": [int(c) for c in counts],
         "frequencies": [float(c / n_trials) for c in counts],
@@ -183,7 +164,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_check_postulates(cfg: RunConfig) -> int:
-    seed = _resolve_seed(cfg.master_seed, None)
+    seed = cfg.master_seed or 0
     results = run_postulate_checks(dims=cfg.dims, seed=seed, fault=cfg.inject_fault)
     all_passed = all(r.passed for r in results)
     for r in results:
@@ -198,8 +179,8 @@ def cmd_check_postulates(cfg: RunConfig) -> int:
         print(line)
     if cfg.out_path:
         doc = {
-            "seed": int(seed),
-            "dims": [int(d) for d in cfg.dims],
+            "seed": seed,
+            "dims": list(cfg.dims),
             "fault": cfg.inject_fault,
             "all_passed": all_passed,
             "results": [
@@ -263,7 +244,7 @@ _OPTIONS = {
     "config_path": ("--config", dict(required=True, metavar="PATH",
                                      help="JSON input document")),
     "master_seed": ("--seed", dict(type=int, metavar="N",
-                                   help=f"master seed (fallback: config, then ${ENV_SEED})")),
+                                   help="master seed (fallback: the config's seed, then 0)")),
     "n_trials": ("--trials", dict(type=int, metavar="N",
                                   help="override the configured trial count")),
     "out_path": ("--out", dict(metavar="PATH",

@@ -58,6 +58,10 @@ _CHUNK = 1 << 16
 # ceil(p * 2^53) of p = 1.0: a cut this high passes every word.
 _ALL = 1 << 53
 
+# What a trial count or a seed must be, in the library's words.
+BAD_TRIALS = "n_trials must be an integer of at least 1"
+BAD_SEED = "seed must be a non-negative integer"
+
 
 def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
     """Words start to stop of the Philox stream keyed by master_seed (its
@@ -128,8 +132,8 @@ def _tally(
     integer of at least 1 and master_seed a non-negative integer (else
     OutOfRangeError, raised before any stripe starts or trace is called).
     """
-    _check_int(n_trials, 1, OutOfRangeError, "n_trials must be an integer of at least 1")
-    _check_int(master_seed, 0, OutOfRangeError, "seed must be a non-negative integer")
+    n_trials = _check_int(n_trials, 1, OutOfRangeError, BAD_TRIALS)
+    master_seed = _check_int(master_seed, 0, OutOfRangeError, BAD_SEED)
     workers = 1 if trace is not None else min(_cpus(), -(-n_trials // _CHUNK))
     size = max(1, _CHUNK // workers)
     bounds = [n_trials * k // workers for k in range(workers + 1)]
@@ -344,6 +348,7 @@ def falsify_campaign(
             None if trace is None else lambda chunks: trace(rate, chunks),
         )
     )
+    n_trials, master_seed = int(n_trials), int(master_seed)  # checked by _tally
     empirical = n_falsified / n_trials
     if 0.0 < rate < 1.0:
         z = (empirical - rate) / np.sqrt(rate * (1.0 - rate) / n_trials)
@@ -374,12 +379,11 @@ def classical_verdict(declared_p: float, n_zero: int, n_one: int) -> BaselineVer
     p near 0 by any outcome 0.
     """
     p = _check_probability("declared_p", declared_p)
-    for n in (n_zero, n_one):
-        _check_int(n, 0, OutOfRangeError, "outcome counts must be non-negative integers")
+    message = "outcome counts must be non-negative integers"
+    counts = [_check_int(n, 0, OutOfRangeError, message) for n in (n_zero, n_one)]
     falsifying = classical_falsifier_exists(ClassicalState([p, 1.0 - p]))
     if falsifying is None:
         return BaselineVerdict.NOT_FALSIFIABLE
-    counts = (n_zero, n_one)
     hit = any(counts[i] > 0 for i in falsifying)
     return BaselineVerdict.FALSIFIED if hit else BaselineVerdict.NOT_FALSIFIED
 
@@ -395,4 +399,4 @@ def count_classical_coin(
     not grow with n_trials."""
     true_p = _check_probability("true_p", true_p)
     n_zero = int(_tally(master_seed, n_trials, _below(true_p), np.count_nonzero))
-    return n_zero, n_trials - n_zero
+    return n_zero, int(n_trials) - n_zero  # n_trials checked by _tally

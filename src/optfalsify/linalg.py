@@ -1,10 +1,10 @@
 """Dense complex linear algebra core.
 
 Everything downstream (states, effects, channels, falsifiers) sits on the
-handful of primitives in this module: the one reader of numbers from
-outside (_numbers), tensor products, partial traces, the Hermitian
-eigendecomposition (LAPACK through numpy, with a fixed order and phase
-convention), every validation cutoff and its comparisons, the
+handful of primitives in this module: the readers of numbers and integers
+from outside (_numbers, _check_int), tensor products, partial traces, the
+Hermitian eigendecomposition (LAPACK through numpy, with a fixed order and
+phase convention), every validation cutoff and its comparisons, the
 support/kernel projectors, and the row-major double-ket vectorization.
 """
 
@@ -76,10 +76,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _check_int(n, minimum: int, error: type[Exception], message: str) -> None:
-    """error(message) unless n is an integer (not a bool) of at least minimum."""
+def _check_int(n, minimum: int, error: type[Exception], message: str) -> int:
+    """int(n), or error(message) unless n is an integer (not a bool) >= minimum."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise error(message)
+    return int(n)
 
 
 def _numbers(x, dtype, name: str) -> np.ndarray:

@@ -9,7 +9,7 @@ tolerance it must stay under.  The CLI surfaces these as check-postulates.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,6 +23,7 @@ from .classical import (
     embed_classical,
     permutation_map,
 )
+from .coins import BAD_SEED
 from .errors import OptFalsifyError, OutOfRangeError
 from .linalg import (
     _ORTHOGONALITY_TOL,
@@ -91,29 +92,21 @@ def _sub_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-# Drawn matrices are validated this many at a time, so the states and
-# stacks alive at once stay few whatever the number of cases.
-_BLOCK = 64
-
-
 def _validated(
     cases: Iterable[tuple[np.ndarray, Any]],
-) -> Iterator[tuple[QuantumState, Any]]:
+) -> list[tuple[QuantumState, Any]]:
     """(state, tag) for each drawn (matrix, tag), in draw order; the tag
-    carries whatever else the suite drew for that case.  Each block of
-    _BLOCK cases is validated as one stack per dimension.  Validation draws
-    nothing, so a suite that hands it a lazy stream of draws sees the same
-    cases as one that validates each draw as it comes."""
-    cases = iter(cases)
-    while block := list(itertools.islice(cases, _BLOCK)):
-        by_dim: dict[int, list[int]] = {}
-        for k, (m, _) in enumerate(block):
-            by_dim.setdefault(m.shape[0], []).append(k)
-        states = {}
-        for ks in by_dim.values():
-            stack = np.stack([block[k][0] for k in ks])
-            states.update(zip(ks, quantum._states(stack)))
-        yield from ((states[k], tag) for k, (_, tag) in enumerate(block))
+    carries whatever else the suite drew for that case.  All cases are
+    drawn first, then those of each dimension validated as one stack."""
+    cases = list(cases)
+    by_dim: dict[int, list[int]] = {}
+    for k, (m, _) in enumerate(cases):
+        by_dim.setdefault(m.shape[0], []).append(k)
+    states = {}
+    for ks in by_dim.values():
+        stack = np.stack([cases[k][0] for k in ks])
+        states.update(zip(ks, quantum._states(stack)))
+    return [(states[k], tag) for k, (_, tag) in enumerate(cases)]
 
 
 def check_doubleket_identity(
@@ -216,16 +209,6 @@ def _support_bruteforce(m: np.ndarray) -> np.ndarray:
     return p
 
 
-def _pairs(
-    states: Iterator[tuple[QuantumState, Any]],
-) -> Iterator[tuple[list[QuantumState], list[QuantumState]]]:
-    """Consecutive pairs of the validated states as (rhos, nus) lists of
-    _BLOCK // 2 pairs, so each list pair is one block of _validated."""
-    pairs = zip(states, states)
-    while block := list(itertools.islice(pairs, _BLOCK // 2)):
-        yield [rho for (rho, _), _ in block], [nu for _, (nu, _) in block]
-
-
 def _orthogonal_pair(
     d: int, rank: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +228,8 @@ def check_discrimination(
 ) -> PropertyResult:
     """perfectly_discriminable agrees with the brute-force criterion
     Tr(P_rho P_nu) <= _ORTHOGONALITY_TOL on random pairs and on pairs built
-    with orthogonal supports.  Each block of pairs is decided as one stack."""
+    with orthogonal supports.  The pairs of each dimension are decided as
+    one stack."""
     disagreements = 0
     cases = 0
     note = ""
@@ -255,33 +239,35 @@ def check_discrimination(
             for i in range(200)
             for rank in (1 + i % d, 1 + (i // 2) % d)
         )
-        for rhos, nus in _pairs(_validated(drawn)):
-            n = len(rhos)
-            p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
-            overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
-            for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
-                cases += 1
-                if res.discriminable != (abs(overlap) <= _ORTHOGONALITY_TOL):
-                    disagreements += 1
-                    note = f"random pair disagreement at dim {d}"
+        states = [rho for rho, _ in _validated(drawn)]
+        rhos, nus = states[::2], states[1::2]
+        n = len(rhos)
+        p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
+        overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
+        for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
+            cases += 1
+            if res.discriminable != (abs(overlap) <= _ORTHOGONALITY_TOL):
+                disagreements += 1
+                note = f"random pair disagreement at dim {d}"
     d = max(dims)
     drawn = (
         (m, None)
         for i in range(50)
         for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)
     )
-    for rhos, nus in _pairs(_validated(drawn)):
-        for nu, res in zip(nus, _discriminate(rhos, nus)):
-            cases += 1
-            ok = res.discriminable
-            # The rho-falsifier, built on this read, must capture nu with
-            # certainty, to within the orthogonality cut.
-            falsifier = res.falsifier_rho if ok else None
-            if falsifier is not None:
-                ok = abs(born_probability(nu, falsifier) - 1.0) <= _ORTHOGONALITY_TOL
-            if not ok:
-                disagreements += 1
-                note = "constructed orthogonal pair not discriminated"
+    states = [rho for rho, _ in _validated(drawn)]
+    rhos, nus = states[::2], states[1::2]
+    for nu, res in zip(nus, _discriminate(rhos, nus)):
+        cases += 1
+        ok = res.discriminable
+        # The rho-falsifier, built on this read, must capture nu with
+        # certainty, to within the orthogonality cut.
+        falsifier = res.falsifier_rho if ok else None
+        if falsifier is not None:
+            ok = abs(born_probability(nu, falsifier) - 1.0) <= _ORTHOGONALITY_TOL
+        if not ok:
+            disagreements += 1
+            note = "constructed orthogonal pair not discriminated"
     return _result(
         "orthogonal-support-discrimination", cases, float(disagreements), 0.0, note
     )
@@ -501,6 +487,20 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
     ]
 
 
+def _read_dims(dims) -> tuple[int, ...]:
+    """The distinct dims in ascending order, each read by _check_int as it
+    is drawn: a range too long to hold fails at its first dim above 8."""
+    read = set()
+    for d in dims if isinstance(dims, Iterable) else ():
+        d = _check_int(d, 2, OutOfRangeError, "dims must all be integers >= 2")
+        if d > 8:
+            raise OutOfRangeError("dims above 8 exceed the intended regime")
+        read.add(d)
+    if not read:
+        raise OutOfRangeError("dims must be a nonempty collection of integers")
+    return tuple(sorted(read))
+
+
 def run_postulate_checks(
     dims: tuple[int, ...] = (2, 3, 4), seed: int = 0, fault: str | None = None
 ) -> list[PropertyResult]:
@@ -509,15 +509,8 @@ def run_postulate_checks(
         raise OutOfRangeError(
             f"unknown fault {fault!r}; known faults: {', '.join(KNOWN_FAULTS)}"
         )
-    dims = tuple(dims) if isinstance(dims, Iterable) else ()
-    if not dims:
-        raise OutOfRangeError("dims must be a nonempty collection of integers")
-    for d in dims:
-        _check_int(d, 2, OutOfRangeError, "dims must all be integers >= 2")
-    dims = tuple(sorted({int(d) for d in dims}))
-    if dims[-1] > 8:
-        raise OutOfRangeError("dims above 8 exceed the intended regime")
-    _check_int(seed, 0, OutOfRangeError, "seed must be a non-negative integer")
+    dims = _read_dims(dims)
+    _check_int(seed, 0, OutOfRangeError, BAD_SEED)
     small = tuple(d for d in dims if d <= 3) or (dims[0],)
     results: list[PropertyResult] = []
     results.append(check_doubleket_identity(_sub_rng(seed, 0), dims))

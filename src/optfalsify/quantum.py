@@ -191,7 +191,7 @@ class KrausChannel:
 
     def __post_init__(self) -> None:
         try:
-            empty = isinstance(self.kraus, np.ndarray) or not len(self.kraus)
+            empty = not len(self.kraus)
         except TypeError:  # no length: a number or None
             empty = True
         if empty:
@@ -560,7 +560,7 @@ class Dilation:
             raise DimensionMismatchError(
                 f"state dim {rho.dim} != system dim {self.dim_sys}"
             )
-        _check_int(k, 0, OutOfRangeError, f"branch index {k} out of range")
+        k = _check_int(k, 0, OutOfRangeError, f"branch index {k} out of range")
         if k >= self.dim_env:
             raise OutOfRangeError(f"branch index {k} out of range")
         # The ancilla |0><0| and the outcome projector |k><k|, exactly 0/1.

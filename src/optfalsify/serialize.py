@@ -18,6 +18,7 @@ import numpy as np
 
 from .coins import CampaignReport, NaryGenerator, make_coin, make_nary
 from .errors import OutOfRangeError, SchemaError
+from .linalg import _check_int
 from .quantum import Purification, QuantumState
 
 
@@ -84,8 +85,6 @@ def require_key(doc: dict, key: str, kind: type, where: str) -> Any:
             raise SchemaError(
                 f"{where}: key {key!r} is an integer beyond float range"
             ) from None
-    if kind is int and isinstance(value, bool):
-        raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     if not isinstance(value, kind):
         raise SchemaError(
             f"{where}: key {key!r} must be {kind.__name__}, "
@@ -128,11 +127,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _int_key(doc: dict, key: str, minimum: int, where: str) -> int:
+    """doc[key] read by _check_int: an int of at least minimum, else SchemaError."""
+    message = f"{where}: {key} must be an integer of at least {minimum}"
+    return _check_int(require_key(doc, key, object, where), minimum, SchemaError, message)
+
+
 def matrix_from_json(doc: dict, where: str = "matrix") -> np.ndarray:
-    rows = require_key(doc, "rows", int, where)
-    cols = require_key(doc, "cols", int, where)
-    if rows < 1 or cols < 1:
-        raise SchemaError(f"{where}: rows/cols must be positive")
+    rows = _int_key(doc, "rows", 1, where)
+    cols = _int_key(doc, "cols", 1, where)
     re = number_list(doc, "re", rows * cols, where)
     im = number_list(doc, "im", rows * cols, where)
     return (re + 1j * im).reshape(rows, cols)
@@ -179,12 +182,7 @@ def declared_from_json(doc: dict, where: str = "declared") -> NaryGenerator:
 
 def config_int(doc: dict, key: str, minimum: int) -> int | None:
     """The config's optional integer key, at least minimum; None if absent."""
-    if key not in doc:
-        return None
-    value = require_key(doc, key, int, "config")
-    if value < minimum:
-        raise SchemaError(f"config: {key} must be >= {minimum}, got {value}")
-    return value
+    return _int_key(doc, key, minimum, "config") if key in doc else None
 
 
 def report_to_json(report: CampaignReport) -> dict:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from optfalsify.postulates import run_postulate_checks
 from optfalsify.quantum import Dilation, Effect, KrausChannel, QuantumState, born_probability
 
 MIXED = QuantumState.maximally_mixed(2)
+TRIALS = "n_trials must be an integer of at least 1"
+SEED = "seed must be a non-negative integer"
 HYPOTHESIS = SupportHypothesis(np.diag([1.0, 0.0]))
 
 
@@ -134,6 +138,30 @@ def test_non_numbers_rejected(build):
             OutOfRangeError,
             "true_p: entries must be finite",
         ),
+        # One below each minimum, and a bool, at every integer site.
+        (lambda: falsify_campaign(make_coin(0.5), MIXED, 0, 0), OutOfRangeError, TRIALS),
+        (lambda: count_generator(make_coin(0.5), 0, 0), OutOfRangeError, TRIALS),
+        (lambda: count_classical_coin(0.5, 0, 0), OutOfRangeError, TRIALS),
+        (lambda: falsify_campaign(make_coin(0.5), MIXED, True, 0), OutOfRangeError, TRIALS),
+        (lambda: falsify_campaign(make_coin(0.5), MIXED, 10, -1), OutOfRangeError, SEED),
+        (lambda: count_generator(make_coin(0.5), 10, -1), OutOfRangeError, SEED),
+        (lambda: count_classical_coin(0.5, 10, -1), OutOfRangeError, SEED),
+        (lambda: falsify_campaign(make_coin(0.5), MIXED, 10, False), OutOfRangeError, SEED),
+        (lambda: count_generator(make_coin(0.5), 10, True), OutOfRangeError, SEED),
+        (lambda: count_classical_coin(0.5, 10, False), OutOfRangeError, SEED),
+        (lambda: run_postulate_checks(seed=-1), OutOfRangeError, SEED),
+        (lambda: run_postulate_checks(seed=False), OutOfRangeError, SEED),
+        (lambda: run_postulate_checks(dims=[1]), OutOfRangeError, "dims must all be integers"),
+        (lambda: run_postulate_checks(dims=[True]), OutOfRangeError, "dims must all be integers"),
+        (lambda: run_postulate_checks(dims=[2, 9]), OutOfRangeError, "dims above 8"),
+        (lambda: classical_verdict(1.0, True, 0), OutOfRangeError, "outcome counts"),
+        (lambda: Dilation(np.eye(2), 2, 1).branch(MIXED, True), OutOfRangeError, "branch index"),
+        (lambda: permutation_map([True, False]), OutOfRangeError, "not a permutation"),
+        (
+            lambda: KrausChannel(np.zeros((0, 2, 2))),
+            DimensionMismatchError,
+            "nonempty Kraus list",
+        ),
     ],
     ids=["kraus-int", "kraus-none", "nary-int", "nary-phases-int", "verdict-text",
          "verdict-none", "verdict-count-text", "verdict-count-negative", "efficiency-text",
@@ -141,12 +169,63 @@ def test_non_numbers_rejected(build):
          "coin-trials-bool", "campaign-seed-float", "postulates-seed-float",
          "postulates-seed-text", "postulates-dims-text", "postulates-dims-none",
          "postulates-dims-float", "branch-float", "permutation-floats", "permutation-none",
-         "coin-p-text", "coin-p-huge"],
+         "coin-p-text", "coin-p-huge", "campaign-trials-zero", "sample-trials-zero",
+         "coin-trials-zero", "campaign-trials-bool", "campaign-seed-negative",
+         "sample-seed-negative", "coin-seed-negative", "campaign-seed-bool", "sample-seed-bool",
+         "coin-seed-bool", "postulates-seed-negative", "postulates-seed-bool",
+         "postulates-dims-one", "postulates-dims-bool", "postulates-dims-nine",
+         "verdict-count-bool", "branch-bool", "permutation-bool", "kraus-empty-stack"],
 )
 def test_non_sequences_and_non_numbers_raise_typed_errors(build, error, message):
     # Library callers only: the CLI's JSON schema rejects these first.
     with pytest.raises(error, match=message):
         build()
+
+
+# Each counter's result as a flat list, so that the types of its entries
+# can be compared.
+COUNTERS = {
+    "coin": lambda n, seed: list(count_classical_coin(0.5, n, seed)),
+    "campaign": lambda n, seed: list(
+        dataclasses.astuple(falsify_campaign(make_coin(0.5), MIXED, n, seed))
+    ),
+    "sample": lambda n, seed: [
+        x for a in count_generator(make_nary([0.2, 0.8]), n, seed) for x in a.tolist()
+    ],
+}
+
+
+@pytest.mark.parametrize("counter", sorted(COUNTERS))
+@pytest.mark.parametrize("n_trials, seed", [(1, 0), (10, 1)])
+def test_counters_read_numpy_integers_as_python_ints(counter, n_trials, seed):
+    # The minimum of each integer is accepted, and a numpy integer gives the
+    # result of the Python int, in Python types.
+    expected = COUNTERS[counter](n_trials, seed)
+    got = COUNTERS[counter](np.int64(n_trials), np.int64(seed))
+    assert got == expected
+    assert [type(x) for x in got] == [type(x) for x in expected]
+    assert all(type(x) is not np.int64 for x in got)
+
+
+def test_integer_sites_accept_numpy_integers():
+    # Postulate seed and dims, branch index, permutation entries and
+    # outcome counts: a numpy integer at the minimum reads as the Python int.
+    assert run_postulate_checks(dims=[np.int64(2)], seed=np.int64(0)) == run_postulate_checks(
+        dims=(2,), seed=0
+    )
+    dil = Dilation(np.eye(2), 2, 1)
+    assert np.array_equal(dil.branch(MIXED, np.int64(0)), dil.branch(MIXED, 0))
+    assert np.array_equal(
+        permutation_map([np.int64(1), np.int64(0)]).matrix, permutation_map([1, 0]).matrix
+    )
+    assert classical_verdict(1.0, np.int64(0), np.int64(0)).value == "NOT_FALSIFIED"
+
+
+def test_long_dims_range_fails_at_its_first_dim_above_8():
+    # The dims are read one at a time, so a range too long to hold is never
+    # built.
+    with pytest.raises(OutOfRangeError, match="dims above 8 exceed the intended regime"):
+        run_postulate_checks(dims=range(2, 10**12))
 
 
 class TestMarkovMap:

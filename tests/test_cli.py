@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from optfalsify.cli import ENV_SEED, RunConfig, _build_parser, main
+from optfalsify.cli import RunConfig, _build_parser, main
 from optfalsify.coins import generator_probs, make_nary
+from optfalsify.errors import OutOfRangeError
 from optfalsify.quantum import QuantumState
 from optfalsify.serialize import json_dumps, read_json, state_to_json, write_json
 
@@ -33,11 +34,6 @@ def coin_config(tmp_path):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
-
-
 class TestFalsifyCoin:
     def test_report_written(self, coin_config, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -58,27 +54,6 @@ class TestFalsifyCoin:
         out = tmp_path / "r.json"
         run_cli(["falsify-coin", "--config", coin_config, "--seed", "7", "--out", str(out)])
         assert read_json(str(out))["seed"] == 7
-
-    def test_env_seed_used_as_fallback(self, tmp_path, monkeypatch):
-        config = tmp_path / "c.json"
-        write_json(
-            str(config),
-            {
-                "declared": {"p": 0.5},
-                "true_state": state_to_json(QuantumState.maximally_mixed(2)),
-                "n_trials": 100,
-            },
-        )
-        out = tmp_path / "r.json"
-        monkeypatch.setenv(ENV_SEED, "31")
-        run_cli(["falsify-coin", "--config", str(config), "--out", str(out)])
-        assert read_json(str(out))["seed"] == 31
-
-    def test_config_seed_beats_env(self, coin_config, tmp_path, monkeypatch):
-        out = tmp_path / "r.json"
-        monkeypatch.setenv(ENV_SEED, "31")
-        run_cli(["falsify-coin", "--config", coin_config, "--out", str(out)])
-        assert read_json(str(out))["seed"] == 42
 
     def test_trials_flag_overrides_config(self, coin_config, tmp_path):
         out = tmp_path / "r.json"
@@ -221,6 +196,23 @@ class TestCheckPostulates:
         assert doc["all_passed"] is True
         assert doc["dims"] == [2]
 
+    def test_environment_seed_ignored(self, tmp_path, monkeypatch, capsys):
+        # The seed is --seed, else 0: no environment variable re-keys a run.
+        monkeypatch.setenv("OPT_FALSIFY_SEED", "31")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["check-postulates", "--dims", "2..2", "--out", str(a)]) == 0
+        assert run_cli(["check-postulates", "--dims", "2..2", "--seed", "0", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert read_json(str(a))["seed"] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_long_dims_range_exits_2_unbuilt(self, capsys):
+        # --dims is read one dim at a time, so this range is never built.
+        assert run_cli(["check-postulates", "--dims", "2..1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: dims above 8 exceed the intended regime" in captured.err
+
     def test_injected_fault_exits_one(self, capsys):
         code = run_cli(["check-postulates", "--dims", "2..2", "--inject-fault", "kraus-norm"])
         captured = capsys.readouterr()
@@ -261,6 +253,22 @@ class TestClassicalBaseline:
         assert doc["verdict"] == "FALSIFIED"
         assert doc["true_p"] == 0.5
         assert doc["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--seed", "-1"], "error: seed must be a non-negative integer"),
+            (["--trials", "0"], "error: n_trials must be an integer of at least 1"),
+        ],
+    )
+    def test_outcomes_form_refuses_bad_flags(self, flag, message, tmp_path, capsys):
+        # This form draws nothing, but the flags are still checked.
+        config = tmp_path / "c.json"
+        write_json(str(config), {"declared_p": 0.5, "outcomes": [0, 1]})
+        assert run_cli(["classical-baseline", "--config", str(config), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bad_outcome_value(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -342,13 +350,61 @@ class TestConfigSeed:
         assert "seed" in capsys.readouterr().err
 
 
+class TestIntegerCut:
+    """--trials, --seed and the config's n_trials and seed on each side of
+    the integer rule's cut: the minimum runs, one below it exits 2 naming
+    the key."""
+
+    MESSAGES = {
+        ("flag", "n_trials"): "error: n_trials must be an integer of at least 1",
+        ("flag", "seed"): "error: seed must be a non-negative integer",
+        ("config", "n_trials"): "error: config: n_trials must be an integer of at least 1",
+        ("config", "seed"): "error: config: seed must be an integer of at least 0",
+    }
+
+    @pytest.mark.parametrize("command", sorted(TestConfigSeed.CONFIGS))
+    @pytest.mark.parametrize("key, flag, minimum", [("n_trials", "--trials", 1), ("seed", "--seed", 0)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_cut(self, command, key, flag, minimum, source, below, tmp_path, capsys):
+        value = minimum - 1 if below else minimum
+        doc = dict(TestConfigSeed.CONFIGS[command])
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if source == "flag":
+            argv += [flag, str(value)]
+        else:
+            doc[key] = value
+        write_json(str(config), doc)
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        if below:
+            assert code == 2
+            assert captured.out == ""
+            assert self.MESSAGES[source, key] in captured.err
+        else:
+            assert code == 0
+            assert read_json(str(out))[key] == value
+
+    @pytest.mark.parametrize(
+        "field, minimum, message",
+        [("master_seed", 0, "seed must be a non-negative"), ("n_trials", 1, "n_trials must be")],
+    )
+    def test_run_config_rule(self, field, minimum, message):
+        # A bool is refused, a numpy integer at the minimum accepted.
+        assert getattr(RunConfig(command="sample", **{field: np.int64(minimum)}), field) == minimum
+        for bad in (True, False, minimum - 1):
+            with pytest.raises(OutOfRangeError, match=message):
+                RunConfig(command="sample", **{field: bad})
+
+
 class TestConfiguredTrials:
     """A config n_trials follows the seed's rule on every subcommand that
     samples: it must be an integer >= 1 even when --trials overrides it, and
     it is required only when --trials is absent."""
 
     @pytest.mark.parametrize("command", sorted(TestConfigSeed.CONFIGS))
-    @pytest.mark.parametrize("n_trials", ["absent", 0, "10", 10])
+    @pytest.mark.parametrize("n_trials", ["absent", 0, "10", True, 10])
     @pytest.mark.parametrize("flag", [False, True])
     def test_one_rule(self, command, n_trials, flag, tmp_path, capsys):
         doc = dict(TestConfigSeed.CONFIGS[command])
@@ -402,12 +458,12 @@ class TestCampaignConfig:
     def test_bad_trials(self, tmp_path, capsys):
         code, _, err = self._run(tmp_path, capsys, n_trials=0)
         assert code == 2
-        assert "config: n_trials must be >= 1, got 0" in err
+        assert "config: n_trials must be an integer of at least 1" in err
 
     def test_negative_seed(self, tmp_path, capsys):
         code, _, err = self._run(tmp_path, capsys, seed=-1)
         assert code == 2
-        assert "config: seed must be >= 0, got -1" in err
+        assert "config: seed must be an integer of at least 0" in err
 
     def test_true_state_must_be_state_kind(self, tmp_path, capsys):
         kind_effect = {**state_to_json(QuantumState.maximally_mixed(2)), "kind": "effect"}
@@ -448,20 +504,6 @@ class TestErrorPaths:
         assert exited.value.code == 2
         assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
 
-    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
-        config = tmp_path / "c.json"
-        write_json(
-            str(config),
-            {
-                "declared": {"p": 0.5},
-                "true_state": state_to_json(QuantumState.maximally_mixed(2)),
-                "n_trials": 10,
-            },
-        )
-        monkeypatch.setenv(ENV_SEED, "noise")
-        assert run_cli(["falsify-coin", "--config", str(config)]) == 2
-        capsys.readouterr()
-
     @pytest.mark.parametrize(
         "dims, message", [("x", "expected a range like 2..4"), ("4..2", "bad dimension range")]
     )
@@ -472,13 +514,6 @@ class TestErrorPaths:
         assert exited.value.code == 2
         assert captured.out == ""
         assert message in captured.err
-
-    def test_negative_env_seed(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SEED, "-1")
-        assert run_cli(["check-postulates", "--dims", "2..2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{ENV_SEED} must be non-negative" in captured.err
 
     def test_empty_config_path(self, capsys):
         assert run_cli(["falsify-coin", "--config", ""]) == 2

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from optfalsify import Effect, QuantumState, hermitian_eig
-from optfalsify.cli import ENV_SEED
 from optfalsify.cli import main as cli_main
 from optfalsify.errors import NotPSDError, OutOfRangeError
 from optfalsify.random_ops import random_density_matrix, random_unitary
@@ -126,8 +125,7 @@ def malformed_configs(draw):
 @settings(derandomize=True, max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=malformed_configs())
-def test_malformed_config_exits_zero_or_two(case, tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+def test_malformed_config_exits_zero_or_two(case, tmp_path):
     command, doc = case
     assert _run(tmp_path, command, json.dumps(doc).encode("ascii")) in (0, 2)
 

@@ -135,6 +135,18 @@ class TestKrausChannel:
         with pytest.raises(DimensionMismatchError):
             KrausChannel(())
 
+    def test_stack_reads_as_its_operators(self, rng):
+        ops = random_kraus_tp(3, 2, rng)
+        stacked, listed = KrausChannel(np.stack(ops)), KrausChannel(tuple(ops))
+        assert stacked.n_kraus == 2
+        assert [a.tobytes() for a in stacked.kraus] == [a.tobytes() for a in listed.kraus]
+        assert KrausChannel(np.stack([np.eye(2)])).n_kraus == 1
+
+    def test_matrix_is_read_row_by_row(self):
+        # A 2-D array is a list of rows, none of them a matrix.
+        with pytest.raises(DimensionMismatchError, match=r"Kraus operator: expected a 2-D matrix"):
+            KrausChannel(np.eye(2))
+
 
 class TestExtremeEigenvalueValidation:
     """Effect and KrausChannel read their extreme eigenvalues from eigh."""

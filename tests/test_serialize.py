@@ -8,6 +8,7 @@ from optfalsify import QuantumState, make_coin, purify, serialize
 from optfalsify.errors import OutOfRangeError, SchemaError
 from optfalsify.random_ops import random_density_matrix
 from optfalsify.serialize import (
+    config_int,
     declared_from_json,
     float_literal,
     json_dumps,
@@ -84,6 +85,15 @@ class TestMatrixLiteral:
         doc["re"][0] = float("nan")
         with pytest.raises(ValueError):
             json_dumps(doc)
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_size_at_the_cut(self, key):
+        doc = matrix_to_json(np.array([[2.5 - 1j]]))
+        assert matrix_from_json(doc).tolist() == [[2.5 - 1j]]
+        assert matrix_from_json({**doc, key: np.int64(1)}).tolist() == [[2.5 - 1j]]
+        for bad in (0, -1, True, 1.0, "1", None):
+            with pytest.raises(SchemaError, match=f"matrix: {key} must be an integer of at least 1"):
+                matrix_from_json({**doc, key: bad})
 
     def test_integer_beyond_float_range_rejected(self):
         doc = matrix_to_json(np.eye(2))
@@ -316,3 +326,19 @@ class TestTraceEncoder:
             codes = draw(rng, 20_011)
             for size in (4099, 1 << 16):
                 self._check(tmp_path, outcomes, p, 6, split(codes, size))
+
+
+class TestConfigInt:
+    """The config's optional integers: the rule of linalg._check_int, with
+    SchemaError."""
+
+    @pytest.mark.parametrize("minimum", [0, 1])
+    def test_cut(self, minimum):
+        assert config_int({}, "k", minimum) is None
+        for good in (minimum, np.int64(minimum), 10**30):
+            value = config_int({"k": good}, "k", minimum)
+            assert value == good
+            assert type(value) is int
+        for bad in (minimum - 1, True, False, 1.5, "1", None):
+            with pytest.raises(SchemaError, match=f"config: k must be an integer of at least {minimum}"):
+                config_int({"k": bad}, "k", minimum)
