@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -57,7 +58,10 @@ def _parse_dims(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError:  # a bound beyond Python's integer digit limit
+        raise argparse.ArgumentTypeError("dimension bound too long to read") from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"bad dimension range {text!r}")
     return range(lo, hi + 1)
@@ -114,17 +118,9 @@ def cmd_falsify_coin(cfg: RunConfig) -> int:
         serialize.require_key(doc, "true_state", dict, "config"), "config.true_state"
     )
     n_trials, seed = _trials_and_seed(cfg, doc)
-    trace = None
-    if cfg.csv_path:
-
-        def trace(rate, fired_chunks):
-            serialize.write_trace_csv(
-                cfg.csv_path, ("INCONCLUSIVE", "FALSIFIED"), (rate, rate), seed,
-                codes=fired_chunks,
-            )
-
+    trace = functools.partial(serialize.write_trace_csv, cfg.csv_path) if cfg.csv_path else None
     report = falsify_campaign(declared, true_state, n_trials, seed, trace=trace)
-    _emit_doc(cfg, serialize.report_to_json(report))
+    _emit_doc(cfg, asdict(report))
     print(
         f"verdict {report.verdict}: {report.n_falsified}/{report.n_trials} "
         f"falsifying outcomes (theoretical rate {report.theoretical_rate:.6g})",
@@ -139,14 +135,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         serialize.require_key(doc, "declared", dict, "config")
     )
     n_trials, seed = _trials_and_seed(cfg, doc)
-    trace = None
-    if cfg.csv_path:
-
-        def trace(probs, code_chunks):
-            serialize.write_trace_csv(
-                cfg.csv_path, range(len(probs)), probs, seed, codes=code_chunks
-            )
-
+    trace = functools.partial(serialize.write_trace_csv, cfg.csv_path) if cfg.csv_path else None
     probs, counts = count_generator(declared, n_trials, seed, trace=trace)
     report = {
         "n_trials": n_trials,
@@ -200,8 +189,9 @@ def _outcome_counts(doc: dict) -> tuple[int, int]:
     """(n_zero, n_one) of the config's outcome list."""
     seq = serialize.require_key(doc, "outcomes", list, "config")
     for i, v in enumerate(seq):
-        if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
-            raise SchemaError(f"config: outcomes[{i}] must be 0 or 1")
+        message = f"config: outcomes[{i}] must be 0 or 1"
+        if _check_int(v, 0, SchemaError, message) > 1:
+            raise SchemaError(message)
     n_one = sum(seq)
     return len(seq) - n_one, n_one
 

@@ -16,7 +16,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
 from .falsification import (
     FalsificationTest,
     SupportHypothesis,
+    TestOutcome,
     falsification_probability,
     support_falsification_test,
 )
@@ -49,6 +50,13 @@ from .quantum import QuantumState
 # (_cut).  So campaigns compare the words against integer thresholds computed
 # once per call and never form the doubles; every count is the one the
 # doubles give.
+#
+# A counter given a trace calls it once, in the ordered pass, as
+# trace(outcomes, p_theoretical, seed, codes), the arguments of
+# serialize.write_trace_csv after its path: seed is the checked master seed,
+# codes yields each chunk's outcome codes in trial order (each valid until the
+# next is drawn), and a trial of code c has outcomes[c] and p_theoretical[c].
+# Unread chunks still count.
 
 # Campaigns draw their words this many at a time (split evenly between the
 # stripes), so their memory does not grow with n_trials.  The stream is the
@@ -57,6 +65,9 @@ _CHUNK = 1 << 16
 
 # ceil(p * 2^53) of p = 1.0: a cut this high passes every word.
 _ALL = 1 << 53
+
+# A campaign trace's outcome labels for a mask's False and True.
+_MASK_OUTCOMES = (TestOutcome.INCONCLUSIVE.value, TestOutcome.FALSIFIED.value)
 
 # What a trial count or a seed must be, in the library's words.
 BAD_TRIALS = "n_trials must be an integer of at least 1"
@@ -115,22 +126,23 @@ def _tally(
     n_trials: int,
     label: Callable[[np.ndarray], np.ndarray],
     count: Callable[[np.ndarray], Any],
-    trace: Callable[[Iterator[np.ndarray]], None] | None = None,
+    trace: Callable[..., None] | None = None,
+    columns: tuple[Sequence[Any], Sequence[float]] = ((), ()),
 ) -> Any:
     """Sum of count(label(x)) over the chunks x of the first n_trials keyed
-    raw words, where label maps words to per-trial outcomes and count maps
-    outcomes to an exact integer total.
+    raw words, where label maps words to per-trial outcome codes and count
+    maps codes to an exact integer total.
 
     Contiguous stripes of the trials are counted on min(_cpus(), chunks)
     threads, the caller's among them, with chunks of _CHUNK words in all;
     each stripe drops its chunk once labelled.  An exception in any stripe
     stops the others at their next chunk and reaches the caller; every
     thread is joined before _tally returns or raises.  Given a trace, the
-    one stripe is stripe 0, and trace(label_chunks) gets its chunks'
-    outcomes in trial order (each valid until the next is drawn); the
-    chunks it leaves unread are still counted.  n_trials must be an
-    integer of at least 1 and master_seed a non-negative integer (else
-    OutOfRangeError, raised before any stripe starts or trace is called).
+    one stripe is stripe 0, and trace(*columns, master_seed, code_chunks)
+    gets its codes as the module comment describes, where columns is
+    (outcomes, p_theoretical).  n_trials must be an integer of at least 1
+    and master_seed a non-negative integer (else OutOfRangeError, raised
+    before any stripe starts or trace is called).
     """
     n_trials = _check_int(n_trials, 1, OutOfRangeError, BAD_TRIALS)
     master_seed = _check_int(master_seed, 0, OutOfRangeError, BAD_SEED)
@@ -153,7 +165,7 @@ def _tally(
     def run(k: int) -> None:
         chunks = label_chunks(k)
         if trace is not None:
-            trace(chunks)
+            trace(*columns, master_seed, chunks)
         for _ in chunks:
             pass
 
@@ -249,7 +261,7 @@ def count_generator(
     n_trials: int,
     master_seed: int,
     *,
-    trace: Callable[[np.ndarray, Iterator[np.ndarray]], None] | None = None,
+    trace: Callable[..., None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(probs, counts): generator_probs(declared) and how often each outcome
     occurs in n_trials draws from them.
@@ -259,11 +271,9 @@ def count_generator(
     integer threshold against the trials' raw words, which gives exactly
     the outcome of the uniforms (see _outcome); the last edge is 1.0 and
     never counts.  The trials are counted in fixed-size chunks (see
-    _tally), so memory does not grow with n_trials.  When trace is given,
-    it is called once as trace(probs, code_chunks), where code_chunks yields
-    each chunk's outcome indices in trial order, in the narrowest unsigned
-    type that holds dim (valid until the next is drawn); the chunks it
-    leaves unread are still counted.
+    _tally), so memory does not grow with n_trials.  A trace (see the module
+    comment) gets outcomes range(dim), p_theoretical probs and each chunk's
+    outcome indices, in the narrowest unsigned type that holds dim.
     """
     probs = generator_probs(declared)
     edges = np.cumsum(probs)
@@ -273,7 +283,7 @@ def count_generator(
         n_trials,
         _outcome(edges, declared.dim),
         lambda codes: np.bincount(codes, minlength=declared.dim),
-        None if trace is None else lambda chunks: trace(probs, chunks),
+        trace, (range(declared.dim), probs),
     )
     return probs, counts
 
@@ -312,7 +322,7 @@ def falsify_campaign(
     n_trials: int,
     master_seed: int,
     *,
-    trace: Callable[[float, Iterator[np.ndarray]], None] | None = None,
+    trace: Callable[..., None] | None = None,
 ) -> CampaignReport:
     """Repeat the declared-state falsification test on n_trials emissions of
     true_state.  One falsifying click settles the verdict (falsification is
@@ -326,10 +336,9 @@ def falsify_campaign(
     rate's integer threshold, which fires on exactly the same trials (see
     _below); at rate 1.0 every trial fires.  The trials are counted in
     fixed-size chunks (see _tally), so memory does not grow with n_trials.
-    When trace is given, it is called once as trace(rate, fired_chunks),
-    where fired_chunks yields each chunk's boolean mask of fired trials in
-    trial order (valid until the next is drawn); the chunks it leaves
-    unread are still counted.
+    A trace (see the module comment) gets each chunk's boolean mask of fired
+    trials, labelled by TestOutcome, INCONCLUSIVE for False and FALSIFIED
+    for True, each with p_theoretical rate.
     """
     test = coin_falsification_test(declared)
     if true_state.dim != test.dim:
@@ -345,7 +354,7 @@ def falsify_campaign(
             n_trials,
             _below(rate),
             np.count_nonzero,
-            None if trace is None else lambda chunks: trace(rate, chunks),
+            trace, (_MASK_OUTCOMES, (rate, rate)),
         )
     )
     n_trials, master_seed = int(n_trials), int(master_seed)  # checked by _tally

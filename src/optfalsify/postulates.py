@@ -112,7 +112,7 @@ def _validated(
 def check_doubleket_identity(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
-    """(A (x) B)|C>> = |A C B^T>> for random triples."""
+    """No rule, the numerical floor: (A (x) B)|C>> = |A C B^T>> for random triples."""
     n_cases = 100
     worst = 0.0
     for i in range(n_cases):
@@ -130,8 +130,8 @@ def check_doubleket_identity(
 def check_purification_recovery(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
-    """Tracing out the environment of purify(rho) returns rho, with the
-    environment exactly as large as the rank."""
+    """Purification: tracing out the environment of purify(rho) returns
+    rho, with the environment exactly as large as the rank."""
     worst = 0.0
     cases = 0
     note = ""
@@ -153,8 +153,8 @@ def check_purification_recovery(
 def check_purification_uniqueness(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
-    """Purifications of the same state with equal environments are linked by
-    a unitary on the environment alone."""
+    """Purification, uniqueness: purifications of the same state with equal
+    environments are linked by a unitary on the environment alone."""
     n_cases = 50
     worst_recon = 0.0
     worst_unitary = 0.0
@@ -226,10 +226,10 @@ def _orthogonal_pair(
 def check_discrimination(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
-    """perfectly_discriminable agrees with the brute-force criterion
-    Tr(P_rho P_nu) <= _ORTHOGONALITY_TOL on random pairs and on pairs built
-    with orthogonal supports.  The pairs of each dimension are decided as
-    one stack."""
+    """Perfect discriminability: perfectly_discriminable agrees with the
+    brute-force criterion Tr(P_rho P_nu) <= _ORTHOGONALITY_TOL on random
+    pairs and on pairs built with orthogonal supports.  The pairs of each
+    dimension are decided as one stack."""
     disagreements = 0
     cases = 0
     note = ""
@@ -276,8 +276,8 @@ def check_discrimination(
 def check_local_falsifier(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
-    """The product falsifier a (x) b never fires on the bipartite pure
-    state |A>>."""
+    """Local discriminability: the product falsifier a (x) b never fires
+    on the bipartite pure state |A>>."""
     n_cases = 100
     worst = 0.0
     degenerate_hits = 0
@@ -302,8 +302,8 @@ def check_local_falsifier(
 def check_canonical_form(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
-    """Canonical double-ket decomposition reconstructs the state and its
-    operators are trace-orthogonal with the stated weights."""
+    """Purification, canonical form: the double-ket decomposition rebuilds
+    the state and its operators are trace-orthogonal with the stated weights."""
     n_cases = 50
     worst_recon = 0.0
     worst_orth = 0.0
@@ -330,7 +330,7 @@ def check_canonical_form(
 def check_compression(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
-    """Rank-deficient states restrict losslessly to their support."""
+    """Ideal compression: rank-deficient states restrict losslessly to their support."""
     n_cases = 100
     worst_iso = 0.0
     worst_recon = 0.0
@@ -358,7 +358,7 @@ def check_compression(
 def check_atomic_rank(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> list[PropertyResult]:
-    """Atomic channels never increase rank; a non-atomic one can."""
+    """Atomicity of composition: atomic channels never raise rank; a non-atomic one can."""
     n_cases = 100
     violations = 0
     drawn = (
@@ -394,7 +394,7 @@ def check_atomic_rank(
 def check_dilation(
     rng: np.random.Generator, dims: tuple[int, ...], fault: str | None = None
 ) -> list[PropertyResult]:
-    """Every branch of the dilation circuit matches its Kraus term."""
+    """Purification, dilation: every branch of the circuit matches its Kraus term."""
     n_cases = 20
     worst = 0.0
     results = []
@@ -434,8 +434,9 @@ def check_dilation(
 
 
 def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
-    """Diagonal embedding preserves outcome probabilities and support, and
-    falsifier existence matches a nonzero kernel of the embedding."""
+    """No rule, the classical contrast: diagonal embedding preserves outcome
+    probabilities and support, and falsifier existence matches a nonzero
+    kernel of the embedding."""
     n_cases = 50
     worst = 0.0
     mismatches = 0

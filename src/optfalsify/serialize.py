@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from typing import Any, Iterator
 
 import numpy as np
 
-from .coins import CampaignReport, NaryGenerator, make_coin, make_nary
+from .coins import NaryGenerator, make_coin, make_nary
 from .errors import OutOfRangeError, SchemaError
 from .linalg import _check_int
 from .quantum import Purification, QuantumState
@@ -183,10 +182,6 @@ def declared_from_json(doc: dict, where: str = "declared") -> NaryGenerator:
 def config_int(doc: dict, key: str, minimum: int) -> int | None:
     """The config's optional integer key, at least minimum; None if absent."""
     return _int_key(doc, key, minimum, "config") if key in doc else None
-
-
-def report_to_json(report: CampaignReport) -> dict:
-    return asdict(report)
 
 
 # The trace is encoded at most this many rows at a time, in blocks that also

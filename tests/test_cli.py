@@ -515,6 +515,20 @@ class TestErrorPaths:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "dims", ["2..1" + "0" * 5000, "1" + "0" * 5000 + "..2"], ids=["upper", "lower"]
+    )
+    def test_dims_bound_past_digit_limit(self, dims, capsys):
+        # A bound too long for int() is refused in a line that neither names
+        # the parser nor echoes the value.
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["check-postulates", "--dims", dims])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2
+        assert captured.out == ""
+        assert "argument --dims: dimension bound too long to read" in captured.err
+        assert "_parse_dims" not in captured.err and "0" * 100 not in captured.err
+
     def test_empty_config_path(self, capsys):
         assert run_cli(["falsify-coin", "--config", ""]) == 2
         captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -235,9 +236,9 @@ class TestCampaignStream:
         path = tmp_path / "t.csv"
         entered = []
 
-        def trace(p, chunks):
-            entered.append(p)
-            write_trace_csv(str(path), ("INCONCLUSIVE", "FALSIFIED"), (0.5, 0.5), 0, codes=chunks)
+        def trace(outcomes, p_theoretical, seed, codes):
+            entered.append(seed)
+            write_trace_csv(str(path), outcomes, p_theoretical, seed, codes)
 
         rho = QuantumState.maximally_mixed(2)
         with pytest.raises(OutOfRangeError, match="seed"):
@@ -345,10 +346,10 @@ class TestIntegerThresholds:
 
     def test_sampler_codes_are_narrow(self):
         seen = []
-        count_generator(make_nary([0.2, 0.3, 0.5]), 100, 0, trace=lambda p, c: seen.extend(c))
+        count_generator(make_nary([0.2, 0.3, 0.5]), 100, 0, trace=lambda o, p, s, c: seen.extend(c))
         assert [c.dtype for c in seen] == [np.uint8]
         seen.clear()
-        count_generator(make_nary([1 / 256] * 256), 100, 0, trace=lambda p, c: seen.extend(c))
+        count_generator(make_nary([1 / 256] * 256), 100, 0, trace=lambda o, p, s, c: seen.extend(c))
         assert [c.dtype for c in seen] == [np.uint16]
 
 
@@ -545,6 +546,43 @@ class TestStreamedCampaign:
 
 
 
+class TestTraceProtocol:
+    """A counter's trace takes the arguments of write_trace_csv after its
+    path, so the bound writer is a trace, and it writes the CLI's --csv
+    bytes.  The configs are CI's, whose 120000 trials cross 10^4 and 10^5."""
+
+    def test_bound_writer_writes_cli_trace(self, tmp_path):
+        runs = [
+            (
+                "falsify-coin",
+                {"declared": {"p": 0.5, "phi": 0.0},
+                 "true_state": state_to_json(QuantumState.maximally_mixed(2))},
+                lambda n, seed, trace: falsify_campaign(
+                    make_coin(0.5, 0.0), QuantumState.maximally_mixed(2), n, seed, trace=trace
+                ),
+                1,
+            ),
+            (
+                "sample",
+                {"declared": {"probs": [0.2, 0.3, 0.5], "phases": [0.1, 0.2, 0.3]}},
+                lambda n, seed, trace: count_generator(
+                    make_nary([0.2, 0.3, 0.5], [0.1, 0.2, 0.3]), n, seed, trace=trace
+                ),
+                2,
+            ),
+        ]
+        for command, doc, count, seed in runs:
+            config, cli_trace, lib_trace = (
+                tmp_path / f"{command}-{name}" for name in ("c.json", "cli.csv", "lib.csv")
+            )
+            write_json(str(config), {**doc, "n_trials": 120_000, "seed": seed})
+            args = [command, "--config", str(config), "--out", os.devnull]
+            assert cli_main([*args, "--csv", str(cli_trace)]) == 0
+            count(120_000, seed, functools.partial(write_trace_csv, str(lib_trace)))
+            assert lib_trace.read_bytes() == cli_trace.read_bytes()
+            assert len(cli_trace.read_bytes().splitlines()) == 120_001
+
+
 class TestStreamedSample:
     SEED, N_TRIALS = 3, 20_003
     DECLARED = {"probs": [0.2, 0.3, 0.5], "phases": [0.1, 0.2, 0.3]}
@@ -727,8 +765,9 @@ class TestClassicalBaseline:
             classical_verdict(1.5, 1, 0)
 
     def test_bad_outcomes(self, tmp_path, capsys):
-        # Only the integers 0 and 1 are outcomes: not 2, -1, 0.5 or true.
-        for bad in (2, -1, 0.5, True):
+        # Only the integers 0 and 1 are outcomes: not 2, -1, 0.5, true, "1",
+        # null or an integer beyond float range.
+        for bad in (2, -1, 0.5, True, "1", None, 10**400):
             config = self._config(tmp_path, declared_p=0.5, outcomes=[0, 1, bad])
             assert cli_main(["classical-baseline", "--config", config]) == 2
             assert "outcomes[2] must be 0 or 1" in capsys.readouterr().err

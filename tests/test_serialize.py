@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from optfalsify.serialize import (
     object_from_json,
     purification_to_json,
     read_json,
-    report_to_json,
     state_to_json,
     write_json,
     write_trace_csv,
@@ -193,7 +193,7 @@ class TestFiles:
         report = falsify_campaign(
             make_coin(0.5), QuantumState.maximally_mixed(2), 100, 0
         )
-        doc = report_to_json(report)
+        doc = asdict(report)
         assert list(doc) == [
             "n_trials",
             "n_falsified",
