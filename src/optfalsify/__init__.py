@@ -3,12 +3,8 @@ tests, and a Monte Carlo harness for falsifying random generators."""
 
 from .classical import (
     ClassicalState,
-    MarkovMap,
-    apply_markov,
     classical_falsifier_exists,
-    classical_probability,
     embed_classical,
-    permutation_map,
 )
 from .coins import (
     BaselineVerdict,

@@ -55,15 +55,17 @@ class RunConfig:
 
 
 def _parse_dims(text: str) -> range:
+    # A bounded prefix, so that a long value cannot flood stderr.
+    quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
-        raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {quoted}")
     try:
         lo, hi = int(m.group(1)), int(m.group(2))
     except ValueError:  # a bound beyond Python's integer digit limit
         raise argparse.ArgumentTypeError("dimension bound too long to read") from None
     if hi < lo:
-        raise argparse.ArgumentTypeError(f"bad dimension range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad dimension range {quoted}")
     return range(lo, hi + 1)
 
 

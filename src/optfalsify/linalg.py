@@ -138,7 +138,7 @@ def _normalized(dev) -> bool:
 
 
 def _subnormalized(x) -> bool:
-    """x <= 1.0 + TRACE_TOL, for a trace, total or column sum."""
+    """x <= 1.0 + TRACE_TOL, for a trace or a classical total."""
     return x <= 1.0 + TRACE_TOL
 
 

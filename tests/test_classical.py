@@ -5,12 +5,8 @@ import pytest
 
 from optfalsify import (
     ClassicalState,
-    MarkovMap,
-    apply_markov,
     classical_falsifier_exists,
-    classical_probability,
     embed_classical,
-    permutation_map,
 )
 from optfalsify.errors import (
     DimensionMismatchError,
@@ -73,12 +69,10 @@ class TestClassicalState:
     [
         lambda: ClassicalState([10**400]),
         lambda: ClassicalState(["a"]),
-        lambda: MarkovMap([["a"]]),
-        lambda: MarkovMap([[10**400]]),
         lambda: make_coin("x"),
         lambda: make_nary([10**400, 0]),
     ],
-    ids=["state-integer", "state-text", "map-text", "map-integer", "coin-text", "nary-integer"],
+    ids=["state-integer", "state-text", "coin-text", "nary-integer"],
 )
 def test_non_numbers_rejected(build):
     # Text, or an integer beyond float range, is an out-of-range parameter.
@@ -126,8 +120,6 @@ def test_non_numbers_rejected(build):
             "dims must all be integers",
         ),
         (lambda: Dilation(np.eye(2), 2, 1).branch(MIXED, 0.5), OutOfRangeError, "branch index"),
-        (lambda: permutation_map([0.0, 1.0]), OutOfRangeError, "not a permutation"),
-        (lambda: permutation_map(None), OutOfRangeError, "not a permutation"),
         (
             lambda: count_classical_coin("x", 10, 0),
             OutOfRangeError,
@@ -156,7 +148,6 @@ def test_non_numbers_rejected(build):
         (lambda: run_postulate_checks(dims=[2, 9]), OutOfRangeError, "dims above 8"),
         (lambda: classical_verdict(1.0, True, 0), OutOfRangeError, "outcome counts"),
         (lambda: Dilation(np.eye(2), 2, 1).branch(MIXED, True), OutOfRangeError, "branch index"),
-        (lambda: permutation_map([True, False]), OutOfRangeError, "not a permutation"),
         (
             lambda: KrausChannel(np.zeros((0, 2, 2))),
             DimensionMismatchError,
@@ -168,13 +159,13 @@ def test_non_numbers_rejected(build):
          "efficiency-none", "campaign-trials-float", "sample-trials-text",
          "coin-trials-bool", "campaign-seed-float", "postulates-seed-float",
          "postulates-seed-text", "postulates-dims-text", "postulates-dims-none",
-         "postulates-dims-float", "branch-float", "permutation-floats", "permutation-none",
+         "postulates-dims-float", "branch-float",
          "coin-p-text", "coin-p-huge", "campaign-trials-zero", "sample-trials-zero",
          "coin-trials-zero", "campaign-trials-bool", "campaign-seed-negative",
          "sample-seed-negative", "coin-seed-negative", "campaign-seed-bool", "sample-seed-bool",
          "coin-seed-bool", "postulates-seed-negative", "postulates-seed-bool",
          "postulates-dims-one", "postulates-dims-bool", "postulates-dims-nine",
-         "verdict-count-bool", "branch-bool", "permutation-bool", "kraus-empty-stack"],
+         "verdict-count-bool", "branch-bool", "kraus-empty-stack"],
 )
 def test_non_sequences_and_non_numbers_raise_typed_errors(build, error, message):
     # Library callers only: the CLI's JSON schema rejects these first.
@@ -208,16 +199,13 @@ def test_counters_read_numpy_integers_as_python_ints(counter, n_trials, seed):
 
 
 def test_integer_sites_accept_numpy_integers():
-    # Postulate seed and dims, branch index, permutation entries and
-    # outcome counts: a numpy integer at the minimum reads as the Python int.
+    # Postulate seed and dims, branch index and outcome counts: a numpy
+    # integer at the minimum reads as the Python int.
     assert run_postulate_checks(dims=[np.int64(2)], seed=np.int64(0)) == run_postulate_checks(
         dims=(2,), seed=0
     )
     dil = Dilation(np.eye(2), 2, 1)
     assert np.array_equal(dil.branch(MIXED, np.int64(0)), dil.branch(MIXED, 0))
-    assert np.array_equal(
-        permutation_map([np.int64(1), np.int64(0)]).matrix, permutation_map([1, 0]).matrix
-    )
     assert classical_verdict(1.0, np.int64(0), np.int64(0)).value == "NOT_FALSIFIED"
 
 
@@ -226,71 +214,6 @@ def test_long_dims_range_fails_at_its_first_dim_above_8():
     # built.
     with pytest.raises(OutOfRangeError, match="dims above 8 exceed the intended regime"):
         run_postulate_checks(dims=range(2, 10**12))
-
-
-class TestMarkovMap:
-    def test_column_over_unity_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            MarkovMap([[0.8, 0.0], [0.4, 1.0]])
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            MarkovMap([[1.2, 0.0], [-0.2, 1.0]])
-
-    def test_not_2d_or_non_finite_rejected(self):
-        for shape in ((2,), (1, 1, 1), (0, 2)):
-            with pytest.raises(DimensionMismatchError, match="2-D"):
-                MarkovMap(np.ones(shape))
-        with pytest.raises(OutOfRangeError, match="finite"):
-            MarkovMap([[np.nan, 0.0], [1.0, 1.0]])
-
-    def test_deterministic_flag(self):
-        assert MarkovMap([[0.5, 0.0], [0.5, 1.0]]).deterministic
-        assert not MarkovMap([[0.5, 0.0], [0.25, 1.0]]).deterministic
-
-    def test_apply_preserves_simplex(self):
-        m = MarkovMap([[0.5, 0.1], [0.5, 0.9]])
-        out = apply_markov(m, ClassicalState([0.2, 0.8]))
-        assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(out.probs, [0.18, 0.82], atol=1e-15)
-
-    def test_apply_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_markov(MarkovMap(np.eye(3)), ClassicalState([0.5, 0.5]))
-
-
-class TestEffectsAndProbability:
-    def test_deterministic_effect_is_total_mass(self):
-        st = ClassicalState([0.25, 0.25])
-        p = classical_probability(MarkovMap(np.ones((1, 2))), st)
-        assert p == pytest.approx(0.5, abs=1e-15)
-
-    def test_indicator_row(self):
-        eff = MarkovMap([[0.0, 1.0, 0.0]])
-        assert classical_probability(
-            eff, ClassicalState([0.2, 0.3, 0.5])
-        ) == pytest.approx(0.3, abs=1e-15)
-
-    def test_effect_must_be_single_row(self):
-        with pytest.raises(DimensionMismatchError):
-            classical_probability(MarkovMap(np.eye(2)), ClassicalState([0.5, 0.5]))
-
-    def test_effect_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            classical_probability(MarkovMap(np.ones((1, 3))), ClassicalState([0.5, 0.5]))
-
-
-class TestPermutation:
-    def test_reversible(self):
-        perm = permutation_map([2, 0, 1])
-        inv = permutation_map([1, 2, 0])
-        st = ClassicalState([0.2, 0.3, 0.5])
-        out = apply_markov(inv, apply_markov(perm, st))
-        np.testing.assert_allclose(out.probs, st.probs, atol=0)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(OutOfRangeError):
-            permutation_map([0, 0, 1])
 
 
 class TestEmbedding:
@@ -303,13 +226,9 @@ class TestEmbedding:
         st = ClassicalState([0.1, 0.6, 0.3])
         rho = embed_classical(st)
         for i in range(3):
-            row = np.zeros((1, 3))
-            row[0, i] = 1.0
             proj = np.zeros((3, 3))
             proj[i, i] = 1.0
-            assert classical_probability(MarkovMap(row), st) == pytest.approx(
-                born_probability(rho, Effect(proj)), abs=1e-12
-            )
+            assert born_probability(rho, Effect(proj)) == pytest.approx(st.probs[i], abs=1e-12)
 
     def test_support_projector_is_indicator(self):
         rho = embed_classical(ClassicalState([0.5, 0.0, 0.5]))

@@ -26,7 +26,6 @@ from optfalsify import (
     Dilation,
     Effect,
     KrausChannel,
-    MarkovMap,
     Purification,
     QuantumState,
     born_probability,
@@ -107,11 +106,6 @@ CASES = {
         lambda e: Purification(np.array([1.0 + e, 0.0]), 2, 1),
     ),
     "cstate-negative-entry": (SPECTRUM_TOL, OutOfRangeError, lambda e: ClassicalState([-e, 1.0])),
-    "markov-negative-entry": (
-        SPECTRUM_TOL,
-        OutOfRangeError,
-        lambda e: MarkovMap([[-e, 0.0], [1.0, 1.0]]),
-    ),
 }
 
 
@@ -284,7 +278,7 @@ AT_THE_CUT = {
         True,
         False,
     ),
-    # _subnormalized: a trace, total or column sum of 1 + TRACE_TOL passes.
+    # _subnormalized: a trace or classical total of 1 + TRACE_TOL passes.
     "subnormalized": ("TRACE_TOL", lambda t: 1.0 + t, linalg._subnormalized, True, False),
     "state-trace": (
         "TRACE_TOL",
@@ -297,13 +291,6 @@ AT_THE_CUT = {
         "TRACE_TOL",
         lambda t: 1.0 + t,
         lambda x: _raised(ClassicalState, [x]),
-        None,
-        OutOfRangeError,
-    ),
-    "markov-column-sum": (
-        "TRACE_TOL",
-        lambda t: 1.0 + t,
-        lambda x: _raised(MarkovMap, [[x]]),
         None,
         OutOfRangeError,
     ),

@@ -67,6 +67,37 @@ class TestRunPostulateChecks:
         assert len(lapack_calls["eigh"]) == 2392 + 291
         assert lapack_calls["eigvalsh"] == []
 
+    def test_rows_and_case_counts_pinned(self):
+        # Every row name with its case count; two rows scale with the
+        # number of dims.  The permutation row's 0/1 products add each
+        # probability to zeros only, so its worst is exactly 0.0.
+        def rows(k):
+            return {
+                ("doubleket-identity", 100),
+                ("purification-recovery", 50 * k),
+                ("purification-uniqueness-reconstruction", 50),
+                ("purification-uniqueness-unitarity", 50),
+                ("orthogonal-support-discrimination", 200 * k + 50),
+                ("local-falsifier-born-zero", 100),
+                ("canonical-form-reconstruction", 50),
+                ("canonical-form-orthogonality", 50),
+                ("compression-isometry", 100),
+                ("compression-reconstruction", 100),
+                ("atomic-rank-never-increases", 100),
+                ("nonatomic-rank-counterexample", 1),
+                ("dilation-branch-agreement", 20),
+                ("classical-embedding-agreement", 50),
+                ("classical-permutation-reversibility", 50),
+            }
+
+        runs = [((2, 3, 4), 0)] + [((2,), seed) for seed in range(5)]
+        for dims, seed in runs:
+            results = run_postulate_checks(dims=dims, seed=seed)
+            assert len(results) == 15
+            assert {(r.name, r.cases) for r in results} == rows(len(dims))
+            worst = {r.name: r.worst for r in results}
+            assert worst["classical-permutation-reversibility"] == 0.0
+
 
 def _padded_purify(rho):
     """purify(rho) with one more, unoccupied, environment dimension."""
