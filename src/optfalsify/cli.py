@@ -3,6 +3,9 @@
 Exit codes: 0 on completed runs (falsification verdicts are results, not
 errors), 1 when the postulate suite reports failures, 2 on validation or
 configuration errors.
+
+Each subcommand's handler imports the modules it runs, so that a subcommand
+loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -15,18 +18,8 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import serialize
-from .coins import (
-    BAD_SEED,
-    BAD_TRIALS,
-    classical_verdict,
-    count_classical_coin,
-    count_generator,
-    falsify_campaign,
-)
 from .errors import OptFalsifyError, OutOfRangeError, SchemaError
-from .linalg import _check_int
-from .postulates import KNOWN_FAULTS, _read_dims, run_postulate_checks
-from .quantum import purify
+from .linalg import BAD_SEED, BAD_TRIALS, KNOWN_FAULTS, _check_int, _read_dims
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,8 @@ class RunConfig:
     """Validated invocation parameters shared by the subcommands.
 
     master_seed is the seed given on the command line, or None when the
-    caller left it to the config file (then 0); dims is read by _read_dims.
+    caller left it to the config file (then 0); dims is read by
+    linalg._read_dims.
     """
 
     command: str
@@ -99,6 +93,8 @@ def _load_config_doc(cfg: RunConfig) -> dict:
 
 
 def cmd_purify(cfg: RunConfig) -> int:
+    from .quantum import purify
+
     # The config dict is not kept: at d = 64 it holds thousands of boxed
     # floats that would otherwise stay alive through the eigendecomposition.
     rho = serialize.object_from_json(_load_config_doc(cfg), "config")
@@ -112,6 +108,8 @@ def cmd_purify(cfg: RunConfig) -> int:
 
 
 def cmd_falsify_coin(cfg: RunConfig) -> int:
+    from .coins import falsify_campaign
+
     doc = _load_config_doc(cfg)
     declared = serialize.declared_from_json(
         serialize.require_key(doc, "declared", dict, "config")
@@ -132,6 +130,8 @@ def cmd_falsify_coin(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
+    from .coins import count_generator
+
     doc = _load_config_doc(cfg)
     declared = serialize.declared_from_json(
         serialize.require_key(doc, "declared", dict, "config")
@@ -155,6 +155,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_check_postulates(cfg: RunConfig) -> int:
+    from .postulates import run_postulate_checks
+
     seed = cfg.master_seed or 0
     results = run_postulate_checks(dims=cfg.dims, seed=seed, fault=cfg.inject_fault)
     all_passed = all(r.passed for r in results)
@@ -199,6 +201,8 @@ def _outcome_counts(doc: dict) -> tuple[int, int]:
 
 
 def cmd_classical_baseline(cfg: RunConfig) -> int:
+    from .coins import classical_verdict, count_classical_coin
+
     doc = _load_config_doc(cfg)
     declared_p = serialize.require_key(doc, "declared_p", float, "config")
     seed = None
@@ -289,7 +293,3 @@ def main(argv=None) -> int:
     except (OptFalsifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,7 +33,15 @@ from .falsification import (
     falsification_probability,
     support_falsification_test,
 )
-from .linalg import _WEIGHT_TOL, _check_int, _check_probability, _normalized, _numbers
+from .linalg import (
+    _WEIGHT_TOL,
+    BAD_SEED,
+    BAD_TRIALS,
+    _check_int,
+    _check_probability,
+    _normalized,
+    _numbers,
+)
 from .quantum import QuantumState
 
 # Campaign trials consume the raw 64-bit words of Philox, a counter-based
@@ -68,10 +76,6 @@ _ALL = 1 << 53
 
 # A campaign trace's outcome labels for a mask's False and True.
 _MASK_OUTCOMES = (TestOutcome.INCONCLUSIVE.value, TestOutcome.FALSIFIED.value)
-
-# What a trial count or a seed must be, in the library's words.
-BAD_TRIALS = "n_trials must be an integer of at least 1"
-BAD_SEED = "seed must be a non-negative integer"
 
 
 def _stripe(master_seed: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:

@@ -2,14 +2,15 @@
 
 Everything downstream (states, effects, channels, falsifiers) sits on the
 handful of primitives in this module: the readers of numbers and integers
-from outside (_numbers, _check_int), tensor products, partial traces, the
-Hermitian eigendecomposition (LAPACK through numpy, with a fixed order and
-phase convention), every validation cutoff and its comparisons, the
-support/kernel projectors, and the row-major double-ket vectorization.
+from outside (_numbers, _check_int, _read_dims), tensor products, partial
+traces, the Hermitian eigendecomposition (LAPACK through numpy, with a fixed
+order and phase convention), every validation cutoff and its comparisons,
+the support/kernel projectors, and the row-major double-ket vectorization.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,30 @@ def _check_int(n, minimum: int, error: type[Exception], message: str) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise error(message)
     return int(n)
+
+
+# What a trial count or a seed must be, in the library's words.
+BAD_TRIALS = "n_trials must be an integer of at least 1"
+BAD_SEED = "seed must be a non-negative integer"
+
+# The faults the postulate suite can inject on request.  They live here, with
+# the dims reader, so that the command line parser need not import postulates.
+KNOWN_FAULTS = ("kraus-norm",)
+
+
+def _read_dims(dims) -> tuple[int, ...]:
+    """The postulate suite's distinct dims in ascending order, each read by
+    _check_int as it is drawn: a range too long to hold fails at its first
+    dim above 8."""
+    read = set()
+    for d in dims if isinstance(dims, Iterable) else ():
+        d = _check_int(d, 2, OutOfRangeError, "dims must all be integers >= 2")
+        if d > 8:
+            raise OutOfRangeError("dims above 8 exceed the intended regime")
+        read.add(d)
+    if not read:
+        raise OutOfRangeError("dims must be a nonempty collection of integers")
+    return tuple(sorted(read))
 
 
 def _numbers(x, dtype, name: str) -> np.ndarray:

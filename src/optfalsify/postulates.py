@@ -17,13 +17,15 @@ import numpy as np
 
 from . import quantum
 from .classical import ClassicalState, classical_falsifier_exists, embed_classical
-from .coins import BAD_SEED
 from .errors import OptFalsifyError, OutOfRangeError
 from .linalg import (
     _ORTHOGONALITY_TOL,
+    BAD_SEED,
     DEFAULT_RANK_TOL,
+    KNOWN_FAULTS,
     SPECTRUM_TOL,
     _check_int,
+    _read_dims,
     dagger,
     kernel_projector,
     mat_to_doubleket,
@@ -54,8 +56,6 @@ from .random_ops import (
     random_unit_vector,
     random_unitary,
 )
-
-KNOWN_FAULTS = ("kraus-norm",)
 
 
 @dataclass(frozen=True)
@@ -480,20 +480,6 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
         ),
         _result("classical-permutation-reversibility", n_cases, worst_perm, 1e-12),
     ]
-
-
-def _read_dims(dims) -> tuple[int, ...]:
-    """The distinct dims in ascending order, each read by _check_int as it
-    is drawn: a range too long to hold fails at its first dim above 8."""
-    read = set()
-    for d in dims if isinstance(dims, Iterable) else ():
-        d = _check_int(d, 2, OutOfRangeError, "dims must all be integers >= 2")
-        if d > 8:
-            raise OutOfRangeError("dims above 8 exceed the intended regime")
-        read.add(d)
-    if not read:
-        raise OutOfRangeError("dims must be a nonempty collection of integers")
-    return tuple(sorted(read))
 
 
 def run_postulate_checks(

@@ -11,21 +11,37 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from .coins import NaryGenerator, make_coin, make_nary
 from .errors import OutOfRangeError, SchemaError
 from .linalg import _check_int
 from .quantum import Purification, QuantumState
 
+if TYPE_CHECKING:
+    from .coins import NaryGenerator
+
 
 def float_literal(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
+    return _float_literals((float(x),))
+
+
+def _float_literals(values) -> str:
+    """The 17-significant-digit literals of the floats in values, joined by
+    ", " in one formatting call; OutOfRangeError if any is not finite."""
+    text = ", ".join(["%.17g"] * len(values)) % tuple(values)
+    # A finite float's "%.17g" text is digits, sign, point and exponent;
+    # "inf" and "nan" are the only texts with the letter n.
+    if "n" in text:
         raise OutOfRangeError("non-finite float cannot be serialized")
-    return format(x, ".17g")
+    return text
+
+
+# A list is emitted this many items at a time: as one piece when all of them
+# are floats, so a long float list costs one formatting call per run rather
+# than a generator per item, and no piece grows with the list.
+_RUN = 512
 
 
 def _emit(obj: Any) -> Iterator[str]:
@@ -50,10 +66,17 @@ def _emit(obj: Any) -> Iterator[str]:
         yield "}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
         yield "["
-        for i, v in enumerate(obj):
-            if i:
+        for start in range(0, len(obj), _RUN):
+            run = obj[start : start + _RUN]
+            if start:
                 yield ", "
-            yield from _emit(v)
+            if all(isinstance(v, float) for v in run):  # np.float64 is a float
+                yield _float_literals(run)
+                continue
+            for i, v in enumerate(run):
+                if i:
+                    yield ", "
+                yield from _emit(v)
         yield "]"
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
@@ -164,6 +187,8 @@ def object_from_json(doc: dict, where: str = "object") -> QuantumState:
 
 def declared_from_json(doc: dict, where: str = "declared") -> NaryGenerator:
     """Coin document {p, phi} or N-ary document {probs, phases}."""
+    from .coins import make_coin, make_nary
+
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     if "p" in doc:

@@ -1,9 +1,13 @@
 import csv
 import io
+import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optfalsify import QuantumState, make_coin, purify, serialize
 from optfalsify.errors import OutOfRangeError, SchemaError
@@ -52,6 +56,79 @@ class TestJsonDumps:
         for text in ("{not json", "[1" + "0" * 5000 + "]", "[" * 200_000):
             with pytest.raises(SchemaError, match="invalid JSON"):
                 json_loads(text)
+
+
+def reference_dumps(obj) -> str:
+    """Deterministic JSON built item by item, with format(x, ".17g") for
+    every float: the bytes the emitter must give."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        assert math.isfinite(obj)
+        return format(float(obj), ".17g")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_dumps(v)}" for k, v in obj.items()) + "}"
+    return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
+
+
+class TestListEmitter:
+    """Lists are emitted serialize._RUN items at a time, a run of floats as one
+    piece; the bytes and the errors are those of the item-by-item reference."""
+
+    def test_exact_bytes_of_edge_values(self):
+        floats = [-0.0, 5e-324, 0.1, 1.7976931348623157e308, np.float64(0.1)]
+        text = "-0, 4.9406564584124654e-324, 0.10000000000000001, 1.7976931348623157e+308"
+        assert json_dumps(floats) == f"[{text}, 0.10000000000000001]"
+        mixed = floats[:4] + [7, True, np.float64(0.1), None]
+        assert json_dumps(mixed) == f"[{text}, 7, true, 0.10000000000000001, null]"
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.float64("nan")])
+    @pytest.mark.parametrize("at", [0, serialize._RUN - 1, serialize._RUN, 3 * serialize._RUN + 5])
+    def test_non_finite_anywhere_is_rejected(self, tmp_path, bad, at):
+        values = [0.5] * (4 * serialize._RUN)
+        values[at] = bad
+        with pytest.raises(OutOfRangeError):
+            json_dumps({"re": values})
+        with pytest.raises(OutOfRangeError):
+            write_json(str(tmp_path / "doc.json"), {"re": values})
+        values[at] = 1
+        values[at - 1] = bad
+        with pytest.raises(OutOfRangeError):
+            json_dumps(values)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, serialize._RUN - 1, serialize._RUN, serialize._RUN + 1, 3 * serialize._RUN]
+    )
+    def test_run_boundaries_keep_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        floats = [float(x) for x in rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)]
+        mixed = [v if i % 97 else int(i) for i, v in enumerate(floats)]
+        doc = {
+            "floats": floats,
+            "mixed": mixed,
+            "tuple": tuple(floats),
+            "array": np.array(floats),
+            "float32": rng.standard_normal(50).astype(np.float32),
+            "nested": [floats, [mixed, []], np.array(floats).reshape(-1, 1)],
+        }
+        assert json_dumps(doc) == reference_dumps(doc)
+        write_json(str(tmp_path / "doc.json"), doc)
+        assert (tmp_path / "doc.json").read_text() == reference_dumps(doc) + "\n"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=1200))
+    def test_any_float_list_keeps_its_bytes(self, floats):
+        assert json_dumps(floats) == reference_dumps(floats)
+
+    def test_unknown_type_in_a_float_run_is_a_type_error(self):
+        with pytest.raises(TypeError, match="complex"):
+            json_dumps([0.5] * serialize._RUN + [0.5, 1j])
 
 
 class TestMatrixLiteral:
