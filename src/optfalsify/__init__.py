@@ -10,7 +10,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Each module and the public names it defines.
+# Each module that is an attribute of the package, and the public names it
+# gives the package.
 _EXPORTS = {
     "classical": ("ClassicalState", "classical_falsifier_exists", "embed_classical"),
     "coins": (
@@ -42,6 +43,7 @@ _EXPORTS = {
         "connecting_unitary", "dilate", "local_falsifier", "perfectly_discriminable",
         "purify",
     ),
+    "random_ops": (),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -50,6 +52,9 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        # Importing a submodule makes it an attribute of the package.
+        return _import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(_import_module(f".{_HOME[name]}", __name__), name)

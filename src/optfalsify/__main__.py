@@ -1,18 +1,4 @@
-"""The opt-falsify command: python -m optfalsify, and the console script.
-
-The command runs OpenBLAS on one thread unless the caller set
-OPENBLAS_NUM_THREADS.  Its matrices are small (d <= 64): one thread does a
-64 x 64 eigh in about 1 ms, while a call split over two threads can stall for
-tens of ms on a shared 2-vCPU machine (README, "Command line").  OpenBLAS
-reads the variable when numpy loads it, so it is set before cli imports
-numpy; importing optfalsify or optfalsify.cli leaves the environment alone.
-"""
-
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .cli import main  # noqa: E402
+from .cli import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -293,3 +293,7 @@ def main(argv=None) -> int:
     except (OptFalsifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
-"""What starting the program loads and sets: the lazy package exports, the
-modules each subcommand imports, and the command's BLAS thread policy.
+"""What starting the program loads and runs: the lazy package exports, the
+modules each subcommand imports, and the two python -m entries.
 
-Each check runs in a fresh interpreter, since the test process has long
-since imported every module and read the environment."""
+Most checks run in a fresh interpreter, since the test process has long
+since imported every module."""
 
 import json
 import os
@@ -46,9 +46,9 @@ LOADED_BY_EVERY_COMMAND = {"optfalsify", "cli", "errors", "linalg", "quantum", "
 COINS = {"coins", "classical", "falsification"}
 
 
-def _python(code: str, env: dict | None = None) -> str:
+def _python(code: str) -> str:
     """Standard output of code run by a fresh interpreter on src/."""
-    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -79,6 +79,19 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         optfalsify.no_such_name  # noqa: B018
     assert set(optfalsify.__all__) <= set(dir(optfalsify))
+
+
+def test_submodules_are_attributes():
+    # As when the package imported every submodule eagerly. A module that
+    # none listed before it imports is reached through the package's
+    # __getattr__; random_ops first, since only postulates imports it.
+    out = _python(
+        "import sys, optfalsify\n"
+        "names = ['random_ops', 'postulates', 'coins', 'classical', 'errors',\n"
+        "         'falsification', 'linalg', 'quantum']\n"
+        "print(all(getattr(optfalsify, n) is sys.modules['optfalsify.' + n] for n in names))"
+    )
+    assert out.strip() == "True"
 
 
 def test_package_import_loads_no_module():
@@ -138,50 +151,11 @@ def test_modules_each_subcommand_loads(configs, argv, extra):
     assert set(loaded) == LOADED_BY_EVERY_COMMAND | extra
 
 
-def _environment(threads: str | None) -> dict:
-    """This process's environment with OPENBLAS_NUM_THREADS unset, or set to
-    threads."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
-
-
-@pytest.mark.parametrize("threads", [None, "2"])
-@pytest.mark.parametrize("statement", ["import optfalsify", "import optfalsify.cli"])
-def test_library_import_leaves_environment_alone(statement, threads):
-    code = (
-        "import os\n"
-        "before = dict(os.environ)\n"
-        f"{statement}\n"
-        "import numpy\n"
-        "print(dict(os.environ) == before)"
-    )
-    assert _python(code, _environment(threads)).strip() == "True"
-
-
-@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
-def test_command_entry_sets_one_blas_thread_unless_set(configs, threads, expected):
-    # Runs the package as python -m optfalsify does, then reads the setting
-    # the command ran under.
-    code = (
-        "import os, runpy, sys\n"
-        f"sys.argv = ['opt-falsify', 'purify', '--config', {configs['state']!r}]\n"
-        "try:\n"
-        "    runpy.run_module('optfalsify', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code)\n"
-        "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))"
-    )
-    lines = _python(code, _environment(threads)).splitlines()
-    assert json.loads(lines[0])["kind"] == "purification"
-    assert lines[-2:] == ["0", repr(expected)]
-
-
-def test_console_script_entry_sets_the_policy():
-    # The console script imports optfalsify.__main__ and calls its main.
-    code = (
-        "import os\n"
-        "from optfalsify.__main__ import main\n"
-        "from optfalsify.cli import main as cli_main\n"
-        "print(main is cli_main, os.environ.get('OPENBLAS_NUM_THREADS'))"
-    )
-    assert _python(code, _environment(None)).strip() == "True 1"
+@pytest.mark.parametrize("module", ["optfalsify", "optfalsify.cli"])
+def test_module_entries_run_the_command(configs, module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "purify", "--config", configs["state"]],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "purification"

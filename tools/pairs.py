@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent revision and a change.
 
     python3 tools/pairs.py --parent REV --tag TAG --claim WORKLOAD
-        --first-seed N [--pairs 10] [--controls W ...] [--change REV]
+        --first-seed N [--controls W ...] [--change REV]
 
 Run from the repository root.  Both sides are exported to a temporary
 directory: the parent by ``git archive REV``, the change by ``git archive``
@@ -10,9 +10,8 @@ would commit.  Each side runs its own, unchanged ``perfbench/run.py --trace 0``
 for the run_seconds of BENCHMARK.json; a run's result is the last line of its
 standard output.
 
-The pair count (--pairs, the same for every workload) is fixed by the command
-line before the first run, and every pair is run; nothing stops early or adds
-pairs after a look.
+Every workload runs PAIRS = 10 pairs, fixed here before any run; every pair
+is run, and nothing stops early or adds pairs after a look.
 Pair i of a workload runs both sides on seed first_seed + i, the parent first
 when i is even and the change first when it is odd.  The claim workload takes
 seeds from --first-seed on, and each control the next unused block.
@@ -53,7 +52,7 @@ BLAS_THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-MIN_PAIRS = 10
+PAIRS = 10
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -143,18 +142,15 @@ def main() -> int:
     parser.add_argument("--tag", required=True, help="the record goes to BENCH_<TAG>.json")
     parser.add_argument("--claim", required=True, help="workload whose gain is judged")
     parser.add_argument("--controls", nargs="*", default=[], help="workloads that must not move")
-    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help="pairs per workload")
     parser.add_argument("--first-seed", type=int, required=True,
                         help="first seed; use seeds not run while writing the change")
     ns = parser.parse_args()
-    if ns.pairs < MIN_PAIRS:
-        parser.error(f"the gain rule needs at least {MIN_PAIRS} pairs")
 
     benchmark = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     plan = [
-        (workload, list(range(ns.first_seed + k * ns.pairs, ns.first_seed + (k + 1) * ns.pairs)))
+        (workload, list(range(ns.first_seed + k * PAIRS, ns.first_seed + (k + 1) * PAIRS)))
         for k, workload in enumerate([ns.claim, *ns.controls])
     ]
 
@@ -179,8 +175,8 @@ def main() -> int:
         "what": (
             f"perfbench/run.py on {commits['parent']} (parent) and {commits['change']} "
             f"(change), each run from its own export, alternating which side runs first "
-            f"pair by pair, at --seconds {seconds} --trace 0; the pair count was fixed "
-            "before the first run. A pair is won when the change reads better; the gap is "
+            f"pair by pair, at --seconds {seconds} --trace 0; {PAIRS} pairs per workload, "
+            "fixed before the first run. A pair is won when the change reads better; the gap is "
             "(parent median - change median) / parent IQR. Gain rule (tools/pairs.py): at "
             "least 9 of 10 pairs won and a median gap above the parent's IQR"
         ),
