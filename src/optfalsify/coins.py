@@ -11,12 +11,13 @@ positive probability unless p is 0 or 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -130,8 +131,7 @@ def _tally(
     n_trials: int,
     label: Callable[[np.ndarray], np.ndarray],
     count: Callable[[np.ndarray], Any],
-    trace: Callable[..., None] | None = None,
-    columns: tuple[Sequence[Any], Sequence[float]] = ((), ()),
+    trace: Callable[[int, Iterator[np.ndarray]], None] | None = None,
 ) -> Any:
     """Sum of count(label(x)) over the chunks x of the first n_trials keyed
     raw words, where label maps words to per-trial outcome codes and count
@@ -142,11 +142,11 @@ def _tally(
     each stripe drops its chunk once labelled.  An exception in any stripe
     stops the others at their next chunk and reaches the caller; every
     thread is joined before _tally returns or raises.  Given a trace, the
-    one stripe is stripe 0, and trace(*columns, master_seed, code_chunks)
-    gets its codes as the module comment describes, where columns is
-    (outcomes, p_theoretical).  n_trials must be an integer of at least 1
-    and master_seed a non-negative integer (else OutOfRangeError, raised
-    before any stripe starts or trace is called).
+    one stripe is stripe 0, and trace(master_seed, code_chunks) gets its
+    codes as the module comment describes, the counter having bound the
+    trace's outcomes and p_theoretical.  n_trials must be an integer of at
+    least 1 and master_seed a non-negative integer (else OutOfRangeError,
+    raised before any stripe starts or trace is called).
     """
     n_trials = _check_int(n_trials, 1, OutOfRangeError, BAD_TRIALS)
     master_seed = _check_int(master_seed, 0, OutOfRangeError, BAD_SEED)
@@ -169,7 +169,7 @@ def _tally(
     def run(k: int) -> None:
         chunks = label_chunks(k)
         if trace is not None:
-            trace(*columns, master_seed, chunks)
+            trace(master_seed, chunks)
         for _ in chunks:
             pass
 
@@ -282,12 +282,14 @@ def count_generator(
     probs = generator_probs(declared)
     edges = np.cumsum(probs)
     edges[-1] = 1.0
+    if trace is not None:
+        trace = functools.partial(trace, range(declared.dim), probs)
     counts = _tally(
         master_seed,
         n_trials,
         _outcome(edges, declared.dim),
         lambda codes: np.bincount(codes, minlength=declared.dim),
-        trace, (range(declared.dim), probs),
+        trace,
     )
     return probs, counts
 
@@ -352,13 +354,15 @@ def falsify_campaign(
     if not true_state.deterministic:
         raise NotDeterministicError("campaign requires a trace-one true state")
     rate = falsification_probability(test, true_state)
+    if trace is not None:
+        trace = functools.partial(trace, _MASK_OUTCOMES, (rate, rate))
     n_falsified = int(
         _tally(
             master_seed,
             n_trials,
             _below(rate),
             np.count_nonzero,
-            trace, (_MASK_OUTCOMES, (rate, rate)),
+            trace,
         )
     )
     n_trials, master_seed = int(n_trials), int(master_seed)  # checked by _tally

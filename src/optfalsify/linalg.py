@@ -88,10 +88,6 @@ def _check_int(n, minimum: int, error: type[Exception], message: str) -> int:
 BAD_TRIALS = "n_trials must be an integer of at least 1"
 BAD_SEED = "seed must be a non-negative integer"
 
-# The faults the postulate suite can inject on request.  They live here, with
-# the dims reader, so that the command line parser need not import postulates.
-KNOWN_FAULTS = ("kraus-norm",)
-
 
 def _read_dims(dims) -> tuple[int, ...]:
     """The postulate suite's distinct dims in ascending order, each read by
@@ -230,7 +226,7 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEig:
     """Spectral decomposition; eigenvalues descending, eigenvectors in columns."""
 

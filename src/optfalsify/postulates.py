@@ -22,7 +22,6 @@ from .linalg import (
     _ORTHOGONALITY_TOL,
     BAD_SEED,
     DEFAULT_RANK_TOL,
-    KNOWN_FAULTS,
     SPECTRUM_TOL,
     _check_int,
     _read_dims,
@@ -56,6 +55,9 @@ from .random_ops import (
     random_unit_vector,
     random_unitary,
 )
+
+# The faults the suite can inject on request (run_postulate_checks).
+KNOWN_FAULTS = ("kraus-norm",)
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,9 @@ def config_int(doc: dict, key: str, minimum: int) -> int | None:
 
 
 # The trace is encoded at most this many rows at a time, in blocks that also
-# end at each multiple of _LOW, so every index in a block has the same digits
-# above its last four; no Python code runs per row, and memory does not grow
+# end at each multiple of _LOW and, below _LOW, at each power of ten, so every
+# index in a block has the same digits above its last four and shows the same
+# number of digits; no Python code runs per row, and memory does not grow
 # with n_trials.  The bytes are the same at any block size.
 _BLOCK = 5000
 _LOW = 10**4
@@ -223,23 +224,25 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     A trial with outcome code c gets the row outcomes[c], p_theoretical[c],
     seed.  codes yields the trials' codes as consecutive integer (or boolean)
     arrays, in trial order.  Trial i = q * _LOW + low is written as str(q),
-    omitted when q = 0, and then the four digits of low.  Each block of rows
-    is gathered by code from a uint8 template with one row per code: str(q),
-    NUL-padded on the left to a 4-byte boundary, four placeholder bytes and
-    the code's text, NUL-padded to a multiple of 4 bytes.  One uint32 store
-    per row puts the ASCII digits of low in the placeholder (with q = 0,
-    digits whose leading zeros are NUL), and the block is written without
-    its padding; no byte of a row's text is NUL.
+    omitted when q = 0, and then the digits of low: all four when q > 0,
+    else str(low).  Each block of rows is gathered by code from a uint8
+    template with one row per code: str(q), a slot as wide as the digits
+    shown, and the code's text, NUL-padded to the longest text.  One store
+    of a void item per row copies the digits into the slot from a table of
+    "0000" ... "9999", and the block is written without its padding; no byte
+    of a row's text is NUL.
     """
     tails = [
         f",{label},{float_literal(p)},{seed}\n".encode("ascii")
         for label, p in zip(outcomes, p_theoretical, strict=True)
     ]
-    width = -(-max(map(len, tails)) // 4) * 4
+    width = max(map(len, tails))
     table = np.zeros((len(tails), width), dtype=np.uint8)
     for row, tail in zip(table, tails):
         row[: len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-    low4, low4_unpadded = _low_digits()
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = np.arange(_LOW, dtype=np.uint16)[:, None] // places % 10 + ord("0")
+    digits = digits.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"trial,outcome,p_theoretical,seed\n")
         start = 0
@@ -248,31 +251,20 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
             lo = 0
             while lo < len(chunk):
                 q, low = divmod(start + lo, _LOW)
-                hi = min(len(chunk), lo + _BLOCK, lo + _LOW - low)
+                shown = 4 if q else len(str(low))
+                hi = min(len(chunk), lo + _BLOCK, lo + 10**shown - low)  # 10**4 = _LOW
                 head = np.frombuffer(str(q).encode("ascii") if q else b"", dtype=np.uint8)
-                col = -(-len(head) // 4)
-                template = np.zeros((len(tails), 4 * col + 4 + width), dtype=np.uint8)
-                template[:, 4 * col - len(head) : 4 * col] = head
-                template[:, 4 * col + 4 :] = table
+                template = np.zeros((len(tails), len(head) + shown + width), dtype=np.uint8)
+                template[:, : len(head)] = head
+                template[:, len(head) + shown :] = table
                 rows = np.take(template, chunk[lo:hi], axis=0)
-                digits = low4 if q else low4_unpadded
-                rows.view(np.uint32)[:, col] = digits[low : low + hi - lo]
+                item = f"V{shown}"
+                rows[:, len(head) : len(head) + shown].view(item)[:, 0] = (
+                    digits[low : low + hi - lo, 4 - shown :].view(item)[:, 0]
+                )
                 fh.write(rows[rows != 0])
                 lo = hi
             start += len(chunk)
-
-
-def _low_digits() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits "0000" ... "9999" of 0, ..., _LOW - 1, four bytes
-    read as one uint32 each: zero-padded, and with the leading zeros NUL (0
-    keeps its one digit)."""
-    low = np.arange(_LOW, dtype=np.uint16)[:, None]
-    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
-    padded = (low // places % 10 + ord("0")).astype(np.uint8)
-    leading = low < places
-    leading[0, -1] = False
-    unpadded = np.where(leading, np.uint8(0), padded)
-    return padded.view(np.uint32)[:, 0], unpadded.view(np.uint32)[:, 0]
 
 
 def json_loads(text: str) -> Any:

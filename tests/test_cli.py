@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import subprocess
 import sys
 
@@ -218,6 +219,14 @@ class TestCheckPostulates:
         captured = capsys.readouterr()
         assert code == 1
         assert any(l.startswith("FAIL") for l in captured.out.splitlines())
+
+    def test_unknown_fault_exits_2(self, capsys):
+        # The suite makes the one check of the name, so a bad one is a typed
+        # error, not an argparse exit.
+        assert run_cli(["check-postulates", "--dims", "2..2", "--inject-fault", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown fault 'x'; known faults: kraus-norm\n"
 
     def test_injected_fault_document(self, tmp_path, capsys):
         out = tmp_path / "props.json"
@@ -589,3 +598,41 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert '"verdict"' in proc.stdout
         assert "verdict" in proc.stderr
+
+
+class TestGatedDigests:
+    """The two digests CI gates, at CI's configs.  The workflow's comments
+    say why no numpy build can move either file, so a change of digest is a
+    changed program."""
+
+    @pytest.mark.parametrize(
+        "command, config, output, digest",
+        [
+            pytest.param(
+                "falsify-coin",
+                '{"declared": {"p": 0.5, "phi": 0.0}, "true_state": {"kind": "state", '
+                '"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], '
+                '"im": [0.0, 0.0, 0.0, 0.0]}, "n_trials": 120000, "seed": 1}',
+                "--csv",
+                "a28ce24694983e177ad7f4d0f6855ffc7230cb68871a761be0ec1da38d13a935",
+                id="falsify-coin-trace",
+            ),
+            pytest.param(
+                "classical-baseline",
+                '{"declared_p": 0.0, "true_p": 0.999, "n_trials": 200003, "seed": 3}',
+                "--out",
+                "2748dd76f80e427f6cc4be1960d2cd26caaaa71bedcdc017017b274a30a90508",
+                id="classical-baseline-report",
+            ),
+        ],
+    )
+    def test_digest(self, command, config, output, digest, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        out = tmp_path / "gated"
+        args = [command, "--config", str(path), output, str(out)]
+        if output == "--csv":
+            args += ["--out", str(tmp_path / "report.json")]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -114,6 +114,13 @@ def test_uncoercible_input_is_typed(site):
 
 
 class TestHermitianEig:
+    def test_identity_equality(self):
+        # Arrays have no single truth value, so spectra compare by identity.
+        a = linalg.hermitian_eig(np.eye(2))
+        b = linalg.hermitian_eig(np.eye(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+
     def test_pauli_x_by_hand(self):
         # char poly of [[0,1],[1,0]] is l^2 - 1: eigenpairs (1, (1,1)/sqrt2)
         # and (-1, (1,-1)/sqrt2), descending order.

@@ -369,8 +369,8 @@ class TestTraceEncoder:
         ]
 
     # Code tables: the coin with boolean codes; three tails of three lengths,
-    # 9, 26 and 36 bytes, so each ends at a different offset in its 4-byte
-    # word; and 256 codes, as in sample's wide case.
+    # 9, 26 and 36 bytes, so the shorter two carry different NUL padding in
+    # a block's template; and 256 codes, as in sample's wide case.
     TABLES = {
         "coin": (COIN, 0.5, lambda rng, n: rng.random(n) < 0.5),
         "three-lengths": (
