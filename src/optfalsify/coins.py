@@ -72,6 +72,10 @@ from .quantum import QuantumState
 # same at any chunk size.
 _CHUNK = 1 << 16
 
+# np.searchsorted returns int64 codes, so _outcome takes a chunk's words this
+# many at a time, and its int64 result stays small beside the narrow codes.
+_SLICE = 1 << 12
+
 # ceil(p * 2^53) of p = 1.0: a cut this high passes every word.
 _ALL = 1 << 53
 
@@ -115,7 +119,14 @@ def _outcome(edges: np.ndarray, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     never counts, so it is dropped."""
     cuts = np.array([c << 11 for c in map(_cut, edges) if c < _ALL], dtype=np.uint64)
     dtype = np.min_scalar_type(dim)
-    return lambda x: np.searchsorted(cuts, x, side="right").astype(dtype)
+
+    def codes(x: np.ndarray) -> np.ndarray:
+        out = np.empty(len(x), dtype=dtype)
+        for lo in range(0, len(x), _SLICE):
+            out[lo : lo + _SLICE] = np.searchsorted(cuts, x[lo : lo + _SLICE], side="right")
+        return out
+
+    return codes
 
 
 def _cpus() -> int:

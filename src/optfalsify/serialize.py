@@ -212,8 +212,8 @@ def config_int(doc: dict, key: str, minimum: int) -> int | None:
 # The trace is encoded at most this many rows at a time, in blocks that also
 # end at each multiple of _LOW and, below _LOW, at each power of ten, so every
 # index in a block has the same digits above its last four and shows the same
-# number of digits; no Python code runs per row, and memory does not grow
-# with n_trials.  The bytes are the same at any block size.
+# number of digits; no Python code runs per row, and a block's buffers are
+# freed once it is written.  The bytes are the same at any block size.
 _BLOCK = 5000
 _LOW = 10**4
 
@@ -229,17 +229,24 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     template with one row per code: str(q), a slot as wide as the digits
     shown, and the code's text, NUL-padded to the longest text.  One store
     of a void item per row copies the digits into the slot from a table of
-    "0000" ... "9999", and the block is written without its padding; no byte
-    of a row's text is NUL.
+    "0000" ... "9999", and the rows are placed at their running offsets in
+    the block's bytes (see _placed).  A label whose text holds a NUL or a
+    non-ASCII character cannot be written as itself: OutOfRangeError, before
+    the file is opened.
     """
+    labels = [str(label) for label in outcomes]
+    for label in labels:
+        if "\0" in label or not label.isascii():
+            raise OutOfRangeError(f"outcome label {label!r} is not ASCII text without NUL")
     tails = [
         f",{label},{float_literal(p)},{seed}\n".encode("ascii")
-        for label, p in zip(outcomes, p_theoretical, strict=True)
+        for label, p in zip(labels, p_theoretical, strict=True)
     ]
     width = max(map(len, tails))
     table = np.zeros((len(tails), width), dtype=np.uint8)
     for row, tail in zip(table, tails):
         row[: len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    tail_lengths = np.array([len(tail) for tail in tails], dtype=np.intp)
     places = np.array([1000, 100, 10, 1], dtype=np.uint16)
     digits = np.arange(_LOW, dtype=np.uint16)[:, None] // places % 10 + ord("0")
     digits = digits.astype(np.uint8)
@@ -257,14 +264,41 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
                 template = np.zeros((len(tails), len(head) + shown + width), dtype=np.uint8)
                 template[:, : len(head)] = head
                 template[:, len(head) + shown :] = table
-                rows = np.take(template, chunk[lo:hi], axis=0)
-                item = f"V{shown}"
-                rows[:, len(head) : len(head) + shown].view(item)[:, 0] = (
-                    digits[low : low + hi - lo, 4 - shown :].view(item)[:, 0]
-                )
-                fh.write(rows[rows != 0])
+                lengths = tail_lengths + (len(head) + shown)
+                rest = digits[low : low + hi - lo, 4 - shown :]
+                fh.write(_placed(template, lengths, chunk[lo:hi], len(head), rest))
                 lo = hi
             start += len(chunk)
+
+
+def _placed(template, lengths, block, slot, digits) -> np.ndarray:
+    """A block's bytes: for the i-th code c of block, row c of template with
+    row i of digits stored from column slot on and cut to its first
+    lengths[c] bytes, in the order of block.
+
+    The full-width rows are stored in one advanced assignment through a view
+    of void items with a byte stride of 1, each at its running offset.  A
+    row's NUL tail lands where the next rows start, and they overwrite it
+    when the stores run in index order, which numpy's indexing guide does not
+    promise for targets that overlap.  No byte of a row's text is NUL, so any
+    other order leaves a NUL among the block's bytes: RuntimeError then, and
+    nothing of the block is returned.  Nothing of a block outlives its write,
+    so no block's buffers are held while the next block's are allocated.
+    """
+    rows = np.take(template, block, axis=0)
+    item = f"V{digits.shape[1]}"
+    rows[:, slot : slot + digits.shape[1]].view(item)[:, 0] = digits.view(item)[:, 0]
+    starts = np.zeros(len(block) + 1, dtype=np.intp)
+    np.cumsum(np.take(lengths, block), out=starts[1:])
+    total = int(starts[-1])
+    out = np.empty(starts[-2] + rows.shape[1], dtype=np.uint8)
+    item = f"V{rows.shape[1]}"
+    windows = np.ndarray(len(out) - rows.shape[1] + 1, item, out, strides=(1,))
+    windows[starts[:-1]] = rows.view(item)[:, 0]
+    out = out[:total]
+    if np.count_nonzero(out) != total:
+        raise RuntimeError("trace rows were not stored in index order")
+    return out
 
 
 def json_loads(text: str) -> Any:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -403,6 +404,48 @@ class TestTraceEncoder:
             codes = draw(rng, 20_011)
             for size in (4099, 1 << 16):
                 self._check(tmp_path, outcomes, p, 6, split(codes, size))
+
+    @pytest.mark.parametrize("block", [1, 7, 5000])
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_tail_longer_than_a_row(self, tmp_path, monkeypatch, n, block):
+        # The short row's NUL padding (60 bytes) is longer than a whole short
+        # row, so where short rows follow each other it spans the rows after
+        # them, which must still overwrite it.
+        monkeypatch.setattr(serialize, "_BLOCK", block)
+        codes = np.random.default_rng(n + block).integers(0, 2, n)
+        self._check(tmp_path, ("a", "b" * 60), 0.5, 3, split(codes, 4099))
+
+    def test_overlapping_stores_follow_index_order(self):
+        # The encoder relies on this: an advanced assignment through
+        # overlapping stride-1 void windows stores the rows in index order,
+        # so a later row's bytes replace an earlier row's NUL tail.
+        rows = np.array([list(b"ab\0\0\0"), list(b"cdef\0"), list(b"g\0\0\0\0")], dtype=np.uint8)
+        starts = np.array([0, 2, 6])
+        out = np.zeros(starts[-1] + 5, dtype=np.uint8)
+        windows = np.ndarray(starts[-1] + 1, "V5", out, strides=(1,))
+        windows[starts] = rows.view("V5")[:, 0]
+        assert out[:7].tobytes() == b"abcdefg"
+        # In the reverse order the earlier rows' tails land last, and a NUL
+        # is left among the text: the encoder's nonzero count would catch it.
+        out[:] = 0
+        windows[starts[::-1].copy()] = rows[::-1].copy().view("V5")[:, 0]
+        assert np.count_nonzero(out[:7]) < 7
+
+    def test_printable_ascii_label(self, tmp_path):
+        label = bytes(range(0x20, 0x7F)).decode("ascii")
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), [label, "C"], [0.5, 0.5], 1, iter([np.array([0, 1])]))
+        assert path.read_bytes() == (
+            b"trial,outcome,p_theoretical,seed\n"
+            + f"0,{label},0.5,1\n1,C,0.5,1\n".encode("ascii")
+        )
+
+    @pytest.mark.parametrize("label", ["A\0B", "caf\u00e9"])
+    def test_label_not_written_as_itself(self, tmp_path, label):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(OutOfRangeError, match=re.escape(repr(label))):
+            write_trace_csv(str(path), [label, "C"], [0.5, 0.5], 1, iter([np.array([0, 1])]))
+        assert not path.exists()
 
 
 class TestConfigInt:

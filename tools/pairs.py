@@ -168,7 +168,7 @@ def main() -> int:
                                  "trace": 0, "result": result})
                     print(f"{workload} seed {s} {tree}: "
                           + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
-                          file=sys.stderr)
+                          file=sys.stderr, flush=True)
 
     tables = {w: summarize(runs, w, metrics) for w, _ in plan}
     record = {
@@ -202,7 +202,7 @@ def main() -> int:
     out = Path(f"BENCH_{ns.tag}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     gains = [m for m in metrics if tables[ns.claim][m]["gain"]]
-    print(f"{out}: gain on {', '.join(gains) if gains else 'no metric'} of {ns.claim}")
+    print(f"{out}: gain on {', '.join(gains) if gains else 'no metric'} of {ns.claim}", flush=True)
     return 0
 
 
