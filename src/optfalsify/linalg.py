@@ -212,7 +212,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i,j) of the result is a[i, j] * b."""
     a = as_matrix(a, name="tensor lhs")
     b = as_matrix(b, name="tensor rhs")
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:

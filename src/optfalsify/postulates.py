@@ -35,20 +35,25 @@ from .quantum import (
     Effect,
     KrausChannel,
     QuantumState,
+    _apply_channels,
+    _channels,
+    _compress,
+    _decoded,
     _discriminate,
+    _local_falsifiers,
+    _marginals,
     _pure_matrix,
     apply_channel,
     born_probability,
     canonical_form,
-    compress,
     connecting_unitary,
     dilate,
-    local_falsifier,
     purify,
 )
 from .random_ops import (
     random_complex_matrix,
     random_contraction,
+    random_density_matrices,
     random_density_matrix,
     random_kraus_tp,
     random_projector,
@@ -88,21 +93,25 @@ def _sub_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _grouped(stacked, keys: list, *columns: list) -> list:
+    """stacked(*columns) on the cases of one key at a time, its results in
+    case order: a route that takes cases of one shape, run on several."""
+    out = [None] * len(keys)
+    for key in dict.fromkeys(keys):
+        ks = [k for k, other in enumerate(keys) if other == key]
+        for k, result in zip(ks, stacked(*([col[k] for k in ks] for col in columns))):
+            out[k] = result
+    return out
+
+
 def _validated(
     cases: Iterable[tuple[np.ndarray, Any]],
 ) -> list[tuple[QuantumState, Any]]:
     """(state, tag) for each drawn (matrix, tag), in draw order; the tag
     carries whatever else the suite drew for that case.  All cases are
     drawn first, then those of each dimension validated as one stack."""
-    cases = list(cases)
-    by_dim: dict[int, list[int]] = {}
-    for k, (m, _) in enumerate(cases):
-        by_dim.setdefault(m.shape[0], []).append(k)
-    states = {}
-    for ks in by_dim.values():
-        stack = np.stack([cases[k][0] for k in ks])
-        states.update(zip(ks, quantum._states(stack)))
-    return [(states[k], tag) for k, (_, tag) in enumerate(cases)]
+    mats, tags = zip(*cases)
+    return list(zip(_grouped(quantum._states, [len(m) for m in mats], mats), tags))
 
 
 def check_doubleket_identity(
@@ -132,16 +141,17 @@ def check_purification_recovery(
     cases = 0
     note = ""
     for d in dims:
-        ranks = (1 + i % d for i in range(50))
-        drawn = ((random_density_matrix(d, rng, rank=rank), rank) for rank in ranks)
-        for rho, rank in _validated(drawn):
-            pur = purify(rho)
+        ranks = [1 + i % d for i in range(50)]
+        drawn = _validated(zip(random_density_matrices(d, ranks, rng), ranks))
+        purs = [purify(rho) for rho, _ in drawn]
+        marginals = _grouped(_marginals, [p.dim_b for p in purs], purs)
+        for (rho, rank), pur, marginal in zip(drawn, purs, marginals):
             cases += 1
             if pur.dim_b != rank:
                 worst = np.inf
                 note = f"environment dim {pur.dim_b} != rank {rank} at dim {d}"
                 continue
-            diff = float(np.max(np.abs(pur.marginal().matrix - rho.matrix)))
+            diff = float(np.max(np.abs(marginal.matrix - rho.matrix)))
             worst = max(worst, diff)
     return _result("purification-recovery", cases, worst, 1e-9, note)
 
@@ -230,12 +240,8 @@ def check_discrimination(
     cases = 0
     note = ""
     for d in dims:
-        drawn = (
-            (random_density_matrix(d, rng, rank=rank), None)
-            for i in range(200)
-            for rank in (1 + i % d, 1 + (i // 2) % d)
-        )
-        states = [rho for rho, _ in _validated(drawn)]
+        ranks = [1 + j % d for i in range(200) for j in (i, i // 2)]
+        states = quantum._states(random_density_matrices(d, ranks, rng))
         rhos, nus = states[::2], states[1::2]
         n = len(rhos)
         p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
@@ -286,8 +292,10 @@ def check_local_falsifier(
             psi = _pure_matrix(mat_to_doubleket(a_op))
             yield psi, (a_op, random_unit_vector(d, rng))
 
-    for psi, (a_op, a_vec) in _validated(draws()):
-        lf = local_falsifier(a_op, a_vec)
+    drawn = _validated(draws())
+    ops, vecs = zip(*(tag for _, tag in drawn))
+    found = _grouped(_local_falsifiers, [len(v) for v in vecs], ops, vecs)
+    for (psi, _), lf in zip(drawn, found):
         if lf.degenerate:
             degenerate_hits += 1
         worst = max(worst, born_probability(psi, lf.effect))
@@ -303,11 +311,9 @@ def check_canonical_form(
     n_cases = 50
     worst_recon = 0.0
     worst_orth = 0.0
-    drawn = (
-        (random_density_matrix(d * d, rng, rank=1 + i % (d * d)), None)
-        for i, d in zip(range(n_cases), itertools.cycle(dims))
-    )
-    for r, _ in _validated(drawn):
+    sizes = [d * d for _, d in zip(range(n_cases), itertools.cycle(dims))]
+    ranks = [1 + i % n for i, n in enumerate(sizes)]
+    for r, _ in _validated(zip(random_density_matrices(sizes, ranks, rng), ranks)):
         cf = canonical_form(r)
         worst_recon = max(
             worst_recon, float(np.max(np.abs(cf.reconstruction() - r.matrix)))
@@ -330,12 +336,12 @@ def check_compression(
     n_cases = 100
     worst_iso = 0.0
     worst_recon = 0.0
-    drawn = (
-        (random_density_matrix(d, rng, rank=1 + i % (d - 1) if d > 2 else 1), None)
-        for i, d in zip(range(n_cases), itertools.cycle(dims))
-    )
-    for rho, _ in _validated(drawn):
-        comp = compress(rho)
+    ds = [d for _, d in zip(range(n_cases), itertools.cycle(dims))]
+    ranks = [1 + i % (d - 1) if d > 2 else 1 for i, d in enumerate(ds)]
+    rhos = [rho for rho, _ in _validated(zip(random_density_matrices(ds, ranks, rng), ranks))]
+    comps = _grouped(_compress, [(rho.dim, rho.rank()) for rho in rhos], rhos)
+    decoded = _grouped(_decoded, [c.isometry.shape for c in comps], comps)
+    for rho, comp, back in zip(rhos, comps, decoded):
         v = comp.isometry
         worst_iso = max(
             worst_iso,
@@ -343,7 +349,7 @@ def check_compression(
         )
         worst_recon = max(
             worst_recon,
-            float(np.max(np.abs(comp.decode().matrix - rho.matrix))),
+            float(np.max(np.abs(back.matrix - rho.matrix))),
         )
     return [
         _result("compression-isometry", n_cases, worst_iso, 1e-10),
@@ -361,8 +367,10 @@ def check_atomic_rank(
         (random_density_matrix(d, rng, rank=1 + i % d), random_contraction(d, rng))
         for i, d in zip(range(n_cases), itertools.cycle(dims))
     )
-    for rho, a in _validated(drawn):
-        out = apply_channel(KrausChannel((a,)), rho)
+    rhos, ops = zip(*_validated(drawn))
+    channels = _grouped(_channels, [a.shape for a in ops], [(a,) for a in ops])
+    outs = _grouped(_apply_channels, [rho.dim for rho in rhos], channels, rhos)
+    for rho, out in zip(rhos, outs):
         if out.rank() > rho.rank():
             violations += 1
     atomic = _result(

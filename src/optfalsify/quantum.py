@@ -44,6 +44,7 @@ from .linalg import (
     _is_zero,
     _negligible,
     _normalized,
+    _numbers,
     _subnormalized,
     _support_projectors,
     _unit_spectrum,
@@ -165,14 +166,7 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        a = as_matrix(self.matrix, square=True, name="effect matrix")[None]
-        h = _hermitian(a, "effect matrix")
-        low, high = _unit_spectrum(_eig_core(h)[0])
-        if low is not None:
-            raise NotPSDError(f"effect has eigenvalue {low:.3e} below zero")
-        if high is not None:
-            raise OutOfRangeError(f"effect has eigenvalue {high:.3e} above one")
-        _frozen_array(self, "matrix", h[0])
+        _validate_effects(as_matrix(self.matrix, square=True, name="effect matrix")[None], [self])
 
     @property
     def dim(self) -> int:
@@ -181,6 +175,21 @@ class Effect:
     @property
     def is_zero(self) -> bool:
         return _is_zero(self.matrix)
+
+
+def _validate_effects(a: np.ndarray, effects: list[Effect]) -> None:
+    """Validate the complex (n, d, d) stack a as n effects, and give
+    effects[k] matrix k, symmetrized, read-only.  A spectrum error names the
+    eigenvalue furthest out of [0, 1], not its effect."""
+    h = _hermitian(a, "effect matrix")
+    low, high = _unit_spectrum(_eig_core(h)[0])
+    if low is not None:
+        raise NotPSDError(f"effect has eigenvalue {low:.3e} below zero")
+    if high is not None:
+        raise OutOfRangeError(f"effect has eigenvalue {high:.3e} above one")
+    h.setflags(write=False)
+    for k, effect in enumerate(effects):
+        object.__setattr__(effect, "matrix", h[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,25 +212,7 @@ class KrausChannel:
                 raise DimensionMismatchError(
                     f"Kraus operators disagree in shape: {a.shape} vs {shape}"
                 )
-        # Entries within MAX_ENTRY can still overflow the products; such a
-        # gram is rejected below, so the warnings would only be noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = sum(dagger(a) @ a for a in ops)
-        if not entries_bounded(gram):
-            raise OutOfRangeError(
-                "channel is not trace-nonincreasing: sum A^dag A has an entry "
-                f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
-            )
-        h = _hermitian(gram[None], "channel gram sum A^dag A")
-        _, top = _unit_spectrum(_eig_core(h)[0])
-        if top is not None:
-            raise OutOfRangeError(
-                "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
-                f"(top eigenvalue {top:.6f})"
-            )
-        for a in ops:
-            a.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        _validate_channels(np.stack(ops)[None], [self])
 
     @property
     def dim_in(self) -> int:
@@ -241,6 +232,39 @@ class KrausChannel:
         gram = sum(dagger(a) @ a for a in self.kraus)
         eye = np.eye(self.dim_in, dtype=complex)
         return _normalized(float(np.max(np.abs(gram - eye))))
+
+
+def _validate_channels(a: np.ndarray, channels: list[KrausChannel]) -> None:
+    """Validate the complex (n, n_kraus, d_out, d_in) stack a as n channels
+    (an error is one channel's, naming none), and give channels[k] the
+    read-only views a[k] as its Kraus operators."""
+    # Entries within MAX_ENTRY can still overflow the products; such a
+    # gram is rejected below, so the warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(a[:, j].conj().swapaxes(1, 2) @ a[:, j] for j in range(a.shape[1]))
+    if not entries_bounded(gram):
+        raise OutOfRangeError(
+            "channel is not trace-nonincreasing: sum A^dag A has an entry "
+            f"that is not finite or has modulus above {MAX_ENTRY:.4e}"
+        )
+    h = _hermitian(gram, "channel gram sum A^dag A")
+    _, top = _unit_spectrum(_eig_core(h)[0])
+    if top is not None:
+        raise OutOfRangeError(
+            "channel is not trace-nonincreasing: sum A^dag A exceeds identity "
+            f"(top eigenvalue {top:.6f})"
+        )
+    a.setflags(write=False)
+    for k, channel in enumerate(channels):
+        object.__setattr__(channel, "kraus", tuple(a[k]))
+
+
+def _channels(families) -> list[KrausChannel]:
+    """KrausChannel(f) for each Kraus family f, validated as one stack; all
+    must hold as many operators of one shape."""
+    channels = [object.__new__(KrausChannel) for _ in families]
+    _validate_channels(_numbers(families, complex, "Kraus operator"), channels)
+    return channels
 
 
 def born_probability(rho: QuantumState, effect: Effect) -> float:
@@ -264,8 +288,15 @@ def apply_channel(channel: KrausChannel, rho: QuantumState) -> QuantumState:
         raise DimensionMismatchError(
             f"channel input dim {channel.dim_in} vs state dim {rho.dim}"
         )
-    out = sum(a @ rho.matrix @ dagger(a) for a in channel.kraus)
-    return QuantumState(out)
+    return _apply_channels([channel], [rho])[0]
+
+
+def _apply_channels(channels: list[KrausChannel], rhos: list[QuantumState]) -> list[QuantumState]:
+    """apply_channel(channels[k], rhos[k]) for every k, validated as one
+    stack; the channels must agree in Kraus count and shape."""
+    a = np.stack([channel.kraus for channel in channels])
+    r = np.stack([rho.matrix for rho in rhos])
+    return _states(sum(a[:, j] @ r @ a[:, j].conj().swapaxes(1, 2) for j in range(a.shape[1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +321,14 @@ class Purification:
     def marginal(self) -> QuantumState:
         """Reduced state on the first factor: M M^dag, where M is the
         dim_a x dim_b matrix of the vector."""
-        m = doubleket_to_mat(self.state_vector, self.dim_a, self.dim_b)
-        return QuantumState(m @ dagger(m))
+        return _marginals([self])[0]
+
+
+def _marginals(purs: list[Purification]) -> list[QuantumState]:
+    """p.marginal() for each p of purs, which must share dim_a and dim_b,
+    validated as one stack."""
+    m = np.stack([p.state_vector.reshape(p.dim_a, p.dim_b) for p in purs])
+    return _states(m @ m.conj().swapaxes(1, 2))
 
 
 def purify(rho: QuantumState) -> Purification:
@@ -409,8 +446,16 @@ class CompressionResult:
 
     def decode(self) -> QuantumState:
         """Embed the compressed state back into the original space."""
-        v = self.isometry
-        return QuantumState(dagger(v) @ self.state.matrix @ v)
+        return _decoded([self])[0]
+
+
+def _decoded(results: list[CompressionResult]) -> list[QuantumState]:
+    """r.decode() for each r of results, which must agree in isometry shape,
+    validated as one stack.  The isometries keep their column-major layout,
+    so BLAS sees the operands of a single decode."""
+    v = np.stack([r.isometry.T for r in results]).swapaxes(1, 2)
+    s = np.stack([r.state.matrix for r in results])
+    return _states(v.conj().swapaxes(1, 2) @ s @ v)
 
 
 def compress(rho: QuantumState) -> CompressionResult:
@@ -419,16 +464,21 @@ def compress(rho: QuantumState) -> CompressionResult:
     Returns V of shape (rank, dim) with V V^dag = I_rank and the state
     V rho V^dag.  Full-rank states raise NotCompressibleError.
     """
-    eig = rho.spectrum
-    keep = support_mask(eig.values)
-    rank = int(np.count_nonzero(keep))
-    if rank == rho.dim:
+    return _compress([rho])[0]
+
+
+def _compress(rhos: list[QuantumState]) -> list[CompressionResult]:
+    """compress(rho) for each of rhos, which must share one dimension and
+    one rank, with the compressed states validated as one stack."""
+    cols = [rho.spectrum.vectors[:, support_mask(rho.spectrum.values)] for rho in rhos]
+    rank, dim = cols[0].shape[1], rhos[0].dim
+    if rank == dim:
         raise NotCompressibleError(
             f"state has full support (rank {rank} = dim); nothing to compress"
         )
-    v = dagger(eig.vectors[:, keep])
-    compressed = QuantumState(v @ rho.matrix @ dagger(v))
-    return CompressionResult(isometry=v, state=compressed)
+    v = np.stack(cols).conj().swapaxes(1, 2)
+    states = _states(v @ np.stack([rho.matrix for rho in rhos]) @ v.conj().swapaxes(1, 2))
+    return [CompressionResult(isometry=iso, state=state) for iso, state in zip(v, states)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,6 +541,21 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
     When A^dag a vanishes every b works; the first canonical basis vector is
     returned with degenerate=True.
     """
+    return _local_falsifiers([a_op], [a_vec])[0]
+
+
+def _local_falsifiers(a_ops, a_vecs) -> list[LocalFalsifier]:
+    """local_falsifier(a_ops[k], a_vecs[k]) for every k, the effects
+    validated as one stack; the operators must share one dimension."""
+    found = [_falsifier_parts(a_op, a_vec) for a_op, a_vec in zip(a_ops, a_vecs)]
+    effects = [object.__new__(Effect) for _ in found]
+    _validate_effects(_as_stack([m for _, m, _ in found], "effect matrix"), effects)
+    return [LocalFalsifier(b, e, degenerate) for (b, _, degenerate), e in zip(found, effects)]
+
+
+def _falsifier_parts(a_op, a_vec) -> tuple[np.ndarray, np.ndarray, bool]:
+    """local_falsifier's vector b, the matrix of its effect, and whether
+    A^dag a vanished."""
     a_mat = as_matrix(a_op, square=True, name="local_falsifier operator")
     d = a_mat.shape[0]
     if d < 2:
@@ -527,8 +592,7 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
         # complement; its residual norm is at least sqrt(1 - 1/d) > 0.
         b = b - c * (np.conj(c[j]) / float(np.vdot(c, c).real))
         b = b / np.linalg.norm(b)
-    effect = Effect(tensor(np.outer(a, a.conj()), np.outer(b, b.conj())))
-    return LocalFalsifier(vector_b=b, effect=effect, degenerate=degenerate)
+    return b, tensor(np.outer(a, a.conj()), np.outer(b, b.conj())), degenerate
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,10 +27,28 @@ def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> np.ndarray:
     """Trace-one PSD matrix of the given rank (full rank by default)."""
-    rank = dim if rank is None else rank
-    g = random_complex_matrix(dim, rank, rng)
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    return random_density_matrices(dim, [dim if rank is None else rank], rng)[0]
+
+
+def random_density_matrices(dims, ranks, rng: np.random.Generator) -> list[np.ndarray]:
+    """random_density_matrix(dims[k], rng, rank=ranks[k]) for each case k in
+    turn (dims and ranks broadcast), from one standard_normal call, which
+    gives each case the normals of its own calls; the cases of each (dim,
+    rank) are multiplied and normalized as one stack."""
+    dims, ranks = (a.reshape(-1) for a in np.broadcast_arrays(dims, ranks))
+    sizes = 2 * dims * ranks
+    z = rng.standard_normal(int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    out = [None] * len(dims)
+    for d, r in dict.fromkeys(zip(dims.tolist(), ranks.tolist())):
+        ks = np.flatnonzero((dims == d) & (ranks == r))
+        parts = z[starts[ks, None] + np.arange(2 * d * r)].reshape(-1, 2, d, r)
+        g = parts[:, 0] + 1j * parts[:, 1]
+        rho = g @ g.conj().swapaxes(1, 2)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        for k, m in zip(ks.tolist(), rho):
+            out[k] = m
+    return out
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -59,6 +77,7 @@ __all__ = [
     "random_unit_vector",
     "random_unitary",
     "random_density_matrix",
+    "random_density_matrices",
     "random_projector",
     "random_kraus_tp",
     "random_contraction",

@@ -230,14 +230,17 @@ def write_trace_csv(path: str, outcomes, p_theoretical, seed: int, codes) -> Non
     shown, and the code's text, NUL-padded to the longest text.  One store
     of a void item per row copies the digits into the slot from a table of
     "0000" ... "9999", and the rows are placed at their running offsets in
-    the block's bytes (see _placed).  A label whose text holds a NUL or a
+    the block's bytes (see _placed).  A label holding `,`, `"`, CR or LF is
+    quoted as the csv module quotes it.  A label whose text holds a NUL or a
     non-ASCII character cannot be written as itself: OutOfRangeError, before
     the file is opened.
     """
     labels = [str(label) for label in outcomes]
-    for label in labels:
+    for k, label in enumerate(labels):
         if "\0" in label or not label.isascii():
             raise OutOfRangeError(f"outcome label {label!r} is not ASCII text without NUL")
+        if any(c in label for c in ',"\r\n'):
+            labels[k] = '"' + label.replace('"', '""') + '"'
     tails = [
         f",{label},{float_literal(p)},{seed}\n".encode("ascii")
         for label, p in zip(labels, p_theoretical, strict=True)

@@ -27,6 +27,17 @@ class TestTensor:
         with pytest.raises(DimensionMismatchError):
             linalg.tensor(np.ones(3), np.eye(2))
 
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((1, 4), (3, 1)), ((3, 2), (2, 5))])
+    def test_bits_of_np_kron(self, rng, shapes):
+        # Signed zeros in both parts: a route that adds a zero term to each
+        # product (a matmul or einsum sum, say) would flip a -0.0 to 0.0.
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+        a.flat[0], b.flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        a.flat[-1] = complex(-0.0, -0.0)
+        got, want = linalg.tensor(a, b), np.kron(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_mixed_product_factorizes(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -11,10 +11,10 @@ from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
 from optfalsify.quantum import (
     Purification,
     QuantumState,
+    _apply_channels,
     _discriminate,
-    apply_channel,
+    _local_falsifiers,
     dilate,
-    local_falsifier,
     purify,
 )
 
@@ -62,9 +62,11 @@ class TestRunPostulateChecks:
     def test_every_spectrum_through_eigh(self, lapack_calls):
         # One LAPACK route feeds every spectral decision: at these dims and
         # seed, 2392 state and projector matrices and 291 effect and gram
-        # matrices, all through eigh.
+        # matrices, all through eigh.  They go in 210 calls because the
+        # suites validate stacks; validating case by case raises the count.
         run_postulate_checks(dims=(2, 3, 4), seed=1)
         assert len(lapack_calls["eigh"]) == 2392 + 291
+        assert lapack_calls["eigh"].calls == 210
         assert lapack_calls["eigvalsh"] == []
 
     def test_rows_and_case_counts_pinned(self):
@@ -114,11 +116,14 @@ def _flipped_discrimination(rhos, nus):
     ]
 
 
-def _rank_raising_channel(channel, rho):
-    """apply_channel mixed half and half with I/d at the same trace; the
-    dephased qubit of the counterexample, exactly I/2, is left as it is."""
-    out = apply_channel(channel, rho)
-    return QuantumState(0.5 * out.matrix + 0.5 * out.trace * np.eye(out.dim) / out.dim)
+def _rank_raising_channels(channels, rhos):
+    """_apply_channels with each output mixed half and half with I/d at the
+    same trace.  The counterexample's dephased qubit goes through
+    apply_channel, which is left as it is."""
+    return [
+        QuantumState(0.5 * out.matrix + 0.5 * out.trace * np.eye(out.dim) / out.dim)
+        for out in _apply_channels(channels, rhos)
+    ]
 
 
 def _lenient_dilate(channel):
@@ -150,7 +155,7 @@ WRONG_ROUTES = {
         None,
         {"orthogonal-support-discrimination": "constructed orthogonal pair not discriminated"},
     ),
-    "apply_channel": (_rank_raising_channel, None, {"atomic-rank-never-increases": ""}),
+    "_apply_channels": (_rank_raising_channels, None, {"atomic-rank-never-increases": ""}),
     "dilate": (
         _lenient_dilate,
         "kraus-norm",
@@ -180,10 +185,11 @@ def test_each_suite_goes_red(monkeypatch, name):
 
 
 def test_degenerate_directions_noted(monkeypatch):
-    def always_degenerate(a_op, a_vec):
-        return dataclasses.replace(local_falsifier(a_op, a_vec), degenerate=True)
+    def always_degenerate(a_ops, a_vecs):
+        found = _local_falsifiers(a_ops, a_vecs)
+        return [dataclasses.replace(lf, degenerate=True) for lf in found]
 
-    monkeypatch.setattr(postulates, "local_falsifier", always_degenerate)
+    monkeypatch.setattr(postulates, "_local_falsifiers", always_degenerate)
     results = run_postulate_checks(dims=(2, 3), seed=0)
     assert all(r.passed for r in results)
     (r,) = [r for r in results if r.name == "local-falsifier-born-zero"]

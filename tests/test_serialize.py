@@ -432,13 +432,29 @@ class TestTraceEncoder:
         assert np.count_nonzero(out[:7]) < 7
 
     def test_printable_ascii_label(self, tmp_path):
+        # The label holds a comma and a double quote, so it is quoted.
         label = bytes(range(0x20, 0x7F)).decode("ascii")
+        chunks = [np.array([0, 1])]
         path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), [label, "C"], [0.5, 0.5], 1, iter([np.array([0, 1])]))
-        assert path.read_bytes() == (
-            b"trial,outcome,p_theoretical,seed\n"
-            + f"0,{label},0.5,1\n1,C,0.5,1\n".encode("ascii")
-        )
+        write_trace_csv(str(path), [label, "C"], [0.5, 0.5], 1, iter(chunks))
+        assert path.read_bytes() == reference_trace([label, "C"], [0.5, 0.5], 1, chunks)
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        assert [len(row) for row in rows] == [4, 4, 4]
+        assert rows[1][1] == label
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', '"', "a\nb", "a\rb", "a\r\nb"])
+    def test_label_quoted_for_a_csv_reader(self, tmp_path, label):
+        chunks = [np.array([1, 0, 1])]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), ["C", label], [0.5, 0.5], 1, iter(chunks))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] for row in rows] == ["outcome", label, "C", label]
+        assert {len(row) for row in rows} == {4}
+        if "\r" not in label:
+            # The csv module of Python 3.11 leaves a lone CR unquoted when
+            # its line terminator is "\n"; the trace quotes it.
+            assert path.read_bytes() == reference_trace(["C", label], [0.5, 0.5], 1, chunks)
 
     @pytest.mark.parametrize("label", ["A\0B", "caf\u00e9"])
     def test_label_not_written_as_itself(self, tmp_path, label):

@@ -1,10 +1,12 @@
-"""Stacked validation and discrimination give the bits of per-object
-construction.
+"""Stacked draws, validation and discrimination give the bits of
+per-object construction.
 
 quantum._states validates a whole stack of matrices through the code that
 QuantumState(m) runs on a stack of one; linalg._support_projectors and
 quantum._discriminate likewise build the projectors and kernels of many
-states at once.  That a stacked LAPACK or
+states at once, and so do the other stacked routes of quantum (_marginals,
+_compress, _decoded, _channels, _apply_channels, _local_falsifiers) and
+random_ops.random_density_matrices.  That a stacked LAPACK or
 BLAS call returns the same bits as one call per matrix is a fact about the
 platform and its BLAS, so these tests check it rather than assume it.
 """
@@ -13,14 +15,21 @@ import numpy as np
 import pytest
 
 from optfalsify import (
+    Effect,
+    KrausChannel,
     QuantumState,
+    apply_channel,
+    compress,
     hermitian_eig,
+    local_falsifier,
     perfectly_discriminable,
     postulates,
+    purify,
     quantum,
     run_postulate_checks,
     support_projector,
 )
+from optfalsify.errors import OutOfRangeError
 from optfalsify.linalg import (
     DEFAULT_RANK_TOL,
     SPECTRUM_TOL,
@@ -29,7 +38,13 @@ from optfalsify.linalg import (
     _support_projectors,
     support_mask,
 )
-from optfalsify.random_ops import random_density_matrix
+from optfalsify.random_ops import (
+    random_complex_matrix,
+    random_contraction,
+    random_density_matrices,
+    random_density_matrix,
+    random_unit_vector,
+)
 
 
 def _corpus(d: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -84,11 +99,25 @@ def _per_pair(rhos, nus):
     return [perfectly_discriminable(rho, nu) for rho, nu in zip(rhos, nus)]
 
 
+# Each stacked route of quantum that the suites call, as one public call per
+# case.
+PER_CASE = {
+    "_marginals": lambda purs: [p.marginal() for p in purs],
+    "_compress": lambda rhos: [compress(rho) for rho in rhos],
+    "_decoded": lambda comps: [c.decode() for c in comps],
+    "_channels": lambda families: [KrausChannel(f) for f in families],
+    "_apply_channels": lambda chs, rhos: [apply_channel(c, r) for c, r in zip(chs, rhos)],
+    "_local_falsifiers": lambda ops, vecs: [local_falsifier(a, v) for a, v in zip(ops, vecs)],
+}
+
+
 @pytest.mark.parametrize("dims, seed", [((2, 3, 4), 1), (tuple(range(2, 9)), 3)])
 def test_suites_match_per_object_validation(monkeypatch, dims, seed):
     stacked = run_postulate_checks(dims, seed=seed)
     monkeypatch.setattr(quantum, "_states", _per_object)
     monkeypatch.setattr(postulates, "_discriminate", _per_pair)
+    for name, per_case in PER_CASE.items():
+        monkeypatch.setattr(postulates, name, per_case)
     per_object = run_postulate_checks(dims, seed=seed)
     # repr of a float round-trips, so equal reprs mean equal bits.
     assert repr(stacked) == repr(per_object)
@@ -180,3 +209,104 @@ def test_bruteforce_stack_gives_per_object_bits(d):
     for k, (rho, nu) in enumerate(pairs):
         want = np.trace(_reference_bruteforce(rho.matrix) @ _reference_bruteforce(nu.matrix))
         assert traces[k] == want.real
+
+
+def _reference_density(dim, rank, rng):
+    """random_density_matrix as it was drawn one case at a time."""
+    g = random_complex_matrix(dim, rank, rng)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+def test_batched_draws_give_per_case_bits(d):
+    # Every rank, repeated and out of order; a one-case list; no cases.
+    ranks = [1 + (5 * k) % d for k in range(4 * d)] + [d, d, 1]
+    for case in (ranks, [1 + d // 2], []):
+        batched, single = np.random.default_rng(700 + d), np.random.default_rng(700 + d)
+        got = random_density_matrices(d, case, batched)
+        want = [_reference_density(d, r, single) for r in case]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        # The generator is where the per-case draws leave it.
+        assert batched.standard_normal(3).tobytes() == single.standard_normal(3).tobytes()
+
+
+def test_batched_draws_of_mixed_dims():
+    dims = [2, 3, 4, 9, 2, 4, 3, 2]
+    ranks = [1, 3, 2, 5, 2, 4, 1, 1]
+    batched, single = np.random.default_rng(710), np.random.default_rng(710)
+    got = random_density_matrices(dims, ranks, batched)
+    for g, d, r in zip(got, dims, ranks):
+        assert g.tobytes() == _reference_density(d, r, single).tobytes()
+    assert batched.standard_normal() == single.standard_normal()
+
+
+def _same_states(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.matrix.tobytes() == w.matrix.tobytes()
+        assert g.spectrum.values.tobytes() == w.spectrum.values.tobytes()
+        assert g.spectrum.vectors.tobytes() == w.spectrum.vectors.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_stacked_routes_give_per_object_bits(d):
+    rng = np.random.default_rng(800 + d)
+    # States of one rank below d, so they purify alike and compress.
+    rank = max(1, d // 2)
+    rhos = [QuantumState(random_density_matrix(d, rng, rank=rank)) for _ in range(9)]
+    purs = [purify(rho) for rho in rhos]
+    _same_states(quantum._marginals(purs), [p.marginal() for p in purs])
+    # The reference routes of one state at a time, with the operand layouts
+    # that dagger gives.
+    for p, m in zip(purs, quantum._marginals(purs)):
+        mat = p.state_vector.reshape(d, p.dim_b)
+        assert m.matrix.tobytes() == QuantumState(mat @ mat.conj().T).matrix.tobytes()
+    comps = quantum._compress(rhos)
+    for rho, comp in zip(rhos, comps):
+        one = compress(rho)
+        v = rho.spectrum.vectors[:, :rank].conj().T
+        assert comp.isometry.tobytes() == one.isometry.tobytes() == v.tobytes()
+        _same_states([comp.state], [one.state])
+        want = QuantumState(v @ rho.matrix @ v.conj().T)
+        assert comp.state.matrix.tobytes() == want.matrix.tobytes()
+    _same_states(quantum._decoded(comps), [c.decode() for c in comps])
+    for comp, back in zip(comps, quantum._decoded(comps)):
+        v = comp.isometry
+        want = QuantumState(v.conj().T @ comp.state.matrix @ v)
+        assert back.matrix.tobytes() == want.matrix.tobytes()
+    ops = [random_contraction(d, rng) for _ in rhos]
+    channels = quantum._channels([(a,) for a in ops])
+    for channel, a in zip(channels, ops):
+        assert channel.kraus[0].tobytes() == KrausChannel((a,)).kraus[0].tobytes()
+        assert not channel.kraus[0].flags.writeable
+    _same_states(
+        quantum._apply_channels(channels, rhos),
+        [apply_channel(c, rho) for c, rho in zip(channels, rhos)],
+    )
+    for a, rho, out in zip(ops, rhos, quantum._apply_channels(channels, rhos)):
+        assert out.matrix.tobytes() == QuantumState(a @ rho.matrix @ a.conj().T).matrix.tobytes()
+    a_ops = [random_complex_matrix(d, d, rng) for _ in range(9)]
+    a_vecs = [random_unit_vector(d, rng) for _ in range(9)]
+    for got, a_op, a_vec in zip(quantum._local_falsifiers(a_ops, a_vecs), a_ops, a_vecs):
+        want = local_falsifier(a_op, a_vec)
+        assert got.vector_b.tobytes() == want.vector_b.tobytes()
+        assert got.effect.matrix.tobytes() == want.effect.matrix.tobytes()
+        assert got.degenerate == want.degenerate
+        assert not got.effect.matrix.flags.writeable
+
+
+def test_stacked_effects_and_channels_fail_as_single_objects():
+    # A failing stack raises the error of the failing object on its own.
+    ok = np.eye(2, dtype=complex) / 2
+    with pytest.raises(OutOfRangeError, match=r"^channel is not trace-nonincreasing: .* exceeds"):
+        quantum._channels([(ok,), (2 * np.eye(2),), (ok,)])
+    with pytest.raises(OutOfRangeError, match=r"^channel is not trace-nonincreasing: .* exceeds"):
+        KrausChannel((2 * np.eye(2),))
+    stack = np.stack([ok, ok, 2 * np.eye(2, dtype=complex)])
+    with pytest.raises(OutOfRangeError, match=r"^effect has eigenvalue 2\.000e\+00 above one"):
+        quantum._validate_effects(stack, [object.__new__(Effect) for _ in stack])
+    with pytest.raises(OutOfRangeError, match=r"^effect has eigenvalue 2\.000e\+00 above one"):
+        Effect(2 * np.eye(2))
