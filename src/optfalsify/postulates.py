@@ -9,9 +9,7 @@ tolerance it must stay under.  The CLI surfaces these as check-postulates.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -104,14 +102,10 @@ def _grouped(stacked, keys: list, *columns: list) -> list:
     return out
 
 
-def _validated(
-    cases: Iterable[tuple[np.ndarray, Any]],
-) -> list[tuple[QuantumState, Any]]:
-    """(state, tag) for each drawn (matrix, tag), in draw order; the tag
-    carries whatever else the suite drew for that case.  All cases are
-    drawn first, then those of each dimension validated as one stack."""
-    mats, tags = zip(*cases)
-    return list(zip(_grouped(quantum._states, [len(m) for m in mats], mats), tags))
+def _validated(mats: list) -> list[QuantumState]:
+    """The state of each drawn matrix, in draw order.  All cases are drawn
+    first, then those of each dimension validated as one stack."""
+    return _grouped(quantum._states, [len(m) for m in mats], mats)
 
 
 def check_doubleket_identity(
@@ -142,10 +136,10 @@ def check_purification_recovery(
     note = ""
     for d in dims:
         ranks = [1 + i % d for i in range(50)]
-        drawn = _validated(zip(random_density_matrices(d, ranks, rng), ranks))
-        purs = [purify(rho) for rho, _ in drawn]
+        rhos = _validated(random_density_matrices(d, ranks, rng))
+        purs = [purify(rho) for rho in rhos]
         marginals = _grouped(_marginals, [p.dim_b for p in purs], purs)
-        for (rho, rank), pur, marginal in zip(drawn, purs, marginals):
+        for rho, rank, pur, marginal in zip(rhos, ranks, purs, marginals):
             cases += 1
             if pur.dim_b != rank:
                 worst = np.inf
@@ -166,15 +160,14 @@ def check_purification_uniqueness(
     worst_unitary = 0.0
     note = ""
 
-    def draws():
-        for i in range(n_cases):
-            d = dims[i % len(dims)]
-            rank = 1 + i % d
-            # The environment of purify(rho) is as large as the drawn rank
-            # (purification-recovery checks this).
-            yield random_density_matrix(d, rng, rank=rank), random_unitary(rank, rng)
-
-    for rho, v in _validated(draws()):
+    # The environment of purify(rho) is as large as the drawn rank
+    # (purification-recovery checks this).
+    draws = [
+        (random_density_matrix(d, rng, rank=1 + i % d), random_unitary(1 + i % d, rng))
+        for i, d in zip(range(n_cases), itertools.cycle(dims))
+    ]
+    mats, unitaries = zip(*draws)
+    for rho, v in zip(_validated(mats), unitaries):
         d = rho.dim
         p1 = purify(rho)
         if p1.dim_b != v.shape[0]:
@@ -241,7 +234,7 @@ def check_discrimination(
     note = ""
     for d in dims:
         ranks = [1 + j % d for i in range(200) for j in (i, i // 2)]
-        states = quantum._states(random_density_matrices(d, ranks, rng))
+        states = _validated(random_density_matrices(d, ranks, rng))
         rhos, nus = states[::2], states[1::2]
         n = len(rhos)
         p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
@@ -252,12 +245,9 @@ def check_discrimination(
                 disagreements += 1
                 note = f"random pair disagreement at dim {d}"
     d = max(dims)
-    drawn = (
-        (m, None)
-        for i in range(50)
-        for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)
+    states = _validated(
+        [m for i in range(50) for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)]
     )
-    states = [rho for rho, _ in _validated(drawn)]
     rhos, nus = states[::2], states[1::2]
     for nu, res in zip(nus, _discriminate(rhos, nus)):
         cases += 1
@@ -284,18 +274,15 @@ def check_local_falsifier(
     worst = 0.0
     degenerate_hits = 0
 
-    def draws():
-        for i in range(n_cases):
-            d = dims[i % len(dims)]
-            a_op = random_complex_matrix(d, d, rng)
-            # The matrix of QuantumState.pure(mat_to_doubleket(a_op)).
-            psi = _pure_matrix(mat_to_doubleket(a_op))
-            yield psi, (a_op, random_unit_vector(d, rng))
-
-    drawn = _validated(draws())
-    ops, vecs = zip(*(tag for _, tag in drawn))
+    draws = [
+        (random_complex_matrix(d, d, rng), random_unit_vector(d, rng))
+        for _, d in zip(range(n_cases), itertools.cycle(dims))
+    ]
+    ops, vecs = zip(*draws)
+    # The states that QuantumState.pure(mat_to_doubleket(a_op)) builds.
+    psis = _validated([_pure_matrix(mat_to_doubleket(a_op)) for a_op in ops])
     found = _grouped(_local_falsifiers, [len(v) for v in vecs], ops, vecs)
-    for (psi, _), lf in zip(drawn, found):
+    for psi, lf in zip(psis, found):
         if lf.degenerate:
             degenerate_hits += 1
         worst = max(worst, born_probability(psi, lf.effect))
@@ -313,7 +300,7 @@ def check_canonical_form(
     worst_orth = 0.0
     sizes = [d * d for _, d in zip(range(n_cases), itertools.cycle(dims))]
     ranks = [1 + i % n for i, n in enumerate(sizes)]
-    for r, _ in _validated(zip(random_density_matrices(sizes, ranks, rng), ranks)):
+    for r in _validated(random_density_matrices(sizes, ranks, rng)):
         cf = canonical_form(r)
         worst_recon = max(
             worst_recon, float(np.max(np.abs(cf.reconstruction() - r.matrix)))
@@ -338,7 +325,7 @@ def check_compression(
     worst_recon = 0.0
     ds = [d for _, d in zip(range(n_cases), itertools.cycle(dims))]
     ranks = [1 + i % (d - 1) if d > 2 else 1 for i, d in enumerate(ds)]
-    rhos = [rho for rho, _ in _validated(zip(random_density_matrices(ds, ranks, rng), ranks))]
+    rhos = _validated(random_density_matrices(ds, ranks, rng))
     comps = _grouped(_compress, [(rho.dim, rho.rank()) for rho in rhos], rhos)
     decoded = _grouped(_decoded, [c.isometry.shape for c in comps], comps)
     for rho, comp, back in zip(rhos, comps, decoded):
@@ -363,11 +350,12 @@ def check_atomic_rank(
     """Atomicity of composition: atomic channels never raise rank; a non-atomic one can."""
     n_cases = 100
     violations = 0
-    drawn = (
+    draws = [
         (random_density_matrix(d, rng, rank=1 + i % d), random_contraction(d, rng))
         for i, d in zip(range(n_cases), itertools.cycle(dims))
-    )
-    rhos, ops = zip(*_validated(drawn))
+    ]
+    mats, ops = zip(*draws)
+    rhos = _validated(mats)
     channels = _grouped(_channels, [a.shape for a in ops], [(a,) for a in ops])
     outs = _grouped(_apply_channels, [rho.dim for rho in rhos], channels, rhos)
     for rho, out in zip(rhos, outs):
@@ -395,34 +383,17 @@ def check_atomic_rank(
     return [atomic, counter]
 
 
-def check_dilation(
-    rng: np.random.Generator, dims: tuple[int, ...], fault: str | None = None
-) -> list[PropertyResult]:
+def check_dilation(rng: np.random.Generator, dims: tuple[int, ...]) -> PropertyResult:
     """Purification, dilation: every branch of the circuit matches its Kraus term."""
     n_cases = 20
     worst = 0.0
-    results = []
-    drawn = []
-    for i in range(n_cases):
-        d = dims[i % len(dims)]
-        n_kraus = 1 + i % 4
-        kraus = random_kraus_tp(d, n_kraus, rng)
-        if fault == "kraus-norm" and i == n_cases // 2:
-            # Deliberately mis-normalized family: the library must refuse
-            # to treat it as deterministic, and this suite must go red.
-            kraus = [k.copy() for k in kraus]
-            kraus[-1] *= 0.95
-            try:
-                dilate(KrausChannel(tuple(kraus)))
-                note = "mis-normalized Kraus family was not rejected"
-            except OptFalsifyError as exc:
-                note = f"injected fault surfaced as expected: {exc}"
-            results.append(_result("injected-fault-kraus-norm", 1, np.inf, 0.0, note))
-            continue
-        ch = KrausChannel(tuple(kraus))
-        drawn.append((random_density_matrix(d, rng), ch))
-    cases = len(drawn)
-    for rho, ch in _validated(drawn):
+    draws = [
+        (random_kraus_tp(d, 1 + i % 4, rng), random_density_matrix(d, rng))
+        for i, d in zip(range(n_cases), itertools.cycle(dims))
+    ]
+    families, mats = zip(*draws)
+    channels = _grouped(_channels, [(len(f), len(f[0])) for f in families], families)
+    for rho, ch in zip(_validated(mats), channels):
         d = rho.dim
         dil = dilate(ch)
         for k in range(dil.dim_env):
@@ -433,8 +404,22 @@ def check_dilation(
                 else np.zeros((d, d), dtype=complex)
             )
             worst = max(worst, float(np.max(np.abs(branch - expected))))
-    results.insert(0, _result("dilation-branch-agreement", cases, worst, 1e-9))
-    return results
+    return _result("dilation-branch-agreement", n_cases, worst, 1e-9)
+
+
+def check_kraus_norm_fault(
+    rng: np.random.Generator, dims: tuple[int, ...]
+) -> PropertyResult:
+    """No rule, the injected fault: a deliberately mis-normalized Kraus
+    family, which the library must refuse to dilate; the row is always red."""
+    kraus = random_kraus_tp(dims[0], 2, rng)
+    kraus[-1] *= 0.95
+    try:
+        dilate(KrausChannel(tuple(kraus)))
+        note = "mis-normalized Kraus family was not rejected"
+    except OptFalsifyError as exc:
+        note = f"injected fault surfaced as expected: {exc}"
+    return _result("injected-fault-kraus-norm", 1, np.inf, 0.0, note)
 
 
 def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
@@ -442,7 +427,8 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
     probabilities and support, and falsifier existence matches a nonzero
     kernel of the embedding.  The permutation row checks that a permutation
     and its transpose give a validated ClassicalState back exactly; it
-    serves no rule and stays only because perfbench/checks.py names it."""
+    serves no rule and stays only because perfbench/checks.py names it.
+    Both rows draw d = 2..6 whatever dims the other suites run on."""
     n_cases = 50
     worst = 0.0
     mismatches = 0
@@ -512,6 +498,8 @@ def run_postulate_checks(
     results.extend(check_canonical_form(_sub_rng(seed, 5), small))
     results.extend(check_compression(_sub_rng(seed, 6), dims))
     results.extend(check_atomic_rank(_sub_rng(seed, 7), dims))
-    results.extend(check_dilation(_sub_rng(seed, 8), small, fault=fault))
+    results.append(check_dilation(_sub_rng(seed, 8), small))
+    if fault is not None:
+        results.append(check_kraus_norm_fault(_sub_rng(seed, 10), small))
     results.extend(check_classical_embedding(_sub_rng(seed, 9)))
     return results

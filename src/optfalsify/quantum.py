@@ -59,21 +59,16 @@ from .linalg import (
     tensor,
 )
 
-def _unit_vector(vector, name: str) -> np.ndarray:
-    """vector / its 2-norm, flattened; OutOfRangeError for a zero vector, an
-    entry that as_matrix would reject, or a norm that overflows."""
-    v, nrm = _bounded_vector(vector, name)
-    if nrm == 0.0:
-        raise OutOfRangeError(f"{name} must be nonzero")
-    if not np.isfinite(nrm):
-        raise OutOfRangeError(f"{name} has a norm beyond float range")
-    return v / nrm
-
-
 def _pure_matrix(vector) -> np.ndarray:
-    """|v><v| for the pure state vector v, normalized as QuantumState.pure
-    normalizes it."""
-    v = _unit_vector(vector, "pure state vector")
+    """|v><v| for the pure state vector v over its 2-norm, as
+    QuantumState.pure normalizes it; OutOfRangeError for a zero vector, an
+    entry that as_matrix would reject, or a norm that overflows."""
+    v, nrm = _bounded_vector(vector, "pure state vector")
+    if nrm == 0.0:
+        raise OutOfRangeError("pure state vector must be nonzero")
+    if not np.isfinite(nrm):
+        raise OutOfRangeError("pure state vector has a norm beyond float range")
+    v = v / nrm
     return np.outer(v, v.conj())
 
 

@@ -71,14 +71,3 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     scale = float(np.linalg.norm(g, 2))
     return g * (rng.uniform(0.2, 1.0) / scale)
 
-
-__all__ = [
-    "random_complex_matrix",
-    "random_unit_vector",
-    "random_unitary",
-    "random_density_matrix",
-    "random_density_matrices",
-    "random_projector",
-    "random_kraus_tp",
-    "random_contraction",
-]

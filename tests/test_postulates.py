@@ -42,6 +42,15 @@ class TestRunPostulateChecks:
         assert len(failed) == 1
         assert "fault" in failed[0].note
 
+    def test_fault_is_a_row_of_its_own(self):
+        # The fault draws from its own stream: every other row keeps its
+        # cases and bits, and the fault row follows the dilation row.
+        clean = run_postulate_checks(dims=(2, 3), seed=4)
+        faulty = run_postulate_checks(dims=(2, 3), seed=4, fault="kraus-norm")
+        at = [r.name for r in clean].index("dilation-branch-agreement") + 1
+        assert faulty[:at] + faulty[at + 1 :] == clean
+        assert faulty[at].name == "injected-fault-kraus-norm"
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(OutOfRangeError):
             run_postulate_checks(dims=(2,), seed=0, fault="phase-flip")
@@ -62,11 +71,11 @@ class TestRunPostulateChecks:
     def test_every_spectrum_through_eigh(self, lapack_calls):
         # One LAPACK route feeds every spectral decision: at these dims and
         # seed, 2392 state and projector matrices and 291 effect and gram
-        # matrices, all through eigh.  They go in 210 calls because the
+        # matrices, all through eigh.  They go in 194 calls because the
         # suites validate stacks; validating case by case raises the count.
         run_postulate_checks(dims=(2, 3, 4), seed=1)
         assert len(lapack_calls["eigh"]) == 2392 + 291
-        assert lapack_calls["eigh"].calls == 210
+        assert lapack_calls["eigh"].calls == 194
         assert lapack_calls["eigvalsh"] == []
 
     def test_rows_and_case_counts_pinned(self):
