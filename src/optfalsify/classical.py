@@ -24,7 +24,7 @@ from .linalg import (
     _subnormalized,
     _unit_spectrum,
 )
-from .quantum import QuantumState
+from .quantum import QuantumState, _states
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,12 @@ class ClassicalState:
 
 def embed_classical(x: ClassicalState) -> QuantumState:
     """Diagonal density-matrix embedding of a probability vector."""
-    return QuantumState(np.diag(x.probs.astype(complex)))
+    return _embedded([x])[0]
+
+
+def _embedded(xs: list[ClassicalState]) -> list[QuantumState]:
+    """embed_classical(x) for each of xs, of one length, validated as one stack."""
+    return _states([np.diag(x.probs.astype(complex)) for x in xs])
 
 
 def classical_falsifier_exists(x: ClassicalState) -> tuple[int, ...] | None:

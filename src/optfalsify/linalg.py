@@ -210,9 +210,15 @@ def _hermitian(a: np.ndarray, name: str) -> np.ndarray:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i,j) of the result is a[i, j] * b."""
-    a = as_matrix(a, name="tensor lhs")
-    b = as_matrix(b, name="tensor rhs")
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    return _kron(as_matrix(a, name="tensor lhs"), as_matrix(b, name="tensor rhs"))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tensor of the matrices on the last two axes of a and b, whose leading
+    axes broadcast: a stack of Kronecker products, matrix by matrix."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    ab = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return ab.reshape(*ab.shape[:-4], m * p, n * q)
 
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:

@@ -13,50 +13,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantum
-from .classical import ClassicalState, classical_falsifier_exists, embed_classical
+from . import quantum, random_ops
+from .classical import ClassicalState, _embedded, classical_falsifier_exists
 from .errors import OptFalsifyError, OutOfRangeError
 from .linalg import (
     _ORTHOGONALITY_TOL,
     BAD_SEED,
     DEFAULT_RANK_TOL,
-    SPECTRUM_TOL,
     _check_int,
+    _is_zero,
+    _kron,
+    _negligible,
     _read_dims,
     dagger,
     kernel_projector,
     mat_to_doubleket,
     support_projector,
-    tensor,
 )
 from .quantum import (
-    Effect,
     KrausChannel,
+    Purification,
     QuantumState,
     _apply_channels,
+    _born_probabilities,
+    _canonical_forms,
     _channels,
     _compress,
+    _connecting_unitaries,
     _decoded,
+    _dilations,
     _discriminate,
+    _effects,
+    _falsifiers,
     _local_falsifiers,
     _marginals,
     _pure_matrix,
+    _purifications,
     apply_channel,
-    born_probability,
-    canonical_form,
-    connecting_unitary,
     dilate,
-    purify,
-)
-from .random_ops import (
-    random_complex_matrix,
-    random_contraction,
-    random_density_matrices,
-    random_density_matrix,
-    random_kraus_tp,
-    random_projector,
-    random_unit_vector,
-    random_unitary,
 )
 
 # The faults the suite can inject on request (run_postulate_checks).
@@ -77,14 +71,7 @@ def _result(
     name: str, cases: int, worst: float, bound: float, note: str = ""
 ) -> PropertyResult:
     worst = float(worst)
-    return PropertyResult(
-        name=name,
-        cases=cases,
-        worst=worst,
-        bound=float(bound),
-        passed=worst <= bound,
-        note=note,
-    )
+    return PropertyResult(name, cases, worst, float(bound), worst <= bound, note)
 
 
 def _sub_rng(seed: int, index: int) -> np.random.Generator:
@@ -105,7 +92,12 @@ def _grouped(stacked, keys: list, *columns: list) -> list:
 def _validated(mats: list) -> list[QuantumState]:
     """The state of each drawn matrix, in draw order.  All cases are drawn
     first, then those of each dimension validated as one stack."""
-    return _grouped(quantum._states, [len(m) for m in mats], mats)
+    return _grouped(quantum._states, [m.shape for m in mats], mats)
+
+
+def _by_rank(route, rhos: list) -> list:
+    """route on the states of each dimension and rank as one stack."""
+    return _grouped(route, [(rho.dim, rho.rank()) for rho in rhos], rhos)
 
 
 def check_doubleket_identity(
@@ -113,17 +105,21 @@ def check_doubleket_identity(
 ) -> PropertyResult:
     """No rule, the numerical floor: (A (x) B)|C>> = |A C B^T>> for random triples."""
     n_cases = 100
-    worst = 0.0
-    for i in range(n_cases):
-        m = dims[i % len(dims)]
-        n = dims[(i // len(dims)) % len(dims)]
-        a = random_complex_matrix(m, m, rng)
-        b = random_complex_matrix(n, n, rng)
-        c = random_complex_matrix(m, n, rng)
-        lhs = tensor(a, b) @ mat_to_doubleket(c)
-        rhs = mat_to_doubleket(a @ c @ b.T)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return _result("doubleket-identity", n_cases, worst, 1e-12)
+    shapes = [(dims[i % len(dims)], dims[(i // len(dims)) % len(dims)]) for i in range(n_cases)]
+    draws = [
+        [rng.standard_normal((2, r, c)) for r, c in ((m, m), (n, n), (m, n))]
+        for m, n in shapes
+    ]
+    gaps = _grouped(_doubleket_gaps, shapes, *zip(*draws))
+    return _result("doubleket-identity", n_cases, np.max(gaps), 1e-12)
+
+
+def _doubleket_gaps(*draws: list) -> list[float]:
+    """|(A (x) B)|C>> - |A C B^T>>| for each drawn triple of one shape."""
+    a, b, c = (random_ops._ginibre(z) for z in draws)
+    lhs = _kron(a, b) @ c.reshape(len(c), -1, 1)
+    rhs = (a @ c @ b.swapaxes(1, 2)).reshape(len(c), -1, 1)
+    return [np.linalg.norm(x) for x in lhs - rhs]
 
 
 def check_purification_recovery(
@@ -131,23 +127,27 @@ def check_purification_recovery(
 ) -> PropertyResult:
     """Purification: tracing out the environment of purify(rho) returns
     rho, with the environment exactly as large as the rank."""
-    worst = 0.0
-    cases = 0
+    devs = []
     note = ""
     for d in dims:
         ranks = [1 + i % d for i in range(50)]
-        rhos = _validated(random_density_matrices(d, ranks, rng))
-        purs = [purify(rho) for rho in rhos]
+        rhos = _validated(random_ops.random_density_matrices(d, ranks, rng))
+        purs = _by_rank(_purifications, rhos)
         marginals = _grouped(_marginals, [p.dim_b for p in purs], purs)
         for rho, rank, pur, marginal in zip(rhos, ranks, purs, marginals):
-            cases += 1
+            devs.append(np.max(np.abs(marginal.matrix - rho.matrix)))
             if pur.dim_b != rank:
-                worst = np.inf
+                devs[-1] = np.inf
                 note = f"environment dim {pur.dim_b} != rank {rank} at dim {d}"
-                continue
-            diff = float(np.max(np.abs(marginal.matrix - rho.matrix)))
-            worst = max(worst, diff)
-    return _result("purification-recovery", cases, worst, 1e-9, note)
+    return _result("purification-recovery", len(devs), np.max(devs), 1e-9, note)
+
+
+def _env_moved(us: list, purs: list) -> np.ndarray:
+    """(I (x) U) psi for each unitary U on the environment of a purification
+    psi, all of one shape."""
+    eye = np.eye(purs[0].dim_a, dtype=complex)
+    psi = np.stack([p.state_vector for p in purs])[..., None]
+    return (_kron(eye, np.stack(us)) @ psi)[..., 0]
 
 
 def check_purification_uniqueness(
@@ -156,38 +156,29 @@ def check_purification_uniqueness(
     """Purification, uniqueness: purifications of the same state with equal
     environments are linked by a unitary on the environment alone."""
     n_cases = 50
-    worst_recon = 0.0
-    worst_unitary = 0.0
     note = ""
-
+    cases = [(d, 1 + i % d) for i, d in zip(range(n_cases), itertools.cycle(dims))]
+    draws = [(rng.standard_normal((2, d, r)), rng.standard_normal((2, r, r))) for d, r in cases]
+    zr, zv = zip(*draws)
+    rhos = _validated(_grouped(random_ops._densities, cases, zr))
+    p1s = _by_rank(_purifications, rhos)
     # The environment of purify(rho) is as large as the drawn rank
     # (purification-recovery checks this).
-    draws = [
-        (random_density_matrix(d, rng, rank=1 + i % d), random_unitary(1 + i % d, rng))
-        for i, d in zip(range(n_cases), itertools.cycle(dims))
-    ]
-    mats, unitaries = zip(*draws)
-    for rho, v in zip(_validated(mats), unitaries):
-        d = rho.dim
-        p1 = purify(rho)
-        if p1.dim_b != v.shape[0]:
-            worst_recon = worst_unitary = np.inf
-            note = f"environment dim {p1.dim_b} != rank {v.shape[0]} at dim {d}"
-            continue
-        psi2 = tensor(np.eye(d, dtype=complex), v) @ p1.state_vector
-        p2 = type(p1)(state_vector=psi2, dim_a=d, dim_b=p1.dim_b)
-        u = connecting_unitary(p1, p2)
-        moved = tensor(np.eye(d, dtype=complex), u) @ p1.state_vector
-        worst_recon = max(worst_recon, float(np.linalg.norm(moved - p2.state_vector)))
-        dev = np.max(np.abs(dagger(u) @ u - np.eye(p1.dim_b)))
-        worst_unitary = max(worst_unitary, float(dev))
+    bad = [(p.dim_b, r, d) for p, (d, r) in zip(p1s, cases) if p.dim_b != r]
+    if bad:
+        note = "environment dim {} != rank {} at dim {}".format(*bad[-1])
+        recon = unitarity = [np.inf]
+    else:
+        vs = _grouped(random_ops._unitaries, [r for _, r in cases], zv)
+        psi2 = _grouped(_env_moved, cases, vs, p1s)
+        p2s = [Purification(psi, d, r) for psi, (d, r) in zip(psi2, cases)]
+        us = _grouped(_connecting_unitaries, cases, p1s, p2s)
+        moved = _grouped(_env_moved, cases, us, p1s)
+        recon = [np.linalg.norm(m - p2.state_vector) for m, p2 in zip(moved, p2s)]
+        unitarity = [np.max(np.abs(dagger(u) @ u - np.eye(len(u)))) for u in us]
     return [
-        _result(
-            "purification-uniqueness-reconstruction", n_cases, worst_recon, 1e-8, note
-        ),
-        _result(
-            "purification-uniqueness-unitarity", n_cases, worst_unitary, 1e-9, note
-        ),
+        _result("purification-uniqueness-reconstruction", n_cases, np.max(recon), 1e-8, note),
+        _result("purification-uniqueness-unitarity", n_cases, np.max(unitarity), 1e-9, note),
     ]
 
 
@@ -208,18 +199,17 @@ def _support_bruteforce(m: np.ndarray) -> np.ndarray:
     return p
 
 
-def _orthogonal_pair(
-    d: int, rank: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two trace-one matrices supported on a random rank-`rank` subspace and
-    on its orthogonal complement."""
-    p = random_projector(d, rank, rng)
-    q = np.eye(d, dtype=complex) - p
-    g1 = random_complex_matrix(d, d, rng)
-    g2 = random_complex_matrix(d, d, rng)
-    m1 = p @ g1 @ g1.conj().T @ p
-    m2 = q @ g2 @ g2.conj().T @ q
-    return m1 / np.trace(m1).real, m2 / np.trace(m2).real
+def _orthogonal_pairs(draws: list, ranks: list) -> list[np.ndarray]:
+    """For the normals of each case, shaped (3, 2, d, d), two trace-one
+    matrices: supported on the first `rank` columns of a random unitary,
+    and on their orthogonal complement.  The cases share d and rank."""
+    z = np.asarray(draws)
+    cols = random_ops._unitaries(z[:, 0])[:, :, : ranks[0]]
+    p = cols @ cols.conj().swapaxes(1, 2)
+    pq = np.stack([p, np.eye(p.shape[1]) - p], axis=1)
+    g = random_ops._ginibre(z[:, 1:])
+    m = pq @ g @ g.conj().swapaxes(2, 3) @ pq
+    return list(m / np.trace(m, axis1=2, axis2=3).real[..., None, None])
 
 
 def check_discrimination(
@@ -234,7 +224,7 @@ def check_discrimination(
     note = ""
     for d in dims:
         ranks = [1 + j % d for i in range(200) for j in (i, i // 2)]
-        states = _validated(random_density_matrices(d, ranks, rng))
+        states = _validated(random_ops.random_density_matrices(d, ranks, rng))
         rhos, nus = states[::2], states[1::2]
         n = len(rhos)
         p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
@@ -245,24 +235,23 @@ def check_discrimination(
                 disagreements += 1
                 note = f"random pair disagreement at dim {d}"
     d = max(dims)
-    states = _validated(
-        [m for i in range(50) for m in _orthogonal_pair(d, 1 + i % (d - 1), rng)]
-    )
+    ranks = [1 + i % (d - 1) for i in range(50)]
+    draws = [rng.standard_normal((3, 2, d, d)) for _ in ranks]
+    pairs = _grouped(_orthogonal_pairs, ranks, draws, ranks)
+    states = _validated([m for pair in pairs for m in pair])
     rhos, nus = states[::2], states[1::2]
-    for nu, res in zip(nus, _discriminate(rhos, nus)):
-        cases += 1
-        ok = res.discriminable
-        # The rho-falsifier, built on this read, must capture nu with
-        # certainty, to within the orthogonality cut.
-        falsifier = res.falsifier_rho if ok else None
-        if falsifier is not None:
-            ok = abs(born_probability(nu, falsifier) - 1.0) <= _ORTHOGONALITY_TOL
-        if not ok:
-            disagreements += 1
-            note = "constructed orthogonal pair not discriminated"
-    return _result(
-        "orthogonal-support-discrimination", cases, float(disagreements), 0.0, note
-    )
+    # The rho-falsifier, built on each discriminable read, must capture nu
+    # with certainty, to within the orthogonality cut.
+    results = _discriminate(rhos, nus)
+    read = [k for k, res in enumerate(results) if res.discriminable]
+    found = _falsifiers([results[k].kernel_rho for k in read])
+    held = [(nus[k], f) for k, f in zip(read, found) if f is not None]
+    born = _grouped(_born_probabilities, [nu.dim for nu, _ in held], *zip(*held))
+    misses = len(results) - len(read) + sum(not abs(b - 1.0) <= _ORTHOGONALITY_TOL for b in born)
+    if misses:
+        note = "constructed orthogonal pair not discriminated"
+    cases += len(results)
+    return _result("orthogonal-support-discrimination", cases, disagreements + misses, 0.0, note)
 
 
 def check_local_falsifier(
@@ -271,23 +260,28 @@ def check_local_falsifier(
     """Local discriminability: the product falsifier a (x) b never fires
     on the bipartite pure state |A>>."""
     n_cases = 100
-    worst = 0.0
-    degenerate_hits = 0
-
     draws = [
-        (random_complex_matrix(d, d, rng), random_unit_vector(d, rng))
+        (random_ops.random_complex_matrix(d, d, rng), random_ops.random_unit_vector(d, rng))
         for _, d in zip(range(n_cases), itertools.cycle(dims))
     ]
     ops, vecs = zip(*draws)
     # The states that QuantumState.pure(mat_to_doubleket(a_op)) builds.
     psis = _validated([_pure_matrix(mat_to_doubleket(a_op)) for a_op in ops])
     found = _grouped(_local_falsifiers, [len(v) for v in vecs], ops, vecs)
-    for psi, lf in zip(psis, found):
-        if lf.degenerate:
-            degenerate_hits += 1
-        worst = max(worst, born_probability(psi, lf.effect))
+    born = _grouped(_born_probabilities, [len(v) for v in vecs], psis, [lf.effect for lf in found])
+    degenerate_hits = sum(lf.degenerate for lf in found)
     note = f"{degenerate_hits} degenerate directions" if degenerate_hits else ""
-    return _result("local-falsifier-born-zero", n_cases, worst, 1e-10, note)
+    return _result("local-falsifier-born-zero", n_cases, np.max(born), 1e-10, note)
+
+
+def _orthogonality_gaps(cfs: list) -> np.ndarray:
+    """Per canonical form of one shape, the largest entry of the gram
+    Tr(A_i^dag A_j) less diag(weights), from one stacked product."""
+    ops = np.stack([cf.operators for cf in cfs])
+    gram = np.trace(ops.conj().swapaxes(2, 3)[:, :, None] @ ops[:, None], axis1=3, axis2=4)
+    gap = gram - np.stack([np.diag(cf.weights) for cf in cfs])
+    # hypot, as Python's abs(complex): numpy's complex abs can differ in the last bit.
+    return np.hypot(gap.real, gap.imag).max(axis=(1, 2))
 
 
 def check_canonical_form(
@@ -296,23 +290,15 @@ def check_canonical_form(
     """Purification, canonical form: the double-ket decomposition rebuilds
     the state and its operators are trace-orthogonal with the stated weights."""
     n_cases = 50
-    worst_recon = 0.0
-    worst_orth = 0.0
     sizes = [d * d for _, d in zip(range(n_cases), itertools.cycle(dims))]
     ranks = [1 + i % n for i, n in enumerate(sizes)]
-    for r in _validated(random_density_matrices(sizes, ranks, rng)):
-        cf = canonical_form(r)
-        worst_recon = max(
-            worst_recon, float(np.max(np.abs(cf.reconstruction() - r.matrix)))
-        )
-        for row, a_i in enumerate(cf.operators):
-            for col, a_j in enumerate(cf.operators):
-                target = cf.weights[col] if row == col else 0.0
-                dev = abs(complex(np.trace(dagger(a_i) @ a_j)) - target)
-                worst_orth = max(worst_orth, float(dev))
+    rs = _validated(random_ops.random_density_matrices(sizes, ranks, rng))
+    cfs = _by_rank(_canonical_forms, rs)
+    recon = [np.max(np.abs(cf.reconstruction() - r.matrix)) for cf, r in zip(cfs, rs)]
+    orth = _grouped(_orthogonality_gaps, [(r.dim, len(cf.weights)) for r, cf in zip(rs, cfs)], cfs)
     return [
-        _result("canonical-form-reconstruction", n_cases, worst_recon, 1e-9),
-        _result("canonical-form-orthogonality", n_cases, worst_orth, 1e-9),
+        _result("canonical-form-reconstruction", n_cases, np.max(recon), 1e-9),
+        _result("canonical-form-orthogonality", n_cases, np.max(orth), 1e-9),
     ]
 
 
@@ -321,26 +307,16 @@ def check_compression(
 ) -> list[PropertyResult]:
     """Ideal compression: rank-deficient states restrict losslessly to their support."""
     n_cases = 100
-    worst_iso = 0.0
-    worst_recon = 0.0
     ds = [d for _, d in zip(range(n_cases), itertools.cycle(dims))]
     ranks = [1 + i % (d - 1) if d > 2 else 1 for i, d in enumerate(ds)]
-    rhos = _validated(random_density_matrices(ds, ranks, rng))
-    comps = _grouped(_compress, [(rho.dim, rho.rank()) for rho in rhos], rhos)
+    rhos = _validated(random_ops.random_density_matrices(ds, ranks, rng))
+    comps = _by_rank(_compress, rhos)
     decoded = _grouped(_decoded, [c.isometry.shape for c in comps], comps)
-    for rho, comp, back in zip(rhos, comps, decoded):
-        v = comp.isometry
-        worst_iso = max(
-            worst_iso,
-            float(np.max(np.abs(v @ dagger(v) - np.eye(v.shape[0])))),
-        )
-        worst_recon = max(
-            worst_recon,
-            float(np.max(np.abs(back.matrix - rho.matrix))),
-        )
+    iso = [np.max(np.abs(v @ dagger(v) - np.eye(len(v)))) for v in (c.isometry for c in comps)]
+    recon = [np.max(np.abs(back.matrix - rho.matrix)) for back, rho in zip(decoded, rhos)]
     return [
-        _result("compression-isometry", n_cases, worst_iso, 1e-10),
-        _result("compression-reconstruction", n_cases, worst_recon, 1e-9),
+        _result("compression-isometry", n_cases, np.max(iso), 1e-10),
+        _result("compression-reconstruction", n_cases, np.max(recon), 1e-9),
     ]
 
 
@@ -349,21 +325,18 @@ def check_atomic_rank(
 ) -> list[PropertyResult]:
     """Atomicity of composition: atomic channels never raise rank; a non-atomic one can."""
     n_cases = 100
-    violations = 0
+    cases = [(d, 1 + i % d) for i, d in zip(range(n_cases), itertools.cycle(dims))]
     draws = [
-        (random_density_matrix(d, rng, rank=1 + i % d), random_contraction(d, rng))
-        for i, d in zip(range(n_cases), itertools.cycle(dims))
+        (rng.standard_normal((2, d, r)), rng.standard_normal((2, d, d)), rng.uniform(0.2, 1.0))
+        for d, r in cases
     ]
-    mats, ops = zip(*draws)
-    rhos = _validated(mats)
+    zr, za, scales = zip(*draws)
+    rhos = _validated(_grouped(random_ops._densities, cases, zr))
+    ops = _grouped(random_ops._contractions, [z.shape for z in za], za, scales)
     channels = _grouped(_channels, [a.shape for a in ops], [(a,) for a in ops])
     outs = _grouped(_apply_channels, [rho.dim for rho in rhos], channels, rhos)
-    for rho, out in zip(rhos, outs):
-        if out.rank() > rho.rank():
-            violations += 1
-    atomic = _result(
-        "atomic-rank-never-increases", n_cases, float(violations), 0.0
-    )
+    violations = sum(out.rank() > rho.rank() for rho, out in zip(rhos, outs))
+    atomic = _result("atomic-rank-never-increases", n_cases, violations, 0.0)
     # Dephasing the maximally coherent pure qubit doubles the rank: the
     # canonical witness that non-atomic channels escape the monotone.  All
     # entries are exact binary fractions, so the comparison is float-exact.
@@ -371,40 +344,29 @@ def check_atomic_rank(
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     dephased = apply_channel(KrausChannel((p0, p1)), plus)
-    exact = float(np.max(np.abs(dephased.matrix - np.eye(2) / 2)))
     rank_jump = 1.0 if (plus.rank(), dephased.rank()) != (1, 2) else 0.0
-    counter = _result(
-        "nonatomic-rank-counterexample",
-        1,
-        max(exact, rank_jump),
-        0.0,
-        "dephasing a pure qubit: rank 1 -> 2, output exactly I/2",
-    )
-    return [atomic, counter]
+    worst = np.maximum(np.max(np.abs(dephased.matrix - np.eye(2) / 2)), rank_jump)
+    note = "dephasing a pure qubit: rank 1 -> 2, output exactly I/2"
+    return [atomic, _result("nonatomic-rank-counterexample", 1, worst, 0.0, note)]
 
 
 def check_dilation(rng: np.random.Generator, dims: tuple[int, ...]) -> PropertyResult:
     """Purification, dilation: every branch of the circuit matches its Kraus term."""
     n_cases = 20
-    worst = 0.0
     draws = [
-        (random_kraus_tp(d, 1 + i % 4, rng), random_density_matrix(d, rng))
+        (rng.standard_normal((2, d * (1 + i % 4), d)), rng.standard_normal((2, d, d)))
         for i, d in zip(range(n_cases), itertools.cycle(dims))
     ]
-    families, mats = zip(*draws)
-    channels = _grouped(_channels, [(len(f), len(f[0])) for f in families], families)
-    for rho, ch in zip(_validated(mats), channels):
-        d = rho.dim
-        dil = dilate(ch)
+    zk, zr = zip(*draws)
+    keys = [z.shape for z in zk]
+    channels = _grouped(_channels, keys, _grouped(random_ops._kraus_families, keys, zk))
+    rhos = _validated(_grouped(random_ops._densities, [z.shape for z in zr], zr))
+    gaps = []
+    for rho, ch, dil in zip(rhos, channels, _grouped(_dilations, keys, channels)):
         for k in range(dil.dim_env):
-            branch = dil.branch(rho, k)
-            expected = (
-                ch.kraus[k] @ rho.matrix @ dagger(ch.kraus[k])
-                if k < ch.n_kraus
-                else np.zeros((d, d), dtype=complex)
-            )
-            worst = max(worst, float(np.max(np.abs(branch - expected))))
-    return _result("dilation-branch-agreement", n_cases, worst, 1e-9)
+            expected = ch.kraus[k] @ rho.matrix @ dagger(ch.kraus[k]) if k < ch.n_kraus else 0.0
+            gaps.append(np.max(np.abs(dil.branch(rho, k) - expected)))
+    return _result("dilation-branch-agreement", n_cases, np.max(gaps), 1e-9)
 
 
 def check_kraus_norm_fault(
@@ -412,7 +374,7 @@ def check_kraus_norm_fault(
 ) -> PropertyResult:
     """No rule, the injected fault: a deliberately mis-normalized Kraus
     family, which the library must refuse to dilate; the row is always red."""
-    kraus = random_kraus_tp(dims[0], 2, rng)
+    kraus = random_ops.random_kraus_tp(dims[0], 2, rng)
     kraus[-1] *= 0.95
     try:
         dilate(KrausChannel(tuple(kraus)))
@@ -430,51 +392,41 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
     serves no rule and stays only because perfbench/checks.py names it.
     Both rows draw d = 2..6 whatever dims the other suites run on."""
     n_cases = 50
-    worst = 0.0
-    mismatches = 0
     # The POVM of 0/1 diagonal effects, one per outcome, for every dimension
     # drawn below.
     outcome_povms = {
-        d: [Effect(np.diag(row)) for row in np.eye(d, dtype=complex)]
-        for d in range(2, 7)
+        d: _effects([np.diag(row) for row in np.eye(d, dtype=complex)]) for d in range(2, 7)
     }
+    draws = []
     for i in range(n_cases):
         d = 2 + i % 5
         x = rng.dirichlet(np.ones(d))
         if i % 3 == 0 and d > 2:
             x[: 1 + i % (d - 1)] = 0.0
             x = x / x.sum()
-        state = ClassicalState(x)
-        embedded = embed_classical(state)
-        for k, e in enumerate(outcome_povms[d]):
-            dev = abs(born_probability(embedded, e) - state.probs[k])
-            worst = max(worst, float(dev))
-        indicator = np.diag((state.probs > DEFAULT_RANK_TOL).astype(complex))
-        worst = max(
-            worst,
-            float(np.max(np.abs(support_projector(embedded.spectrum) - indicator))),
-        )
+        draws.append(x)
+    states = [ClassicalState(x) for x in draws]
+    embedded = _grouped(_embedded, [len(x) for x in draws], states)
+    rhos = [rho for rho in embedded for _ in range(rho.dim)]
+    effects = [e for rho in embedded for e in outcome_povms[rho.dim]]
+    born = _grouped(_born_probabilities, [rho.dim for rho in rhos], rhos, effects)
+    gaps = list(np.abs(np.subtract(born, np.concatenate([s.probs for s in states]))))
+    mismatches = 0
+    for state, rho in zip(states, embedded):
+        indicator = np.diag((~_negligible(state.probs)).astype(complex))
+        gaps.append(np.max(np.abs(support_projector(rho.spectrum) - indicator)))
         has_falsifier = classical_falsifier_exists(state) is not None
-        kernel_nonzero = (
-            float(np.max(np.abs(kernel_projector(embedded.spectrum)))) > SPECTRUM_TOL
-        )
-        if has_falsifier != kernel_nonzero:
-            mismatches += 1
-    worst_perm = 0.0
-    for i in range(n_cases):
-        d = 2 + i % 5
-        fwd = np.eye(d)[:, rng.permutation(d)]
-        x = ClassicalState(rng.dirichlet(np.ones(d)))
-        back = fwd.T @ (fwd @ x.probs)
-        worst_perm = max(worst_perm, float(np.max(np.abs(back - x.probs))))
+        mismatches += has_falsifier != (not _is_zero(kernel_projector(rho.spectrum)))
+    perms = [(rng.permutation(2 + i % 5), rng.dirichlet(np.ones(2 + i % 5))) for i in range(n_cases)]
+    perm_gaps = []
+    for order, x in perms:
+        fwd = np.eye(len(x))[:, order]
+        probs = ClassicalState(x).probs
+        perm_gaps.append(np.max(np.abs(fwd.T @ (fwd @ probs) - probs)))
+    worst = np.maximum(np.max(gaps), mismatches)
     return [
-        _result(
-            "classical-embedding-agreement",
-            n_cases,
-            max(worst, float(mismatches)),
-            1e-12,
-        ),
-        _result("classical-permutation-reversibility", n_cases, worst_perm, 1e-12),
+        _result("classical-embedding-agreement", n_cases, worst, 1e-12),
+        _result("classical-permutation-reversibility", n_cases, np.max(perm_gaps), 1e-12),
     ]
 
 

@@ -50,9 +50,7 @@ from .linalg import (
     _unit_spectrum,
     as_matrix,
     dagger,
-    doubleket_to_mat,
     entries_bounded,
-    hermitian_eig,
     mat_to_doubleket,
     partial_trace,
     support_mask,
@@ -172,6 +170,14 @@ class Effect:
         return _is_zero(self.matrix)
 
 
+def _effects(mats) -> list[Effect]:
+    """Effect(m) for each m of mats, of one dimension, validated as one stack."""
+    effects = [object.__new__(Effect) for _ in mats]
+    if effects:
+        _validate_effects(_as_stack(mats, "effect matrix"), effects)
+    return effects
+
+
 def _validate_effects(a: np.ndarray, effects: list[Effect]) -> None:
     """Validate the complex (n, d, d) stack a as n effects, and give
     effects[k] matrix k, symmetrized, read-only.  A spectrum error names the
@@ -269,12 +275,20 @@ def born_probability(rho: QuantumState, effect: Effect) -> float:
         raise DimensionMismatchError(
             f"state dim {rho.dim} vs effect dim {effect.dim}"
         )
-    p = complex(np.trace(rho.matrix @ effect.matrix))
-    if abs(p.imag) > _IMAG_TOL:
+    return _born_probabilities([rho], [effect])[0]
+
+
+def _born_probabilities(rhos: list[QuantumState], effects: list[Effect]) -> list[float]:
+    """born_probability(rhos[k], effects[k]) for every k, as one stacked
+    trace; all must share one dimension."""
+    r, e = (np.stack([x.matrix for x in xs]) for xs in (rhos, effects))
+    p = np.trace(r @ e, axis1=1, axis2=2)
+    bad = np.abs(p.imag) > _IMAG_TOL
+    if bad.any():
         raise NumericalContaminationError(
-            f"Born probability has imaginary part {p.imag:.3e}"
+            f"Born probability has imaginary part {p.imag[bad.argmax()]:.3e}"
         )
-    return min(1.0, max(0.0, p.real))
+    return [min(1.0, max(0.0, x)) for x in p.real.tolist()]
 
 
 def apply_channel(channel: KrausChannel, rho: QuantumState) -> QuantumState:
@@ -329,17 +343,29 @@ def _marginals(purs: list[Purification]) -> list[QuantumState]:
 def purify(rho: QuantumState) -> Purification:
     """Minimal purification: environment dimension equals the rank of rho,
     environment basis ordered by descending eigenvalue."""
-    if not rho.deterministic:
+    return _purifications([rho])[0]
+
+
+def _purifications(rhos: list[QuantumState]) -> list[Purification]:
+    """purify(rho) for each of rhos, which must share one dimension and one
+    rank, built as one stack."""
+    if not all(rho.deterministic for rho in rhos):
         raise NotDeterministicError("only trace-one states are purified")
-    eig = rho.spectrum
-    keep = support_mask(eig.values)
-    lams = eig.values[keep]
-    vecs = eig.vectors[:, keep]
+    lams, vecs = _support_spectra(rhos)
     # psi = sum_i sqrt(lam_i) v_i (x) e_i, i.e. the double-ket of V sqrt(L).
-    m = vecs * np.sqrt(lams)[None, :]
-    psi = mat_to_doubleket(m)
-    psi = psi / np.linalg.norm(psi)
-    return Purification(state_vector=psi, dim_a=rho.dim, dim_b=int(lams.size))
+    psi = (vecs * np.sqrt(lams)[:, None, :]).reshape(len(rhos), -1)
+    return [
+        Purification(state_vector=p / np.linalg.norm(p), dim_a=rhos[0].dim, dim_b=lams.shape[1])
+        for p in psi
+    ]
+
+
+def _support_spectra(states: list[QuantumState]) -> tuple[np.ndarray, np.ndarray]:
+    """The kept eigenvalues and eigenvector columns of states of one dimension
+    and rank, stacked: each support is a prefix of the descending spectrum."""
+    values = np.stack([s.spectrum.values for s in states])
+    rank = int(np.count_nonzero(support_mask(values[0])))
+    return values[:, :rank], np.stack([s.spectrum.vectors[:, :rank] for s in states])
 
 
 def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
@@ -358,21 +384,24 @@ def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
             f"environment dims differ: {p1.dim_b} vs {p2.dim_b}; "
             "pad the smaller purification before connecting"
         )
-    if np.array_equal(p1.state_vector, p2.state_vector):
-        return np.eye(p1.dim_b, dtype=complex)
-    da, db = p1.dim_a, p1.dim_b
-    m1 = doubleket_to_mat(p1.state_vector, da, db)
-    m2 = doubleket_to_mat(p2.state_vector, da, db)
-    rho1 = m1 @ dagger(m1)
-    rho2 = m2 @ dagger(m2)
+    return _connecting_unitaries([p1], [p2])[0]
+
+
+def _connecting_unitaries(p1s: list[Purification], p2s: list[Purification]) -> list[np.ndarray]:
+    """connecting_unitary(p1s[k], p2s[k]) for every k, from one stacked SVD;
+    all must share dim_a and dim_b."""
+    shape = (-1, p1s[0].dim_a, p1s[0].dim_b)
+    m1, m2 = (np.stack([p.state_vector for p in ps]).reshape(shape) for ps in (p1s, p2s))
+    rho1, rho2 = (m @ m.conj().swapaxes(1, 2) for m in (m1, m2))
     if float(np.max(np.abs(rho1 - rho2))) > _MARGINAL_TOL:
-        raise PurificationMismatchError(
-            "purifications reduce to different marginals"
-        )
+        raise PurificationMismatchError("purifications reduce to different marginals")
     # M2 = M1 U^T, so U^T is the unitary polar factor of M1^dag M2: the
     # orthogonal Procrustes solution, which needs no support cut.
-    w, _, vh = np.linalg.svd(dagger(m1) @ m2)
-    return (w @ vh).T
+    w, _, vh = np.linalg.svd(m1.conj().swapaxes(1, 2) @ m2)
+    u = (w @ vh).swapaxes(1, 2)
+    same = [np.array_equal(p1.state_vector, p2.state_vector) for p1, p2 in zip(p1s, p2s)]
+    u[same] = np.eye(shape[2])
+    return list(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,11 +418,18 @@ class DiscriminationResult:
 
     @property
     def falsifier_rho(self) -> Effect | None:
-        return None if _is_zero(self.kernel_rho) else Effect(self.kernel_rho)
+        return _falsifiers([self.kernel_rho])[0]
 
     @property
     def falsifier_nu(self) -> Effect | None:
-        return None if _is_zero(self.kernel_nu) else Effect(self.kernel_nu)
+        return _falsifiers([self.kernel_nu])[0]
+
+
+def _falsifiers(kernels: list[np.ndarray]) -> list[Effect | None]:
+    """None for each zero kernel projector, else its Effect; the kernels,
+    of one dimension, are validated as one stack."""
+    found = iter(_effects([k for k in kernels if not _is_zero(k)]))
+    return [None if _is_zero(k) else next(found) for k in kernels]
 
 
 def perfectly_discriminable(rho: QuantumState, nu: QuantumState) -> DiscriminationResult:
@@ -465,13 +501,12 @@ def compress(rho: QuantumState) -> CompressionResult:
 def _compress(rhos: list[QuantumState]) -> list[CompressionResult]:
     """compress(rho) for each of rhos, which must share one dimension and
     one rank, with the compressed states validated as one stack."""
-    cols = [rho.spectrum.vectors[:, support_mask(rho.spectrum.values)] for rho in rhos]
-    rank, dim = cols[0].shape[1], rhos[0].dim
-    if rank == dim:
+    _, cols = _support_spectra(rhos)
+    if cols.shape[1] == cols.shape[2]:
         raise NotCompressibleError(
-            f"state has full support (rank {rank} = dim); nothing to compress"
+            f"state has full support (rank {cols.shape[2]} = dim); nothing to compress"
         )
-    v = np.stack(cols).conj().swapaxes(1, 2)
+    v = cols.conj().swapaxes(1, 2)
     states = _states(v @ np.stack([rho.matrix for rho in rhos]) @ v.conj().swapaxes(1, 2))
     return [CompressionResult(isometry=iso, state=state) for iso, state in zip(v, states)]
 
@@ -497,19 +532,21 @@ def canonical_form(r: QuantumState) -> CanonicalForm:
     """Spectral double-ket decomposition of a state on a d x d bipartite
     space: A_j = sqrt(lam_j) unvec(v_j) for each kept eigenpair, with the
     kept eigenvalues lam_j as the weights."""
-    d = int(round(np.sqrt(r.dim)))
-    if d * d != r.dim:
+    return _canonical_forms([r])[0]
+
+
+def _canonical_forms(rs: list[QuantumState]) -> list[CanonicalForm]:
+    """canonical_form(r) for each of rs, which must share one dimension and
+    one rank, built as one stack."""
+    dim = rs[0].dim
+    d = int(round(np.sqrt(dim)))
+    if d * d != dim:
         raise DimensionMismatchError(
-            f"canonical_form needs a bipartite d^2 dimension, got {r.dim}"
+            f"canonical_form needs a bipartite d^2 dimension, got {dim}"
         )
-    eig = r.spectrum
-    keep = support_mask(eig.values)
-    lams = eig.values[keep]
-    ops = tuple(
-        np.sqrt(lam) * doubleket_to_mat(vec, d, d)
-        for lam, vec in zip(lams, eig.vectors[:, keep].T)
-    )
-    return CanonicalForm(operators=ops, weights=lams)
+    lams, vecs = _support_spectra(rs)
+    ops = np.sqrt(lams)[:, :, None, None] * vecs.swapaxes(1, 2).reshape(*lams.shape, d, d)
+    return [CanonicalForm(operators=tuple(o), weights=w) for o, w in zip(ops, lams)]
 
 
 # Smallest |A|_F that local_falsifier uses unscaled: above it, a
@@ -543,8 +580,7 @@ def _local_falsifiers(a_ops, a_vecs) -> list[LocalFalsifier]:
     """local_falsifier(a_ops[k], a_vecs[k]) for every k, the effects
     validated as one stack; the operators must share one dimension."""
     found = [_falsifier_parts(a_op, a_vec) for a_op, a_vec in zip(a_ops, a_vecs)]
-    effects = [object.__new__(Effect) for _ in found]
-    _validate_effects(_as_stack([m for _, m, _ in found], "effect matrix"), effects)
+    effects = _effects([m for _, m, _ in found])
     return [LocalFalsifier(b, e, degenerate) for (b, _, degenerate), e in zip(found, effects)]
 
 
@@ -646,19 +682,24 @@ def dilate(channel: KrausChannel) -> Dilation:
             "only square channels are dilated directly; embed the channel "
             "into a square space first"
         )
-    if not channel.deterministic:
-        raise NotTracePreservingError(
-            "dilation requires a trace-preserving channel"
-        )
-    d = channel.dim_in
-    n_env = max(channel.n_kraus, 2)
+    return _dilations([channel])[0]
+
+
+def _dilations(channels: list[KrausChannel]) -> list[Dilation]:
+    """dilate(c) for each of channels, which must agree in Kraus count and
+    square shape, with one eigendecomposition stack."""
+    if not all(channel.deterministic for channel in channels):
+        raise NotTracePreservingError("dilation requires a trace-preserving channel")
+    a = np.stack([channel.kraus for channel in channels])
+    n, n_kraus, d = a.shape[:3]
+    n_env = max(n_kraus, 2)
     big = d * n_env
-    v = np.zeros((big, d), dtype=complex)
-    for k, a in enumerate(channel.kraus):
-        v[k::n_env, :] = a
+    v = np.zeros((n, big, d), dtype=complex)
+    v.reshape(n, d, n_env, d)[:, :, :n_kraus] = a.swapaxes(1, 2)  # row j * n_env + k is A_k's row j
     # The kernel of V^dag is the eigenvalue-1 eigenspace of I - V V^dag.
-    kernel = hermitian_eig(np.eye(big) - v @ dagger(v)).vectors[:, : big - d]
-    u = np.empty((big, big), dtype=complex)
-    u[:, ::n_env] = v
-    u[:, [c for c in range(big) if c % n_env]] = kernel
-    return Dilation(unitary=u, dim_sys=d, dim_env=n_env)
+    gram = np.eye(big) - v @ v.conj().swapaxes(1, 2)
+    kernel = _eig_core(_hermitian(gram, "hermitian_eig input"))[1][:, :, : big - d]
+    u = np.empty((n, big, big), dtype=complex)
+    u[:, :, ::n_env] = v
+    u[:, :, [c for c in range(big) if c % n_env]] = kernel
+    return [Dilation(unitary=m, dim_sys=d, dim_env=n_env) for m in u]

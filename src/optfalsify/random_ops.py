@@ -7,8 +7,17 @@ import numpy as np
 from .linalg import dagger
 
 
+def _ginibre(z) -> np.ndarray:
+    """The complex matrices of normals z shaped (..., 2, rows, cols): real
+    parts, then imaginary parts, as random_complex_matrix draws them.  Each
+    random_* draw builds its normals by such a route, whose stack along the
+    leading axes gives the bits of one draw at a time."""
+    z = np.asarray(z)
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
 def random_complex_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return _ginibre(rng.standard_normal((2, rows, cols)))
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -18,23 +27,35 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with phases fixed."""
-    q, r = np.linalg.qr(random_complex_matrix(dim, dim, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _unitaries(rng.standard_normal((2, dim, dim)))
+
+
+def _unitaries(z) -> np.ndarray:
+    """random_unitary of normals z (..., 2, dim, dim)."""
+    q, r = np.linalg.qr(_ginibre(z))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> np.ndarray:
     """Trace-one PSD matrix of the given rank (full rank by default)."""
-    return random_density_matrices(dim, [dim if rank is None else rank], rng)[0]
+    return _densities(rng.standard_normal((2, dim, dim if rank is None else rank)))
+
+
+def _densities(z) -> np.ndarray:
+    """random_density_matrix of normals z (..., 2, dim, rank)."""
+    g = _ginibre(z)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density_matrices(dims, ranks, rng: np.random.Generator) -> list[np.ndarray]:
     """random_density_matrix(dims[k], rng, rank=ranks[k]) for each case k in
     turn (dims and ranks broadcast), from one standard_normal call, which
     gives each case the normals of its own calls; the cases of each (dim,
-    rank) are multiplied and normalized as one stack."""
+    rank) are built as one stack."""
     dims, ranks = (a.reshape(-1) for a in np.broadcast_arrays(dims, ranks))
     sizes = 2 * dims * ranks
     z = rng.standard_normal(int(sizes.sum()))
@@ -42,10 +63,7 @@ def random_density_matrices(dims, ranks, rng: np.random.Generator) -> list[np.nd
     out = [None] * len(dims)
     for d, r in dict.fromkeys(zip(dims.tolist(), ranks.tolist())):
         ks = np.flatnonzero((dims == d) & (ranks == r))
-        parts = z[starts[ks, None] + np.arange(2 * d * r)].reshape(-1, 2, d, r)
-        g = parts[:, 0] + 1j * parts[:, 1]
-        rho = g @ g.conj().swapaxes(1, 2)
-        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        rho = _densities(z[starts[ks, None] + np.arange(2 * d * r)].reshape(-1, 2, d, r))
         for k, m in zip(ks.tolist(), rho):
             out[k] = m
     return out
@@ -59,15 +77,23 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
 
 def random_kraus_tp(dim: int, n_kraus: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Trace-preserving Kraus family: blocks of a random isometry."""
-    g = random_complex_matrix(dim * n_kraus, dim, rng)
-    q, _ = np.linalg.qr(g)
+    return list(_kraus_families(rng.standard_normal((2, dim * n_kraus, dim))))
+
+
+def _kraus_families(z) -> np.ndarray:
+    """random_kraus_tp of normals z (..., 2, dim * n_kraus, dim), stacked."""
+    q, _ = np.linalg.qr(_ginibre(z))
     # q has orthonormal columns, so stacking gives sum_k A_k^dag A_k = I.
-    return [q[k * dim : (k + 1) * dim, :].copy() for k in range(n_kraus)]
+    return q.reshape(*q.shape[:-2], -1, q.shape[-1], q.shape[-1])
 
 
 def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Single matrix with operator norm <= 1 (atomic sub-channel)."""
-    g = random_complex_matrix(dim, dim, rng)
-    scale = float(np.linalg.norm(g, 2))
-    return g * (rng.uniform(0.2, 1.0) / scale)
+    z = rng.standard_normal((2, dim, dim))
+    return _contractions(z, rng.uniform(0.2, 1.0))
 
+
+def _contractions(z, u) -> np.ndarray:
+    """random_contraction of normals z (..., 2, dim, dim) and uniforms u."""
+    g = _ginibre(z)
+    return g * (np.asarray(u) / np.linalg.norm(g, 2, axis=(-2, -1)))[..., None, None]

@@ -1,21 +1,30 @@
 import dataclasses
+import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from optfalsify import postulates
 from optfalsify.classical import classical_falsifier_exists
+from optfalsify.cli import main
 from optfalsify.errors import OutOfRangeError
+from optfalsify.linalg import partial_trace, tensor
 from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
 from optfalsify.quantum import (
+    CompressionResult,
+    Effect,
     Purification,
     QuantumState,
     _apply_channels,
+    _canonical_forms,
+    _compress,
+    _connecting_unitaries,
     _discriminate,
     _local_falsifiers,
+    _purifications,
     dilate,
-    purify,
 )
 
 
@@ -71,11 +80,12 @@ class TestRunPostulateChecks:
     def test_every_spectrum_through_eigh(self, lapack_calls):
         # One LAPACK route feeds every spectral decision: at these dims and
         # seed, 2392 state and projector matrices and 291 effect and gram
-        # matrices, all through eigh.  They go in 194 calls because the
-        # suites validate stacks; validating case by case raises the count.
+        # matrices, all through eigh.  They go in 69 calls because every
+        # suite runs its library routes a stack at a time; a route put back
+        # to one call per case raises the count.
         run_postulate_checks(dims=(2, 3, 4), seed=1)
         assert len(lapack_calls["eigh"]) == 2392 + 291
-        assert lapack_calls["eigh"].calls == 194
+        assert lapack_calls["eigh"].calls == 69
         assert lapack_calls["eigvalsh"] == []
 
     def test_rows_and_case_counts_pinned(self):
@@ -110,12 +120,54 @@ class TestRunPostulateChecks:
             assert worst["classical-permutation-reversibility"] == 0.0
 
 
-def _padded_purify(rho):
-    """purify(rho) with one more, unoccupied, environment dimension."""
-    pur = purify(rho)
-    psi = np.zeros((pur.dim_a, pur.dim_b + 1), dtype=complex)
-    psi[:, :-1] = pur.state_vector.reshape(pur.dim_a, pur.dim_b)
-    return Purification(psi.reshape(-1), pur.dim_a, pur.dim_b + 1)
+def _padded_purifications(rhos):
+    """_purifications, each with one more, unoccupied, environment dimension."""
+    padded = []
+    for pur in _purifications(rhos):
+        psi = np.zeros((pur.dim_a, pur.dim_b + 1), dtype=complex)
+        psi[:, :-1] = pur.state_vector.reshape(pur.dim_a, pur.dim_b)
+        padded.append(Purification(psi.reshape(-1), pur.dim_a, pur.dim_b + 1))
+    return padded
+
+
+def _transposed_unitaries(p1s, p2s):
+    """_connecting_unitaries without the final transpose: U^T for U."""
+    return [u.T for u in _connecting_unitaries(p1s, p2s)]
+
+
+def _column_major_forms(rs):
+    """_canonical_forms with each operator unvectorized column-major, i.e.
+    transposed: the gram Tr(A_i^dag A_j) is unchanged, the rebuilt state is
+    not."""
+    return [
+        dataclasses.replace(cf, operators=tuple(a.T for a in cf.operators))
+        for cf in _canonical_forms(rs)
+    ]
+
+
+def _short_isometries(rhos):
+    """_compress with each isometry scaled by 0.999, so V V^dag misses I."""
+    return [
+        CompressionResult(isometry=0.999 * c.isometry, state=c.state) for c in _compress(rhos)
+    ]
+
+
+def _transposed_decodes(comps):
+    """CompressionResult.decode as V^T s V*, in place of V^dag s V."""
+    return [QuantumState(c.isometry.T @ c.state.matrix @ c.isometry.conj()) for c in comps]
+
+
+def _conjugated_falsifiers(a_ops, a_vecs):
+    """_local_falsifiers with b conjugated in the effect |a><a| (x) |b><b|, a
+    phase-convention slip: the effect then fires on |A>>."""
+    found = []
+    for lf in _local_falsifiers(a_ops, a_vecs):
+        d = len(lf.vector_b)
+        b = lf.vector_b.conj()
+        ket_a = partial_trace(lf.effect.matrix, d, d)
+        effect = Effect(tensor(ket_a, np.outer(b, b.conj())))
+        found.append(dataclasses.replace(lf, vector_b=b, effect=effect))
+    return found
 
 
 def _flipped_discrimination(rhos, nus):
@@ -150,8 +202,8 @@ _ENV_NOTE = r"environment dim \d+ != rank \d+ at dim \d+"
 # Library name the suites import: (a replacement that disagrees with the
 # suite's independent route, injected fault, {failing result: its note}).
 WRONG_ROUTES = {
-    "purify": (
-        _padded_purify,
+    "_purifications": (
+        _padded_purifications,
         None,
         {
             "purification-recovery": _ENV_NOTE,
@@ -164,6 +216,19 @@ WRONG_ROUTES = {
         None,
         {"orthogonal-support-discrimination": "constructed orthogonal pair not discriminated"},
     ),
+    "_connecting_unitaries": (
+        _transposed_unitaries,
+        None,
+        {"purification-uniqueness-reconstruction": ""},
+    ),
+    "_canonical_forms": (_column_major_forms, None, {"canonical-form-reconstruction": ""}),
+    "_compress": (
+        _short_isometries,
+        None,
+        {"compression-isometry": "", "compression-reconstruction": ""},
+    ),
+    "_decoded": (_transposed_decodes, None, {"compression-reconstruction": ""}),
+    "_local_falsifiers": (_conjugated_falsifiers, None, {"local-falsifier-born-zero": ""}),
     "_apply_channels": (_rank_raising_channels, None, {"atomic-rank-never-increases": ""}),
     "dilate": (
         _lenient_dilate,
@@ -203,3 +268,29 @@ def test_degenerate_directions_noted(monkeypatch):
     assert all(r.passed for r in results)
     (r,) = [r for r in results if r.name == "local-falsifier-born-zero"]
     assert r.note == f"{r.cases} degenerate directions"
+
+
+def _nan_marginals(purs):
+    """Stand-ins for _marginals whose matrices are all NaN."""
+    return [SimpleNamespace(matrix=np.full((p.dim_a, p.dim_a), np.nan)) for p in purs]
+
+
+def _nan_decodes(comps):
+    """Stand-ins for _decoded whose matrices are all NaN."""
+    return [SimpleNamespace(matrix=np.full((c.isometry.shape[1],) * 2, np.nan)) for c in comps]
+
+
+def test_nan_deviation_fails_its_row(monkeypatch, tmp_path):
+    # A NaN deviation must not fold away as it does under Python's max:
+    # each row fails, the CLI exits 1 and the report's worst is null.
+    monkeypatch.setattr(postulates, "_marginals", _nan_marginals)
+    monkeypatch.setattr(postulates, "_decoded", _nan_decodes)
+    nan_rows = {"purification-recovery", "compression-reconstruction"}
+    results = run_postulate_checks(dims=(2, 3), seed=0)
+    failed = {r.name: r for r in results if not r.passed}
+    assert set(failed) == nan_rows
+    assert all(np.isnan(r.worst) for r in failed.values())
+    out = tmp_path / "report.json"
+    assert main(["check-postulates", "--dims", "2..3", "--out", str(out)]) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+    assert all(rows[name]["worst"] is None and not rows[name]["passed"] for name in nan_rows)

@@ -5,8 +5,11 @@ quantum._states validates a whole stack of matrices through the code that
 QuantumState(m) runs on a stack of one; linalg._support_projectors and
 quantum._discriminate likewise build the projectors and kernels of many
 states at once, and so do the other stacked routes of quantum (_marginals,
-_compress, _decoded, _channels, _apply_channels, _local_falsifiers) and
-random_ops.random_density_matrices.  That a stacked LAPACK or
+_compress, _decoded, _channels, _apply_channels, _local_falsifiers,
+_purifications, _connecting_unitaries, _canonical_forms, _dilations,
+_effects, _falsifiers, _born_probabilities), classical._embedded and the
+builders of random_ops (random_density_matrices, _densities, _unitaries,
+_kraus_families, _contractions).  That a stacked LAPACK or
 BLAS call returns the same bits as one call per matrix is a fact about the
 platform and its BLAS, so these tests check it rather than assume it.
 """
@@ -15,11 +18,18 @@ import numpy as np
 import pytest
 
 from optfalsify import (
+    ClassicalState,
     Effect,
     KrausChannel,
     QuantumState,
     apply_channel,
+    born_probability,
+    canonical_form,
+    classical,
     compress,
+    connecting_unitary,
+    dilate,
+    embed_classical,
     hermitian_eig,
     local_falsifier,
     perfectly_discriminable,
@@ -29,21 +39,25 @@ from optfalsify import (
     run_postulate_checks,
     support_projector,
 )
-from optfalsify.errors import OutOfRangeError
+from optfalsify.errors import NotDeterministicError, NotTracePreservingError, OutOfRangeError
 from optfalsify.linalg import (
     DEFAULT_RANK_TOL,
     SPECTRUM_TOL,
     _eig_core,
     _hermitian,
+    _is_zero,
     _support_projectors,
     support_mask,
+    tensor,
 )
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_contraction,
     random_density_matrices,
     random_density_matrix,
+    random_kraus_tp,
     random_unit_vector,
+    random_unitary,
 )
 
 
@@ -108,6 +122,14 @@ PER_CASE = {
     "_channels": lambda families: [KrausChannel(f) for f in families],
     "_apply_channels": lambda chs, rhos: [apply_channel(c, r) for c, r in zip(chs, rhos)],
     "_local_falsifiers": lambda ops, vecs: [local_falsifier(a, v) for a, v in zip(ops, vecs)],
+    "_purifications": lambda rhos: [purify(rho) for rho in rhos],
+    "_connecting_unitaries": lambda p1s, p2s: [connecting_unitary(a, b) for a, b in zip(p1s, p2s)],
+    "_canonical_forms": lambda rs: [canonical_form(r) for r in rs],
+    "_dilations": lambda chs: [dilate(c) for c in chs],
+    "_embedded": lambda xs: [embed_classical(x) for x in xs],
+    "_effects": lambda mats: [Effect(m) for m in mats],
+    "_falsifiers": lambda kernels: [None if _is_zero(k) else Effect(k) for k in kernels],
+    "_born_probabilities": lambda rhos, es: [born_probability(r, e) for r, e in zip(rhos, es)],
 }
 
 
@@ -142,7 +164,7 @@ def _pairs(d, rng):
     pairs = list(zip(states, states)) + list(zip(states, states[1:] + states[:1]))
     if d > 1:
         for rank in range(1, d):
-            rho, nu = postulates._orthogonal_pair(d, rank, rng)
+            (rho, nu), = postulates._orthogonal_pairs([rng.standard_normal((3, 2, d, d))], [rank])
             pairs.append((QuantumState(rho), QuantumState(nu)))
         e = np.eye(d, dtype=complex)
         pairs.append((QuantumState(np.diag(e[0])), QuantumState(np.diag(e[-1]))))
@@ -310,3 +332,105 @@ def test_stacked_effects_and_channels_fail_as_single_objects():
         quantum._validate_effects(stack, [object.__new__(Effect) for _ in stack])
     with pytest.raises(OutOfRangeError, match=r"^effect has eigenvalue 2\.000e\+00 above one"):
         Effect(2 * np.eye(2))
+
+
+def _by_rank(states):
+    """The states grouped by dimension and rank, as the stacked routes take them."""
+    groups = {}
+    for s in states:
+        groups.setdefault((s.dim, s.rank()), []).append(s)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_purification_routes_give_per_object_bits(d):
+    rng = np.random.default_rng(900 + d)
+    for group in _by_rank([QuantumState(m) for m in _corpus(d, rng)]):
+        p1s = quantum._purifications(group)
+        for rho, got in zip(group, p1s):
+            want = purify(rho)
+            assert (got.dim_a, got.dim_b) == (want.dim_a, want.dim_b)
+            assert got.state_vector.tobytes() == want.state_vector.tobytes()
+        # Each purification moved by a random unitary on its environment,
+        # and once unmoved, whose connecting unitary is exactly I.
+        eye = np.eye(d, dtype=complex)
+        p2s = [
+            quantum.Purification(tensor(eye, random_unitary(p.dim_b, rng)) @ p.state_vector, d, p.dim_b)
+            for p in p1s
+        ] + p1s[:1]
+        got = quantum._connecting_unitaries(p1s + p1s[:1], p2s)
+        for u, p1, p2 in zip(got, p1s + p1s[:1], p2s):
+            assert u.tobytes() == connecting_unitary(p1, p2).tobytes()
+        assert np.array_equal(got[-1], np.eye(p1s[0].dim_b))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_canonical_forms_give_per_object_bits(d):
+    # canonical_form takes a d x d bipartite space, so the corpus is drawn
+    # at dimension d * d.
+    for group in _by_rank([QuantumState(m) for m in _corpus(d * d, np.random.default_rng(910 + d))]):
+        for r, got in zip(group, quantum._canonical_forms(group)):
+            want = canonical_form(r)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert len(got.operators) == len(want.operators)
+            for a, b in zip(got.operators, want.operators):
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dilations_give_per_object_bits(d):
+    rng = np.random.default_rng(920 + d)
+    for n_kraus in (1, 2, 3, 4):
+        channels = [KrausChannel(tuple(random_kraus_tp(d, n_kraus, rng))) for _ in range(5)]
+        for channel, got in zip(channels, quantum._dilations(channels)):
+            want = dilate(channel)
+            assert (got.dim_sys, got.dim_env) == (want.dim_sys, want.dim_env)
+            assert got.unitary.tobytes() == want.unitary.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_effect_and_born_routes_give_per_object_bits(d):
+    rng = np.random.default_rng(930 + d)
+    states = [QuantumState(m) for m in _corpus(d, rng)]
+    # The kernels of pure, mixed and full-rank states: zero or not.
+    kernels = [res.kernel_rho for res in quantum._discriminate(states, states)]
+    found = quantum._falsifiers(kernels)
+    for kernel, got in zip(kernels, found):
+        want = None if _is_zero(kernel) else Effect(kernel)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert {f is None for f in found} == {True, False}
+    mats = [np.eye(d) * w for w in (0.0, 0.5, 1.0)] + [m for m in _corpus(d, rng)]
+    for m, got in zip(mats, quantum._effects(mats)):
+        assert got.matrix.tobytes() == Effect(m).matrix.tobytes()
+    effects = [f for f in found if f is not None] + quantum._effects(mats)
+    rhos = [states[k % len(states)] for k in range(len(effects))]
+    got = quantum._born_probabilities(rhos, effects)
+    assert got == [born_probability(rho, e) for rho, e in zip(rhos, effects)]
+    xs = [ClassicalState(np.diag(m).real) for m in _corpus(d, rng)]
+    for x, got in zip(xs, classical._embedded(xs)):
+        want = embed_classical(x)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.spectrum.vectors.tobytes() == want.spectrum.vectors.tobytes()
+
+
+def test_failing_stacks_raise_the_single_objects_error():
+    ok = QuantumState(np.eye(2) / 2)
+    sub = QuantumState(np.eye(2) / 4)
+    with pytest.raises(NotDeterministicError, match=r"^only trace-one states are purified$"):
+        quantum._purifications([ok, sub, ok])
+    with pytest.raises(NotDeterministicError, match=r"^only trace-one states are purified$"):
+        purify(sub)
+    # The kraus-norm fault: a trace-preserving family with its last
+    # operator scaled by 0.95.
+    rng = np.random.default_rng(940)
+    kraus = random_kraus_tp(2, 2, rng)
+    kraus[-1] *= 0.95
+    faulty = KrausChannel(tuple(kraus))
+    fine = KrausChannel(tuple(random_kraus_tp(2, 2, rng)))
+    message = r"^dilation requires a trace-preserving channel$"
+    with pytest.raises(NotTracePreservingError, match=message):
+        quantum._dilations([fine, faulty, fine])
+    with pytest.raises(NotTracePreservingError, match=message):
+        dilate(faulty)
