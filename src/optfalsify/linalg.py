@@ -163,9 +163,11 @@ def _subnormalized(x) -> bool:
     return x <= 1.0 + TRACE_TOL
 
 
-def _is_zero(m: np.ndarray) -> bool:
-    """Whether every entry of the matrix m has modulus at most SPECTRUM_TOL."""
-    return bool(np.abs(m).max() <= SPECTRUM_TOL)
+def _is_zero(m: np.ndarray):
+    """Whether every entry of the matrix m has modulus at most SPECTRUM_TOL;
+    for an (n, d, d) stack, an (n,) array of that decision per matrix."""
+    zero = np.abs(m).max(axis=(-2, -1)) <= SPECTRUM_TOL
+    return zero if zero.ndim else bool(zero)
 
 
 def _at(name: str, index: int, n: int) -> str:
@@ -184,12 +186,13 @@ def _as_stack(m, name: str) -> np.ndarray:
     return a
 
 
-def _bounded_vector(vector, name: str) -> tuple[np.ndarray, float]:
-    """vector read by _numbers into a fresh flattened complex array, and its
-    2-norm (inf when it overflows)."""
-    v = _numbers(vector, complex, name).reshape(-1)
-    with np.errstate(over="ignore"):
-        return v, float(np.linalg.norm(v))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of the complex (n, m) stack v, bit for bit
+    (inf on overflow): norm's BLAS dot products of the real and imaginary
+    parts, as stacked matmuls; a reduction along an axis rounds otherwise."""
+    x, y = v.real[:, None], v.imag[:, None]
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sqrt((x @ x.swapaxes(1, 2) + y @ y.swapaxes(1, 2))[:, 0, 0])
 
 
 def _hermitian(a: np.ndarray, name: str) -> np.ndarray:
@@ -307,12 +310,14 @@ def _check_psd(values: np.ndarray, name: str) -> None:
     """NotPSDError unless, in each row of the (n, d) descending eigenvalues,
     the lowest is at least -DEFAULT_RANK_TOL * lam_max, with lam_max clamped
     at zero.  The error names the first failing row (see _at)."""
-    for k, row in enumerate(values.tolist()):
-        if not _negligible(-row[-1], max(row[0], 0.0)):
-            raise NotPSDError(
-                f"{_at(name, k, len(values))}: eigenvalue {row[-1]:.3e} "
-                "below -DEFAULT_RANK_TOL*lam_max"
-            )
+    low = values[:, -1]
+    bad = ~_negligible(-low, np.maximum(values[:, 0], 0.0))
+    if bad.any():
+        k = int(bad.argmax())
+        raise NotPSDError(
+            f"{_at(name, k, len(values))}: eigenvalue {low[k]:.3e} "
+            "below -DEFAULT_RANK_TOL*lam_max"
+        )
 
 
 def support_projector(m) -> np.ndarray:
@@ -365,7 +370,7 @@ def mat_to_doubleket(a) -> np.ndarray:
 def doubleket_to_mat(v, rows: int, cols: int) -> np.ndarray:
     """Inverse of mat_to_doubleket for a rows x cols matrix, whose entries
     as_matrix would accept."""
-    v, _ = _bounded_vector(v, "doubleket_to_mat input")
+    v = _numbers(v, complex, "doubleket_to_mat input").reshape(-1)
     _check_dims("doubleket_to_mat dimension", rows, cols)
     if rows * cols != v.size:
         raise DimensionMismatchError(

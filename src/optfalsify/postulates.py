@@ -24,18 +24,16 @@ from .linalg import (
     _is_zero,
     _kron,
     _negligible,
+    _norms,
     _read_dims,
-    dagger,
-    kernel_projector,
-    mat_to_doubleket,
-    support_projector,
+    _support_projectors,
 )
 from .quantum import (
     KrausChannel,
-    Purification,
     QuantumState,
     _apply_channels,
     _born_probabilities,
+    _branches,
     _canonical_forms,
     _channels,
     _compress,
@@ -47,8 +45,11 @@ from .quantum import (
     _falsifiers,
     _local_falsifiers,
     _marginals,
-    _pure_matrix,
+    _pure_matrices,
+    _purification_stack,
     _purifications,
+    _ranks,
+    _reconstructions,
     apply_channel,
     dilate,
 )
@@ -81,9 +82,11 @@ def _sub_rng(seed: int, index: int) -> np.random.Generator:
 def _grouped(stacked, keys: list, *columns: list) -> list:
     """stacked(*columns) on the cases of one key at a time, its results in
     case order: a route that takes cases of one shape, run on several."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
     out = [None] * len(keys)
-    for key in dict.fromkeys(keys):
-        ks = [k for k, other in enumerate(keys) if other == key]
+    for ks in groups.values():
         for k, result in zip(ks, stacked(*([col[k] for k in ks] for col in columns))):
             out[k] = result
     return out
@@ -97,7 +100,14 @@ def _validated(mats: list) -> list[QuantumState]:
 
 def _by_rank(route, rhos: list) -> list:
     """route on the states of each dimension and rank as one stack."""
-    return _grouped(route, [(rho.dim, rho.rank()) for rho in rhos], rhos)
+    dims = [rho.dim for rho in rhos]
+    return _grouped(route, list(zip(dims, _grouped(_ranks, dims, rhos))), rhos)
+
+
+def _entry_gaps(xs: list, ys: list) -> np.ndarray:
+    """max|x.matrix - y.matrix| for each pair, all of one dimension."""
+    x, y = (np.array([m.matrix for m in ms]) for ms in (xs, ys))
+    return np.abs(x - y).max(axis=(1, 2))
 
 
 def check_doubleket_identity(
@@ -119,7 +129,7 @@ def _doubleket_gaps(*draws: list) -> list[float]:
     a, b, c = (random_ops._ginibre(z) for z in draws)
     lhs = _kron(a, b) @ c.reshape(len(c), -1, 1)
     rhs = (a @ c @ b.swapaxes(1, 2)).reshape(len(c), -1, 1)
-    return [np.linalg.norm(x) for x in lhs - rhs]
+    return list(_norms((lhs - rhs)[..., 0]))
 
 
 def check_purification_recovery(
@@ -127,27 +137,37 @@ def check_purification_recovery(
 ) -> PropertyResult:
     """Purification: tracing out the environment of purify(rho) returns
     rho, with the environment exactly as large as the rank."""
-    devs = []
-    note = ""
+    devs, note = [], ""
     for d in dims:
         ranks = [1 + i % d for i in range(50)]
         rhos = _validated(random_ops.random_density_matrices(d, ranks, rng))
         purs = _by_rank(_purifications, rhos)
-        marginals = _grouped(_marginals, [p.dim_b for p in purs], purs)
-        for rho, rank, pur, marginal in zip(rhos, ranks, purs, marginals):
-            devs.append(np.max(np.abs(marginal.matrix - rho.matrix)))
-            if pur.dim_b != rank:
-                devs[-1] = np.inf
-                note = f"environment dim {pur.dim_b} != rank {rank} at dim {d}"
-    return _result("purification-recovery", len(devs), np.max(devs), 1e-9, note)
+        devs.append(_entry_gaps(_grouped(_marginals, [p.dim_b for p in purs], purs), rhos))
+        bad = [(p.dim_b, rank) for p, rank in zip(purs, ranks) if p.dim_b != rank]
+        if bad:
+            devs.append([np.inf])
+            note = "environment dim {} != rank {} at dim {}".format(*bad[-1], d)
+    worst = np.max(np.concatenate(devs))
+    return _result("purification-recovery", 50 * len(dims), worst, 1e-9, note)
 
 
-def _env_moved(us: list, purs: list) -> np.ndarray:
+def _env_moved(us, purs: list) -> np.ndarray:
     """(I (x) U) psi for each unitary U on the environment of a purification
     psi, all of one shape."""
     eye = np.eye(purs[0].dim_a, dtype=complex)
-    psi = np.stack([p.state_vector for p in purs])[..., None]
-    return (_kron(eye, np.stack(us)) @ psi)[..., 0]
+    psi = np.array([p.state_vector for p in purs])[..., None]
+    return (_kron(eye, np.array(us)) @ psi)[..., 0]
+
+
+def _uniqueness_gaps(zv: list, p1s: list) -> list[tuple]:
+    """Per purification psi1 of one shape, moved to psi2 = (I (x) V) psi1 by
+    the unitary V of normals zv: |(I (x) U) psi1 - psi2| and max|U^dag U - I|
+    for U = connecting_unitary."""
+    psi2 = _env_moved(random_ops._unitaries(np.array(zv)), p1s)
+    us = _connecting_unitaries(p1s, _purification_stack(psi2, p1s[0].dim_a, p1s[0].dim_b))
+    u = np.array(us)
+    gaps = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[1])).max(axis=(1, 2))
+    return list(zip(_norms(_env_moved(u, p1s) - psi2), gaps))
 
 
 def check_purification_uniqueness(
@@ -169,13 +189,7 @@ def check_purification_uniqueness(
         note = "environment dim {} != rank {} at dim {}".format(*bad[-1])
         recon = unitarity = [np.inf]
     else:
-        vs = _grouped(random_ops._unitaries, [r for _, r in cases], zv)
-        psi2 = _grouped(_env_moved, cases, vs, p1s)
-        p2s = [Purification(psi, d, r) for psi, (d, r) in zip(psi2, cases)]
-        us = _grouped(_connecting_unitaries, cases, p1s, p2s)
-        moved = _grouped(_env_moved, cases, us, p1s)
-        recon = [np.linalg.norm(m - p2.state_vector) for m, p2 in zip(moved, p2s)]
-        unitarity = [np.max(np.abs(dagger(u) @ u - np.eye(len(u)))) for u in us]
+        recon, unitarity = zip(*_grouped(_uniqueness_gaps, cases, zv, p1s))
     return [
         _result("purification-uniqueness-reconstruction", n_cases, np.max(recon), 1e-8, note),
         _result("purification-uniqueness-unitarity", n_cases, np.max(unitarity), 1e-9, note),
@@ -227,7 +241,7 @@ def check_discrimination(
         states = _validated(random_ops.random_density_matrices(d, ranks, rng))
         rhos, nus = states[::2], states[1::2]
         n = len(rhos)
-        p = _support_bruteforce(np.stack([s.matrix for s in rhos + nus]))
+        p = _support_bruteforce(np.array([s.matrix for s in rhos + nus]))
         overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
         for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
             cases += 1
@@ -260,28 +274,37 @@ def check_local_falsifier(
     """Local discriminability: the product falsifier a (x) b never fires
     on the bipartite pure state |A>>."""
     n_cases = 100
-    draws = [
-        (random_ops.random_complex_matrix(d, d, rng), random_ops.random_unit_vector(d, rng))
-        for _, d in zip(range(n_cases), itertools.cycle(dims))
-    ]
-    ops, vecs = zip(*draws)
-    # The states that QuantumState.pure(mat_to_doubleket(a_op)) builds.
-    psis = _validated([_pure_matrix(mat_to_doubleket(a_op)) for a_op in ops])
-    found = _grouped(_local_falsifiers, [len(v) for v in vecs], ops, vecs)
-    born = _grouped(_born_probabilities, [len(v) for v in vecs], psis, [lf.effect for lf in found])
-    degenerate_hits = sum(lf.degenerate for lf in found)
-    note = f"{degenerate_hits} degenerate directions" if degenerate_hits else ""
+    ds = [d for _, d in zip(range(n_cases), itertools.cycle(dims))]
+    # Each case draws random_complex_matrix(d, d), then random_unit_vector(d).
+    sizes = [2 * d * (d + 1) for d in ds]
+    z = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
+    born, degenerate = zip(*_grouped(_falsifier_borns, ds, ds, z))
+    hits = sum(degenerate)
+    note = f"{hits} degenerate directions" if hits else ""
     return _result("local-falsifier-born-zero", n_cases, np.max(born), 1e-10, note)
 
 
-def _orthogonality_gaps(cfs: list) -> np.ndarray:
-    """Per canonical form of one shape, the largest entry of the gram
-    Tr(A_i^dag A_j) less diag(weights), from one stacked product."""
-    ops = np.stack([cf.operators for cf in cfs])
+def _falsifier_borns(ds: list, zs: list) -> list[tuple]:
+    """Per case of one d, drawn A and a: the Born probability of
+    local_falsifier(A, a) on QuantumState.pure(mat_to_doubleket(A)), and
+    whether it degenerated."""
+    z, n, d = np.array(zs), len(zs), ds[0]
+    ops = random_ops._ginibre(z[:, : 2 * d * d].reshape(n, 2, d, d))
+    found = _local_falsifiers(ops, random_ops._unit_vectors(z[:, 2 * d * d :].reshape(n, 2, d)))
+    psis = quantum._states(_pure_matrices(ops.reshape(n, -1)))
+    born = _born_probabilities(psis, [lf.effect for lf in found])
+    return list(zip(born, [lf.degenerate for lf in found]))
+
+
+def _canonical_gaps(cfs: list, rs: list) -> list[tuple]:
+    """Per canonical form of a state r, all of one shape: max|reconstruction
+    - r|, and max|Tr(A_i^dag A_j) - diag(weights)| from one stacked gram."""
+    recon = np.abs(_reconstructions(cfs) - np.array([r.matrix for r in rs])).max(axis=(1, 2))
+    ops = np.array([cf.operators for cf in cfs])
     gram = np.trace(ops.conj().swapaxes(2, 3)[:, :, None] @ ops[:, None], axis1=3, axis2=4)
-    gap = gram - np.stack([np.diag(cf.weights) for cf in cfs])
+    gap = gram - np.array([np.diag(cf.weights) for cf in cfs])
     # hypot, as Python's abs(complex): numpy's complex abs can differ in the last bit.
-    return np.hypot(gap.real, gap.imag).max(axis=(1, 2))
+    return list(zip(recon, np.hypot(gap.real, gap.imag).max(axis=(1, 2))))
 
 
 def check_canonical_form(
@@ -294,12 +317,18 @@ def check_canonical_form(
     ranks = [1 + i % n for i, n in enumerate(sizes)]
     rs = _validated(random_ops.random_density_matrices(sizes, ranks, rng))
     cfs = _by_rank(_canonical_forms, rs)
-    recon = [np.max(np.abs(cf.reconstruction() - r.matrix)) for cf, r in zip(cfs, rs)]
-    orth = _grouped(_orthogonality_gaps, [(r.dim, len(cf.weights)) for r, cf in zip(rs, cfs)], cfs)
+    keys = [(r.dim, len(cf.weights)) for r, cf in zip(rs, cfs)]
+    recon, orth = zip(*_grouped(_canonical_gaps, keys, cfs, rs))
     return [
         _result("canonical-form-reconstruction", n_cases, np.max(recon), 1e-9),
         _result("canonical-form-orthogonality", n_cases, np.max(orth), 1e-9),
     ]
+
+
+def _isometry_gaps(comps: list) -> np.ndarray:
+    """max|V V^dag - I| per isometry V of comps, of one shape."""
+    v = np.array([c.isometry for c in comps])
+    return np.abs(v @ v.conj().swapaxes(1, 2) - np.eye(v.shape[1])).max(axis=(1, 2))
 
 
 def check_compression(
@@ -311,9 +340,9 @@ def check_compression(
     ranks = [1 + i % (d - 1) if d > 2 else 1 for i, d in enumerate(ds)]
     rhos = _validated(random_ops.random_density_matrices(ds, ranks, rng))
     comps = _by_rank(_compress, rhos)
-    decoded = _grouped(_decoded, [c.isometry.shape for c in comps], comps)
-    iso = [np.max(np.abs(v @ dagger(v) - np.eye(len(v)))) for v in (c.isometry for c in comps)]
-    recon = [np.max(np.abs(back.matrix - rho.matrix)) for back, rho in zip(decoded, rhos)]
+    keys = [c.isometry.shape for c in comps]
+    iso = _grouped(_isometry_gaps, keys, comps)
+    recon = _grouped(_entry_gaps, ds, _grouped(_decoded, keys, comps), rhos)
     return [
         _result("compression-isometry", n_cases, np.max(iso), 1e-10),
         _result("compression-reconstruction", n_cases, np.max(recon), 1e-9),
@@ -334,8 +363,10 @@ def check_atomic_rank(
     rhos = _validated(_grouped(random_ops._densities, cases, zr))
     ops = _grouped(random_ops._contractions, [z.shape for z in za], za, scales)
     channels = _grouped(_channels, [a.shape for a in ops], [(a,) for a in ops])
-    outs = _grouped(_apply_channels, [rho.dim for rho in rhos], channels, rhos)
-    violations = sum(out.rank() > rho.rank() for rho, out in zip(rhos, outs))
+    dims = [rho.dim for rho in rhos]
+    outs = _grouped(_apply_channels, dims, channels, rhos)
+    before, after = (_grouped(_ranks, dims, states) for states in (rhos, outs))
+    violations = np.count_nonzero(np.greater(after, before))
     atomic = _result("atomic-rank-never-increases", n_cases, violations, 0.0)
     # Dephasing the maximally coherent pure qubit doubles the rank: the
     # canonical witness that non-atomic channels escape the monotone.  All
@@ -344,7 +375,7 @@ def check_atomic_rank(
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     dephased = apply_channel(KrausChannel((p0, p1)), plus)
-    rank_jump = 1.0 if (plus.rank(), dephased.rank()) != (1, 2) else 0.0
+    rank_jump = 1.0 if _ranks([plus, dephased]) != [1, 2] else 0.0
     worst = np.maximum(np.max(np.abs(dephased.matrix - np.eye(2) / 2)), rank_jump)
     note = "dephasing a pure qubit: rank 1 -> 2, output exactly I/2"
     return [atomic, _result("nonatomic-rank-counterexample", 1, worst, 0.0, note)]
@@ -361,12 +392,18 @@ def check_dilation(rng: np.random.Generator, dims: tuple[int, ...]) -> PropertyR
     keys = [z.shape for z in zk]
     channels = _grouped(_channels, keys, _grouped(random_ops._kraus_families, keys, zk))
     rhos = _validated(_grouped(random_ops._densities, [z.shape for z in zr], zr))
-    gaps = []
-    for rho, ch, dil in zip(rhos, channels, _grouped(_dilations, keys, channels)):
-        for k in range(dil.dim_env):
-            expected = ch.kraus[k] @ rho.matrix @ dagger(ch.kraus[k]) if k < ch.n_kraus else 0.0
-            gaps.append(np.max(np.abs(dil.branch(rho, k) - expected)))
+    gaps = _grouped(_branch_gaps, keys, channels, rhos, _grouped(_dilations, keys, channels))
     return _result("dilation-branch-agreement", n_cases, np.max(gaps), 1e-9)
+
+
+def _branch_gaps(channels: list, rhos: list, dilations: list) -> np.ndarray:
+    """Per channel of one shape, max|branch k - A_k rho A_k^dag| over k, with
+    0 for A_k when k >= n_kraus."""
+    a = np.array([ch.kraus for ch in channels])
+    r = np.array([rho.matrix for rho in rhos])[:, None]
+    gap = _branches(dilations, rhos)
+    gap[:, : a.shape[1]] -= a @ r @ a.conj().swapaxes(2, 3)
+    return np.abs(gap).max(axis=(1, 2, 3))
 
 
 def check_kraus_norm_fault(
@@ -382,6 +419,19 @@ def check_kraus_norm_fault(
     except OptFalsifyError as exc:
         note = f"injected fault surfaced as expected: {exc}"
     return _result("injected-fault-kraus-norm", 1, np.inf, 0.0, note)
+
+
+def _support_gaps(states: list, rhos: list) -> list[tuple]:
+    """Per classical state and its embedding rho, of one dimension: max|P -
+    indicator of the nonnegligible probabilities| for rho's support
+    projector P, and whether its kernel projector is nonzero."""
+    p = _support_projectors(
+        np.array([rho.spectrum.values for rho in rhos]),
+        np.array([rho.spectrum.vectors for rho in rhos]),
+    )
+    eye = np.eye(p.shape[1])
+    gap = p - eye * ~_negligible(np.array([s.probs for s in states]))[:, None]
+    return list(zip(np.abs(gap).max(axis=(1, 2)), (~_is_zero(eye - p)).tolist()))
 
 
 def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
@@ -405,18 +455,17 @@ def check_classical_embedding(rng: np.random.Generator) -> list[PropertyResult]:
             x[: 1 + i % (d - 1)] = 0.0
             x = x / x.sum()
         draws.append(x)
+    lens = [len(x) for x in draws]
     states = [ClassicalState(x) for x in draws]
-    embedded = _grouped(_embedded, [len(x) for x in draws], states)
+    embedded = _grouped(_embedded, lens, states)
     rhos = [rho for rho in embedded for _ in range(rho.dim)]
     effects = [e for rho in embedded for e in outcome_povms[rho.dim]]
     born = _grouped(_born_probabilities, [rho.dim for rho in rhos], rhos, effects)
     gaps = list(np.abs(np.subtract(born, np.concatenate([s.probs for s in states]))))
-    mismatches = 0
-    for state, rho in zip(states, embedded):
-        indicator = np.diag((~_negligible(state.probs)).astype(complex))
-        gaps.append(np.max(np.abs(support_projector(rho.spectrum) - indicator)))
-        has_falsifier = classical_falsifier_exists(state) is not None
-        mismatches += has_falsifier != (not _is_zero(kernel_projector(rho.spectrum)))
+    support = _grouped(_support_gaps, lens, states, embedded)
+    gaps.extend(gap for gap, _ in support)
+    has_falsifier = [classical_falsifier_exists(state) is not None for state in states]
+    mismatches = np.count_nonzero(np.not_equal(has_falsifier, [kernel for _, kernel in support]))
     perms = [(rng.permutation(2 + i % 5), rng.dirichlet(np.ones(2 + i % 5))) for i in range(n_cases)]
     perm_gaps = []
     for order, x in perms:

@@ -34,7 +34,6 @@ from .linalg import (
     HermitianEig,
     _as_stack,
     _at,
-    _bounded_vector,
     _check_dims,
     _check_int,
     _check_psd,
@@ -42,8 +41,10 @@ from .linalg import (
     _frozen_array,
     _hermitian,
     _is_zero,
+    _kron,
     _negligible,
     _normalized,
+    _norms,
     _numbers,
     _subnormalized,
     _support_projectors,
@@ -51,23 +52,22 @@ from .linalg import (
     as_matrix,
     dagger,
     entries_bounded,
-    mat_to_doubleket,
-    partial_trace,
     support_mask,
-    tensor,
 )
 
-def _pure_matrix(vector) -> np.ndarray:
-    """|v><v| for the pure state vector v over its 2-norm, as
-    QuantumState.pure normalizes it; OutOfRangeError for a zero vector, an
-    entry that as_matrix would reject, or a norm that overflows."""
-    v, nrm = _bounded_vector(vector, "pure state vector")
-    if nrm == 0.0:
+def _pure_matrices(vectors) -> np.ndarray:
+    """|v><v| for each pure state vector v of vectors, of one length, over
+    its 2-norm, as QuantumState.pure normalizes it; OutOfRangeError for a
+    zero vector, an entry that as_matrix would reject, or a norm that
+    overflows."""
+    v = _numbers(vectors, complex, "pure state vector").reshape(len(vectors), -1)
+    nrm = _norms(v)
+    if not nrm.all():
         raise OutOfRangeError("pure state vector must be nonzero")
-    if not np.isfinite(nrm):
+    if not np.isfinite(nrm).all():
         raise OutOfRangeError("pure state vector has a norm beyond float range")
-    v = v / nrm
-    return np.outer(v, v.conj())
+    v = v / nrm[:, None]
+    return v[:, :, None] * v.conj()[:, None]
 
 
 def _validate_states(a: np.ndarray, states: list["QuantumState"]) -> None:
@@ -79,15 +79,15 @@ def _validate_states(a: np.ndarray, states: list["QuantumState"]) -> None:
     h = _hermitian(a, "state matrix")
     values, vectors = _eig_core(h)
     _check_psd(values, "state matrix")
-    for k, tr in enumerate(h.trace(axis1=1, axis2=2).real.tolist()):
-        if not (0.0 < tr and _subnormalized(tr)):
-            where = _at("state", k, len(h))
-            raise OutOfRangeError(f"{where} trace {tr!r} outside (0, 1]")
+    tr = h.trace(axis1=1, axis2=2).real
+    bad = ~((0.0 < tr) & _subnormalized(tr))
+    if bad.any():
+        k = int(bad.argmax())
+        raise OutOfRangeError(f"{_at('state', k, len(h))} trace {float(tr[k])!r} outside (0, 1]")
     for b in (h, values, vectors):
         b.setflags(write=False)
-    for k, state in enumerate(states):
-        object.__setattr__(state, "matrix", h[k])
-        object.__setattr__(state, "_spectrum", HermitianEig(values[k], vectors[k]))
+    for state, m, w, v in zip(states, h, values, vectors):
+        vars(state).update(matrix=m, spectrum=HermitianEig(w, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +96,20 @@ class QuantumState:
     (0, 1 + TRACE_TOL].  Negative eigenvalues within -DEFAULT_RANK_TOL*lam_max
     are treated as zero rather than rejected.
 
-    The eigendecomposition that validation computes is kept, read-only, as
-    `spectrum`; it is not a field, so repr and equality ignore it."""
+    The eigendecomposition that validation computes, hermitian_eig(matrix),
+    is kept, read-only, as the attribute `spectrum`; it is not a field, so
+    repr and equality ignore it."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         # A stack of one, validated as _states validates whole stacks; the
         # exactly Hermitian result has the spectrum bits of hermitian_eig.
-        a = as_matrix(self.matrix, square=True, name="state matrix")[None]
-        _validate_states(a, [self])
+        _validate_states(as_matrix(self.matrix, square=True, name="state matrix")[None], [self])
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
-        return cls(_pure_matrix(vector))
+        return cls(_pure_matrices([vector])[0])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
@@ -121,11 +121,6 @@ class QuantumState:
         return self.matrix.shape[0]
 
     @property
-    def spectrum(self) -> HermitianEig:
-        """hermitian_eig(self.matrix), computed once on construction."""
-        return getattr(self, "_spectrum")
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -135,16 +130,20 @@ class QuantumState:
         return _normalized(abs(self.trace - 1.0))
 
     def rank(self) -> int:
-        return int(np.count_nonzero(support_mask(self.spectrum.values)))
+        return _ranks([self])[0]
+
+
+def _ranks(states: list[QuantumState]) -> list[int]:
+    """s.rank() for each of states, of one dimension, from one stacked mask."""
+    mask = support_mask(np.array([s.spectrum.values for s in states]))
+    return np.count_nonzero(mask, axis=1).tolist()
 
 
 def _states(stack) -> list[QuantumState]:
     """QuantumStates for an (n, d, d) stack of matrices, validated together
-    by the code each QuantumState(m) runs on a stack of one; each state's
-    matrix and spectrum are read-only views of the validated stack.  Every
-    check applies, and an error names the first failing one as _at does."""
+    by the code each QuantumState(m) runs on a stack of one."""
     a = _as_stack(stack, "state matrix")
-    states = [object.__new__(QuantumState) for _ in range(len(a))]
+    states = [object.__new__(QuantumState) for _ in a]
     _validate_states(a, states)
     return states
 
@@ -159,7 +158,7 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _validate_effects(as_matrix(self.matrix, square=True, name="effect matrix")[None], [self])
+        _effects(as_matrix(self.matrix, square=True, name="effect matrix")[None], [self])
 
     @property
     def dim(self) -> int:
@@ -170,27 +169,23 @@ class Effect:
         return _is_zero(self.matrix)
 
 
-def _effects(mats) -> list[Effect]:
-    """Effect(m) for each m of mats, of one dimension, validated as one stack."""
-    effects = [object.__new__(Effect) for _ in mats]
-    if effects:
-        _validate_effects(_as_stack(mats, "effect matrix"), effects)
-    return effects
-
-
-def _validate_effects(a: np.ndarray, effects: list[Effect]) -> None:
-    """Validate the complex (n, d, d) stack a as n effects, and give
-    effects[k] matrix k, symmetrized, read-only.  A spectrum error names the
-    eigenvalue furthest out of [0, 1], not its effect."""
-    h = _hermitian(a, "effect matrix")
+def _effects(mats, effects=None) -> list[Effect]:
+    """Effect(m) for each m of mats, of one dimension, validated as one stack
+    (a spectrum error names the eigenvalue furthest out of [0, 1]): new
+    objects, or `effects`, an Effect validating itself as a stack of one."""
+    if not len(mats):
+        return []
+    h = _hermitian(_as_stack(mats, "effect matrix"), "effect matrix")
     low, high = _unit_spectrum(_eig_core(h)[0])
     if low is not None:
         raise NotPSDError(f"effect has eigenvalue {low:.3e} below zero")
     if high is not None:
         raise OutOfRangeError(f"effect has eigenvalue {high:.3e} above one")
     h.setflags(write=False)
-    for k, effect in enumerate(effects):
-        object.__setattr__(effect, "matrix", h[k])
+    effects = effects or [object.__new__(Effect) for _ in h]
+    for effect, m in zip(effects, h):
+        vars(effect).update(matrix=m)
+    return effects
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +208,7 @@ class KrausChannel:
                 raise DimensionMismatchError(
                     f"Kraus operators disagree in shape: {a.shape} vs {shape}"
                 )
-        _validate_channels(np.stack(ops)[None], [self])
+        _channels(np.array(ops)[None], [self])
 
     @property
     def dim_in(self) -> int:
@@ -235,10 +230,11 @@ class KrausChannel:
         return _normalized(float(np.max(np.abs(gram - eye))))
 
 
-def _validate_channels(a: np.ndarray, channels: list[KrausChannel]) -> None:
-    """Validate the complex (n, n_kraus, d_out, d_in) stack a as n channels
-    (an error is one channel's, naming none), and give channels[k] the
-    read-only views a[k] as its Kraus operators."""
+def _channels(families, channels=None) -> list[KrausChannel]:
+    """KrausChannel(f) for each Kraus family f, of one count and shape,
+    validated as one stack (an error is one channel's, naming none): new
+    objects, or `channels`, a KrausChannel validating itself as one."""
+    a = _numbers(families, complex, "Kraus operator")
     # Entries within MAX_ENTRY can still overflow the products; such a
     # gram is rejected below, so the warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,15 +252,9 @@ def _validate_channels(a: np.ndarray, channels: list[KrausChannel]) -> None:
             f"(top eigenvalue {top:.6f})"
         )
     a.setflags(write=False)
-    for k, channel in enumerate(channels):
-        object.__setattr__(channel, "kraus", tuple(a[k]))
-
-
-def _channels(families) -> list[KrausChannel]:
-    """KrausChannel(f) for each Kraus family f, validated as one stack; all
-    must hold as many operators of one shape."""
-    channels = [object.__new__(KrausChannel) for _ in families]
-    _validate_channels(_numbers(families, complex, "Kraus operator"), channels)
+    channels = channels or [object.__new__(KrausChannel) for _ in a]
+    for channel, ops in zip(channels, a):
+        vars(channel).update(kraus=tuple(ops))
     return channels
 
 
@@ -281,7 +271,7 @@ def born_probability(rho: QuantumState, effect: Effect) -> float:
 def _born_probabilities(rhos: list[QuantumState], effects: list[Effect]) -> list[float]:
     """born_probability(rhos[k], effects[k]) for every k, as one stacked
     trace; all must share one dimension."""
-    r, e = (np.stack([x.matrix for x in xs]) for xs in (rhos, effects))
+    r, e = (np.array([x.matrix for x in xs]) for xs in (rhos, effects))
     p = np.trace(r @ e, axis1=1, axis2=2)
     bad = np.abs(p.imag) > _IMAG_TOL
     if bad.any():
@@ -303,8 +293,8 @@ def apply_channel(channel: KrausChannel, rho: QuantumState) -> QuantumState:
 def _apply_channels(channels: list[KrausChannel], rhos: list[QuantumState]) -> list[QuantumState]:
     """apply_channel(channels[k], rhos[k]) for every k, validated as one
     stack; the channels must agree in Kraus count and shape."""
-    a = np.stack([channel.kraus for channel in channels])
-    r = np.stack([rho.matrix for rho in rhos])
+    a = np.array([channel.kraus for channel in channels])
+    r = np.array([rho.matrix for rho in rhos])
     return _states(sum(a[:, j] @ r @ a[:, j].conj().swapaxes(1, 2) for j in range(a.shape[1])))
 
 
@@ -317,15 +307,13 @@ class Purification:
     dim_b: int
 
     def __post_init__(self) -> None:
-        v, nrm = _bounded_vector(self.state_vector, "purification vector")
+        v = _numbers(self.state_vector, complex, "purification vector").reshape(1, -1)
         _check_dims("purification dimension", self.dim_a, self.dim_b)
         if v.size != self.dim_a * self.dim_b:
             raise DimensionMismatchError(
                 f"purification vector length {v.size} != {self.dim_a}x{self.dim_b}"
             )
-        if not _normalized(abs(nrm - 1.0)):
-            raise OutOfRangeError("purification vector must have unit norm")
-        _frozen_array(self, "state_vector", v)
+        _purification_stack(v, self.dim_a, self.dim_b, [self])
 
     def marginal(self) -> QuantumState:
         """Reduced state on the first factor: M M^dag, where M is the
@@ -333,10 +321,23 @@ class Purification:
         return _marginals([self])[0]
 
 
+def _purification_stack(psi: np.ndarray, dim_a: int, dim_b: int, purs=None) -> list:
+    """Purification(p, dim_a, dim_b) for each row p of the stack psi, with
+    one unit-norm check: new objects, or `purs`, a Purification validating
+    itself as a stack of one."""
+    if not _normalized(np.abs(_norms(psi) - 1.0)).all():
+        raise OutOfRangeError("purification vector must have unit norm")
+    psi.setflags(write=False)
+    purs = purs or [object.__new__(Purification) for _ in psi]
+    for pur, v in zip(purs, psi):
+        vars(pur).update(state_vector=v, dim_a=dim_a, dim_b=dim_b)
+    return purs
+
+
 def _marginals(purs: list[Purification]) -> list[QuantumState]:
     """p.marginal() for each p of purs, which must share dim_a and dim_b,
     validated as one stack."""
-    m = np.stack([p.state_vector.reshape(p.dim_a, p.dim_b) for p in purs])
+    m = np.array([p.state_vector.reshape(p.dim_a, p.dim_b) for p in purs])
     return _states(m @ m.conj().swapaxes(1, 2))
 
 
@@ -349,23 +350,21 @@ def purify(rho: QuantumState) -> Purification:
 def _purifications(rhos: list[QuantumState]) -> list[Purification]:
     """purify(rho) for each of rhos, which must share one dimension and one
     rank, built as one stack."""
-    if not all(rho.deterministic for rho in rhos):
+    traces = np.trace(np.array([rho.matrix for rho in rhos]), axis1=1, axis2=2).real
+    if not _normalized(np.abs(traces - 1.0)).all():
         raise NotDeterministicError("only trace-one states are purified")
     lams, vecs = _support_spectra(rhos)
     # psi = sum_i sqrt(lam_i) v_i (x) e_i, i.e. the double-ket of V sqrt(L).
     psi = (vecs * np.sqrt(lams)[:, None, :]).reshape(len(rhos), -1)
-    return [
-        Purification(state_vector=p / np.linalg.norm(p), dim_a=rhos[0].dim, dim_b=lams.shape[1])
-        for p in psi
-    ]
+    return _purification_stack(psi / _norms(psi)[:, None], rhos[0].dim, lams.shape[1])
 
 
 def _support_spectra(states: list[QuantumState]) -> tuple[np.ndarray, np.ndarray]:
     """The kept eigenvalues and eigenvector columns of states of one dimension
     and rank, stacked: each support is a prefix of the descending spectrum."""
-    values = np.stack([s.spectrum.values for s in states])
+    values = np.array([s.spectrum.values for s in states])
     rank = int(np.count_nonzero(support_mask(values[0])))
-    return values[:, :rank], np.stack([s.spectrum.vectors[:, :rank] for s in states])
+    return values[:, :rank], np.array([s.spectrum.vectors[:, :rank] for s in states])
 
 
 def connecting_unitary(p1: Purification, p2: Purification) -> np.ndarray:
@@ -391,7 +390,7 @@ def _connecting_unitaries(p1s: list[Purification], p2s: list[Purification]) -> l
     """connecting_unitary(p1s[k], p2s[k]) for every k, from one stacked SVD;
     all must share dim_a and dim_b."""
     shape = (-1, p1s[0].dim_a, p1s[0].dim_b)
-    m1, m2 = (np.stack([p.state_vector for p in ps]).reshape(shape) for ps in (p1s, p2s))
+    m1, m2 = (np.array([p.state_vector for p in ps]).reshape(shape) for ps in (p1s, p2s))
     rho1, rho2 = (m @ m.conj().swapaxes(1, 2) for m in (m1, m2))
     if float(np.max(np.abs(rho1 - rho2))) > _MARGINAL_TOL:
         raise PurificationMismatchError("purifications reduce to different marginals")
@@ -451,21 +450,19 @@ def _discriminate(
     states = [*rhos, *nus]
     n = len(rhos)
     p = _support_projectors(
-        np.stack([s.spectrum.values for s in states]),
-        np.stack([s.spectrum.vectors for s in states]),
+        np.array([s.spectrum.values for s in states]),
+        np.array([s.spectrum.vectors for s in states]),
     )
     overlaps = np.abs(p[:n] @ p[n:]).max(axis=(1, 2)).tolist()
     kernels = np.eye(rhos[0].dim, dtype=complex) - p
     kernels.setflags(write=False)
-    return [
-        DiscriminationResult(
-            discriminable=overlap <= _ORTHOGONALITY_TOL,
-            overlap=overlap,
-            kernel_rho=kernels[k],
-            kernel_nu=kernels[n + k],
+    results = [object.__new__(DiscriminationResult) for _ in overlaps]
+    for res, overlap, k_rho, k_nu in zip(results, overlaps, kernels[:n], kernels[n:]):
+        vars(res).update(
+            discriminable=overlap <= _ORTHOGONALITY_TOL, overlap=overlap,
+            kernel_rho=k_rho, kernel_nu=k_nu,
         )
-        for k, overlap in enumerate(overlaps)
-    ]
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,8 +481,8 @@ def _decoded(results: list[CompressionResult]) -> list[QuantumState]:
     """r.decode() for each r of results, which must agree in isometry shape,
     validated as one stack.  The isometries keep their column-major layout,
     so BLAS sees the operands of a single decode."""
-    v = np.stack([r.isometry.T for r in results]).swapaxes(1, 2)
-    s = np.stack([r.state.matrix for r in results])
+    v = np.array([r.isometry.T for r in results]).swapaxes(1, 2)
+    s = np.array([r.state.matrix for r in results])
     return _states(v.conj().swapaxes(1, 2) @ s @ v)
 
 
@@ -507,7 +504,7 @@ def _compress(rhos: list[QuantumState]) -> list[CompressionResult]:
             f"state has full support (rank {cols.shape[2]} = dim); nothing to compress"
         )
     v = cols.conj().swapaxes(1, 2)
-    states = _states(v @ np.stack([rho.matrix for rho in rhos]) @ v.conj().swapaxes(1, 2))
+    states = _states(v @ np.array([rho.matrix for rho in rhos]) @ v.conj().swapaxes(1, 2))
     return [CompressionResult(isometry=iso, state=state) for iso, state in zip(v, states)]
 
 
@@ -520,12 +517,18 @@ class CanonicalForm:
     weights: np.ndarray
 
     def reconstruction(self) -> np.ndarray:
-        dim2 = self.operators[0].shape[0] * self.operators[0].shape[1]
-        out = np.zeros((dim2, dim2), dtype=complex)
-        for a in self.operators:
-            dk = mat_to_doubleket(a)
-            out += np.outer(dk, dk.conj())
-        return out
+        return _reconstructions([self])[0]
+
+
+def _reconstructions(cfs: list[CanonicalForm]) -> np.ndarray:
+    """cf.reconstruction() for each of cfs, which must agree in operator
+    count and shape: sum_j |A_j>><<A_j|, added in operator order."""
+    ops = np.array([cf.operators for cf in cfs])
+    dk = ops.reshape(*ops.shape[:2], -1)
+    out = np.zeros((len(dk), dk.shape[2], dk.shape[2]), dtype=complex)
+    for j in range(dk.shape[1]):
+        out += dk[:, j, :, None] * dk[:, j, None].conj()
+    return out
 
 
 def canonical_form(r: QuantumState) -> CanonicalForm:
@@ -573,57 +576,57 @@ def local_falsifier(a_op, a_vec) -> LocalFalsifier:
     When A^dag a vanishes every b works; the first canonical basis vector is
     returned with degenerate=True.
     """
-    return _local_falsifiers([a_op], [a_vec])[0]
+    a_mat = as_matrix(a_op, square=True, name="local_falsifier operator")
+    return _local_falsifiers([a_mat], [a_vec])[0]
 
 
 def _local_falsifiers(a_ops, a_vecs) -> list[LocalFalsifier]:
-    """local_falsifier(a_ops[k], a_vecs[k]) for every k, the effects
-    validated as one stack; the operators must share one dimension."""
-    found = [_falsifier_parts(a_op, a_vec) for a_op, a_vec in zip(a_ops, a_vecs)]
-    effects = _effects([m for _, m, _ in found])
-    return [LocalFalsifier(b, e, degenerate) for (b, _, degenerate), e in zip(found, effects)]
-
-
-def _falsifier_parts(a_op, a_vec) -> tuple[np.ndarray, np.ndarray, bool]:
-    """local_falsifier's vector b, the matrix of its effect, and whether
-    A^dag a vanished."""
-    a_mat = as_matrix(a_op, square=True, name="local_falsifier operator")
-    d = a_mat.shape[0]
+    """local_falsifier(a_ops[k], a_vecs[k]) for every k, of one dimension, as
+    one stack: rows that rescale or degenerate take their branch row by row,
+    and a failing row raises a single case's error (naming its row, as _at
+    does, for a bad entry)."""
+    a_mat = _as_stack(a_ops, "local_falsifier operator")
+    n, d = a_mat.shape[:2]
     if d < 2:
-        raise DimensionMismatchError(
-            "local falsifier needs local dimension >= 2"
-        )
-    with np.errstate(over="ignore", under="ignore"):
-        scale = float(np.linalg.norm(a_mat))
-    if np.any(a_mat) and not _MIN_SCALE <= scale < np.inf:
+        raise DimensionMismatchError("local falsifier needs local dimension >= 2")
+    flat = a_mat.reshape(n, -1)
+    scale = _norms(flat)
+    off = flat.any(axis=1) & ~((_MIN_SCALE <= scale) & (scale < np.inf))
+    if off.any():
         # Squares of A's or c's entries over- or underflow.  The falsifier
         # does not change when A is scaled by a positive number, so bring
         # its largest entry to 1 (part by part: a complex division by a
         # subnormal overflows).
-        top = np.max(np.abs(a_mat))
-        a_mat = a_mat.real / top + 1j * (a_mat.imag / top)
-        scale = float(np.linalg.norm(a_mat))
-    if scale == 0.0:
+        top = np.abs(flat[off]).max(axis=1, keepdims=True)
+        flat[off] = flat[off].real / top + 1j * (flat[off].imag / top)
+        scale[off] = _norms(flat[off])
+    if not scale.all():
         raise OutOfRangeError("local_falsifier: operator must be nonzero")
-    a, nrm = _bounded_vector(a_vec, "local_falsifier vector a")
-    if a.size != d:
+    a = _numbers(a_vecs, complex, "local_falsifier vector a").reshape(n, -1)
+    if a.shape[1] != d:
         raise DimensionMismatchError(
-            f"vector length {a.size} does not match operator dim {d}"
+            f"vector length {a.shape[1]} does not match operator dim {d}"
         )
-    if not abs(nrm - 1.0) <= _UNIT_NORM_TOL:
+    nrm = _norms(a)
+    if not (np.abs(nrm - 1.0) <= _UNIT_NORM_TOL).all():
         raise OutOfRangeError("local_falsifier: vector a must have unit norm")
-    a = a / nrm
-    c = np.conj(dagger(a_mat) @ a)
-    degenerate = _negligible(float(np.linalg.norm(c)), scale)
-    j = 0 if degenerate else int(np.argmin(np.abs(c)))
-    b = np.zeros(d, dtype=complex)
-    b[j] = 1.0
-    if not degenerate:
+    a = a / nrm[:, None]
+    c = np.conj(a_mat.conj().swapaxes(1, 2) @ a[:, :, None])[:, :, 0]
+    degenerate = _negligible(_norms(c), scale)
+    j = np.where(degenerate, 0, np.abs(c).argmin(axis=1))
+    b = np.zeros_like(c)
+    b[np.arange(n), j] = 1.0
+    live = ~degenerate
+    if live.any():
         # Project the canonical vector least aligned with c onto c's
         # complement; its residual norm is at least sqrt(1 - 1/d) > 0.
-        b = b - c * (np.conj(c[j]) / float(np.vdot(c, c).real))
-        b = b / np.linalg.norm(b)
-    return b, tensor(np.outer(a, a.conj()), np.outer(b, b.conj())), degenerate
+        c, j = c[live], j[live]
+        cc = (c.conj()[:, None] @ c[:, :, None])[:, 0, 0].real
+        bl = b[live] - c * (np.conj(c[np.arange(len(c)), j]) / cc)[:, None]
+        b[live] = bl / _norms(bl)[:, None]
+    ket = a[:, :, None] * a.conj()[:, None]
+    effects = _effects(_kron(ket, b[:, :, None] * b.conj()[:, None]))
+    return [LocalFalsifier(*found) for found in zip(b, effects, degenerate.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,14 +661,21 @@ class Dilation:
         k = _check_int(k, 0, OutOfRangeError, f"branch index {k} out of range")
         if k >= self.dim_env:
             raise OutOfRangeError(f"branch index {k} out of range")
-        # The ancilla |0><0| and the outcome projector |k><k|, exactly 0/1.
-        env = np.eye(self.dim_env, dtype=complex)
-        joint = tensor(rho.matrix, np.outer(env[0], env[0]))
-        evolved = self.unitary @ joint @ dagger(self.unitary)
-        picked = evolved @ tensor(
-            np.eye(self.dim_sys, dtype=complex), np.outer(env[k], env[k])
-        )
-        return partial_trace(picked, self.dim_sys, self.dim_env)
+        return _branches([self], [rho])[0, k]
+
+
+def _branches(dilations: list[Dilation], rhos: list[QuantumState]) -> np.ndarray:
+    """dilations[i].branch(rhos[i], k) for every i and k, stacked (n, dim_env,
+    d, d); the dilations must share dim_sys and dim_env.  rho (x) |0><0| is
+    rho on rows and columns j * dim_env.  The partial trace of the evolved
+    state times I (x) |k><k| is its slice at j * dim_env + k: the 0/1
+    product and the trace add only exact zeros."""
+    n_env = dilations[0].dim_env
+    u = np.array([dil.unitary for dil in dilations])
+    joint = np.zeros_like(u)
+    joint[:, ::n_env, ::n_env] = np.array([rho.matrix for rho in rhos])
+    evolved = u @ joint @ u.conj().swapaxes(1, 2)
+    return np.stack([evolved[:, k::n_env, k::n_env] for k in range(n_env)], axis=1)
 
 
 def dilate(channel: KrausChannel) -> Dilation:
@@ -690,7 +700,7 @@ def _dilations(channels: list[KrausChannel]) -> list[Dilation]:
     square shape, with one eigendecomposition stack."""
     if not all(channel.deterministic for channel in channels):
         raise NotTracePreservingError("dilation requires a trace-preserving channel")
-    a = np.stack([channel.kraus for channel in channels])
+    a = np.array([channel.kraus for channel in channels])
     n, n_kraus, d = a.shape[:3]
     n_env = max(n_kraus, 2)
     big = d * n_env

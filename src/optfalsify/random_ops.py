@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import _norms, dagger
 
 
 def _ginibre(z) -> np.ndarray:
@@ -21,8 +21,13 @@ def random_complex_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _unit_vectors(rng.standard_normal((1, 2, dim)))[0]
+
+
+def _unit_vectors(z) -> np.ndarray:
+    """random_unit_vector of normals z (n, 2, dim)."""
+    v = z[:, 0] + 1j * z[:, 1]
+    return v / _norms(v)[:, None]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -47,3 +51,22 @@ def lapack_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(np.linalg, name, counting)
     return inputs
+
+
+def blas_build() -> tuple:
+    """(numpy version, its OpenBLAS build, the core OpenBLAS picked at run
+    time), with None for a part this numpy does not show: report floats
+    depend on all three.  The core comes from scipy-openblas's
+    scipy_openblas_get_corename64_, read through ctypes from the library
+    numpy loaded."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    version = blas.get("version") if blas.get("name") == "scipy-openblas" else None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*"))
+    lib = ctypes.CDLL(found[0]) if found else None
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    core = None
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return np.__version__, version, core

@@ -1,23 +1,28 @@
 import dataclasses
+import hashlib
 import json
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import blas_build
 
-from optfalsify import postulates
+from optfalsify import linalg, postulates
 from optfalsify.classical import classical_falsifier_exists
 from optfalsify.cli import main
 from optfalsify.errors import OutOfRangeError
 from optfalsify.linalg import partial_trace, tensor
 from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
 from optfalsify.quantum import (
+    CanonicalForm,
     CompressionResult,
+    Dilation,
     Effect,
     Purification,
     QuantumState,
     _apply_channels,
+    _branches,
     _canonical_forms,
     _compress,
     _connecting_unitaries,
@@ -187,6 +192,12 @@ def _rank_raising_channels(channels, rhos):
     ]
 
 
+def _conjugated_branches(dilations, rhos):
+    """_branches through conj(U) in place of U, a conjugation slip: each
+    branch is then read from conj(U) (rho (x) |0><0|) U^T."""
+    return _branches([dataclasses.replace(d, unitary=d.unitary.conj()) for d in dilations], rhos)
+
+
 def _lenient_dilate(channel):
     """dilate, except that a channel that is not trace-preserving is let
     through (with no dilation) instead of rejected."""
@@ -230,6 +241,7 @@ WRONG_ROUTES = {
     "_decoded": (_transposed_decodes, None, {"compression-reconstruction": ""}),
     "_local_falsifiers": (_conjugated_falsifiers, None, {"local-falsifier-born-zero": ""}),
     "_apply_channels": (_rank_raising_channels, None, {"atomic-rank-never-increases": ""}),
+    "_branches": (_conjugated_branches, None, {"dilation-branch-agreement": ""}),
     "dilate": (
         _lenient_dilate,
         "kraus-norm",
@@ -294,3 +306,45 @@ def test_nan_deviation_fails_its_row(monkeypatch, tmp_path):
     assert main(["check-postulates", "--dims", "2..3", "--out", str(out)]) == 1
     rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
     assert all(rows[name]["worst"] is None and not rows[name]["passed"] for name in nan_rows)
+
+
+def test_no_per_case_route_runs(monkeypatch):
+    # After its draws, every suite runs stacked routes only: with the
+    # per-object constructors and methods below made to raise, every row
+    # still passes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-case route ran")
+
+    for owner, name in (
+        (Purification, "__post_init__"),
+        (Dilation, "branch"),
+        (CanonicalForm, "reconstruction"),
+        (QuantumState, "rank"),
+        (linalg, "support_projector"),
+        (linalg, "kernel_projector"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert not hasattr(postulates, "support_projector")
+    assert not hasattr(postulates, "kernel_projector")
+    results = run_postulate_checks(dims=(2, 3, 4), seed=1)
+    assert [r.name for r in results if not r.passed] == []
+
+
+# SHA-256 of `check-postulates --out` for (dims, seed).  Report floats move
+# with the BLAS kernels, so the pin holds for one numpy, one OpenBLAS build
+# and one runtime core (conftest.blas_build); elsewhere it is skipped.
+PINNED_REPORTS = {
+    ("2..4", 1): "85a6245c081a282979486a5d8da78a2ec19087e04082d8c8a7e1b7e269b4ea3f",
+    ("2..3", 0): "b1c947da578b45a5292e004e0e1200c9c7a971720348a82f32f8fa52ca0a6c67",
+}
+PINNED_BUILD = ("2.4.6", "0.3.31.188.0", "SkylakeX")
+
+
+@pytest.mark.parametrize("dims, seed", PINNED_REPORTS)
+def test_report_bits_pinned(tmp_path, dims, seed):
+    build = blas_build()
+    if build != PINNED_BUILD:
+        pytest.skip(f"report bits pinned for numpy, OpenBLAS, core {PINNED_BUILD}, not {build}")
+    out = tmp_path / "report.json"
+    assert main(["check-postulates", "--dims", dims, "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[dims, seed]

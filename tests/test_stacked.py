@@ -6,10 +6,12 @@ QuantumState(m) runs on a stack of one; linalg._support_projectors and
 quantum._discriminate likewise build the projectors and kernels of many
 states at once, and so do the other stacked routes of quantum (_marginals,
 _compress, _decoded, _channels, _apply_channels, _local_falsifiers,
-_purifications, _connecting_unitaries, _canonical_forms, _dilations,
-_effects, _falsifiers, _born_probabilities), classical._embedded and the
-builders of random_ops (random_density_matrices, _densities, _unitaries,
-_kraus_families, _contractions).  That a stacked LAPACK or
+_purifications, _purification_stack, _connecting_unitaries,
+_canonical_forms, _reconstructions, _dilations, _branches, _effects,
+_falsifiers, _born_probabilities, _pure_matrices, _ranks),
+classical._embedded, linalg._norms and the builders of
+random_ops (random_density_matrices, _densities, _unitaries, _kraus_families,
+_contractions, _unit_vectors).  That a stacked LAPACK or
 BLAS call returns the same bits as one call per matrix is a fact about the
 platform and its BLAS, so these tests check it rather than assume it.
 """
@@ -39,17 +41,26 @@ from optfalsify import (
     run_postulate_checks,
     support_projector,
 )
-from optfalsify.errors import NotDeterministicError, NotTracePreservingError, OutOfRangeError
+from optfalsify.errors import (
+    DimensionMismatchError,
+    NotDeterministicError,
+    NotTracePreservingError,
+    OutOfRangeError,
+)
 from optfalsify.linalg import (
     DEFAULT_RANK_TOL,
     SPECTRUM_TOL,
+    HermitianEig,
     _eig_core,
     _hermitian,
     _is_zero,
+    _norms,
     _support_projectors,
+    partial_trace,
     support_mask,
     tensor,
 )
+from optfalsify import random_ops
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_contraction,
@@ -130,6 +141,17 @@ PER_CASE = {
     "_effects": lambda mats: [Effect(m) for m in mats],
     "_falsifiers": lambda kernels: [None if _is_zero(k) else Effect(k) for k in kernels],
     "_born_probabilities": lambda rhos, es: [born_probability(r, e) for r, e in zip(rhos, es)],
+    "_purification_stack": lambda psi, a, b: [quantum.Purification(p, a, b) for p in psi],
+    "_reconstructions": lambda cfs: [cf.reconstruction() for cf in cfs],
+    "_branches": lambda dils, rhos: np.array(
+        [[dil.branch(rho, k) for k in range(dil.dim_env)] for dil, rho in zip(dils, rhos)]
+    ),
+    "_pure_matrices": lambda vs: np.array([quantum._pure_matrices([v])[0] for v in vs]),
+    "_ranks": lambda states: [s.rank() for s in states],
+    "_support_projectors": lambda values, vectors: np.array(
+        [support_projector(HermitianEig(w, v)) for w, v in zip(values, vectors)]
+    ),
+    "_norms": lambda v: np.array([np.linalg.norm(x) for x in v]),
 }
 
 
@@ -329,7 +351,7 @@ def test_stacked_effects_and_channels_fail_as_single_objects():
         KrausChannel((2 * np.eye(2),))
     stack = np.stack([ok, ok, 2 * np.eye(2, dtype=complex)])
     with pytest.raises(OutOfRangeError, match=r"^effect has eigenvalue 2\.000e\+00 above one"):
-        quantum._validate_effects(stack, [object.__new__(Effect) for _ in stack])
+        quantum._effects(stack)
     with pytest.raises(OutOfRangeError, match=r"^effect has eigenvalue 2\.000e\+00 above one"):
         Effect(2 * np.eye(2))
 
@@ -434,3 +456,154 @@ def test_failing_stacks_raise_the_single_objects_error():
         quantum._dilations([fine, faulty, fine])
     with pytest.raises(NotTracePreservingError, match=message):
         dilate(faulty)
+
+
+def test_norms_give_np_linalg_norm_bits():
+    rng = np.random.default_rng(950)
+    for m in (1, 2, 3, 4, 8, 9, 16, 17, 64):
+        v = rng.standard_normal((12, m)) + 1j * rng.standard_normal((12, m))
+        v[::4] *= 1e-160
+        v[1::4] *= 1e150
+        v[2] = 0.0
+        for x, got in zip(v, _norms(v)):
+            assert got == np.linalg.norm(x)
+    with np.errstate(over="ignore"):
+        assert _norms(np.full((1, 2), 1e200 + 0j))[0] == np.inf == np.linalg.norm([1e200, 1e200])
+
+
+def _old_local_falsifier(a_op, a):
+    """local_falsifier's vector b and effect matrix as one case computed
+    them, for an operator whose norm is in range."""
+    unit = a / np.linalg.norm(a)
+    c = np.conj(a_op.conj().T @ unit)
+    b = np.zeros(len(a), dtype=complex)
+    if np.linalg.norm(c) <= DEFAULT_RANK_TOL * np.linalg.norm(a_op):
+        b[0] = 1.0
+        return b, tensor(np.outer(unit, unit.conj()), np.outer(b, b.conj()))
+    j = int(np.argmin(np.abs(c)))
+    b[j] = 1.0
+    b = b - c * (np.conj(c[j]) / float(np.vdot(c, c).real))
+    b = b / np.linalg.norm(b)
+    return b, tensor(np.outer(unit, unit.conj()), np.outer(b, b.conj()))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_local_falsifier_stack_mixes_every_branch(d):
+    # Ordinary rows, rows scaled to 1e-160 and 1e150 (whose squared norms
+    # underflow or overflow, so the row is rescaled), degenerate rows
+    # (A^dag a = 0) and a degenerate row at a tiny scale, in one stack.
+    rng = np.random.default_rng(960 + d)
+    ops, vecs = [], []
+    for k in range(12):
+        a_op = random_complex_matrix(d, d, rng)
+        a = random_unit_vector(d, rng)
+        if k % 4 == 1:
+            a_op = a_op * (1e-160 if k % 8 == 1 else 1e150)
+        if k % 4 == 2:
+            perp = random_unit_vector(d, rng)
+            perp = perp - a * np.vdot(a, perp)
+            row = random_complex_matrix(1, d, rng)[0]
+            a_op = np.outer(perp, row) * (1e-160 if k == 10 else 1.0)
+        ops.append(a_op)
+        vecs.append(a)
+    stacked = quantum._local_falsifiers(ops, vecs)
+    assert {lf.degenerate for lf in stacked} == {True, False}
+    for k, (got, a_op, a) in enumerate(zip(stacked, ops, vecs)):
+        want = local_falsifier(a_op, a)
+        assert got.degenerate == want.degenerate == (k % 4 == 2)
+        if got.degenerate:
+            assert np.array_equal(got.vector_b, np.eye(d)[0])
+        assert got.vector_b.tobytes() == want.vector_b.tobytes()
+        assert got.effect.matrix.tobytes() == want.effect.matrix.tobytes()
+        if k % 4 == 0:
+            b, effect = _old_local_falsifier(a_op, a)
+            assert got.vector_b.tobytes() == b.tobytes()
+            assert got.effect.matrix.tobytes() == Effect(effect).matrix.tobytes()
+
+
+def test_failing_local_falsifier_stack_raises_the_single_cases_error():
+    ok_op, ok_vec = np.eye(2), np.array([1.0, 0.0])
+    cases = [
+        (np.zeros((2, 2)), ok_vec, OutOfRangeError, r"^local_falsifier: operator must be nonzero$"),
+        (np.eye(2), [1.0, 1.0], OutOfRangeError, r"^local_falsifier: vector a must have unit"),
+        (np.eye(2), [1.0, 0.0, 0.0], DimensionMismatchError,
+         r"^vector length 3 does not match operator dim 2$"),
+    ]
+    for a_op, a_vec, error, message in cases:
+        with pytest.raises(error, match=message):
+            local_falsifier(a_op, a_vec)
+        with pytest.raises(error, match=message):
+            if len(a_vec) == 2:
+                quantum._local_falsifiers([ok_op, a_op, ok_op], [ok_vec, a_vec, ok_vec])
+            else:
+                quantum._local_falsifiers([ok_op, a_op], [a_vec, a_vec])
+    message = r"^local falsifier needs local dimension >= 2$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        local_falsifier(np.eye(1), [1.0])
+    with pytest.raises(DimensionMismatchError, match=message):
+        quantum._local_falsifiers([np.eye(1), 2 * np.eye(1)], [[1.0], [1.0]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_state_routes_give_per_object_bits(d):
+    rng = np.random.default_rng(970 + d)
+    vecs = [random_unit_vector(d, rng) * s for s in (1.0, 3.0, 1e-5, 1e5, 1.0)]
+    for v, m in zip(vecs, quantum._pure_matrices(vecs)):
+        unit = v / np.linalg.norm(v)
+        assert m.tobytes() == np.outer(unit, unit.conj()).tobytes()
+        assert m.tobytes() == quantum._pure_matrices([v])[0].tobytes()
+        assert QuantumState.pure(v).matrix.tobytes() == QuantumState(m).matrix.tobytes()
+    states = [QuantumState(m) for m in _corpus(d, rng)]
+    assert quantum._ranks(states) == [s.rank() for s in states]
+    masks = [support_mask(s.spectrum.values) for s in states]
+    assert quantum._ranks(states) == [int(np.count_nonzero(m)) for m in masks]
+    z = rng.standard_normal((6, 2, d))
+    for row, got in zip(z, random_ops._unit_vectors(z)):
+        v = row[0] + 1j * row[1]
+        assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+    for group in _by_rank(states):
+        purs = quantum._purifications(group)
+        psi = np.array([p.state_vector for p in purs])
+        for p, got in zip(purs, quantum._purification_stack(psi.copy(), d, purs[0].dim_b)):
+            want = quantum.Purification(p.state_vector, d, p.dim_b)
+            assert got.state_vector.tobytes() == want.state_vector.tobytes()
+            assert (got.dim_a, got.dim_b) == (d, p.dim_b)
+            assert not got.state_vector.flags.writeable
+    with pytest.raises(OutOfRangeError, match=r"^purification vector must have unit norm$"):
+        quantum._purification_stack(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex), 2, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reconstructions_give_per_object_bits(d):
+    rng = np.random.default_rng(980 + d)
+    for group in _by_rank([QuantumState(m) for m in _corpus(d * d, rng)]):
+        cfs = quantum._canonical_forms(group)
+        for cf, got in zip(cfs, quantum._reconstructions(cfs)):
+            want = np.zeros((d * d, d * d), dtype=complex)
+            for a in cf.operators:
+                want += np.outer(a.reshape(-1), a.reshape(-1).conj())
+            assert got.tobytes() == want.tobytes() == cf.reconstruction().tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_branches_give_the_circuits_values(d):
+    # The dilation circuit computed as it is written: the joint state
+    # rho (x) |0><0|, evolved by U, times I (x) |k><k|, with the environment
+    # traced out.  The 0/1 factors and the trace add only exact zeros, so
+    # every entry equals the slice the stacked route reads.
+    rng = np.random.default_rng(990 + d)
+    for n_kraus in (1, 2, 3):
+        channels = [KrausChannel(tuple(random_kraus_tp(d, n_kraus, rng))) for _ in range(4)]
+        dils = quantum._dilations(channels)
+        rhos = [QuantumState(random_density_matrix(d, rng, rank=1 + k % d)) for k in range(4)]
+        stacked = quantum._branches(dils, rhos)
+        n_env = dils[0].dim_env
+        env = np.eye(n_env, dtype=complex)
+        for dil, rho, got in zip(dils, rhos, stacked):
+            joint = tensor(rho.matrix, np.outer(env[0], env[0]))
+            evolved = dil.unitary @ joint @ dil.unitary.conj().T
+            for k in range(n_env):
+                picked = evolved @ tensor(np.eye(d), np.outer(env[k], env[k]))
+                assert np.array_equal(got[k], partial_trace(picked, d, n_env))
+                assert got[k].tobytes() == dil.branch(rho, k).tobytes()
+
