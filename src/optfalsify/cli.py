@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import re
 import sys
@@ -295,5 +296,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Exit with main()'s code, then skip shutdown's teardown (README, Command line)."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

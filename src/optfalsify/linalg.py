@@ -195,6 +195,14 @@ def _norms(v: np.ndarray) -> np.ndarray:
         return np.sqrt((x @ x.swapaxes(1, 2) + y @ y.swapaxes(1, 2))[:, 0, 0])
 
 
+def _rescale(v: np.ndarray, floor: float) -> None:
+    """Divide each nonzero row of the complex (n, m) stack v whose largest
+    modulus is below floor (its squares may cost _norms its bits) by that
+    modulus: in place, part by part, as complex division by a subnormal overflows."""
+    top = np.abs(v).max(axis=1, initial=0.0, keepdims=True)
+    np.divide(v.view(float), top, out=v.view(float), where=(0 < top) & (top < floor))
+
+
 def _hermitian(a: np.ndarray, name: str) -> np.ndarray:
     """The complex (n, d, d) stack a, coerced at the entry point, checked
     Hermitian within HERM_TOL matrix by matrix (else NotHermitianError, see

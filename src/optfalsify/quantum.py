@@ -46,6 +46,7 @@ from .linalg import (
     _normalized,
     _norms,
     _numbers,
+    _rescale,
     _subnormalized,
     _support_projectors,
     _unit_spectrum,
@@ -57,10 +58,10 @@ from .linalg import (
 
 def _pure_matrices(vectors) -> np.ndarray:
     """|v><v| for each pure state vector v of vectors, of one length, over
-    its 2-norm, as QuantumState.pure normalizes it; OutOfRangeError for a
-    zero vector, an entry that as_matrix would reject, or a norm that
-    overflows."""
+    its 2-norm, after _rescale to _MIN_SCALE; OutOfRangeError for a zero
+    vector, an entry that as_matrix would reject, or a norm that overflows."""
     v = _numbers(vectors, complex, "pure state vector").reshape(len(vectors), -1)
+    _rescale(v, _MIN_SCALE)
     nrm = _norms(v)
     if not nrm.all():
         raise OutOfRangeError("pure state vector must be nonzero")

@@ -603,36 +603,50 @@ class TestEntryPoint:
 class TestGatedDigests:
     """The two digests CI gates, at CI's configs.  The workflow's comments
     say why no numpy build can move either file, so a change of digest is a
-    changed program."""
+    changed program.  Each config also runs through a fresh process, so a
+    write that the process's exit loses changes the digest."""
 
-    @pytest.mark.parametrize(
-        "command, config, output, digest",
-        [
-            pytest.param(
-                "falsify-coin",
-                '{"declared": {"p": 0.5, "phi": 0.0}, "true_state": {"kind": "state", '
-                '"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], '
-                '"im": [0.0, 0.0, 0.0, 0.0]}, "n_trials": 120000, "seed": 1}',
-                "--csv",
-                "a28ce24694983e177ad7f4d0f6855ffc7230cb68871a761be0ec1da38d13a935",
-                id="falsify-coin-trace",
-            ),
-            pytest.param(
-                "classical-baseline",
-                '{"declared_p": 0.0, "true_p": 0.999, "n_trials": 200003, "seed": 3}',
-                "--out",
-                "2748dd76f80e427f6cc4be1960d2cd26caaaa71bedcdc017017b274a30a90508",
-                id="classical-baseline-report",
-            ),
-        ],
-    )
-    def test_digest(self, command, config, output, digest, tmp_path, capsys):
+    CASES = [
+        pytest.param(
+            "falsify-coin",
+            '{"declared": {"p": 0.5, "phi": 0.0}, "true_state": {"kind": "state", '
+            '"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], '
+            '"im": [0.0, 0.0, 0.0, 0.0]}, "n_trials": 120000, "seed": 1}',
+            "--csv",
+            "a28ce24694983e177ad7f4d0f6855ffc7230cb68871a761be0ec1da38d13a935",
+            id="falsify-coin-trace",
+        ),
+        pytest.param(
+            "classical-baseline",
+            '{"declared_p": 0.0, "true_p": 0.999, "n_trials": 200003, "seed": 3}',
+            "--out",
+            "2748dd76f80e427f6cc4be1960d2cd26caaaa71bedcdc017017b274a30a90508",
+            id="classical-baseline-report",
+        ),
+    ]
+
+    @staticmethod
+    def _args(command, config, output, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(config)
-        out = tmp_path / "gated"
-        args = [command, "--config", str(path), output, str(out)]
+        args = [command, "--config", str(path), output, str(tmp_path / "gated")]
         if output == "--csv":
             args += ["--out", str(tmp_path / "report.json")]
-        assert run_cli(args) == 0
+        return args
+
+    @pytest.mark.parametrize("command, config, output, digest", CASES)
+    def test_digest(self, command, config, output, digest, tmp_path, capsys):
+        assert run_cli(self._args(command, config, output, tmp_path)) == 0
         capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / "gated").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, config, output, digest", CASES)
+    def test_digest_through_a_process(self, command, config, output, digest, tmp_path):
+        args = self._args(command, config, output, tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "optfalsify", *args],
+            capture_output=True, text=True, timeout=300,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert hashlib.sha256((tmp_path / "gated").read_bytes()).hexdigest() == digest

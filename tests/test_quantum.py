@@ -41,7 +41,7 @@ from optfalsify.errors import (
 )
 from optfalsify.falsification import SupportHypothesis
 from optfalsify.linalg import MAX_ENTRY, support_mask
-from optfalsify.quantum import Dilation
+from optfalsify.quantum import Dilation, _pure_matrices
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_density_matrix,
@@ -82,6 +82,18 @@ class TestQuantumState:
         rho = QuantumState.pure([3.0, 4.0])
         assert rho.deterministic
         assert rho.matrix[0, 0] == pytest.approx(0.36)
+
+    def test_pure_rescales_tiny_vectors(self):
+        # Squares of 1e-160 are subnormal and of 1e-170 zero, so an
+        # unscaled 2-norm is wrong or zero.
+        for tiny, unit in [([1e-160, 0.0], [1.0, 0.0]), ([1e-170, 1e-170j], [1.0, 1.0j])]:
+            assert np.array_equal(QuantumState.pure(tiny).matrix, QuantumState.pure(unit).matrix)
+        with pytest.raises(OutOfRangeError, match="must be nonzero"):
+            QuantumState.pure([0.0, 0.0])
+        # A row above quantum._MIN_SCALE keeps its bits beside a rescaled one.
+        big = np.array([1e150, 2e150j])
+        u = big / np.linalg.norm(big)
+        assert np.array_equal(_pure_matrices([big, [1e-160, 0.0]])[0], np.outer(u, u.conj()))
 
     def test_rank(self, rng):
         rho = QuantumState(random_density_matrix(4, rng, rank=2))

@@ -1,11 +1,14 @@
 """What starting the program loads and runs: the lazy package exports, the
-modules each subcommand imports, and the two python -m entries.
+modules each subcommand imports, and the three process entries (the
+opt-falsify script and both python -m forms) with their exit.
 
 Most checks run in a fresh interpreter, since the test process has long
 since imported every module."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,8 @@ import pytest
 from optfalsify import QuantumState
 from optfalsify.serialize import state_to_json, write_json
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # The names the package __init__ imported eagerly before it resolved them
 # lazily; every one must still import.
@@ -159,3 +163,66 @@ def test_module_entries_run_the_command(configs, module):
     )  # fmt: skip
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["kind"] == "purification"
+
+
+def test_main_does_not_freeze(configs, capsys):
+    from optfalsify.cli import main
+
+    before = gc.get_freeze_count()
+    assert main(["purify", "--config", configs["state"]]) == 0
+    assert main(["purify", "--config", "missing.json"]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def _entries() -> dict:
+    """Each process entry as the interpreter arguments that run it: the
+    console script as the wrapper an installer writes for pyproject.toml's
+    [project.scripts] value, and the two python -m forms."""
+    text = (ROOT / "pyproject.toml").read_text()
+    script = re.search(r'^opt-falsify = "(.+)"$', text, re.M).group(1)
+    return {
+        "opt-falsify": [
+            "-c",
+            "import sys\n"
+            "from importlib.metadata import EntryPoint\n"
+            f"sys.exit(EntryPoint('opt-falsify', {script!r}, 'console_scripts').load()())",
+        ],
+        "optfalsify": ["-m", "optfalsify"],
+        "optfalsify.cli": ["-m", "optfalsify.cli"],
+    }
+
+
+# An atexit hook, run after the entry returns or raises, reports whether it
+# froze the collector's objects.
+SITECUSTOMIZE = """import atexit, gc, sys
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}", file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("entry", ["opt-falsify", "optfalsify", "optfalsify.cli"])
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["purify", "--config", "@state"], 0, "purified dim-2 state"),
+        (
+            ["check-postulates", "--dims", "2..2", "--seed", "1", "--inject-fault", "kraus-norm"],
+            1,
+            "15/16 properties passed",
+        ),
+        (["purify", "--config", "missing.json"], 2, "error: "),
+        (["check-postulates", "--dims", "4..2"], 2, "error: argument --dims"),
+    ],
+    ids=["purify", "injected-fault", "missing-config", "bad-dims"],
+)
+def test_entries_freeze_at_exit(configs, tmp_path, entry, argv, code, err):
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    argv = [configs[a[1:]] if a.startswith("@") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, *_entries()[entry], *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC])),
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == code, proc.stderr
+    assert err in proc.stderr
+    assert proc.stderr.endswith("frozen at exit: True\n")
