@@ -36,14 +36,13 @@ _EXPORTS = {
         "support_projector", "tensor",
     ),
     "postulates": ("PropertyResult", "run_postulate_checks"),
-    "quantum": (
-        "CanonicalForm", "CompressionResult", "Dilation", "DiscriminationResult",
-        "Effect", "KrausChannel", "LocalFalsifier", "Purification", "QuantumState",
-        "apply_channel", "born_probability", "canonical_form", "compress",
-        "connecting_unitary", "dilate", "local_falsifier", "perfectly_discriminable",
-        "purify",
-    ),
+    "quantum": ("Effect", "Purification", "QuantumState", "born_probability", "purify"),
     "random_ops": (),
+    "theorems": (
+        "CanonicalForm", "CompressionResult", "Dilation", "DiscriminationResult",
+        "KrausChannel", "LocalFalsifier", "apply_channel", "canonical_form", "compress",
+        "connecting_unitary", "dilate", "local_falsifier", "perfectly_discriminable",
+    ),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -29,10 +29,18 @@ from .linalg import (
     _support_projectors,
 )
 from .quantum import (
-    KrausChannel,
     QuantumState,
-    _apply_channels,
     _born_probabilities,
+    _effects,
+    _marginals,
+    _pure_matrices,
+    _purification_stack,
+    _purifications,
+    _ranks,
+)
+from .theorems import (
+    KrausChannel,
+    _apply_channels,
     _branches,
     _canonical_forms,
     _channels,
@@ -41,14 +49,8 @@ from .quantum import (
     _decoded,
     _dilations,
     _discriminate,
-    _effects,
     _falsifiers,
     _local_falsifiers,
-    _marginals,
-    _pure_matrices,
-    _purification_stack,
-    _purifications,
-    _ranks,
     _reconstructions,
     apply_channel,
     dilate,

@@ -27,7 +27,7 @@ from optfalsify import (
 )
 from optfalsify.cli import main as cli_main
 from optfalsify.coins import BaselineVerdict, classical_verdict, count_classical_coin
-from optfalsify.quantum import KrausChannel, dilate, local_falsifier
+from optfalsify.theorems import KrausChannel, dilate, local_falsifier
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_contraction,

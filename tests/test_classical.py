@@ -24,7 +24,8 @@ from optfalsify.coins import (
 from optfalsify.falsification import SupportHypothesis, support_falsification_test
 from optfalsify.linalg import support_projector
 from optfalsify.postulates import run_postulate_checks
-from optfalsify.quantum import Dilation, Effect, KrausChannel, QuantumState, born_probability
+from optfalsify.quantum import Effect, QuantumState, born_probability
+from optfalsify.theorems import Dilation, KrausChannel
 
 MIXED = QuantumState.maximally_mixed(2)
 TRIALS = "n_trials must be an integer of at least 1"

@@ -32,6 +32,7 @@ from optfalsify import (
     classical_falsifier_exists,
     classical_verdict,
     coin_falsification_test,
+    connecting_unitary,
     falsification_probability,
     hermitian_eig,
     linalg,
@@ -206,7 +207,7 @@ def _overlapping_pair(e):
 SINGLE_SITE_CASES = {
     "connecting-unitary-marginals": (
         "_MARGINAL_TOL",
-        lambda e: _raised(quantum.connecting_unitary, *_purifications(e)),
+        lambda e: _raised(connecting_unitary, *_purifications(e)),
         None,
         PurificationMismatchError,
     ),

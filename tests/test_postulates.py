@@ -14,13 +14,11 @@ from optfalsify.cli import main
 from optfalsify.errors import OutOfRangeError
 from optfalsify.linalg import partial_trace, tensor
 from optfalsify.postulates import KNOWN_FAULTS, run_postulate_checks
-from optfalsify.quantum import (
+from optfalsify.quantum import Effect, Purification, QuantumState, _purifications
+from optfalsify.theorems import (
     CanonicalForm,
     CompressionResult,
     Dilation,
-    Effect,
-    Purification,
-    QuantumState,
     _apply_channels,
     _branches,
     _canonical_forms,
@@ -28,7 +26,6 @@ from optfalsify.quantum import (
     _connecting_unitaries,
     _discriminate,
     _local_falsifiers,
-    _purifications,
     dilate,
 )
 

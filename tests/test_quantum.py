@@ -41,7 +41,8 @@ from optfalsify.errors import (
 )
 from optfalsify.falsification import SupportHypothesis
 from optfalsify.linalg import MAX_ENTRY, support_mask
-from optfalsify.quantum import Dilation, _pure_matrices
+from optfalsify.quantum import _pure_matrices
+from optfalsify.theorems import Dilation
 from optfalsify.random_ops import (
     random_complex_matrix,
     random_density_matrix,

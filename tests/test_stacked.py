@@ -3,12 +3,12 @@ per-object construction.
 
 quantum._states validates a whole stack of matrices through the code that
 QuantumState(m) runs on a stack of one; linalg._support_projectors and
-quantum._discriminate likewise build the projectors and kernels of many
+theorems._discriminate likewise build the projectors and kernels of many
 states at once, and so do the other stacked routes of quantum (_marginals,
-_compress, _decoded, _channels, _apply_channels, _local_falsifiers,
-_purifications, _purification_stack, _connecting_unitaries,
-_canonical_forms, _reconstructions, _dilations, _branches, _effects,
-_falsifiers, _born_probabilities, _pure_matrices, _ranks),
+_purifications, _purification_stack, _effects, _born_probabilities,
+_pure_matrices, _ranks) and of theorems (_compress, _decoded, _channels,
+_apply_channels, _local_falsifiers, _connecting_unitaries, _canonical_forms,
+_reconstructions, _dilations, _branches, _falsifiers),
 classical._embedded, linalg._norms and the builders of
 random_ops (random_density_matrices, _densities, _unitaries, _kraus_families,
 _contractions, _unit_vectors).  That a stacked LAPACK or
@@ -40,6 +40,7 @@ from optfalsify import (
     quantum,
     run_postulate_checks,
     support_projector,
+    theorems,
 )
 from optfalsify.errors import (
     DimensionMismatchError,
@@ -124,8 +125,8 @@ def _per_pair(rhos, nus):
     return [perfectly_discriminable(rho, nu) for rho, nu in zip(rhos, nus)]
 
 
-# Each stacked route of quantum that the suites call, as one public call per
-# case.
+# Each stacked route of quantum and theorems that the suites call, as one
+# public call per case.
 PER_CASE = {
     "_marginals": lambda purs: [p.marginal() for p in purs],
     "_compress": lambda rhos: [compress(rho) for rho in rhos],
@@ -208,7 +209,7 @@ def test_support_projector_stack_gives_per_object_bits(d):
 def test_discriminate_gives_per_object_bits(d):
     pairs = _pairs(d, np.random.default_rng(400 + d))
     rhos, nus = [rho for rho, _ in pairs], [nu for _, nu in pairs]
-    stacked = quantum._discriminate(rhos, nus)
+    stacked = theorems._discriminate(rhos, nus)
     eye = np.eye(d, dtype=complex)
     seen = set()
     for (rho, nu), got in zip(pairs, stacked):
@@ -308,7 +309,7 @@ def test_stacked_routes_give_per_object_bits(d):
     for p, m in zip(purs, quantum._marginals(purs)):
         mat = p.state_vector.reshape(d, p.dim_b)
         assert m.matrix.tobytes() == QuantumState(mat @ mat.conj().T).matrix.tobytes()
-    comps = quantum._compress(rhos)
+    comps = theorems._compress(rhos)
     for rho, comp in zip(rhos, comps):
         one = compress(rho)
         v = rho.spectrum.vectors[:, :rank].conj().T
@@ -316,25 +317,25 @@ def test_stacked_routes_give_per_object_bits(d):
         _same_states([comp.state], [one.state])
         want = QuantumState(v @ rho.matrix @ v.conj().T)
         assert comp.state.matrix.tobytes() == want.matrix.tobytes()
-    _same_states(quantum._decoded(comps), [c.decode() for c in comps])
-    for comp, back in zip(comps, quantum._decoded(comps)):
+    _same_states(theorems._decoded(comps), [c.decode() for c in comps])
+    for comp, back in zip(comps, theorems._decoded(comps)):
         v = comp.isometry
         want = QuantumState(v.conj().T @ comp.state.matrix @ v)
         assert back.matrix.tobytes() == want.matrix.tobytes()
     ops = [random_contraction(d, rng) for _ in rhos]
-    channels = quantum._channels([(a,) for a in ops])
+    channels = theorems._channels([(a,) for a in ops])
     for channel, a in zip(channels, ops):
         assert channel.kraus[0].tobytes() == KrausChannel((a,)).kraus[0].tobytes()
         assert not channel.kraus[0].flags.writeable
     _same_states(
-        quantum._apply_channels(channels, rhos),
+        theorems._apply_channels(channels, rhos),
         [apply_channel(c, rho) for c, rho in zip(channels, rhos)],
     )
-    for a, rho, out in zip(ops, rhos, quantum._apply_channels(channels, rhos)):
+    for a, rho, out in zip(ops, rhos, theorems._apply_channels(channels, rhos)):
         assert out.matrix.tobytes() == QuantumState(a @ rho.matrix @ a.conj().T).matrix.tobytes()
     a_ops = [random_complex_matrix(d, d, rng) for _ in range(9)]
     a_vecs = [random_unit_vector(d, rng) for _ in range(9)]
-    for got, a_op, a_vec in zip(quantum._local_falsifiers(a_ops, a_vecs), a_ops, a_vecs):
+    for got, a_op, a_vec in zip(theorems._local_falsifiers(a_ops, a_vecs), a_ops, a_vecs):
         want = local_falsifier(a_op, a_vec)
         assert got.vector_b.tobytes() == want.vector_b.tobytes()
         assert got.effect.matrix.tobytes() == want.effect.matrix.tobytes()
@@ -346,7 +347,7 @@ def test_stacked_effects_and_channels_fail_as_single_objects():
     # A failing stack raises the error of the failing object on its own.
     ok = np.eye(2, dtype=complex) / 2
     with pytest.raises(OutOfRangeError, match=r"^channel is not trace-nonincreasing: .* exceeds"):
-        quantum._channels([(ok,), (2 * np.eye(2),), (ok,)])
+        theorems._channels([(ok,), (2 * np.eye(2),), (ok,)])
     with pytest.raises(OutOfRangeError, match=r"^channel is not trace-nonincreasing: .* exceeds"):
         KrausChannel((2 * np.eye(2),))
     stack = np.stack([ok, ok, 2 * np.eye(2, dtype=complex)])
@@ -380,7 +381,7 @@ def test_purification_routes_give_per_object_bits(d):
             quantum.Purification(tensor(eye, random_unitary(p.dim_b, rng)) @ p.state_vector, d, p.dim_b)
             for p in p1s
         ] + p1s[:1]
-        got = quantum._connecting_unitaries(p1s + p1s[:1], p2s)
+        got = theorems._connecting_unitaries(p1s + p1s[:1], p2s)
         for u, p1, p2 in zip(got, p1s + p1s[:1], p2s):
             assert u.tobytes() == connecting_unitary(p1, p2).tobytes()
         assert np.array_equal(got[-1], np.eye(p1s[0].dim_b))
@@ -391,7 +392,7 @@ def test_canonical_forms_give_per_object_bits(d):
     # canonical_form takes a d x d bipartite space, so the corpus is drawn
     # at dimension d * d.
     for group in _by_rank([QuantumState(m) for m in _corpus(d * d, np.random.default_rng(910 + d))]):
-        for r, got in zip(group, quantum._canonical_forms(group)):
+        for r, got in zip(group, theorems._canonical_forms(group)):
             want = canonical_form(r)
             assert got.weights.tobytes() == want.weights.tobytes()
             assert len(got.operators) == len(want.operators)
@@ -404,7 +405,7 @@ def test_dilations_give_per_object_bits(d):
     rng = np.random.default_rng(920 + d)
     for n_kraus in (1, 2, 3, 4):
         channels = [KrausChannel(tuple(random_kraus_tp(d, n_kraus, rng))) for _ in range(5)]
-        for channel, got in zip(channels, quantum._dilations(channels)):
+        for channel, got in zip(channels, theorems._dilations(channels)):
             want = dilate(channel)
             assert (got.dim_sys, got.dim_env) == (want.dim_sys, want.dim_env)
             assert got.unitary.tobytes() == want.unitary.tobytes()
@@ -415,8 +416,8 @@ def test_effect_and_born_routes_give_per_object_bits(d):
     rng = np.random.default_rng(930 + d)
     states = [QuantumState(m) for m in _corpus(d, rng)]
     # The kernels of pure, mixed and full-rank states: zero or not.
-    kernels = [res.kernel_rho for res in quantum._discriminate(states, states)]
-    found = quantum._falsifiers(kernels)
+    kernels = [res.kernel_rho for res in theorems._discriminate(states, states)]
+    found = theorems._falsifiers(kernels)
     for kernel, got in zip(kernels, found):
         want = None if _is_zero(kernel) else Effect(kernel)
         assert (got is None) == (want is None)
@@ -453,7 +454,7 @@ def test_failing_stacks_raise_the_single_objects_error():
     fine = KrausChannel(tuple(random_kraus_tp(2, 2, rng)))
     message = r"^dilation requires a trace-preserving channel$"
     with pytest.raises(NotTracePreservingError, match=message):
-        quantum._dilations([fine, faulty, fine])
+        theorems._dilations([fine, faulty, fine])
     with pytest.raises(NotTracePreservingError, match=message):
         dilate(faulty)
 
@@ -506,7 +507,7 @@ def test_local_falsifier_stack_mixes_every_branch(d):
             a_op = np.outer(perp, row) * (1e-160 if k == 10 else 1.0)
         ops.append(a_op)
         vecs.append(a)
-    stacked = quantum._local_falsifiers(ops, vecs)
+    stacked = theorems._local_falsifiers(ops, vecs)
     assert {lf.degenerate for lf in stacked} == {True, False}
     for k, (got, a_op, a) in enumerate(zip(stacked, ops, vecs)):
         want = local_falsifier(a_op, a)
@@ -534,14 +535,14 @@ def test_failing_local_falsifier_stack_raises_the_single_cases_error():
             local_falsifier(a_op, a_vec)
         with pytest.raises(error, match=message):
             if len(a_vec) == 2:
-                quantum._local_falsifiers([ok_op, a_op, ok_op], [ok_vec, a_vec, ok_vec])
+                theorems._local_falsifiers([ok_op, a_op, ok_op], [ok_vec, a_vec, ok_vec])
             else:
-                quantum._local_falsifiers([ok_op, a_op], [a_vec, a_vec])
+                theorems._local_falsifiers([ok_op, a_op], [a_vec, a_vec])
     message = r"^local falsifier needs local dimension >= 2$"
     with pytest.raises(DimensionMismatchError, match=message):
         local_falsifier(np.eye(1), [1.0])
     with pytest.raises(DimensionMismatchError, match=message):
-        quantum._local_falsifiers([np.eye(1), 2 * np.eye(1)], [[1.0], [1.0]])
+        theorems._local_falsifiers([np.eye(1), 2 * np.eye(1)], [[1.0], [1.0]])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -577,8 +578,8 @@ def test_state_routes_give_per_object_bits(d):
 def test_reconstructions_give_per_object_bits(d):
     rng = np.random.default_rng(980 + d)
     for group in _by_rank([QuantumState(m) for m in _corpus(d * d, rng)]):
-        cfs = quantum._canonical_forms(group)
-        for cf, got in zip(cfs, quantum._reconstructions(cfs)):
+        cfs = theorems._canonical_forms(group)
+        for cf, got in zip(cfs, theorems._reconstructions(cfs)):
             want = np.zeros((d * d, d * d), dtype=complex)
             for a in cf.operators:
                 want += np.outer(a.reshape(-1), a.reshape(-1).conj())
@@ -594,9 +595,9 @@ def test_branches_give_the_circuits_values(d):
     rng = np.random.default_rng(990 + d)
     for n_kraus in (1, 2, 3):
         channels = [KrausChannel(tuple(random_kraus_tp(d, n_kraus, rng))) for _ in range(4)]
-        dils = quantum._dilations(channels)
+        dils = theorems._dilations(channels)
         rhos = [QuantumState(random_density_matrix(d, rng, rank=1 + k % d)) for k in range(4)]
-        stacked = quantum._branches(dils, rhos)
+        stacked = theorems._branches(dils, rhos)
         n_env = dils[0].dim_env
         env = np.eye(n_env, dtype=complex)
         for dil, rho, got in zip(dils, rhos, stacked):

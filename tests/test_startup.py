@@ -92,7 +92,7 @@ def test_submodules_are_attributes():
     out = _python(
         "import sys, optfalsify\n"
         "names = ['random_ops', 'postulates', 'coins', 'classical', 'errors',\n"
-        "         'falsification', 'linalg', 'quantum']\n"
+        "         'falsification', 'linalg', 'quantum', 'theorems']\n"
         "print(all(getattr(optfalsify, n) is sys.modules['optfalsify.' + n] for n in names))"
     )
     assert out.strip() == "True"
@@ -136,7 +136,7 @@ def configs(tmp_path_factory) -> dict:
         (["classical-baseline", "--config", "@baseline"], COINS),
         (
             ["check-postulates", "--dims", "2..2", "--seed", "1"],
-            {"classical", "postulates", "random_ops"},
+            {"classical", "postulates", "random_ops", "theorems"},
         ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else "",
@@ -153,6 +153,25 @@ def test_modules_each_subcommand_loads(configs, argv, extra):
     rc, loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert set(loaded) == LOADED_BY_EVERY_COMMAND | extra
+
+
+# Source lines of the optfalsify modules a purify run loads: each is compiled
+# on every run when no bytecode cache is kept.  The structure theorems that
+# only check-postulates runs stay out of it.
+PURIFY_LINES = 1480
+
+
+def test_purify_loads_few_source_lines(configs):
+    out = _python(
+        "import json, sys\n"
+        "from optfalsify.cli import main\n"
+        f"rc = main(['purify', '--config', {configs['state']!r}])\n"
+        "files = [m.__file__ for n, m in sys.modules.items() if n.startswith('optfalsify')]\n"
+        "print(json.dumps([rc, {f: sum(1 for _ in open(f)) for f in files}]))"
+    )
+    rc, lines = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert sum(lines.values()) <= PURIFY_LINES, lines
 
 
 @pytest.mark.parametrize("module", ["optfalsify", "optfalsify.cli"])
