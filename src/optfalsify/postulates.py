@@ -228,28 +228,43 @@ def _orthogonal_pairs(draws: list, ranks: list) -> list[np.ndarray]:
     return list(m / np.trace(m, axis1=2, axis2=3).real[..., None, None])
 
 
+# Turns of an orthogonal pair, 10^k times the orthogonality cut: within it, then above.
+_BAND = tuple(_ORTHOGONALITY_TOL * 10.0**k for k in (-2, -1, 1, 2, 3))
+
+
+def _band_states(d: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """|w0><w0| for the columns w of a random unitary, then per eps of _BAND the
+    pure state of v = cos(eps) w1 + sin(eps) w0.  The pair w0, v has max|P_rho
+    P_nu| = sin(eps) max|w0_i| max|v_j|, between sin(eps) / d and sin(eps)."""
+    w = random_ops.random_unitary(d, rng).T
+    vs = [w[0]] + [np.cos(eps) * w[1] + np.sin(eps) * w[0] for eps in _BAND]
+    return [np.outer(v, v.conj()) for v in vs]
+
+
 def check_discrimination(
     rng: np.random.Generator, dims: tuple[int, ...]
 ) -> PropertyResult:
     """Perfect discriminability: perfectly_discriminable agrees with the
-    brute-force criterion Tr(P_rho P_nu) <= _ORTHOGONALITY_TOL on random
-    pairs and on pairs built with orthogonal supports.  The pairs of each
-    dimension are decided as one stack."""
+    brute-force criterion max|P_rho P_nu| <= _ORTHOGONALITY_TOL on 200 pairs
+    per dimension from a validated pool (19 random rho by 10 random nu, and
+    each _BAND turn both ways round), and on pairs built orthogonal."""
     disagreements = 0
     cases = 0
     note = ""
     for d in dims:
-        ranks = [1 + j % d for i in range(200) for j in (i, i // 2)]
-        states = _validated(random_ops.random_density_matrices(d, ranks, rng))
-        rhos, nus = states[::2], states[1::2]
-        n = len(rhos)
-        p = _support_bruteforce(np.array([s.matrix for s in rhos + nus]))
-        overlaps = np.trace(p[:n] @ p[n:], axis1=1, axis2=2).real
-        for res, overlap in zip(_discriminate(rhos, nus), overlaps.tolist()):
+        mats = random_ops.random_density_matrices(d, 1 + np.r_[:19, :10] % d, rng)
+        states = _validated(mats + _band_states(d, rng))
+        band = [(29, 30 + k) for k in range(len(_BAND))]
+        pairs = [*itertools.product(range(19), range(19, 29)), *band, *(b[::-1] for b in band)]
+        a, b = np.array(pairs).T
+        p = _support_bruteforce(np.array([s.matrix for s in states]))
+        overlaps = np.abs(p[a] @ p[b]).max(axis=(1, 2))
+        results = _discriminate([states[k] for k in a], [states[k] for k in b])
+        for i, (res, overlap) in enumerate(zip(results, overlaps.tolist())):
             cases += 1
-            if res.discriminable != (abs(overlap) <= _ORTHOGONALITY_TOL):
+            if res.discriminable != (overlap <= _ORTHOGONALITY_TOL):
                 disagreements += 1
-                note = f"random pair disagreement at dim {d}"
+                note = f"{'random' if i < 190 else 'band'} pair disagreement at dim {d}"
     d = max(dims)
     ranks = [1 + i % (d - 1) for i in range(50)]
     draws = [rng.standard_normal((3, 2, d, d)) for _ in ranks]

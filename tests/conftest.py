@@ -33,12 +33,12 @@ class _Seen(list):
         self.calls = 0
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch) -> dict:
-    """Count the matrices the package hands to Hermitian LAPACK: maps "eigh"
-    and "eigvalsh" to the list of input matrices, one entry per matrix, so a
-    call on an (n, d, d) stack adds n entries; each list's `calls` counts
-    the calls."""
+def count_lapack(patch) -> dict:
+    """Count the matrices the package hands to Hermitian LAPACK: wraps
+    np.linalg.eigh and eigvalsh through patch(np.linalg, name, wrapper)
+    and returns a map of "eigh" and "eigvalsh" to the list of input
+    matrices, one entry per matrix, so a call on an (n, d, d) stack adds n
+    entries; each list's `calls` counts the calls."""
     inputs = {"eigh": _Seen(), "eigvalsh": _Seen()}
     for name, seen in inputs.items():
         real = getattr(np.linalg, name)
@@ -49,8 +49,14 @@ def lapack_calls(monkeypatch) -> dict:
             _seen.calls += 1
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        patch(np.linalg, name, counting)
     return inputs
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch) -> dict:
+    """count_lapack for one test, undone after it."""
+    return count_lapack(monkeypatch.setattr)
 
 
 def blas_build() -> tuple:

@@ -27,6 +27,7 @@ from optfalsify.theorems import (
     _discriminate,
     _local_falsifiers,
     dilate,
+    perfectly_discriminable,
 )
 
 
@@ -81,12 +82,14 @@ class TestRunPostulateChecks:
 
     def test_every_spectrum_through_eigh(self, lapack_calls):
         # One LAPACK route feeds every spectral decision: at these dims and
-        # seed, 2392 state and projector matrices and 291 effect and gram
+        # seed, 1297 state and projector matrices and 291 effect and gram
         # matrices, all through eigh.  They go in 69 calls because every
         # suite runs its library routes a stack at a time; a route put back
-        # to one call per case raises the count.
+        # to one call per case raises the count.  The discrimination suite
+        # validates one pool of 35 states per dimension and indexes its 200
+        # pairs into it; two fresh states per pair would add 1095 matrices.
         run_postulate_checks(dims=(2, 3, 4), seed=1)
-        assert len(lapack_calls["eigh"]) == 2392 + 291
+        assert len(lapack_calls["eigh"]) == 1297 + 291
         assert lapack_calls["eigh"].calls == 69
         assert lapack_calls["eigvalsh"] == []
 
@@ -265,6 +268,50 @@ def test_each_suite_goes_red(monkeypatch, name):
         # Every random and every constructed pair disagrees.
         r = failed["orthogonal-support-discrimination"]
         assert r.worst == r.cases
+
+
+def test_discrimination_decides_pairs_of_a_pool(monkeypatch):
+    # The random half validates at most 40 states per dimension, not two
+    # per pair, and still decides 200 pairs per dimension by both routes:
+    # with every library verdict flipped, each random pair disagrees with
+    # the SVD route and each constructed pair is a miss.
+    validated, decided = [], []
+    real_validated = postulates._validated
+
+    def counted(mats):
+        validated.append(len(mats))
+        return real_validated(mats)
+
+    def flipped(rhos, nus):
+        decided.append(len(rhos))
+        return _flipped_discrimination(rhos, nus)
+
+    monkeypatch.setattr(postulates, "_validated", counted)
+    monkeypatch.setattr(postulates, "_discriminate", flipped)
+    dims = (2, 3, 4, 8)
+    row = postulates.check_discrimination(np.random.default_rng(0), dims)
+    assert len(validated) == len(dims) + 1
+    assert max(validated[:-1]) <= 40
+    assert decided == [200] * len(dims) + [50]
+    assert row.cases == row.worst == 200 * len(dims) + 50
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (5, 6, 7, 8)])
+def test_discrimination_routes_agree_across_the_cut(monkeypatch, dims):
+    # Orthogonal pairs turned by eps from 1e-10 to 1e-3, a quarter decade
+    # apart, cross the orthogonality cut at every d.  The library and the
+    # suite's SVD route must agree at every point: both decide by
+    # max|P_rho P_nu|.  Tr(P_rho P_nu), the square of the turn, would put
+    # the SVD route's cut near eps = 1e-4, and the row would fail.
+    walk = tuple(10.0 ** (k / 4) for k in range(-40, -11))
+    monkeypatch.setattr(postulates, "_BAND", walk)
+    for d in dims:
+        states = [QuantumState(m) for m in postulates._band_states(d, np.random.default_rng(d))]
+        read = [perfectly_discriminable(states[0], nu).discriminable for nu in states[1:]]
+        assert read[0] and not read[-1] and read == sorted(read, reverse=True)
+    row = postulates.check_discrimination(np.random.default_rng(1), dims)
+    assert row.cases == (190 + 2 * len(walk)) * len(dims) + 50
+    assert row.passed and row.worst == 0.0
 
 
 def test_degenerate_directions_noted(monkeypatch):
